@@ -146,9 +146,12 @@ impl DesignFingerprint {
         }
         let mut words = [0u64; 4];
         for (i, w) in words.iter_mut().enumerate() {
-            let chunk = &text[i * 16..(i + 1) * 16];
-            *w = u64::from_str_radix(chunk, 16)
-                .map_err(|_| format!("design fingerprint has non-hex characters: `{chunk}`"))?;
+            // `get`, not indexing: a multi-byte character across a chunk
+            // edge is bad input, not a panic.
+            *w = text
+                .get(i * 16..(i + 1) * 16)
+                .and_then(|chunk| u64::from_str_radix(chunk, 16).ok())
+                .ok_or_else(|| format!("design fingerprint has non-hex characters: `{text}`"))?;
         }
         Ok(Self(words))
     }
@@ -209,7 +212,8 @@ impl Deserialize for DesignFingerprint {
         match v {
             Value::Str(s) => Self::parse(s).map_err(DeError),
             other => Err(DeError(format!(
-                "expected design-fingerprint hex string, found {other:?}"
+                "expected design-fingerprint hex string, found {}",
+                other.describe()
             ))),
         }
     }
@@ -270,6 +274,11 @@ mod tests {
     fn malformed_hex_is_rejected() {
         assert!(DesignFingerprint::parse("abc").is_err());
         assert!(DesignFingerprint::parse(&"g".repeat(64)).is_err());
+        // 64 bytes with a two-byte character straddling the first
+        // 16-digit chunk edge: an error, not a slicing panic.
+        let straddling = format!("{}é{}", "a".repeat(15), "a".repeat(47));
+        assert_eq!(straddling.len(), 64);
+        assert!(DesignFingerprint::parse(&straddling).is_err());
     }
 
     #[test]

@@ -8,10 +8,18 @@ use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::{map_get, DeError, Deserialize, Serialize, Value};
 
 /// A row-major dense matrix of `f32`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Serialises as `{"rows", "cols", "data"}` where `data` is one string of
+/// the entries' [`f32::to_bits`] patterns, eight lower-case hex digits
+/// each, in row-major order. That is lossless by construction — NaN
+/// payloads, ±0, subnormals and ±inf included — about a third of the
+/// text of decimal floats, and decodes without a `Value` node per entry.
+/// The legacy form, `data` as an array of numbers (`null` for NaN), still
+/// deserialises.
+#[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -32,6 +40,64 @@ fn axpy_skip_zero(out: &mut [f32], b: &[f32], a: f32) {
     for (o, &bv) in out.iter_mut().zip(b) {
         *o += a * bv;
     }
+}
+
+impl Serialize for Matrix {
+    fn to_value(&self) -> Value {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut hex = String::with_capacity(8 * self.data.len());
+        for v in &self.data {
+            let bits = v.to_bits();
+            for shift in (0..32).step_by(4).rev() {
+                hex.push(char::from(HEX[(bits >> shift) as usize & 0xf]));
+            }
+        }
+        Value::Map(vec![
+            ("rows".to_owned(), self.rows.to_value()),
+            ("cols".to_owned(), self.cols.to_value()),
+            ("data".to_owned(), Value::Str(hex)),
+        ])
+    }
+}
+
+impl Deserialize for Matrix {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let rows = usize::from_value(map_get(v, "rows")?)?;
+        let cols = usize::from_value(map_get(v, "cols")?)?;
+        let data = match map_get(v, "data")? {
+            Value::Str(hex) => f32s_from_hex(hex)?,
+            legacy => Vec::<f32>::from_value(legacy)?,
+        };
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(DeError(format!(
+                "matrix data holds {} values, expected {rows} x {cols}",
+                data.len()
+            )));
+        }
+        Ok(Self { rows, cols, data })
+    }
+}
+
+/// Decodes [`Matrix`]'s hex `data` string: eight hex digits per value.
+fn f32s_from_hex(hex: &str) -> Result<Vec<f32>, DeError> {
+    if !hex.len().is_multiple_of(8) {
+        return Err(DeError(format!(
+            "matrix hex data has {} digits, not a multiple of 8",
+            hex.len()
+        )));
+    }
+    hex.as_bytes()
+        .chunks_exact(8)
+        .enumerate()
+        .map(|(i, word)| {
+            word.iter()
+                .try_fold(0u32, |bits, &b| {
+                    char::from(b).to_digit(16).map(|digit| bits << 4 | digit)
+                })
+                .map(f32::from_bits)
+                .ok_or_else(|| DeError(format!("matrix hex data: bad digit in value {i}")))
+        })
+        .collect()
 }
 
 impl Default for Matrix {
@@ -553,7 +619,94 @@ pub fn seeded_rng(seed: u64) -> StdRng {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// Bit patterns decimal JSON floats cannot carry: NaN payloads (quiet
+    /// and signalling, both signs), ±0, the extreme subnormals and ±inf.
+    const SPECIAL_BITS: &[u32] = &[
+        0x7fc0_0000,
+        0x7fc0_0001,
+        0xffa0_0000,
+        0x7f80_0001,
+        0x0000_0000,
+        0x8000_0000,
+        0x0000_0001,
+        0x807f_ffff,
+        0x7f80_0000,
+        0xff80_0000,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn serde_round_trips_every_bit_pattern(
+            (rows, cols, words) in (0usize..5, 0usize..5).prop_flat_map(|(rows, cols)| {
+                let entry = (proptest::num::u64::ANY, 0..2 * SPECIAL_BITS.len());
+                proptest::collection::vec(entry, rows * cols..rows * cols + 1)
+                    .prop_map(move |words| (rows, cols, words))
+            }),
+        ) {
+            // Half the entries are uniformly random bits, half special
+            // patterns.
+            let data: Vec<f32> = words
+                .iter()
+                .map(|&(random, pick)| {
+                    let bits = SPECIAL_BITS.get(pick).copied().unwrap_or(random as u32);
+                    f32::from_bits(bits)
+                })
+                .collect();
+            let m = Matrix::from_vec(rows, cols, data);
+            let text = serde_json::to_string(&m).unwrap();
+            let back: Matrix = serde_json::from_str(&text).unwrap();
+            prop_assert_eq!((back.rows(), back.cols()), (rows, cols));
+            let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&back), bits(&m), "{}", text);
+        }
+    }
+
+    #[test]
+    fn serde_writes_hex_bit_patterns() {
+        let m = Matrix::from_vec(1, 3, vec![1.0, -0.0, f32::INFINITY]);
+        assert_eq!(
+            serde_json::to_string(&m).unwrap(),
+            r#"{"rows":1,"cols":3,"data":"3f80000080000000 7f800000"}"#.replace(' ', "")
+        );
+    }
+
+    #[test]
+    fn legacy_numeric_arrays_still_load() {
+        let m: Matrix =
+            serde_json::from_str(r#"{"rows":2,"cols":2,"data":[1.5,-0.25,3,null]}"#).unwrap();
+        assert_eq!((m.rows(), m.cols()), (2, 2));
+        assert_eq!(&m.data()[..3], &[1.5, -0.25, 3.0]);
+        assert!(m.data()[3].is_nan(), "legacy `null` reads back as NaN");
+    }
+
+    #[test]
+    fn malformed_data_is_rejected() {
+        for (text, why) in [
+            (r#"{"rows":1,"cols":1,"data":"3f80000"}"#, "multiple of 8"),
+            (r#"{"rows":1,"cols":1,"data":"3f8000000"}"#, "multiple of 8"),
+            (r#"{"rows":1,"cols":1,"data":"3f80000g"}"#, "bad digit"),
+            (r#"{"rows":1,"cols":1,"data":"+f800000"}"#, "bad digit"),
+            (r#"{"rows":1,"cols":2,"data":"3f800000"}"#, "expected 1 x 2"),
+            (r#"{"rows":2,"cols":1,"data":[1.0]}"#, "expected 2 x 1"),
+            (r#"{"rows":0,"cols":0,"data":"00000000"}"#, "expected 0 x 0"),
+            (
+                r#"{"rows":4294967296,"cols":4294967296,"data":""}"#,
+                "expected 4294967296 x 4294967296",
+            ),
+            (r#"{"rows":1,"cols":1,"data":true}"#, "expected sequence"),
+        ] {
+            let err = serde_json::from_str::<Matrix>(text)
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(why), "{text}: {err}");
+        }
+    }
 
     #[test]
     fn matmul_small_known() {

@@ -106,10 +106,14 @@ impl Deserialize for NodeFeatures {
             Value::Map(entries) if entries.len() == 1 => match entries[0].0.as_str() {
                 "Dense" => Matrix::from_value(&entries[0].1).map(Self::Dense),
                 "OneHot" => OneHotFeatures::from_value(&entries[0].1).map(Self::OneHot),
-                other => Err(DeError(format!("unknown NodeFeatures variant `{other}`"))),
+                other => Err(DeError(format!(
+                    "unknown NodeFeatures variant {}",
+                    serde::excerpt(other)
+                ))),
             },
             other => Err(DeError(format!(
-                "expected single-variant map for NodeFeatures, found {other:?}"
+                "expected single-variant map for NodeFeatures, found {}",
+                other.describe()
             ))),
         }
     }

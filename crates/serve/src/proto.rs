@@ -65,7 +65,8 @@ impl JobKind {
             "train" => Ok(Self::Train),
             "score" => Ok(Self::Score),
             other => Err(format!(
-                "unknown job kind `{other}` (expected attack, train or score)"
+                "unknown job kind {} (expected attack, train or score)",
+                serde::excerpt(other)
             )),
         }
     }
@@ -336,11 +337,20 @@ fn field<'v>(v: &'v Value, key: &str) -> Option<&'v Value> {
     }
 }
 
+/// The error for a present field of the wrong type: names the field and
+/// describes what was found without echoing it.
+fn mistyped(key: &str, expected: &str, found: &Value) -> String {
+    format!(
+        "field `{key}` must be {expected}, found {}",
+        found.describe()
+    )
+}
+
 fn opt_str(v: &Value, key: &str) -> Result<Option<String>, String> {
     match field(v, key) {
         None => Ok(None),
         Some(Value::Str(s)) => Ok(Some(s.clone())),
-        Some(other) => Err(format!("field `{key}` must be a string, found {other:?}")),
+        Some(other) => Err(mistyped(key, "a string", other)),
     }
 }
 
@@ -348,7 +358,7 @@ fn opt_bool(v: &Value, key: &str) -> Result<Option<bool>, String> {
     match field(v, key) {
         None => Ok(None),
         Some(Value::Bool(b)) => Ok(Some(*b)),
-        Some(other) => Err(format!("field `{key}` must be a boolean, found {other:?}")),
+        Some(other) => Err(mistyped(key, "a boolean", other)),
     }
 }
 
@@ -358,7 +368,7 @@ fn opt_u64(v: &Value, key: &str) -> Result<Option<u64>, String> {
         Some(Value::Int(i)) => u64::try_from(*i)
             .map(Some)
             .map_err(|_| format!("field `{key}` must be a non-negative integer")),
-        Some(other) => Err(format!("field `{key}` must be an integer, found {other:?}")),
+        Some(other) => Err(mistyped(key, "an integer", other)),
     }
 }
 
@@ -373,7 +383,7 @@ fn opt_f64(v: &Value, key: &str) -> Result<Option<f64>, String> {
         // `0` parses as an integer; thresholds may legitimately be
         // written without a decimal point.
         Some(Value::Int(i)) => Ok(Some(*i as f64)),
-        Some(other) => Err(format!("field `{key}` must be a number, found {other:?}")),
+        Some(other) => Err(mistyped(key, "a number", other)),
     }
 }
 
@@ -407,7 +417,8 @@ fn check_version(v: &Value) -> Result<(), String> {
         None => Ok(()),
         Some(Value::Int(i)) if *i == i64::from(PROTOCOL_VERSION) => Ok(()),
         Some(other) => Err(format!(
-            "unsupported protocol version {other:?} (this daemon speaks v{PROTOCOL_VERSION})"
+            "unsupported protocol version {} (this daemon speaks v{PROTOCOL_VERSION})",
+            other.describe()
         )),
     }
 }
@@ -533,7 +544,8 @@ impl Request {
                                 Value::Int(i) => out.push(*i as f64),
                                 other => {
                                     return Err(format!(
-                                        "`thresholds` must contain numbers, found {other:?}"
+                                        "`thresholds` must contain numbers, found {}",
+                                        other.describe()
                                     ));
                                 }
                             }
@@ -541,7 +553,10 @@ impl Request {
                         out
                     }
                     Some(other) => {
-                        return Err(format!("`thresholds` must be an array, found {other:?}"));
+                        return Err(format!(
+                            "`thresholds` must be an array, found {}",
+                            other.describe()
+                        ));
                     }
                 };
                 if thresholds.is_empty() {
@@ -554,7 +569,7 @@ impl Request {
             }),
             "stats" => Ok(Self::Stats),
             "shutdown" => Ok(Self::Shutdown),
-            other => Err(format!("unknown request kind `{other}`")),
+            other => Err(format!("unknown request kind {}", serde::excerpt(other))),
         }
     }
 }
@@ -648,7 +663,10 @@ impl Deserialize for Response {
                 message: need_str(v, "message").map_err(DeError)?,
             }),
             "bye" => Ok(Self::Bye),
-            other => Err(DeError(format!("unknown response kind `{other}`"))),
+            other => Err(DeError(format!(
+                "unknown response kind {}",
+                serde::excerpt(other)
+            ))),
         }
     }
 }
@@ -811,6 +829,36 @@ mod tests {
                 thresholds: vec![1.0, 0.75],
             }
         );
+    }
+
+    /// Errors are echoed to the client, so they must describe a bad
+    /// field, never copy it.
+    #[test]
+    fn errors_about_huge_fields_stay_small() {
+        let ones = vec!["1"; 50_000].join(",");
+        let line = format!(r#"{{"kind":"submit","netlist":[{ones}]}}"#);
+        assert!(line.len() > 100_000);
+        let err = parse_request(&line).unwrap_err();
+        assert!(err.contains("found array of 50000 items"), "{err}");
+        let long = "x".repeat(100_000);
+        for line in [
+            format!(r#"{{"kind":"{long}"}}"#),
+            format!(r#"{{"kind":"submit","netlist":"a","job":"{long}"}}"#),
+            format!(r#"{{"kind":"submit","netlist":"a","paper":"{long}"}}"#),
+            format!(r#"{{"kind":"stats","v":"{long}"}}"#),
+            format!(r#"{{"kind":"sweep","key":"k","thresholds":["{long}"]}}"#),
+            format!(r#"{{"kind":"sweep","key":"k","thresholds":{{"a":[{ones}]}}}}"#),
+            format!(r#"{{"kind":"status","job_id":[{ones}]}}"#),
+            format!(r#"{{"kind":"submit","netlist":"a","th":"{long}"}}"#),
+        ] {
+            let err = parse_request(&line).unwrap_err();
+            assert!(err.len() < 256, "{} bytes: {err}", err.len());
+        }
+        let err = parse_response(&format!(r#"{{"kind":"{long}"}}"#)).unwrap_err();
+        assert!(err.len() < 256, "{} bytes", err.len());
+        let err =
+            parse_response(&format!(r#"{{"kind":"stats","protocol":[{ones}]}}"#)).unwrap_err();
+        assert!(err.len() < 256, "{} bytes", err.len());
     }
 
     #[test]

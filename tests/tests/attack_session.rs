@@ -7,6 +7,7 @@
 use muxlink_core::{score_design, AttackSession, MuxLinkConfig, NoProgress, Trained};
 use muxlink_locking::{dmux, symmetric, LockOptions};
 use proptest::{proptest, ProptestConfig};
+use serde::{Deserialize, Serialize, Value};
 
 /// A fast-but-real configuration: every pipeline stage runs (sampling,
 /// training, scoring, post-processing), scaled so one property case
@@ -117,4 +118,70 @@ fn trained_checkpoint_round_trip_rescores_identically() {
             "recovered key diverged at th {th}"
         );
     }
+}
+
+/// Rewrites every matrix in a serialised checkpoint into the format
+/// written before tensors were hex-encoded: `data` as a JSON array of
+/// numbers. Returns how many matrices it rewrote.
+fn to_legacy_matrices(v: &mut Value) -> usize {
+    match v {
+        Value::Map(entries) => {
+            let is_matrix = entries.len() == 3
+                && entries
+                    .iter()
+                    .map(|(k, _)| k.as_str())
+                    .eq(["rows", "cols", "data"])
+                && matches!(entries[2].1, Value::Str(_));
+            if is_matrix {
+                let rows = usize::from_value(&entries[0].1).unwrap();
+                let cols = usize::from_value(&entries[1].1).unwrap();
+                let m = muxlink_gnn::Matrix::from_value(v).unwrap();
+                assert_eq!(m.data().len(), rows * cols);
+                let Value::Map(entries) = v else {
+                    unreachable!()
+                };
+                entries[2].1 = m.data().to_vec().to_value();
+                return 1;
+            }
+            entries.iter_mut().map(|(_, e)| to_legacy_matrices(e)).sum()
+        }
+        Value::Seq(items) => items.iter_mut().map(to_legacy_matrices).sum(),
+        _ => 0,
+    }
+}
+
+/// Checkpoints written before the hex tensor encoding (every matrix a
+/// numeric array) still load, score bit-identically and re-encode to
+/// exactly today's checkpoint text.
+#[test]
+fn legacy_array_checkpoint_loads_and_scores_identically() {
+    let design = muxlink_benchgen::synth::SynthConfig::new("legacy", 14, 6, 230).generate(78);
+    let locked = dmux::lock(&design, &LockOptions::new(6, 4)).unwrap();
+    let trained = AttackSession::new(&locked.netlist, &locked.key_input_names(), fast_cfg(1))
+        .extract()
+        .unwrap()
+        .prepare(&NoProgress)
+        .unwrap()
+        .train(&NoProgress)
+        .unwrap();
+    let direct = trained.score(&NoProgress).unwrap();
+    let json = serde_json::to_string(&trained).unwrap();
+
+    let mut legacy = serde_json::from_str::<Value>(&json).unwrap();
+    let rewritten = to_legacy_matrices(&mut legacy);
+    assert!(rewritten >= 3, "weights and both Adam moments: {rewritten}");
+    let legacy = serde_json::to_string(&legacy).unwrap();
+    assert!(
+        legacy.len() > json.len(),
+        "decimal arrays are the larger form"
+    );
+
+    let restored: Trained = serde_json::from_str(&legacy).unwrap();
+    let rescored = restored.score(&NoProgress).unwrap();
+    assert_eq!(
+        rescored.scores, direct.scores,
+        "scores must be bit-identical"
+    );
+    assert_eq!(rescored.recover_key(0.01), direct.recover_key(0.01));
+    assert_eq!(serde_json::to_string(&restored).unwrap(), json);
 }

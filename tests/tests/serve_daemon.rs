@@ -7,6 +7,8 @@
 //! client disconnects that must not hurt the daemon, cancellation, and
 //! the drain-on-shutdown + stale-socket lifecycle.
 
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -14,7 +16,8 @@ use std::time::Duration;
 use muxlink_locking::{dmux, LockOptions};
 use muxlink_netlist::bench_format;
 use muxlink_serve::{
-    serve, Connection, JobKind, Request, Response, ServeOptions, ServeSummary, SubmitRequest,
+    parse_response, serve, Connection, JobKind, Request, Response, ServeOptions, ServeSummary,
+    SubmitRequest,
 };
 
 fn locked_bench(seed: u64, gates: usize, key_bits: usize) -> String {
@@ -264,6 +267,43 @@ fn stale_socket_is_reclaimed_and_live_socket_is_refused() {
     assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse);
 
     conn.round_trip(&Request::Shutdown, |_| {}).unwrap();
+    daemon.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One hostile line must cost its sender an error reply, not the daemon
+/// its life: 200 000 nested `[` used to overflow the connection thread's
+/// stack and abort the process.
+#[test]
+fn deeply_nested_request_line_is_an_error_reply() {
+    let dir = temp_dir("nested");
+    let socket = dir.join("muxlink.sock");
+    let daemon = start_daemon(&socket, None);
+    drop(connect(&socket));
+
+    let stream = UnixStream::connect(&socket).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut reply = |line: &str| {
+        writer.write_all(line.as_bytes()).unwrap();
+        writer.write_all(b"\n").unwrap();
+        let mut answer = String::new();
+        reader.read_line(&mut answer).unwrap();
+        parse_response(answer.trim_end()).unwrap()
+    };
+    match reply(&"[".repeat(200_000)) {
+        Response::Error { message } => {
+            assert!(
+                message.contains("nesting deeper than 128 levels"),
+                "{message}"
+            );
+            assert!(message.len() < 256, "{} bytes", message.len());
+        }
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+    // The same connection still answers normally.
+    assert!(matches!(reply(r#"{"kind":"stats"}"#), Response::Stats(_)));
+    assert!(matches!(reply(r#"{"kind":"shutdown"}"#), Response::Bye));
     daemon.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
