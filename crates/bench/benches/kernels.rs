@@ -7,6 +7,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use muxlink_benchgen::synth::SynthConfig;
 use muxlink_core::MuxLinkConfig;
+use muxlink_gnn::activation::tanh_slice;
+use muxlink_gnn::matrix::strided_gemm_into;
 use muxlink_gnn::sample::{
     onehot_project_into, onehot_propagate_matmul_into, onehot_propagate_t_matmul_into,
     onehot_propagate_t_matmul_rows_into, onehot_scatter_add, plan_matmul_into,
@@ -461,6 +463,94 @@ fn bench_layer0_plan(c: &mut Criterion) {
     group.finish();
 }
 
+/// The graph-convolution activation: host libm `tanhf` per element vs
+/// the in-repo port's `tanh_slice` (bit-identical outputs). Sizes are one
+/// GC layer's `n × 32` activations, uniform in (−0.5, 0.5) (`narrow`: the
+/// lane kernel, which trained activations almost always take) or in
+/// (−3, 3) (`wide`: every `tanhf` branch below the saturation edge, nearly
+/// all through the scalar port). CI runs this group with `--test`.
+fn bench_activation(c: &mut Criterion) {
+    let mut group = c.benchmark_group("activation");
+    group.sample_size(2000);
+    for n in [30usize, 100, 300] {
+        for (range, half_width) in [("wide", 3.0f32), ("narrow", 0.5)] {
+            let mut rng = muxlink_gnn::matrix::seeded_rng(n as u64);
+            let mut x = Matrix::glorot(n, 32, &mut rng);
+            x.scale(half_width / (6.0 / (n + 32) as f32).sqrt());
+            let mut y = x.clone();
+            let id = format!("{range}/{n}");
+            group.bench_with_input(BenchmarkId::new("libm_tanhf", &id), &n, |b, _| {
+                b.iter(|| {
+                    y.data_mut().copy_from_slice(x.data());
+                    for v in y.data_mut() {
+                        *v = v.tanh();
+                    }
+                });
+            });
+            group.bench_with_input(BenchmarkId::new("tanh_slice", &id), &n, |b, _| {
+                b.iter(|| {
+                    y.data_mut().copy_from_slice(x.data());
+                    tanh_slice(y.data_mut());
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
+/// The two 1-D convolutions at the paper's shapes (k = 30: conv1 over
+/// 30 pooled rows of width 97, conv2 over 15 × 16 with kernel 5): the
+/// per-output dot loops vs the output-vectorised strided GEMM
+/// (bit-identical outputs). CI runs this group with `--test`.
+fn bench_conv_forward(c: &mut Criterion) {
+    const K: usize = 30;
+    const CCAT: usize = 97;
+    const C1: usize = 16;
+    const C2: usize = 32;
+    const KK: usize = 5;
+    let (k2, k3) = (K / 2, K / 2 + 1 - KK);
+    let mut rng = muxlink_gnn::matrix::seeded_rng(5);
+    let pooled = Matrix::glorot(K, CCAT, &mut rng);
+    let w1 = Matrix::glorot(C1, CCAT, &mut rng);
+    let pool_out = Matrix::glorot(k2, C1, &mut rng);
+    let w2 = Matrix::glorot(C2, KK * C1, &mut rng);
+    let b2 = Matrix::glorot(1, C2, &mut rng);
+    let (w1t, w2t) = (w1.transpose(), w2.transpose());
+    let mut out = Matrix::default();
+    let mut group = c.benchmark_group("conv_forward");
+    group.sample_size(2000);
+    group.bench_function("conv1_matmul_t", |b| {
+        b.iter(|| pooled.matmul_t_into(&w1, &mut out));
+    });
+    group.bench_function("conv1_strided_gemm", |b| {
+        b.iter(|| {
+            out.resize_for_overwrite(K, C1);
+            strided_gemm_into(pooled.data(), CCAT, &w1t, None, out.data_mut());
+        });
+    });
+    group.bench_function("conv2_dot_loops", |b| {
+        b.iter(|| {
+            out.resize_for_overwrite(k3, C2);
+            for t in 0..k3 {
+                for o in 0..C2 {
+                    let mut acc = b2.get(0, o);
+                    for (w, p) in w2.row(o).iter().zip(&pool_out.data()[t * C1..]) {
+                        acc += w * p;
+                    }
+                    out.set(t, o, acc);
+                }
+            }
+        });
+    });
+    group.bench_function("conv2_strided_gemm", |b| {
+        b.iter(|| {
+            out.resize_for_overwrite(k3, C2);
+            strided_gemm_into(pool_out.data(), C1, &w2t, Some(b2.data()), out.data_mut());
+        });
+    });
+    group.finish();
+}
+
 fn bench_quick_profile_constant(_c: &mut Criterion) {
     // Sanity anchor: the quick attack profile must exist for the pipeline
     // bench in `pipeline.rs` (compile-time cross-check only).
@@ -482,6 +572,8 @@ criterion_group!(
     bench_dataset_residency,
     bench_batched_layer,
     bench_layer0_plan,
+    bench_activation,
+    bench_conv_forward,
     bench_quick_profile_constant
 );
 criterion_main!(kernels);

@@ -49,7 +49,8 @@ use rand::Rng;
 
 use muxlink_graph::{BlockDiagBatch, Layer0PlanView};
 
-use crate::dgcnn::Dgcnn;
+use crate::activation::tanh_slice;
+use crate::dgcnn::{ConvKernels, Dgcnn};
 use crate::matrix::{seeded_rng, Matrix};
 use crate::param::Gradients;
 use crate::sample::{
@@ -232,6 +233,7 @@ pub struct BatchWorkspace {
     /// Global `hcat` source row of each pooled row (`u32::MAX` = pad).
     pool_src: Vec<u32>,
     pooled: Matrix,
+    conv_kernels: ConvKernels,
     conv1_out: Matrix,
     pool_idx: Vec<u8>,
     pool_out: Matrix,
@@ -379,7 +381,7 @@ impl Dgcnn {
             } else {
                 propagate_matmul_into(adj, &done[l - 1], &p.w, &mut ws.gc_inputs[l], &mut rest[0]);
             }
-            rest[0].map_inplace(f32::tanh);
+            tanh_slice(rest[0].data_mut());
         }
 
         // Column-concatenate H¹…Hᴸ (row-wise — block structure is moot).
@@ -419,13 +421,8 @@ impl Dgcnn {
         }
 
         // Conv1 (per-row linear): one GEMM over all B·k pooled rows.
-        ws.pooled.matmul_t_into(&self.conv1_w.w, &mut ws.conv1_out);
-        for t in 0..nb * k {
-            for o in 0..c1 {
-                let v = ws.conv1_out.get(t, o) + self.conv1_b.w.get(0, o);
-                ws.conv1_out.set(t, o, v.max(0.0));
-            }
-        }
+        self.conv_kernels_into(&mut ws.conv_kernels);
+        self.conv1_forward(&ws.conv_kernels, &ws.pooled, &mut ws.conv1_out);
 
         // MaxPool1d(2, 2) per sample segment.
         ws.pool_out.resize_for_overwrite(nb * k2, c1);
@@ -449,21 +446,13 @@ impl Dgcnn {
 
         // Conv2 (kernel `kk`, stride 1, ReLU) per sample segment.
         ws.conv2_out.resize_for_overwrite(nb * k3, c2);
-        for s in 0..nb {
-            for t in 0..k3 {
-                for o in 0..c2 {
-                    let wrow = self.conv2_w.w.row(o);
-                    let mut acc = self.conv2_b.w.get(0, o);
-                    for dt in 0..kk {
-                        let prow = ws.pool_out.row(s * k2 + t + dt);
-                        let wseg = &wrow[dt * c1..(dt + 1) * c1];
-                        for (w, p) in wseg.iter().zip(prow) {
-                            acc += w * p;
-                        }
-                    }
-                    ws.conv2_out.set(s * k3 + t, o, acc.max(0.0));
-                }
-            }
+        for (pool_seg, out_seg) in ws
+            .pool_out
+            .data()
+            .chunks_exact(k2 * c1)
+            .zip(ws.conv2_out.data_mut().chunks_exact_mut(k3 * c2))
+        {
+            self.conv2_forward(&ws.conv_kernels, pool_seg, out_seg);
         }
 
         // Flatten (pure reshape: row s = sample s's conv2 rows) →

@@ -18,7 +18,8 @@ use rand::Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::matrix::{seeded_rng, Matrix};
+use crate::activation::tanh_slice;
+use crate::matrix::{seeded_rng, strided_gemm_into, Matrix};
 use crate::param::{AdamConfig, Gradients, Param};
 use crate::sample::{
     onehot_propagate_matmul_into, onehot_propagate_t_matmul_into, propagate_back_into,
@@ -107,6 +108,16 @@ pub struct Dgcnn {
     pub(crate) dense1_b: Param,
     pub(crate) dense2_w: Param,
     pub(crate) dense2_b: Param,
+}
+
+/// The two convolution weights transposed to `window × outputs`, the
+/// operand layout of [`strided_gemm_into`]. Built once per batch of
+/// forward passes (a scoring call, a validation pass, a training step)
+/// and shared by every sample in it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ConvKernels {
+    conv1_wt: Matrix,
+    conv2_wt: Matrix,
 }
 
 /// All intermediate activations of one forward pass, retained for
@@ -234,13 +245,16 @@ impl Dgcnn {
         dropout_rng: Option<&mut StdRng>,
     ) -> Cache {
         let mut cache = Cache::new();
-        self.forward_cache(s.into(), dropout_rng, &mut cache);
+        self.forward_cache(s.into(), dropout_rng, &self.conv_kernels(), &mut cache);
         cache
     }
 
     /// [`Dgcnn::forward`] into a reused [`Workspace`]: no per-sample
     /// allocation once the workspace buffers have grown to the working
-    /// size. Activations land in `ws.cache`.
+    /// size. Activations land in `ws.cache`. Each call copies the conv
+    /// weights into their transposed layout in `ws`; the batch entry
+    /// points ([`Dgcnn::predict_batch`], [`crate::evaluate`], the
+    /// trainers) do that once per batch instead.
     ///
     /// # Panics
     ///
@@ -252,15 +266,59 @@ impl Dgcnn {
         dropout_rng: Option<&mut StdRng>,
         ws: &mut Workspace,
     ) {
-        self.forward_cache(s.into(), dropout_rng, &mut ws.cache);
+        self.conv_kernels_into(&mut ws.conv_kernels);
+        self.forward_cache(s.into(), dropout_rng, &ws.conv_kernels, &mut ws.cache);
+    }
+
+    /// The transposed conv weights every forward pass reads.
+    pub(crate) fn conv_kernels(&self) -> ConvKernels {
+        let mut ck = ConvKernels::default();
+        self.conv_kernels_into(&mut ck);
+        ck
+    }
+
+    /// [`Dgcnn::conv_kernels`] into reused buffers.
+    pub(crate) fn conv_kernels_into(&self, ck: &mut ConvKernels) {
+        self.conv1_w.w.transpose_into(&mut ck.conv1_wt);
+        self.conv2_w.w.transpose_into(&mut ck.conv2_wt);
+    }
+
+    /// Conv1 + ReLU over every row of `pooled` (kernel = stride = the
+    /// concatenated width, so each row is one output step).
+    pub(crate) fn conv1_forward(&self, ck: &ConvKernels, pooled: &Matrix, out: &mut Matrix) {
+        let c1 = self.cfg.conv1_channels;
+        out.resize_for_overwrite(pooled.rows(), c1);
+        strided_gemm_into(
+            pooled.data(),
+            pooled.cols(),
+            &ck.conv1_wt,
+            None,
+            out.data_mut(),
+        );
+        for row in out.data_mut().chunks_exact_mut(c1.max(1)) {
+            for (v, &b) in row.iter_mut().zip(self.conv1_b.w.data()) {
+                *v = (*v + b).max(0.0);
+            }
+        }
+    }
+
+    /// Conv2 + ReLU of one sample: `pool_out` holds its `k2 × c1`
+    /// max-pooled rows, `out` receives its `k3 × c2` outputs.
+    pub(crate) fn conv2_forward(&self, ck: &ConvKernels, pool_out: &[f32], out: &mut [f32]) {
+        let c1 = self.cfg.conv1_channels;
+        strided_gemm_into(pool_out, c1, &ck.conv2_wt, Some(self.conv2_b.w.data()), out);
+        for v in out {
+            *v = v.max(0.0);
+        }
     }
 
     /// Shared forward implementation writing into a caller-owned cache
     /// (all samples — owned or arena-pooled — arrive as views).
-    fn forward_cache(
+    pub(crate) fn forward_cache(
         &self,
         s: SampleView<'_>,
         dropout_rng: Option<&mut StdRng>,
+        ck: &ConvKernels,
         cache: &mut Cache,
     ) {
         assert_eq!(
@@ -295,7 +353,7 @@ impl Dgcnn {
                 propagate_into(s.adj, &done[l - 1], &mut cache.gc_inputs[l]);
                 cache.gc_inputs[l].matmul_into(&p.w, &mut rest[0]);
             }
-            rest[0].map_inplace(f32::tanh);
+            tanh_slice(rest[0].data_mut());
         }
 
         // Concatenate H¹…Hᴸ column-wise.
@@ -331,15 +389,7 @@ impl Dgcnn {
         // Conv1: kernel = stride = ccat over the flattened sequence, which
         // is exactly a per-row linear map.
         let c1 = self.cfg.conv1_channels;
-        cache
-            .pooled
-            .matmul_t_into(&self.conv1_w.w, &mut cache.conv1_out);
-        for t in 0..k {
-            for o in 0..c1 {
-                let v = cache.conv1_out.get(t, o) + self.conv1_b.w.get(0, o);
-                cache.conv1_out.set(t, o, v.max(0.0)); // ReLU
-            }
-        }
+        self.conv1_forward(ck, &cache.pooled, &mut cache.conv1_out);
 
         // MaxPool1d(2, 2).
         let k2 = self.cfg.k2();
@@ -361,23 +411,9 @@ impl Dgcnn {
 
         // Conv2: kernel `conv2_kernel`, stride 1, ReLU.
         let c2 = self.cfg.conv2_channels;
-        let kk = self.cfg.conv2_kernel;
         let k3 = self.cfg.k3();
         cache.conv2_out.resize_for_overwrite(k3, c2);
-        for t in 0..k3 {
-            for o in 0..c2 {
-                let wrow = self.conv2_w.w.row(o);
-                let mut acc = self.conv2_b.w.get(0, o);
-                for dt in 0..kk {
-                    let prow = cache.pool_out.row(t + dt);
-                    let wseg = &wrow[dt * c1..(dt + 1) * c1];
-                    for (w, p) in wseg.iter().zip(prow) {
-                        acc += w * p;
-                    }
-                }
-                cache.conv2_out.set(t, o, acc.max(0.0));
-            }
-        }
+        self.conv2_forward(ck, cache.pool_out.data(), cache.conv2_out.data_mut());
 
         // Flatten → dense(128) → ReLU → dropout → dense(2) → softmax.
         cache.flat.resize_for_overwrite(1, k3 * c2);
@@ -466,7 +502,7 @@ impl Dgcnn {
         ws: &mut Workspace,
         grads: &mut Gradients,
     ) {
-        let Workspace { cache, scratch } = ws;
+        let Workspace { cache, scratch, .. } = ws;
         self.backward_impl(s.into(), cache, label, scratch, grads);
     }
 
@@ -688,10 +724,12 @@ impl Dgcnn {
     /// [`ArenaSamples`](crate::sample::ArenaSamples).
     #[must_use]
     pub fn predict_batch<S: SampleStore + ?Sized>(&self, samples: &S) -> Vec<f32> {
+        let ck = self.conv_kernels();
         let idx: Vec<usize> = (0..samples.len()).collect();
         idx.par_iter()
             .map_init(Workspace::new, |ws, &i| {
-                self.predict_into(samples.view(i), ws)
+                self.forward_cache(samples.view(i), None, &ck, &mut ws.cache);
+                ws.cache.link_probability()
             })
             .collect()
     }

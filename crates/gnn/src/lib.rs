@@ -15,6 +15,9 @@
 //! * [`GraphSample`] + [`sample::propagate`] — the normalised propagation
 //!   operator `S = D̃⁻¹(A+I)` of DGCNN's Eq. (4) and its adjoint, as
 //!   cache-friendly kernels over flat [`Csr`] adjacency.
+//! * [`activation`] — the in-repo `tanh` (a port of glibc's fdlibm
+//!   `tanhf`/`expm1f`, so the activation's bits do not depend on the
+//!   host C library) and its branch-free vectorised slice kernel.
 //! * [`Dgcnn`] — the full model (graph convolutions, SortPooling, 1-D
 //!   convolutions, dense head) with hand-written backprop.
 //! * [`Workspace`] — reusable per-thread scratch for the zero-allocation
@@ -45,6 +48,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod activation;
 pub mod batch;
 pub mod dgcnn;
 pub mod matrix;

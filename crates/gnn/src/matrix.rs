@@ -539,13 +539,19 @@ impl Matrix {
     /// Transposed copy.
     #[must_use]
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
+        let mut out = Matrix::zeros(0, 0);
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// [`Matrix::transpose`] into a reusable output buffer.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.resize_for_overwrite(self.cols, self.rows);
         for (r, row) in self.data.chunks_exact(self.cols.max(1)).enumerate() {
             for (c, &v) in row.iter().enumerate() {
                 out.data[c * self.rows + r] = v;
             }
         }
-        out
     }
 
     /// In-place element-wise addition.
@@ -564,13 +570,6 @@ impl Matrix {
     pub fn scale(&mut self, s: f32) {
         for a in &mut self.data {
             *a *= s;
-        }
-    }
-
-    /// In-place element-wise map.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for a in &mut self.data {
-            *a = f(*a);
         }
     }
 
@@ -608,6 +607,110 @@ impl Matrix {
     #[must_use]
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|&a| a * a).sum::<f32>().sqrt()
+    }
+}
+
+/// Strided windowed GEMM, vectorised across outputs: the forward of a
+/// 1-D convolution whose input windows are contiguous runs of `input`.
+///
+/// With `cout = wt.cols()` and `len = wt.rows()`, output step `t` reads
+/// the window `input[t·stride .. t·stride + len]` and writes
+/// `out[t·cout .. (t+1)·cout]`: each output `o` starts at `init[o]` (or
+/// `0.0` when `init` is `None`) and adds `window[j] · wt[j][o]` for
+/// ascending `j`. That is exactly the per-output dot-product loop over
+/// the untransposed weight row, so every element is bit-identical to
+/// it; only the loop order differs. `wt` is the transposed weight
+/// (`len × cout`), and the independent accumulators run across the
+/// contiguous outputs of one weight row (and two steps at a time,
+/// sharing each weight load), never along the reduction. No product is
+/// skipped: `0 · inf` must stay NaN and `−0 + 0` must become `+0`.
+///
+/// # Panics
+///
+/// Panics when `out.len()` is not a multiple of `cout`, `init` has the
+/// wrong length, or the last window runs past the end of `input`.
+pub fn strided_gemm_into(
+    input: &[f32],
+    stride: usize,
+    wt: &Matrix,
+    init: Option<&[f32]>,
+    out: &mut [f32],
+) {
+    let (len, cout) = (wt.rows, wt.cols);
+    if cout == 0 {
+        return;
+    }
+    assert_eq!(out.len() % cout, 0, "output is not whole steps");
+    let steps = out.len() / cout;
+    if let Some(init) = init {
+        assert_eq!(init.len(), cout, "init length mismatch");
+    }
+    if steps > 0 {
+        assert!(
+            (steps - 1) * stride + len <= input.len(),
+            "window past input end"
+        );
+    }
+    let window = |t: usize| &input[t * stride..t * stride + len];
+    let mut pairs = out.chunks_exact_mut(2 * cout);
+    for (tp, os) in (&mut pairs).enumerate() {
+        let (o0, o1) = os.split_at_mut(cout);
+        gemm_steps([window(2 * tp), window(2 * tp + 1)], wt, init, [o0, o1]);
+    }
+    let rest = pairs.into_remainder();
+    if !rest.is_empty() {
+        gemm_steps([window(steps - 1)], wt, init, [rest]);
+    }
+}
+
+/// Output width of one register tile of [`strided_gemm_into`].
+const GEMM_LANES: usize = 16;
+
+/// `T` output steps of [`strided_gemm_into`]: full `GEMM_LANES`-wide
+/// output tiles, then the leftover outputs one at a time.
+#[inline(always)]
+fn gemm_steps<const T: usize>(
+    windows: [&[f32]; T],
+    wt: &Matrix,
+    init: Option<&[f32]>,
+    mut outs: [&mut [f32]; T],
+) {
+    let cout = wt.cols;
+    let tiled = cout - cout % GEMM_LANES;
+    for o0 in (0..tiled).step_by(GEMM_LANES) {
+        gemm_tile::<T, GEMM_LANES>(&windows, wt, init, o0, &mut outs);
+    }
+    for o0 in tiled..cout {
+        gemm_tile::<T, 1>(&windows, wt, init, o0, &mut outs);
+    }
+}
+
+/// Outputs `o0..o0+L` of `T` steps: `T·L` accumulators, one per output
+/// element, each summing its products in ascending window order.
+#[inline(always)]
+fn gemm_tile<const T: usize, const L: usize>(
+    windows: &[&[f32]; T],
+    wt: &Matrix,
+    init: Option<&[f32]>,
+    o0: usize,
+    outs: &mut [&mut [f32]; T],
+) {
+    let start: [f32; L] = match init {
+        Some(init) => init[o0..o0 + L].try_into().expect("tile width"),
+        None => [0.0; L],
+    };
+    let mut acc = [start; T];
+    for (j, wrow) in wt.data.chunks_exact(wt.cols).enumerate() {
+        let w: &[f32; L] = wrow[o0..o0 + L].try_into().expect("tile width");
+        for (a, win) in acc.iter_mut().zip(windows) {
+            let p = win[j];
+            for (a, &w) in a.iter_mut().zip(w) {
+                *a += p * w;
+            }
+        }
+    }
+    for (a, out) in acc.iter().zip(outs.iter_mut()) {
+        out[o0..o0 + L].copy_from_slice(a);
     }
 }
 
@@ -955,5 +1058,114 @@ mod tests {
         assert_eq!(out, a.matmul_t(&d));
         a.hadamard_into(&a, &mut out);
         assert_eq!(out, a.hadamard(&a));
+    }
+
+    /// The conv2 forward loop `strided_gemm_into` replaced, kept as its
+    /// oracle: per output, start at the bias and add `w·p` over the
+    /// `kk` pooled rows of the window in ascending order. The ReLU that
+    /// followed is left out so a −0.0 reaches the comparison.
+    fn conv2_oracle(pool_out: &Matrix, w: &Matrix, bias: &[f32], kk: usize) -> Matrix {
+        let (c1, c2) = (pool_out.cols(), w.rows());
+        let k3 = pool_out.rows() + 1 - kk;
+        let mut out = Matrix::zeros(k3, c2);
+        for t in 0..k3 {
+            for (o, &b) in bias[..c2].iter().enumerate() {
+                let wrow = w.row(o);
+                let mut acc = b;
+                for dt in 0..kk {
+                    let prow = pool_out.row(t + dt);
+                    let wseg = &wrow[dt * c1..(dt + 1) * c1];
+                    for (w, p) in wseg.iter().zip(prow) {
+                        acc += w * p;
+                    }
+                }
+                out.set(t, o, acc);
+            }
+        }
+        out
+    }
+
+    /// The conv1 forward `strided_gemm_into` replaced, kept as its
+    /// oracle: `matmul_t` against the untransposed weight, then the bias
+    /// (ReLU left out, as above).
+    fn conv1_oracle(pooled: &Matrix, w: &Matrix, bias: &[f32]) -> Matrix {
+        let mut out = pooled.matmul_t(w);
+        for row in out.data.chunks_exact_mut(w.rows().max(1)) {
+            for (v, &b) in row.iter_mut().zip(bias) {
+                *v += b;
+            }
+        }
+        out
+    }
+
+    /// A `rows × cols` matrix of mostly Glorot-range values with zeros,
+    /// −0.0 and (when `nan`) NaN mixed in, and its last `pad` rows zeroed
+    /// the way SortPooling pads a small graph.
+    fn conv_input(rows: usize, cols: usize, pad: usize, nan: bool, rng: &mut StdRng) -> Matrix {
+        let mut m = Matrix::zeros(rows, cols);
+        for v in &mut m.data {
+            *v = match rng.gen_range(0..16) {
+                0 => 0.0,
+                1 => -0.0,
+                2 if nan => f32::NAN,
+                _ => rng.gen_range(-1.0f32..1.0),
+            };
+        }
+        let keep = rows.saturating_sub(pad) * cols;
+        m.data[keep..].fill(0.0);
+        m
+    }
+
+    /// Same bits, or both NaN (NaN payloads are not part of the contract:
+    /// the compiler may commute a product's operands).
+    fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+        (a.rows, a.cols) == (b.rows, b.cols)
+            && a.data
+                .iter()
+                .zip(&b.data)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Output widths and step counts that are not multiples of the
+        /// 16-lane tile or the 2-step pairing, −0.0 biases (a product of
+        /// +0 must turn them into +0), zero-padded rows and NaN inputs.
+        #[test]
+        fn strided_gemm_matches_conv_oracles_bitwise(
+            ((c1, kk, k3), (c2, ccat, seed)) in (
+                (1usize..20, 1usize..6, 1usize..20),
+                (1usize..40, 1usize..100, proptest::num::u64::ANY),
+            ),
+        ) {
+            let mut rng = seeded_rng(seed);
+            let nan = seed % 4 == 0;
+            let k2 = k3 + kk - 1;
+            let pad = rng.gen_range(0..k2 + 1);
+            let bias: Vec<f32> = (0..c2.max(c1))
+                .map(|i| if i % 3 == 0 { -0.0 } else { rng.gen_range(-1.0f32..1.0) })
+                .collect();
+
+            let pool_out = conv_input(k2, c1, pad, nan, &mut rng);
+            let w2 = conv_input(c2, kk * c1, 0, nan, &mut rng);
+            let mut out = vec![7.0f32; k3 * c2];
+            strided_gemm_into(pool_out.data(), c1, &w2.transpose(), Some(&bias[..c2]), &mut out);
+            let got = Matrix::from_vec(k3, c2, out);
+            prop_assert!(same_bits(&got, &conv2_oracle(&pool_out, &w2, &bias, kk)), "conv2 {c1} {kk} {k3} {c2}");
+
+            let k = 2 * k2;
+            let pooled = conv_input(k, ccat, pad, nan, &mut rng);
+            let w1 = conv_input(c1, ccat, 0, nan, &mut rng);
+            let mut out = vec![7.0f32; k * c1];
+            strided_gemm_into(pooled.data(), ccat, &w1.transpose(), None, &mut out);
+            for row in out.chunks_exact_mut(c1) {
+                for (v, &b) in row.iter_mut().zip(&bias) {
+                    *v += b;
+                }
+            }
+            let got = Matrix::from_vec(k, c1, out);
+            prop_assert!(same_bits(&got, &conv1_oracle(&pooled, &w1, &bias[..c1])), "conv1 {k} {ccat} {c1}");
+        }
     }
 }

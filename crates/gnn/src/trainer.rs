@@ -178,13 +178,14 @@ pub fn evaluate<S: SampleStore + ?Sized>(model: &Dgcnn, samples: &S) -> (f64, f6
     // Parallel forward passes (one reused workspace per worker); the
     // reduction below runs in sample order, so the reported loss is
     // independent of the thread count.
+    let ck = model.conv_kernels();
     let idx: Vec<usize> = (0..samples.len()).collect();
     let per_sample: Vec<Option<(f64, bool)>> = idx
         .par_iter()
         .map_init(Workspace::new, |ws, &i| {
             let s = samples.view(i);
             s.label.map(|label| {
-                model.forward_into(s, None, ws);
+                model.forward_cache(s, None, &ck, &mut ws.cache);
                 let hit = (ws.cache.link_probability() >= 0.5) == label;
                 (f64::from(ws.cache.loss(label)), hit)
             })
@@ -322,6 +323,7 @@ pub fn train_controlled_timed<S: SampleStore + ?Sized, V: SampleStore + ?Sized>(
                 // attributed to the `forward` phase (see [`TrainPhases`]).
                 let t_fused = Instant::now();
                 let frozen: &Dgcnn = model;
+                let ck = frozen.conv_kernels();
                 let losses: Vec<f64> = grad_slots[..jobs.len()]
                     .par_iter_mut()
                     .zip(jobs.par_iter())
@@ -329,7 +331,7 @@ pub fn train_controlled_timed<S: SampleStore + ?Sized, V: SampleStore + ?Sized>(
                         let s = train.view(i);
                         let label = s.label.expect("jobs are pre-filtered to labelled samples");
                         let mut dropout_rng = seeded_rng(dropout_seed);
-                        frozen.forward_into(s, Some(&mut dropout_rng), ws);
+                        frozen.forward_cache(s, Some(&mut dropout_rng), &ck, &mut ws.cache);
                         frozen.backward_into(s, label, ws, grads);
                         f64::from(ws.cache.loss(label))
                     })

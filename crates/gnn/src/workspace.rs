@@ -25,7 +25,7 @@
 //! kernel property tests, end-to-end parallel determinism) hold this
 //! contract in place.
 
-use crate::dgcnn::Cache;
+use crate::dgcnn::{Cache, ConvKernels};
 use crate::matrix::Matrix;
 use crate::sample::OneHotSpmmScratch;
 
@@ -39,6 +39,11 @@ pub struct Workspace {
     pub cache: Cache,
     /// Backward-pass temporaries (crate-internal).
     pub(crate) scratch: BackwardScratch,
+    /// Transposed conv weights of the last `forward_into`. The batch
+    /// entry points share one copy per batch and never read this; it
+    /// keeps `forward_into` allocation-free for the per-sample reference
+    /// loops of the tests and benches.
+    pub(crate) conv_kernels: ConvKernels,
 }
 
 impl Workspace {

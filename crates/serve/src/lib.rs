@@ -45,4 +45,4 @@ pub use proto::{
     parse_request, parse_response, render_request, render_response, EventMsg, JobKind, Request,
     Response, ResultResponse, StatsResponse, SubmitRequest, SweepRow, PROTOCOL_VERSION,
 };
-pub use server::{serve, ServeOptions, ServeSummary};
+pub use server::{serve, ServeOptions, ServeSummary, MAX_REQUEST_LINE_BYTES};

@@ -26,7 +26,7 @@
 //! shutdown (its submits fail once draining starts, and the process
 //! exits after the workers join).
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -191,11 +191,50 @@ fn write_line<W: Write>(writer: &mut W, resp: &Response) -> io::Result<()> {
     writer.flush()
 }
 
+/// Longest request line a connection may send, newline excluded: 16 MiB,
+/// about 64 times the largest inline submit the benchmarks make (the
+/// 8 992-gate design, 253 KB). A longer line is answered with an `error`
+/// naming this cap and the connection is closed, so one client cannot
+/// grow a buffer until the daemon runs out of memory.
+pub const MAX_REQUEST_LINE_BYTES: usize = 16 << 20;
+
+/// Reads one line, never buffering more than one byte past
+/// [`MAX_REQUEST_LINE_BYTES`] of it, and strips the `\n` or `\r\n`
+/// ending as `BufRead::lines` does. `Ok(None)` means the line ran past the cap.
+/// End of stream is an `UnexpectedEof` error; a line that is not UTF-8
+/// (one cut mid-character at the cap included) is an `InvalidData` error.
+fn read_request_line<R: BufRead>(reader: &mut R) -> io::Result<Option<String>> {
+    let mut line = String::new();
+    let limit = MAX_REQUEST_LINE_BYTES as u64 + 1;
+    if reader.by_ref().take(limit).read_line(&mut line)? == 0 {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    if line.ends_with('\n') {
+        line.pop();
+        if line.ends_with('\r') {
+            line.pop();
+        }
+    } else if line.len() > MAX_REQUEST_LINE_BYTES {
+        return Ok(None);
+    }
+    Ok(Some(line))
+}
+
 /// Serves one connection: request per line, response(s) per request.
 /// Returning ends the connection; the daemon keeps running.
-fn handle_connection<R: BufRead, W: Write>(shared: &Arc<Shared>, reader: R, mut writer: W) {
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
+fn handle_connection<R: BufRead, W: Write>(shared: &Arc<Shared>, mut reader: R, mut writer: W) {
+    loop {
+        let line = match read_request_line(&mut reader) {
+            Ok(Some(line)) => line,
+            Ok(None) => {
+                let message = format!(
+                    "request line longer than {MAX_REQUEST_LINE_BYTES} bytes; closing the connection"
+                );
+                let _ = write_line(&mut writer, &Response::Error { message });
+                return;
+            }
+            Err(_) => return,
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -294,5 +333,33 @@ fn dispatch<W: Write>(shared: &Arc<Shared>, request: Request, writer: &mut W) ->
         },
         Request::Stats => Response::Stats(engine.stats()),
         Request::Shutdown => Response::Bye,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::{Cursor, ErrorKind};
+
+    use super::*;
+
+    #[test]
+    fn request_lines_are_split_and_capped() {
+        let mut r = Cursor::new(b"a\r\nb\n\nc".to_vec());
+        for want in ["a", "b", "", "c"] {
+            assert_eq!(read_request_line(&mut r).unwrap().as_deref(), Some(want));
+        }
+        let eof = read_request_line(&mut r).unwrap_err();
+        assert_eq!(eof.kind(), ErrorKind::UnexpectedEof);
+
+        let bad = read_request_line(&mut Cursor::new(b"\xff\n".to_vec())).unwrap_err();
+        assert_eq!(bad.kind(), ErrorKind::InvalidData);
+
+        let mut at_cap = vec![b'x'; MAX_REQUEST_LINE_BYTES];
+        at_cap.push(b'\n');
+        let line = read_request_line(&mut Cursor::new(at_cap)).unwrap();
+        assert_eq!(line.map(|l| l.len()), Some(MAX_REQUEST_LINE_BYTES));
+
+        let over = vec![b'x'; MAX_REQUEST_LINE_BYTES + 1];
+        assert_eq!(read_request_line(&mut Cursor::new(over)).unwrap(), None);
     }
 }

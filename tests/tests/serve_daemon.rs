@@ -17,7 +17,7 @@ use muxlink_locking::{dmux, LockOptions};
 use muxlink_netlist::bench_format;
 use muxlink_serve::{
     parse_response, serve, Connection, JobKind, Request, Response, ServeOptions, ServeSummary,
-    SubmitRequest,
+    SubmitRequest, MAX_REQUEST_LINE_BYTES,
 };
 
 fn locked_bench(seed: u64, gates: usize, key_bits: usize) -> String {
@@ -304,6 +304,65 @@ fn deeply_nested_request_line_is_an_error_reply() {
     // The same connection still answers normally.
     assert!(matches!(reply(r#"{"kind":"stats"}"#), Response::Stats(_)));
     assert!(matches!(reply(r#"{"kind":"shutdown"}"#), Response::Bye));
+    daemon.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A line with no newline in sight must not grow a daemon buffer until
+/// the process runs out of memory: past the cap the sender gets an error
+/// naming it and loses the connection, and everyone else is unaffected.
+#[test]
+fn oversized_request_line_is_refused_and_the_daemon_keeps_serving() {
+    let dir = temp_dir("oversized");
+    let socket = dir.join("muxlink.sock");
+    let daemon = start_daemon(&socket, None);
+    drop(connect(&socket));
+
+    let stream = UnixStream::connect(&socket).unwrap();
+    // A daemon without the cap would answer late or never: fail, not hang.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    // The daemon stops reading at the cap and closes the connection, so
+    // the rest of the write may fail with a broken pipe: write from a
+    // thread and ignore that.
+    let mut writer = stream;
+    let sender = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 1 << 20];
+        for _ in 0..=MAX_REQUEST_LINE_BYTES >> 20 {
+            if writer.write_all(&chunk).is_err() {
+                return;
+            }
+        }
+        let _ = writer.write_all(b"\n");
+    });
+    let mut answer = String::new();
+    reader.read_line(&mut answer).unwrap();
+    match parse_response(answer.trim_end()).unwrap() {
+        Response::Error { message } => {
+            assert!(
+                message.contains(&MAX_REQUEST_LINE_BYTES.to_string()),
+                "{message}"
+            );
+        }
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+    // Then the daemon closes that connection.
+    answer.clear();
+    assert_eq!(reader.read_line(&mut answer).unwrap_or(0), 0, "{answer}");
+    sender.join().unwrap();
+
+    // A fresh connection is served normally.
+    let mut conn = connect(&socket);
+    assert!(matches!(
+        conn.round_trip(&Request::Stats, |_| {}).unwrap(),
+        Response::Stats(_)
+    ));
+    assert!(matches!(
+        conn.round_trip(&Request::Shutdown, |_| {}).unwrap(),
+        Response::Bye
+    ));
     daemon.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
