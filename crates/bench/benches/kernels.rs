@@ -384,7 +384,7 @@ fn bench_batched_layer(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new("block_diagonal", &id), &n, |b, _| {
                 b.iter(|| {
                     mb.assemble(&samples[..], &jobs);
-                    model.batch_train_step(&mb, 1.0, &mut bws, &mut grads);
+                    model.batch_train_step(&mb, &mut bws, &mut grads);
                 });
             });
         }
@@ -551,6 +551,88 @@ fn bench_conv_forward(c: &mut Criterion) {
     group.finish();
 }
 
+/// The four register-tiled training-step kernels at the paper's shapes:
+/// conv2's backward (k = 30: 11 steps of 32 outputs over 15 × 16 pooled
+/// rows, kernel 5, a random half of the gradients zeroed by the ReLU;
+/// the iterations cycle through 64 such gradients so that, as in
+/// training, the branch predictor cannot learn the zero pattern), and the
+/// GC layers' forward GEMM, input gradient `dZ·Wᵀ` and weight gradient
+/// over a 32-sample block-diagonal batch of 30-node subgraphs, 32
+/// channels. CI runs this group with `--test`.
+fn bench_train_step(c: &mut Criterion) {
+    use muxlink_gnn::batch::{conv2_input_grads, conv2_weight_grads};
+    use muxlink_gnn::sample::propagate_matmul_into;
+    const K2: usize = 15;
+    const C1: usize = 16;
+    const C2: usize = 32;
+    const KK: usize = 5;
+    const K3: usize = K2 + 1 - KK;
+    const NODES: usize = 30;
+    const BATCH: usize = 32;
+    const CH: usize = 32;
+    let mut rng = muxlink_gnn::matrix::seeded_rng(9);
+    let dconv2s: Vec<Matrix> = (0..64)
+        .map(|_| {
+            let mut d = Matrix::glorot(K3, C2, &mut rng);
+            for v in d.data_mut() {
+                *v = v.max(0.0);
+            }
+            d
+        })
+        .collect();
+    let pool_out = Matrix::glorot(K2, C1, &mut rng);
+    let w2 = Matrix::glorot(C2, KK * C1, &mut rng);
+    let (mut gw, mut gb, mut dpool) = (Matrix::default(), Matrix::default(), Matrix::default());
+
+    let n = NODES * BATCH;
+    let block = subgraph_adj(NODES);
+    let mut lists = Vec::with_capacity(n);
+    for s in 0..BATCH {
+        let base = (s * NODES) as u32;
+        for i in 0..NODES {
+            lists.push(block.neighbors(i).iter().map(|&j| base + j).collect());
+        }
+    }
+    let adj = Csr::from_lists(&lists);
+    let h = Matrix::glorot(n, CH, &mut rng);
+    let w = Matrix::glorot(CH, CH, &mut rng);
+    let wt = w.transpose();
+    let dz = Matrix::glorot(n, CH, &mut rng);
+    let (mut prop, mut out) = (Matrix::default(), Matrix::default());
+
+    let mut group = c.benchmark_group("train_step");
+    group.sample_size(200);
+    let mut next = 0;
+    group.bench_function("conv2_backward", |b| {
+        b.iter(|| {
+            let dconv2 = &dconv2s[next % dconv2s.len()];
+            next += 1;
+            gw.resize(C2, KK * C1);
+            gb.resize(1, C2);
+            dpool.resize(K2, C1);
+            conv2_weight_grads(dconv2.data(), pool_out.data(), C1, &mut gw, gb.data_mut());
+            conv2_input_grads(dconv2.data(), &w2, C1, dpool.data_mut());
+        });
+    });
+    group.bench_function("propagate_matmul", |b| {
+        b.iter(|| propagate_matmul_into(&adj, &h, &w, &mut prop, &mut out));
+    });
+    group.bench_function("gc_dx", |b| {
+        b.iter(|| {
+            out.resize_for_overwrite(n, CH);
+            strided_gemm_into(dz.data(), CH, &wt, None, out.data_mut());
+        });
+    });
+    group.bench_function("gc_dw", |b| {
+        b.iter(|| {
+            for s in 0..BATCH {
+                h.t_matmul_rows_into(&dz, s * NODES..(s + 1) * NODES, &mut gw);
+            }
+        });
+    });
+    group.finish();
+}
+
 fn bench_quick_profile_constant(_c: &mut Criterion) {
     // Sanity anchor: the quick attack profile must exist for the pipeline
     // bench in `pipeline.rs` (compile-time cross-check only).
@@ -574,6 +656,7 @@ criterion_group!(
     bench_layer0_plan,
     bench_activation,
     bench_conv_forward,
+    bench_train_step,
     bench_quick_profile_constant
 );
 criterion_main!(kernels);

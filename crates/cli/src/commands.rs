@@ -26,12 +26,12 @@ subcommands:
   lock      --scheme <dmux|symmetric|xor|naive-mux|trll>
             --key-size n [--seed n] in.bench -o out.bench [--key-out key.txt]
   attack    --method <muxlink|scope|saam|sail> [--th f] [--hops n]
-            [--threads n] [--batch-size n] [--dh-keep f] [--paper]
+            [--threads n] [--batch-size n] [--paper]
             [--layer0-rebuild] [--canonicalize] [--timings] [--seed n]
             [--progress] [--save-model m.json] [--model m.json]
             in.bench [-o guess.txt]
   train     --save-model m.json [--hops n] [--threads n]
-            [--batch-size n] [--dh-keep f] [--paper] [--seed n]
+            [--batch-size n] [--paper] [--seed n]
             [--layer0-rebuild] [--canonicalize] [--progress] in.bench
   score     --model m.json [--th f] [--threads n] [--progress]
             [-o guess.txt]
@@ -141,9 +141,6 @@ fn muxlink_cfg(cmd: &Command) -> Result<MuxLinkConfig, CliError> {
     // Batch size changes Adam's grouping, so it is part of the training
     // recipe (validated ≥ 1 by the session).
     cfg.batch_size = cmd.parse_flag("--batch-size", cfg.batch_size)?;
-    // Tolerance-pinned tanh-gradient sparsification (1.0 = exact, the
-    // default; validated into (0, 1] by the session).
-    cfg.dh_keep = cmd.parse_flag("--dh-keep", cfg.dh_keep)?;
     // Per-epoch layer-0 histogram rebuild instead of the cached S·X
     // plans — the executable reference path, bit-identical results.
     if cmd.has("--layer0-rebuild") {
@@ -180,7 +177,6 @@ fn reject_checkpoint_fixed_flags(cmd: &Command) -> Result<(), CliError> {
         "--seed",
         "--paper",
         "--batch-size",
-        "--dh-keep",
         "--canonicalize",
     ] {
         if cmd.has(flag) {

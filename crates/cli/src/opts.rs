@@ -82,7 +82,6 @@ const VALUED: &[&str] = &[
     "--hops",
     "--threads",
     "--batch-size",
-    "--dh-keep",
     "--save-model",
     "--model",
     "--out-dir",

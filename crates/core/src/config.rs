@@ -44,14 +44,10 @@ pub struct MuxLinkConfig {
     /// memory.
     pub sample_chunk: usize,
     /// Train with the per-sample reference loop instead of the default
-    /// block-diagonal batched step. Bit-identical results either way
-    /// (with `dh_keep` at 1.0); the reference loop parallelises across
-    /// samples, the batched step removes per-sample dispatch overhead.
+    /// block-diagonal batched step. Bit-identical results either way;
+    /// the reference loop parallelises across samples, the batched step
+    /// removes per-sample dispatch overhead.
     pub reference_trainer: bool,
-    /// Fraction of tanh-gradient entries kept per GC layer ≥ 1 in the
-    /// batched trainer (top-k by magnitude). `1.0` = exact (the
-    /// default); lower values are a tolerance-pinned approximation.
-    pub dh_keep: f32,
     /// Rebuild the batched trainer's layer-0 propagated features from
     /// the two-hot histograms every epoch instead of consuming the
     /// epoch-invariant `S·X` plans cached in the sample arena at
@@ -68,13 +64,26 @@ pub struct MuxLinkConfig {
 }
 
 // Hand-written so checkpoints saved before the `sample_chunk`,
-// `reference_trainer`, `dh_keep`, `layer0_rebuild` and `canonicalize`
-// knobs existed
+// `reference_trainer`, `layer0_rebuild` and `canonicalize` knobs existed
 // still load: a missing field takes the production default (none of
 // these change the default path's results, so old artifacts re-score to
 // the same bits). The vendored derive has no `#[serde(default)]`.
+//
+// The removed `dh_keep` knob (top-k sparsified tanh gradients) is read
+// only to refuse it: a stored `1.0` is the exact recipe every build
+// trains and is ignored, while any other value describes a model no
+// current build reproduces, so it must not load as a default recipe.
 impl Deserialize for MuxLinkConfig {
     fn from_value(v: &Value) -> Result<Self, DeError> {
+        if let Ok(x) = map_get(v, "dh_keep") {
+            if f32::from_value(x) != Ok(1.0) {
+                return Err(DeError(format!(
+                    "removed field `dh_keep` holds {}: sparsified training no \
+                     longer exists, only the exact 1.0 still loads",
+                    x.describe()
+                )));
+            }
+        }
         Ok(Self {
             h: Deserialize::from_value(map_get(v, "h")?)?,
             th: Deserialize::from_value(map_get(v, "th")?)?,
@@ -94,10 +103,6 @@ impl Deserialize for MuxLinkConfig {
             reference_trainer: match map_get(v, "reference_trainer") {
                 Ok(x) => Deserialize::from_value(x)?,
                 Err(_) => MuxLinkConfig::default().reference_trainer,
-            },
-            dh_keep: match map_get(v, "dh_keep") {
-                Ok(x) => Deserialize::from_value(x)?,
-                Err(_) => MuxLinkConfig::default().dh_keep,
             },
             layer0_rebuild: match map_get(v, "layer0_rebuild") {
                 Ok(x) => Deserialize::from_value(x)?,
@@ -127,7 +132,6 @@ impl Default for MuxLinkConfig {
             threads: 0,
             sample_chunk: 1024,
             reference_trainer: false,
-            dh_keep: 1.0,
             layer0_rebuild: false,
             canonicalize: false,
         }
@@ -161,7 +165,6 @@ impl MuxLinkConfig {
             threads: 0,
             sample_chunk: 1024,
             reference_trainer: false,
-            dh_keep: 1.0,
             layer0_rebuild: false,
             canonicalize: false,
         }
@@ -291,14 +294,29 @@ mod tests {
     fn pre_batched_trainer_checkpoints_still_deserialize() {
         let cfg = MuxLinkConfig::quick().with_seed(6);
         let json = serde_json::to_string(&cfg).unwrap();
-        let legacy = json
-            .replace(",\"reference_trainer\":false", "")
-            .replace(",\"dh_keep\":1.0", "");
-        assert_ne!(legacy, json, "test must actually strip the fields");
+        let legacy = json.replace(",\"reference_trainer\":false", "");
+        assert_ne!(legacy, json, "test must actually strip the field");
         let back: MuxLinkConfig = serde_json::from_str(&legacy).unwrap();
         assert!(!back.reference_trainer);
-        assert_eq!(back.dh_keep, 1.0);
-        assert_eq!(back.seed, 6);
+        assert_eq!(back, cfg);
+    }
+
+    /// Checkpoints written while the `dh_keep` knob existed carry it. The
+    /// exact `1.0` loads as today's recipe; any other value (or shape) is
+    /// a typed error naming the removed field, never a silent default.
+    #[test]
+    fn removed_dh_keep_loads_only_at_its_exact_value() {
+        let cfg = MuxLinkConfig::quick().with_seed(6);
+        let json = serde_json::to_string(&cfg).unwrap();
+        let with = |v: &str| json.replacen('}', &format!(",\"dh_keep\":{v}}}"), 1);
+        let back: MuxLinkConfig = serde_json::from_str(&with("1.0")).unwrap();
+        assert_eq!(back, cfg);
+        for bad in ["0.5", "0.999", "2.0", "null", "\"1.0\"", "[1.0]"] {
+            let err = serde_json::from_str::<MuxLinkConfig>(&with(bad))
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("`dh_keep`"), "{bad}: {err}");
+        }
     }
 
     /// Checkpoints written before the `canonicalize` knob existed must

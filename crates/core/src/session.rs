@@ -140,12 +140,6 @@ fn validate_config(cfg: &MuxLinkConfig) -> Result<(), AttackError> {
             cfg.k_percentile
         )));
     }
-    if !(cfg.dh_keep > 0.0 && cfg.dh_keep <= 1.0) {
-        return Err(AttackError::InvalidConfig(format!(
-            "dh_keep must be in (0, 1], got {}",
-            cfg.dh_keep
-        )));
-    }
     Ok(())
 }
 
@@ -407,7 +401,6 @@ impl Prepared {
             },
             seed: cfg.seed ^ TRAIN_SEED_XOR,
             reference_loop: cfg.reference_trainer,
-            dh_keep: cfg.dh_keep,
             layer0_rebuild: cfg.layer0_rebuild,
         };
         let (outcome, workers) = with_pool(cfg.threads, |workers| {

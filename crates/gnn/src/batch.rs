@@ -24,7 +24,9 @@
 //!   activations, softmax) performs exactly the per-sample operations
 //!   on exactly the per-sample values, row by row.
 //! * SortPooling, max-pool and the 1-D convolutions are applied per
-//!   sample segment with the per-sample loops verbatim.
+//!   sample segment, each output element summing the per-sample
+//!   products in the per-sample order (conv2's backward in register
+//!   tiles, pinned to the per-sample loop by a proptest).
 //! * Weight gradients whose per-sample contribution comes from one
 //!   stacked row (`dense1_w`, `dense2_w`) reduce via a single
 //!   `t_matmul` over the batch: its row-ascending skip-zero loop *is*
@@ -51,7 +53,7 @@ use muxlink_graph::{BlockDiagBatch, Layer0PlanView};
 
 use crate::activation::tanh_slice;
 use crate::dgcnn::{ConvKernels, Dgcnn};
-use crate::matrix::{seeded_rng, Matrix};
+use crate::matrix::{axpy_rows_tiled, seeded_rng, strided_gemm_into, Matrix};
 use crate::param::Gradients;
 use crate::sample::{
     onehot_propagate_matmul_into, onehot_propagate_t_matmul_rows_into, plan_matmul_into,
@@ -257,6 +259,9 @@ pub struct BatchWorkspace {
     dconv1: Matrix,
     dpooled: Matrix,
     dhcat: Matrix,
+    /// Transposed GC weights `W_lᵀ` (layers ≥ 1; `[0]` stays empty),
+    /// the operand layout of the input-gradient GEMM.
+    gc_wt: Vec<Matrix>,
     dzw: Matrix,
     dh_prev: Matrix,
     dh_layers: Vec<Matrix>,
@@ -264,8 +269,6 @@ pub struct BatchWorkspace {
     seg: Matrix,
     /// Second subtotal for kernels producing two tensors at once.
     seg_b: Matrix,
-    /// `|dH|` scratch of the top-k gradient sparsifier.
-    abs: Vec<f32>,
     /// Wall time of the forward half of the last step (inputs → losses).
     pub forward_time: Duration,
     /// Wall time of the backward half of the last step (losses → grads).
@@ -280,31 +283,6 @@ impl BatchWorkspace {
     }
 }
 
-/// Zeroes all but the largest ⌈`keep` · len⌉ entries of `dz` by
-/// magnitude (ties at the threshold kept — deterministic, no
-/// index-dependent selection). The tolerance-pinned `dh_keep`
-/// sparsification: downstream `t_matmul` skip-zero guards then skip the
-/// zeroed entries' whole weight-gradient rows.
-fn sparsify_top_k(dz: &mut Matrix, keep: f32, abs: &mut Vec<f32>) {
-    let len = dz.data().len();
-    if len == 0 {
-        return;
-    }
-    let kept = ((keep * len as f32).ceil() as usize).clamp(1, len);
-    if kept >= len {
-        return;
-    }
-    abs.clear();
-    abs.extend(dz.data().iter().map(|v| v.abs()));
-    let (_, cut, _) = abs.select_nth_unstable_by(len - kept, f32::total_cmp);
-    let cut = *cut;
-    for g in dz.data_mut() {
-        if g.abs() < cut {
-            *g = 0.0;
-        }
-    }
-}
-
 impl Dgcnn {
     /// One training step over an assembled minibatch: batched forward,
     /// batched backward, per-sample losses into `ws.losses` and the
@@ -314,22 +292,12 @@ impl Dgcnn {
     /// docs](self)). The caller applies the optimiser step, scaled by
     /// `1/batch`, exactly as with the merged slots.
     ///
-    /// `dh_keep < 1.0` enables the tolerance-pinned top-k sparsification
-    /// of the tanh gradients of GC layers ≥ 1 (and only then leaves the
-    /// bit-exact contract).
-    ///
     /// # Panics
     ///
     /// Panics when the batch is empty, the feature width differs from
     /// the model's input width, or `grads` has a different layout.
     #[allow(clippy::too_many_lines)]
-    pub fn batch_train_step(
-        &self,
-        mb: &Minibatch,
-        dh_keep: f32,
-        ws: &mut BatchWorkspace,
-        grads: &mut Gradients,
-    ) {
+    pub fn batch_train_step(&self, mb: &Minibatch, ws: &mut BatchWorkspace, grads: &mut Gradients) {
         let nb = mb.sample_count();
         assert!(nb > 0, "empty minibatch");
         let adj = mb.block.adj();
@@ -421,7 +389,13 @@ impl Dgcnn {
         }
 
         // Conv1 (per-row linear): one GEMM over all B·k pooled rows.
+        // The transposed GC weights of the backward are built alongside
+        // the conv kernels, once per step.
         self.conv_kernels_into(&mut ws.conv_kernels);
+        ws.gc_wt.resize_with(nlayers, Matrix::default);
+        for (p, wt) in self.gc.iter().zip(&mut ws.gc_wt).skip(1) {
+            p.w.transpose_into(wt);
+        }
         self.conv1_forward(&ws.conv_kernels, &ws.pooled, &mut ws.conv1_out);
 
         // MaxPool1d(2, 2) per sample segment.
@@ -551,35 +525,18 @@ impl Dgcnn {
         }
 
         // Conv2 parameter gradients: per-sample subtotals (the exact
-        // per-sample loop over the sample's rows), folded in sample
+        // per-sample sums over the sample's rows), folded in sample
         // order. The input gradient `dpool` scatters directly — its
         // rows are per-sample-disjoint.
         ws.dpool.resize(nb * k2, c1);
         for s in 0..nb {
             ws.seg.resize(c2, kk * c1);
             ws.seg_b.resize(1, c2);
-            for t in 0..k3 {
-                for o in 0..c2 {
-                    let g = ws.dconv2.get(s * k3 + t, o);
-                    if g == 0.0 {
-                        continue;
-                    }
-                    ws.seg_b.data_mut()[o] += g;
-                    for dt in 0..kk {
-                        let prow = ws.pool_out.row(s * k2 + t + dt);
-                        let wrow = self.conv2_w.w.row(o);
-                        let gw = &mut ws.seg.row_mut(o)[dt * c1..(dt + 1) * c1];
-                        for i in 0..c1 {
-                            gw[i] += g * prow[i];
-                        }
-                        let dprow = ws.dpool.row_mut(s * k2 + t + dt);
-                        let wseg = &wrow[dt * c1..(dt + 1) * c1];
-                        for i in 0..c1 {
-                            dprow[i] += g * wseg[i];
-                        }
-                    }
-                }
-            }
+            let dconv2 = &ws.dconv2.data()[s * k3 * c2..(s + 1) * k3 * c2];
+            let pool = &ws.pool_out.data()[s * k2 * c1..(s + 1) * k2 * c1];
+            conv2_weight_grads(dconv2, pool, c1, &mut ws.seg, ws.seg_b.data_mut());
+            let dpool = &mut ws.dpool.data_mut()[s * k2 * c1..(s + 1) * k2 * c1];
+            conv2_input_grads(dconv2, &self.conv2_w.w, c1, dpool);
             fold_subtotal(s, &ws.seg, &mut gt[conv2_w_g]);
             fold_subtotal(s, &ws.seg_b, &mut gt[conv2_b_g]);
         }
@@ -641,14 +598,12 @@ impl Dgcnn {
         // dW as segmented subtotals, dH backprop as whole-batch kernels
         // (block-diagonal → row-wise per-sample bits).
         for l in (0..nlayers).rev() {
+            for (g, &o) in ws.dh_layers[l]
+                .data_mut()
+                .iter_mut()
+                .zip(ws.gc_outputs[l].data())
             {
-                let dz = &mut ws.dh_layers[l];
-                for (g, &o) in dz.data_mut().iter_mut().zip(ws.gc_outputs[l].data()) {
-                    *g *= 1.0 - o * o;
-                }
-                if dh_keep < 1.0 && l >= 1 {
-                    sparsify_top_k(dz, dh_keep, &mut ws.abs);
-                }
+                *g *= 1.0 - o * o;
             }
             let plan0 = if l == 0 { mb.plan() } else { None };
             for s in 0..nb {
@@ -670,12 +625,178 @@ impl Dgcnn {
                 fold_subtotal(s, &ws.seg, &mut gt[l]);
             }
             if l > 0 {
-                ws.dh_layers[l].matmul_t_into(&self.gc[l].w, &mut ws.dzw);
+                // dZ_l·W_lᵀ, each output summed from 0.0 over ascending
+                // k: bit-identical to `matmul_t_into`.
+                let dz = &ws.dh_layers[l];
+                ws.dzw.resize_for_overwrite(n, self.gc[l].w.rows());
+                strided_gemm_into(dz.data(), dz.cols(), &ws.gc_wt[l], None, ws.dzw.data_mut());
                 propagate_back_into(adj, &ws.dzw, &mut ws.dh_prev);
                 ws.dh_layers[l - 1].add_assign(&ws.dh_prev);
             }
         }
         ws.backward_time = t_mid.elapsed();
+    }
+}
+
+/// Conv2 weight and bias gradients of one sample, accumulated into `gw`
+/// (`c2 × kk·c1`) and `gb` (`c2`): for each output `o`, over ascending
+/// `t`, `gb[o] += g` and `gw[o] += g · window_t`, where `g =
+/// dconv2[t][o]` (zero skipped) and `window_t = pool[t·c1 .. t·c1 +
+/// kk·c1]` is the contiguous run of the `kk` pooled rows conv2 read.
+/// Each element sums the same products in the same order as the
+/// per-sample loop; the weight row stays in register tiles across the
+/// `t` sweep.
+///
+/// # Panics
+///
+/// Panics when `dconv2` does not hold whole `c2`-wide steps or a window
+/// runs past the end of `pool`.
+pub fn conv2_weight_grads(
+    dconv2: &[f32],
+    pool: &[f32],
+    c1: usize,
+    gw: &mut Matrix,
+    gb: &mut [f32],
+) {
+    let c2 = gw.rows();
+    let k3 = dconv2.len().checked_div(c2).unwrap_or(0);
+    let mut buf = [(0, 0.0); TERM_BLOCK];
+    for (o, b) in gb.iter_mut().enumerate() {
+        for t0 in (0..k3).step_by(TERM_BLOCK) {
+            let steps = t0..k3.min(t0 + TERM_BLOCK);
+            let grads = nonzero_terms(steps.map(|t| (t, dconv2[t * c2 + o])), &mut buf);
+            for &(_, g) in grads {
+                *b += g;
+            }
+            axpy_rows_tiled::<false>(grads.iter().copied(), pool, c1, gw.row_mut(o));
+        }
+    }
+}
+
+/// Terms per [`nonzero_terms`] block.
+const TERM_BLOCK: usize = 64;
+
+/// The terms with a nonzero multiplier, in order: the skip-zero test of
+/// the loops the conv2 kernels replaced, made once per term and without
+/// a branch. ReLU zeroes a data-dependent half of conv2's gradients, so
+/// a skip branch inside each register tile mispredicts about half the
+/// time and is repeated by every tile; after compaction the tiles run
+/// branch-free. At most [`TERM_BLOCK`] terms per call.
+fn nonzero_terms(
+    terms: impl Iterator<Item = (usize, f32)>,
+    buf: &mut [(usize, f32); TERM_BLOCK],
+) -> &[(usize, f32)] {
+    let mut kept = 0;
+    for (k, a) in terms {
+        buf[kept] = (k, a);
+        kept += usize::from(a != 0.0);
+    }
+    &buf[..kept]
+}
+
+/// Half a register file of `f32` lanes: the row width of one
+/// [`conv2_input_grads`] tile, so `CONV2_TILE_ROWS` rows of it fit the
+/// sixteen SSE2 registers with room for the operands.
+const CONV2_TILE_LANES: usize = 8;
+
+/// Destination rows per [`conv2_input_grads`] tile (the paper's conv2
+/// kernel width, 5).
+const CONV2_TILE_ROWS: usize = 5;
+
+/// Conv2 input gradient of one sample, accumulated into `dpool` (`k2 ×
+/// c1`): `dpool[t + dt] += g · w[o][dt·c1 ..]` for every step `t`
+/// ascending, output `o` ascending (zero `g` skipped) and kernel offset
+/// `dt`. Row `r` thus sums its products in (t asc, o asc) order, as the
+/// per-sample loop did. For one `t`, the `kk` destination rows are held
+/// in a register tile of [`CONV2_TILE_ROWS`] × [`CONV2_TILE_LANES`]
+/// lanes across the whole `o` loop, instead of being reloaded and
+/// stored per output.
+///
+/// # Panics
+///
+/// Panics when `w` is not `c2 × kk·c1` or a destination row runs past
+/// the end of `dpool`.
+pub fn conv2_input_grads(dconv2: &[f32], w: &Matrix, c1: usize, dpool: &mut [f32]) {
+    let c2 = w.rows();
+    if c2 == 0 || c1 == 0 {
+        return;
+    }
+    let kk = w.cols() / c1;
+    let tiled = c1 - c1 % CONV2_TILE_LANES;
+    let mut buf = [(0, 0.0); TERM_BLOCK];
+    for (t, gs) in dconv2.chunks_exact(c2).enumerate() {
+        for (b, block) in gs.chunks(TERM_BLOCK).enumerate() {
+            let outputs = block.iter().enumerate();
+            let grads = nonzero_terms(outputs.map(|(j, &g)| (b * TERM_BLOCK + j, g)), &mut buf);
+            for c0 in (0..tiled).step_by(CONV2_TILE_LANES) {
+                dpool_lanes::<CONV2_TILE_LANES>(grads, w, c1, kk, t, c0, dpool);
+            }
+            for c0 in tiled..c1 {
+                dpool_lanes::<1>(grads, w, c1, kk, t, c0, dpool);
+            }
+        }
+    }
+}
+
+/// Lanes `c0..c0 + L` of step `t` of [`conv2_input_grads`]: the `kk`
+/// destination rows in groups of at most [`CONV2_TILE_ROWS`] (a row
+/// belongs to one group per step, so grouping keeps every element's
+/// order).
+#[inline(always)]
+fn dpool_lanes<const L: usize>(
+    grads: &[(usize, f32)],
+    w: &Matrix,
+    c1: usize,
+    kk: usize,
+    t: usize,
+    c0: usize,
+    dpool: &mut [f32],
+) {
+    let mut d0 = 0;
+    while d0 < kk {
+        let rows = (kk - d0).min(CONV2_TILE_ROWS);
+        let (dst, wc) = ((t + d0) * c1 + c0, d0 * c1 + c0);
+        match rows {
+            1 => dpool_tile::<1, L>(grads, w, c1, dst, wc, dpool),
+            2 => dpool_tile::<2, L>(grads, w, c1, dst, wc, dpool),
+            3 => dpool_tile::<3, L>(grads, w, c1, dst, wc, dpool),
+            4 => dpool_tile::<4, L>(grads, w, c1, dst, wc, dpool),
+            _ => dpool_tile::<CONV2_TILE_ROWS, L>(grads, w, c1, dst, wc, dpool),
+        }
+        d0 += rows;
+    }
+}
+
+/// `R` destination rows × `L` lanes of [`conv2_input_grads`]: row `r`
+/// of the tile is `dpool[dst + r·c1 ..]`, weighted by `w[o][wc + r·c1
+/// ..]` for each nonzero `(o, g)`.
+#[inline(always)]
+fn dpool_tile<const R: usize, const L: usize>(
+    grads: &[(usize, f32)],
+    w: &Matrix,
+    c1: usize,
+    dst: usize,
+    wc: usize,
+    dpool: &mut [f32],
+) {
+    let lanes = |r: usize| dst + r * c1..dst + r * c1 + L;
+    let mut acc = [[0.0f32; L]; R];
+    for (r, a) in acc.iter_mut().enumerate() {
+        *a = dpool[lanes(r)].try_into().expect("tile width");
+    }
+    for &(o, g) in grads {
+        let wrow = w.row(o);
+        for (r, a) in acc.iter_mut().enumerate() {
+            let ws: &[f32; L] = wrow[wc + r * c1..wc + r * c1 + L]
+                .try_into()
+                .expect("tile width");
+            for (a, &wv) in a.iter_mut().zip(ws) {
+                *a += g * wv;
+            }
+        }
+    }
+    for (r, a) in acc.iter().enumerate() {
+        dpool[lanes(r)].copy_from_slice(a);
     }
 }
 
@@ -796,7 +917,7 @@ mod tests {
         // change a bit.
         for _ in 0..2 {
             mb.assemble(samples, jobs);
-            model.batch_train_step(&mb, 1.0, &mut ws, &mut grads);
+            model.batch_train_step(&mb, &mut ws, &mut grads);
             assert_eq!(grads, want_grads, "gradients diverged from reference");
             assert_eq!(ws.losses, want_losses, "losses diverged from reference");
         }
@@ -831,53 +952,6 @@ mod tests {
         let samples: Vec<GraphSample> = (0..4).map(dense_sample).collect();
         let jobs = [(3, 9u64), (0, 4), (3, 12), (2, 1)];
         assert_step_matches(&model, &samples, &jobs);
-    }
-
-    #[test]
-    fn dh_sparsification_stays_close_and_full_keep_is_exact() {
-        let model = Dgcnn::new(tiny_cfg(11));
-        let samples: Vec<GraphSample> = (0..4).map(onehot_sample).collect();
-        let jobs: Vec<(usize, u64)> = (0..4).map(|i| (i, 5 + i as u64)).collect();
-        let mut mb = Minibatch::new();
-        mb.assemble(&samples[..], &jobs);
-        let mut ws = BatchWorkspace::new();
-        let mut exact = model.new_gradients();
-        model.batch_train_step(&mb, 1.0, &mut ws, &mut exact);
-        let mut sparse = model.new_gradients();
-        model.batch_train_step(&mb, 0.5, &mut ws, &mut sparse);
-        // Head gradients are upstream of the sparsified layers — they
-        // must be untouched.
-        let nl = model.cfg.gc_channels.len();
-        for (i, (a, b)) in exact.tensors().iter().zip(sparse.tensors()).enumerate() {
-            if i >= nl {
-                assert_eq!(a, b, "head tensor {i} changed under dh sparsification");
-            }
-        }
-        // The GC gradients are approximations of the exact ones.
-        let mut diff = 0.0f32;
-        let mut norm = 0.0f32;
-        for (a, b) in exact.tensors()[..nl].iter().zip(&sparse.tensors()[..nl]) {
-            for (x, y) in a.data().iter().zip(b.data()) {
-                diff += (x - y) * (x - y);
-                norm += x * x;
-            }
-        }
-        assert!(
-            diff.sqrt() <= 0.75 * norm.sqrt().max(1e-6),
-            "{diff} vs {norm}"
-        );
-    }
-
-    #[test]
-    fn sparsify_keeps_largest_magnitudes() {
-        let mut m = Matrix::from_vec(1, 6, vec![0.1, -3.0, 0.2, 2.0, -0.05, 1.0]);
-        let mut abs = Vec::new();
-        sparsify_top_k(&mut m, 0.5, &mut abs);
-        assert_eq!(m.data(), &[0.0, -3.0, 0.0, 2.0, 0.0, 1.0]);
-        // keep = 1.0 is the identity.
-        let mut id = Matrix::from_vec(1, 3, vec![0.0, -0.5, 0.25]);
-        sparsify_top_k(&mut id, 1.0, &mut abs);
-        assert_eq!(id.data(), &[0.0, -0.5, 0.25]);
     }
 
     /// A store serving owned two-hot samples plus per-sample cached
@@ -942,7 +1016,7 @@ mod tests {
         mb.assemble_with(&store, &jobs, false);
         assert!(mb.plan().is_none(), "plans must be absent when disabled");
         let mut want = model.new_gradients();
-        model.batch_train_step(&mb, 1.0, &mut ws, &mut want);
+        model.batch_train_step(&mb, &mut ws, &mut want);
         let want_losses = ws.losses.clone();
 
         // Two cached passes through the now-dirty buffers.
@@ -951,7 +1025,7 @@ mod tests {
             let plan = mb.plan().expect("every sample carries a plan");
             assert_eq!(plan.node_count(), mb.block.node_count());
             let mut got = model.new_gradients();
-            model.batch_train_step(&mb, 1.0, &mut ws, &mut got);
+            model.batch_train_step(&mb, &mut ws, &mut got);
             assert_eq!(got, want, "cached-plan gradients diverged");
             assert_eq!(ws.losses, want_losses, "cached-plan losses diverged");
         }
@@ -966,6 +1040,85 @@ mod tests {
         assert!(mb.plan().is_none(), "plain stores expose no plans");
     }
 
+    /// The per-sample conv2 backward loop the two kernels replaced, kept
+    /// as their oracle: for `t`, then `o` ascending (zero `g` skipped),
+    /// `gb[o] += g`, and for each `dt` both `gw[o][dt·c1 ..] += g·p` and
+    /// `dpool[t + dt] += g·w`, in memory, on the given starting values.
+    #[allow(clippy::needless_range_loop)]
+    fn conv2_backward_oracle(
+        dconv2: &Matrix,
+        pool: &Matrix,
+        w: &Matrix,
+        (gw, gb, dpool): (&mut Matrix, &mut [f32], &mut Matrix),
+    ) {
+        let (c1, kk) = (pool.cols(), w.cols() / pool.cols());
+        for t in 0..dconv2.rows() {
+            for o in 0..dconv2.cols() {
+                let g = dconv2.get(t, o);
+                if g == 0.0 {
+                    continue;
+                }
+                gb[o] += g;
+                for dt in 0..kk {
+                    let prow = pool.row(t + dt);
+                    let gwrow = &mut gw.row_mut(o)[dt * c1..(dt + 1) * c1];
+                    for i in 0..c1 {
+                        gwrow[i] += g * prow[i];
+                    }
+                    let wseg = &w.row(o)[dt * c1..(dt + 1) * c1];
+                    let dprow = dpool.row_mut(t + dt);
+                    for i in 0..c1 {
+                        dprow[i] += g * wseg[i];
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Both conv2 backward kernels against the per-sample loop:
+        /// `c1` that is not a multiple of the 8-lane half row, kernel
+        /// widths other than the paper's 5 (including more than one
+        /// 5-row tile group), step and output counts past one 64-term
+        /// block, zero and −0.0 gradients, NaN and ±∞ in
+        /// gradients, activations and weights, and non-zero starting
+        /// accumulators.
+        #[test]
+        fn conv2_backward_kernels_match_per_sample_loop_bitwise(
+            ((c1, kk, k3), (c2, seed)) in (
+                (1usize..20, 1usize..12, 1usize..70),
+                (1usize..80, proptest::num::u64::ANY),
+            ),
+        ) {
+            use crate::matrix::tests::{conv_input, same_bits};
+            let mut rng = seeded_rng(seed);
+            let special = seed % 4 == 0;
+            let k2 = k3 + kk - 1;
+            let dconv2 = conv_input(k3, c2, 0, special, &mut rng);
+            let pool = conv_input(k2, c1, 0, special, &mut rng);
+            let w = conv_input(c2, kk * c1, 0, special, &mut rng);
+            let gw0 = conv_input(c2, kk * c1, 0, false, &mut rng);
+            let gb0 = conv_input(1, c2, 0, false, &mut rng);
+            let dpool0 = conv_input(k2, c1, 0, false, &mut rng);
+
+            let (mut gw_want, mut gb_want, mut dpool_want) = (gw0.clone(), gb0.clone(), dpool0.clone());
+            conv2_backward_oracle(
+                &dconv2,
+                &pool,
+                &w,
+                (&mut gw_want, gb_want.data_mut(), &mut dpool_want),
+            );
+            let (mut gw, mut gb, mut dpool) = (gw0, gb0, dpool0);
+            conv2_weight_grads(dconv2.data(), pool.data(), c1, &mut gw, gb.data_mut());
+            conv2_input_grads(dconv2.data(), &w, c1, dpool.data_mut());
+            proptest::prop_assert!(same_bits(&gw, &gw_want), "dW {c1} {kk} {k3} {c2}");
+            proptest::prop_assert!(same_bits(&gb, &gb_want), "db {c1} {kk} {k3} {c2}");
+            proptest::prop_assert!(same_bits(&dpool, &dpool_want), "dpool {c1} {kk} {k3} {c2}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "empty minibatch")]
     fn empty_jobs_rejected() {
@@ -976,6 +1129,6 @@ mod tests {
         let mb_empty = Minibatch::new();
         let mut ws = BatchWorkspace::new();
         let mut grads = model.new_gradients();
-        model.batch_train_step(&mb_empty, 1.0, &mut ws, &mut grads);
+        model.batch_train_step(&mb_empty, &mut ws, &mut grads);
     }
 }

@@ -330,13 +330,19 @@ impl Matrix {
     /// Shared register-tiled body of [`Matrix::t_matmul_into`] and
     /// [`Matrix::t_matmul_rows_into`]: `out = self[rows]ᵀ × rhs[rows]`.
     ///
-    /// Four output rows (columns of `self`) are kept hot per pass while
-    /// the `self`/`rhs` row pairs stream through once per tile — the
-    /// one-column-at-a-time loop instead re-streamed the whole output
-    /// for every input row. Each output element keeps one accumulator
-    /// summing its products in ascending input-row order, so every
-    /// element is bit-identical to the untiled loop.
+    /// When `rhs` is one or two whole [`GEMM_LANES`]-wide tiles the
+    /// accumulators live in registers ([`Matrix::t_matmul_tiled`]).
+    /// Otherwise four output rows (columns of `self`) are kept hot per
+    /// pass while the `self`/`rhs` row pairs stream through once per
+    /// tile — the one-column-at-a-time loop instead re-streamed the
+    /// whole output for every input row. Either way each output element
+    /// keeps one accumulator summing its products in ascending input-row
+    /// order, so every element is bit-identical to the untiled loop.
     fn t_matmul_body(&self, rhs: &Matrix, rows: std::ops::Range<usize>, out: &mut Matrix) {
+        if rhs.cols.is_multiple_of(GEMM_LANES) && (1..=2).contains(&(rhs.cols / GEMM_LANES)) {
+            self.t_matmul_tiled(rhs, rows, out);
+            return;
+        }
         out.resize(self.cols, rhs.cols);
         let rc = rhs.cols.max(1);
         let mut oq = out.data.chunks_exact_mut(4 * rc);
@@ -358,6 +364,59 @@ impl Matrix {
             for i in rows.clone() {
                 axpy_skip_zero(orow, rhs.row(i), self.row(i)[c + j]);
             }
+        }
+    }
+
+    /// [`Matrix::t_matmul_body`] for `rhs.cols` of 16 or 32: a
+    /// 2-output-row × 16-lane tile of register accumulators sweeps the
+    /// rows in ascending order, one skip-zero branch per multiplier, tile
+    /// row and lane tile. Every output element is written exactly once,
+    /// from an accumulator that started at `0.0`.
+    ///
+    /// Wider `rhs` keeps the streaming body: each lane tile repeats the
+    /// multiplier's branch, and on the dense head's weight gradient
+    /// (`rhs.cols` = 128, eight tiles, half the multipliers zeroed by the
+    /// ReLU) the repeated, unpredictable branches made the tile 1.5–3×
+    /// slower than the streaming body.
+    fn t_matmul_tiled(&self, rhs: &Matrix, rows: std::ops::Range<usize>, out: &mut Matrix) {
+        const L: usize = GEMM_LANES;
+        let rc = rhs.cols;
+        out.resize_for_overwrite(self.cols, rc);
+        let lane = |i: usize, j0: usize| -> &[f32; L] {
+            rhs.data[i * rc + j0..i * rc + j0 + L]
+                .try_into()
+                .expect("tile width")
+        };
+        let mut pairs = out.data.chunks_exact_mut(2 * rc);
+        for (cp, os) in (&mut pairs).enumerate() {
+            let (c0, c1) = (2 * cp, 2 * cp + 1);
+            let (o0, o1) = os.split_at_mut(rc);
+            for j0 in (0..rc).step_by(L) {
+                let (mut s0, mut s1) = ([0.0f32; L], [0.0f32; L]);
+                for i in rows.clone() {
+                    let (a0, a1) = (self.data[i * self.cols + c0], self.data[i * self.cols + c1]);
+                    let r = lane(i, j0);
+                    if a0 != 0.0 {
+                        for (s, &b) in s0.iter_mut().zip(r) {
+                            *s += a0 * b;
+                        }
+                    }
+                    if a1 != 0.0 {
+                        for (s, &b) in s1.iter_mut().zip(r) {
+                            *s += a1 * b;
+                        }
+                    }
+                }
+                o0[j0..j0 + L].copy_from_slice(&s0);
+                o1[j0..j0 + L].copy_from_slice(&s1);
+            }
+        }
+        let orow = pairs.into_remainder();
+        if !orow.is_empty() {
+            let c = self.cols - 1;
+            orow.fill(0.0);
+            let terms = rows.map(|i| (i, self.data[i * self.cols + c]));
+            axpy_rows_tiled::<true>(terms, &rhs.data, rc, orow);
         }
     }
 
@@ -663,7 +722,9 @@ pub fn strided_gemm_into(
     }
 }
 
-/// Output width of one register tile of [`strided_gemm_into`].
+/// Output width of one register tile of [`strided_gemm_into`], the
+/// tiled `t_matmul` and [`axpy_rows_tiled`]: sixteen `f32` accumulators,
+/// four SSE2 registers.
 const GEMM_LANES: usize = 16;
 
 /// `T` output steps of [`strided_gemm_into`]: full `GEMM_LANES`-wide
@@ -714,6 +775,55 @@ fn gemm_tile<const T: usize, const L: usize>(
     }
 }
 
+/// Register-tiled axpy over the rows of a strided operand: `orow[j] +=
+/// a · src[k·stride + j]` for each `(k, a)` term in the order given. Each
+/// element sums the same products in the same order as a loop that adds
+/// every term to a memory row, but the accumulators of [`GEMM_LANES`]
+/// outputs at a time stay in registers across the whole term sweep (the
+/// leftover outputs go one at a time). With `SKIP_ZERO`, a zero
+/// multiplier skips its term: one scalar branch for the whole tile, as
+/// the untiled loop skipped the whole row.
+#[inline(always)]
+pub(crate) fn axpy_rows_tiled<const SKIP_ZERO: bool>(
+    terms: impl Iterator<Item = (usize, f32)> + Clone,
+    src: &[f32],
+    stride: usize,
+    orow: &mut [f32],
+) {
+    let width = orow.len();
+    let tiled = width - width % GEMM_LANES;
+    for j0 in (0..tiled).step_by(GEMM_LANES) {
+        axpy_rows_tile::<SKIP_ZERO, GEMM_LANES>(terms.clone(), src, stride, j0, orow);
+    }
+    for j0 in tiled..width {
+        axpy_rows_tile::<SKIP_ZERO, 1>(terms.clone(), src, stride, j0, orow);
+    }
+}
+
+/// Outputs `j0..j0 + L` of [`axpy_rows_tiled`].
+#[inline(always)]
+fn axpy_rows_tile<const SKIP_ZERO: bool, const L: usize>(
+    terms: impl Iterator<Item = (usize, f32)>,
+    src: &[f32],
+    stride: usize,
+    j0: usize,
+    orow: &mut [f32],
+) {
+    let mut acc: [f32; L] = orow[j0..j0 + L].try_into().expect("tile width");
+    for (k, a) in terms {
+        if SKIP_ZERO && a == 0.0 {
+            continue;
+        }
+        let row: &[f32; L] = src[k * stride + j0..k * stride + j0 + L]
+            .try_into()
+            .expect("tile width");
+        for (s, &b) in acc.iter_mut().zip(row) {
+            *s += a * b;
+        }
+    }
+    orow[j0..j0 + L].copy_from_slice(&acc);
+}
+
 /// Convenience RNG constructor used across the crate.
 #[must_use]
 pub fn seeded_rng(seed: u64) -> StdRng {
@@ -721,7 +831,7 @@ pub fn seeded_rng(seed: u64) -> StdRng {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use proptest::prelude::*;
 
     use super::*;
@@ -1099,15 +1209,23 @@ mod tests {
     }
 
     /// A `rows × cols` matrix of mostly Glorot-range values with zeros,
-    /// −0.0 and (when `nan`) NaN mixed in, and its last `pad` rows zeroed
-    /// the way SortPooling pads a small graph.
-    fn conv_input(rows: usize, cols: usize, pad: usize, nan: bool, rng: &mut StdRng) -> Matrix {
+    /// −0.0 and (when `special`) NaN and ±∞ mixed in, and its last `pad`
+    /// rows zeroed the way SortPooling pads a small graph.
+    pub(crate) fn conv_input(
+        rows: usize,
+        cols: usize,
+        pad: usize,
+        special: bool,
+        rng: &mut StdRng,
+    ) -> Matrix {
         let mut m = Matrix::zeros(rows, cols);
         for v in &mut m.data {
-            *v = match rng.gen_range(0..16) {
-                0 => 0.0,
-                1 => -0.0,
-                2 if nan => f32::NAN,
+            *v = match rng.gen_range(0..32) {
+                0 | 1 => 0.0,
+                2 | 3 => -0.0,
+                4 if special => f32::NAN,
+                5 if special => f32::INFINITY,
+                6 if special => f32::NEG_INFINITY,
                 _ => rng.gen_range(-1.0f32..1.0),
             };
         }
@@ -1118,7 +1236,7 @@ mod tests {
 
     /// Same bits, or both NaN (NaN payloads are not part of the contract:
     /// the compiler may commute a product's operands).
-    fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+    pub(crate) fn same_bits(a: &Matrix, b: &Matrix) -> bool {
         (a.rows, a.cols) == (b.rows, b.cols)
             && a.data
                 .iter()
@@ -1166,6 +1284,53 @@ mod tests {
             }
             let got = Matrix::from_vec(k, c1, out);
             prop_assert!(same_bits(&got, &conv1_oracle(&pooled, &w1, &bias[..c1])), "conv1 {k} {ccat} {c1}");
+        }
+
+        /// The 2-row × 16-lane `t_matmul` tile against the untiled loop:
+        /// `rhs.cols` of 16 or 32 (tiled) or anything else (the 4-row body),
+        /// odd `self.cols` (the single-row remainder), sub-ranges of rows,
+        /// and zeros, −0.0, NaN and ±∞ on both sides.
+        #[test]
+        fn t_matmul_tiles_match_untiled_oracle_bitwise(
+            ((rows, lc, tiles), (ragged, seed)) in (
+                (0usize..24, 0usize..9, 1usize..4),
+                (0usize..40, proptest::num::u64::ANY),
+            ),
+        ) {
+            let mut rng = seeded_rng(seed);
+            let special = seed % 4 == 0;
+            let rc = if seed % 2 == 0 { GEMM_LANES * tiles } else { ragged };
+            let l = conv_input(rows, lc, 0, special, &mut rng);
+            let r = conv_input(rows, rc, 0, special, &mut rng);
+            let lo = rng.gen_range(0..rows + 1);
+            let hi = rng.gen_range(lo..rows + 1);
+            let mut out = Matrix::from_vec(1, 2, vec![7.0, 7.0]);
+            l.t_matmul_rows_into(&r, lo..hi, &mut out);
+            prop_assert!(same_bits(&out, &naive_t_matmul_rows(&l, &r, lo..hi)), "{rows} {lc} {rc}");
+            l.t_matmul_into(&r, &mut out);
+            prop_assert!(same_bits(&out, &naive_t_matmul_rows(&l, &r, 0..rows)), "{rows} {lc} {rc}");
+        }
+
+        /// The GC input gradient `dZ·Wᵀ` through `strided_gemm_into` (the
+        /// transposed weight, one window per row) is bit-identical to
+        /// `matmul_t_into`, for every width including `c_l = 1`.
+        #[test]
+        fn strided_gemm_matches_matmul_t_bitwise(
+            ((n, cl, cprev), seed) in (
+                (0usize..20, 1usize..40, 1usize..40),
+                proptest::num::u64::ANY,
+            ),
+        ) {
+            let mut rng = seeded_rng(seed);
+            let special = seed % 4 == 0;
+            let cl = if seed % 3 == 0 { 1 } else { cl };
+            let dz = conv_input(n, cl, 0, special, &mut rng);
+            let w = conv_input(cprev, cl, 0, special, &mut rng);
+            let mut want = Matrix::default();
+            dz.matmul_t_into(&w, &mut want);
+            let mut got = vec![7.0f32; n * cprev];
+            strided_gemm_into(dz.data(), cl, &w.transpose(), None, &mut got);
+            prop_assert!(same_bits(&Matrix::from_vec(n, cprev, got), &want), "{n} {cl} {cprev}");
         }
     }
 }

@@ -22,7 +22,7 @@ use muxlink_graph::{
 };
 use serde::{DeError, Deserialize, Serialize, Value};
 
-use crate::matrix::Matrix;
+use crate::matrix::{axpy_rows_tiled, Matrix};
 
 /// Node features of one sample: dense, or the compact two-hot form.
 ///
@@ -614,11 +614,9 @@ pub fn plan_matmul_into(plan: Layer0PlanView<'_>, w: &Matrix, out: &mut Matrix) 
     let n = plan.node_count();
     out.resize(n, w.cols());
     for i in 0..n {
-        let orow = out.row_mut(i);
         let (cols, vals) = plan.row(i);
-        for (&c, &a) in cols.iter().zip(vals) {
-            axpy_rows(orow, w.row(c as usize), a);
-        }
+        let terms = cols.iter().zip(vals).map(|(&c, &a)| (c as usize, a));
+        axpy_rows_tiled::<false>(terms, w.data(), w.cols(), out.row_mut(i));
     }
 }
 
@@ -732,11 +730,11 @@ pub fn propagate_into<'a>(adj: impl Into<CsrView<'a>>, h: &Matrix, out: &mut Mat
 /// [`propagate_into`] does (own row, neighbours ascending, then the
 /// scale), then immediately multiplies that row into `out` in
 /// [`Matrix::matmul_into`]'s exact inner order (columns `k` ascending,
-/// `a == 0.0` skipped). Both outputs are therefore bitwise identical to
-/// the unfused `propagate_into` + `matmul_into` pair — `prop` is still
-/// written because the backward pass needs `(S·H)ᵀ` — while the
-/// propagated row is consumed straight from cache instead of after a
-/// full second sweep.
+/// `a == 0.0` skipped), accumulating in register tiles. Both outputs
+/// are therefore bitwise identical to the unfused `propagate_into` +
+/// `matmul_into` pair — `prop` is still written because the backward
+/// pass needs `(S·H)ᵀ` — while the propagated row is consumed straight
+/// from cache instead of after a full second sweep.
 ///
 /// # Panics
 ///
@@ -756,29 +754,19 @@ pub fn propagate_matmul_into<'a>(
     prop.resize_for_overwrite(n, c);
     out.resize(n, w.cols());
     for i in 0..n {
-        {
-            let prow = prop.row_mut(i);
-            prow.copy_from_slice(h.row(i));
-            for &j in adj.neighbors(i) {
-                for (o, &b) in prow.iter_mut().zip(h.row(j as usize)) {
-                    *o += b;
-                }
-            }
-            let scale = adj.scale(i);
-            for o in prow.iter_mut() {
-                *o *= scale;
+        let prow = prop.row_mut(i);
+        prow.copy_from_slice(h.row(i));
+        for &j in adj.neighbors(i) {
+            for (o, &b) in prow.iter_mut().zip(h.row(j as usize)) {
+                *o += b;
             }
         }
-        let prow = prop.row(i);
-        let orow = out.row_mut(i);
-        for (k, &a) in prow.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
-            for (o, &b) in orow.iter_mut().zip(w.row(k)) {
-                *o += a * b;
-            }
+        let scale = adj.scale(i);
+        for o in prow.iter_mut() {
+            *o *= scale;
         }
+        let terms = prow.iter().copied().enumerate();
+        axpy_rows_tiled::<true>(terms, w.data(), w.cols(), out.row_mut(i));
     }
 }
 
@@ -867,6 +855,8 @@ pub fn propagate_back_ref(adj: &[Vec<u32>], g: &Matrix) -> Matrix {
 
 #[cfg(test)]
 mod tests {
+    use rand::Rng;
+
     use super::*;
     use crate::matrix::seeded_rng;
 
@@ -1145,6 +1135,94 @@ mod tests {
         for _ in 0..3 {
             propagate_back_into(&adj, &h, &mut reused);
             assert_eq!(reused, fresh_back);
+        }
+    }
+
+    /// The `propagate_matmul_into` loop the register tiles replaced, kept
+    /// as its oracle: the propagated row, then a skip-zero axpy of each
+    /// multiplier into a zeroed memory row.
+    fn propagate_matmul_oracle(adj: &Csr, h: &Matrix, w: &Matrix) -> (Matrix, Matrix) {
+        let prop = propagate(adj, h);
+        let mut out = Matrix::zeros(prop.rows(), w.cols());
+        for i in 0..prop.rows() {
+            let orow = out.row_mut(i);
+            for (k, &a) in prop.row(i).iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                for (o, &b) in orow.iter_mut().zip(w.row(k)) {
+                    *o += a * b;
+                }
+            }
+        }
+        (prop, out)
+    }
+
+    /// The `plan_matmul_into` loop the register tiles replaced, kept as
+    /// its oracle: every entry's axpy (no skip) into a zeroed memory row.
+    fn plan_matmul_oracle(plan: Layer0PlanView<'_>, w: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(plan.node_count(), w.cols());
+        for i in 0..plan.node_count() {
+            let (cols, vals) = plan.row(i);
+            for (&c, &a) in cols.iter().zip(vals) {
+                axpy_rows(out.row_mut(i), w.row(c as usize), a);
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Both GC forward GEMMs against their untiled oracles: output
+        /// widths that are and are not multiples of the 16-lane tile
+        /// (`c_l = 1` included), zero multipliers, −0.0, NaN and ±∞ in
+        /// inputs, plan values and weights, from dirty buffers.
+        #[test]
+        fn gc_forward_tiles_match_untiled_oracles_bitwise(
+            ((n, c, tiles), (ragged, seed)) in (
+                (0usize..12, 1usize..40, 1usize..3),
+                (1usize..40, proptest::num::u64::ANY),
+            ),
+        ) {
+            use crate::matrix::tests::{conv_input, same_bits};
+            let mut rng = seeded_rng(seed);
+            let special = seed % 4 == 0;
+            let cols = match seed % 3 {
+                0 => 16 * tiles,
+                1 => 1,
+                _ => ragged,
+            };
+            let lists: Vec<Vec<u32>> = (0..n)
+                .map(|_| (0..n as u32).filter(|_| rng.gen_range(0..3) == 0).collect())
+                .collect();
+            let adj = Csr::from_lists(&lists);
+            let h = conv_input(n, c, 0, special, &mut rng);
+            let w = conv_input(c, cols, 0, special, &mut rng);
+            let (prop_want, out_want) = propagate_matmul_oracle(&adj, &h, &w);
+            let mut prop = Matrix::from_vec(1, 1, vec![9.0]);
+            let mut out = Matrix::from_vec(2, 1, vec![8.0, 8.0]);
+            propagate_matmul_into(&adj, &h, &w, &mut prop, &mut out);
+            proptest::prop_assert!(same_bits(&prop, &prop_want));
+            proptest::prop_assert!(same_bits(&out, &out_want), "{n} {c} {cols}");
+
+            // A plan over `c` feature columns: ascending columns per row,
+            // values drawn like the inputs (zeros included: the plan
+            // kernel never skips).
+            let vals_src = conv_input(n, c, 0, special, &mut rng);
+            let (mut offsets, mut pcols, mut vals) = (vec![0u32], Vec::new(), Vec::new());
+            for i in 0..n {
+                for k in 0..c {
+                    if rng.gen_range(0..4) == 0 {
+                        pcols.push(k as u32);
+                        vals.push(vals_src.get(i, k));
+                    }
+                }
+                offsets.push(pcols.len() as u32);
+            }
+            let plan = Layer0PlanView::from_raw_parts(&offsets, &pcols, &vals);
+            plan_matmul_into(plan, &w, &mut out);
+            proptest::prop_assert!(same_bits(&out, &plan_matmul_oracle(plan, &w)), "{n} {c} {cols}");
         }
     }
 }

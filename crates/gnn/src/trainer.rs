@@ -58,15 +58,10 @@ pub struct TrainConfig {
     /// Shuffling/dropout seed.
     pub seed: u64,
     /// Use the per-sample reference loop instead of the block-diagonal
-    /// batched step. Bit-identical outputs either way (when `dh_keep`
-    /// is 1.0); the reference loop parallelises across samples, the
-    /// batched step avoids per-sample dispatch and slot traffic.
+    /// batched step. Bit-identical outputs either way; the reference
+    /// loop parallelises across samples, the batched step avoids
+    /// per-sample dispatch and slot traffic.
     pub reference_loop: bool,
-    /// Fraction of tanh-gradient entries kept per GC layer ≥ 1 in the
-    /// batched step (top-k by magnitude). `1.0` = exact (default);
-    /// anything lower is a tolerance-pinned approximation and leaves
-    /// the bit-exact contract. Ignored by the reference loop.
-    pub dh_keep: f32,
     /// Rebuild the layer-0 propagated features from the two-hot
     /// histograms every epoch instead of consuming the arena's cached
     /// `S·X` plans. The rebuild kernels are the executable reference of
@@ -83,7 +78,6 @@ impl Default for TrainConfig {
             adam: AdamConfig::default(),
             seed: 0,
             reference_loop: false,
-            dh_keep: 1.0,
             layer0_rebuild: false,
         }
     }
@@ -357,7 +351,7 @@ pub fn train_controlled_timed<S: SampleStore + ?Sized, V: SampleStore + ?Sized>(
                 let t_asm = Instant::now();
                 mb.assemble_with(train, &jobs, !cfg.layer0_rebuild);
                 phases.assembly += t_asm.elapsed();
-                model.batch_train_step(&mb, cfg.dh_keep, &mut bws, &mut acc);
+                model.batch_train_step(&mb, &mut bws, &mut acc);
                 phases.forward += bws.forward_time;
                 phases.backward += bws.backward_time;
                 for loss in &bws.losses {

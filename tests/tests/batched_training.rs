@@ -179,14 +179,26 @@ fn full_attack_recovers_identical_key_with_batched_trainer() {
 // Property tests: one batched step vs the per-sample reference loop.
 // ---------------------------------------------------------------------
 
-/// A small random labelled sample on one of three graph shapes
-/// (including an isolated node), dense features.
+/// A small random labelled sample on one of three fixed graph shapes
+/// (including an isolated node) or a random connected graph of up to 23
+/// nodes (larger than SortPool's `k`, so rows are dropped as well as
+/// padded), dense features.
 fn random_sample(rng: &mut impl Rng) -> GraphSample {
-    let adj = match rng.gen_range(0u8..3) {
+    let adj = match rng.gen_range(0u8..4) {
         0 => muxlink_graph::Csr::from_lists(&[vec![1], vec![0, 2], vec![1, 3], vec![2]]),
         1 => muxlink_graph::Csr::from_lists(&[vec![1, 2], vec![0], vec![0], vec![]]),
-        _ => {
+        2 => {
             muxlink_graph::Csr::from_lists(&[vec![1], vec![0, 2, 4], vec![1], vec![4], vec![1, 3]])
+        }
+        _ => {
+            let n = rng.gen_range(6usize..24);
+            let mut lists = vec![Vec::new(); n];
+            for i in 1..n {
+                let j = rng.gen_range(0..i);
+                lists[i].push(j as u32);
+                lists[j].push(i as u32);
+            }
+            muxlink_graph::Csr::from_lists(&lists)
         }
     };
     let n = adj.node_count();
@@ -203,17 +215,40 @@ fn random_sample(rng: &mut impl Rng) -> GraphSample {
     }
 }
 
-fn tiny_cfg() -> DgcnnConfig {
+/// A model configuration for one property case. Every fourth case is
+/// the paper's layer shapes (GC 32/32/32/1, conv1 16, conv2 32 with
+/// kernel 5), which reach every register-tile path of the batched step;
+/// the rest draw the GC widths (tile multiples, ragged and 1-wide),
+/// `conv1_channels` (multiples of 8 and not), `conv2_channels` and
+/// `conv2_kernel` (5 and not), with `k` at or above its minimum. The
+/// dense head stays 4 wide to keep cases fast.
+fn drawn_cfg(rng: &mut impl Rng) -> DgcnnConfig {
+    let paper = rng.gen_range(0u8..4) == 0;
+    let (gc_channels, conv1_channels, conv2_channels, conv2_kernel) = if paper {
+        (vec![32, 32, 32, 1], 16, 32, 5)
+    } else {
+        let widths = [1usize, 2, 3, 16, 17, 32];
+        let layers = rng.gen_range(1usize..5);
+        let gc = (0..layers)
+            .map(|_| widths[rng.gen_range(0..widths.len())])
+            .collect();
+        (
+            gc,
+            rng.gen_range(1usize..20),
+            rng.gen_range(1usize..34),
+            rng.gen_range(1usize..8),
+        )
+    };
     DgcnnConfig {
         input_dim: 5,
-        gc_channels: vec![3, 2, 1],
-        conv1_channels: 2,
-        conv2_channels: 2,
-        conv2_kernel: 2,
+        gc_channels,
+        conv1_channels,
+        conv2_channels,
+        conv2_kernel,
         dense_dim: 4,
         dropout: 0.5,
-        k: 4,
-        seed: 3,
+        k: 2 * conv2_kernel + rng.gen_range(0usize..8),
+        seed: rng.gen(),
     }
 }
 
@@ -255,10 +290,11 @@ fn grad_bits(g: &Gradients) -> Vec<u32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// One `batch_train_step` over a random minibatch (random shapes,
-    /// features, labels, dropout seeds, duplicate samples allowed) is
-    /// bit-identical to the per-sample reference loop: every gradient
-    /// tensor and every per-sample loss.
+    /// One `batch_train_step` over a random minibatch (random graphs,
+    /// features, labels, dropout seeds, duplicate samples allowed) of a
+    /// model with drawn layer widths (see `drawn_cfg`) is bit-identical
+    /// to the per-sample reference loop: every gradient tensor and every
+    /// per-sample loss.
     #[test]
     fn batched_step_is_bitwise_identical_to_per_sample(data_seed in 0u64..1000, count in 1usize..11) {
         let mut rng = seeded_rng(data_seed);
@@ -268,7 +304,7 @@ proptest! {
         let jobs: Vec<(usize, u64)> = (0..count)
             .map(|_| (rng.gen_range(0..count), rng.gen()))
             .collect();
-        let model = Dgcnn::new(tiny_cfg());
+        let model = Dgcnn::new(drawn_cfg(&mut rng));
 
         let (want_grads, want_losses) = reference_step(&model, &samples, &jobs);
 
@@ -279,7 +315,7 @@ proptest! {
         // change bits.
         for _ in 0..2 {
             mb.assemble(&samples[..], &jobs);
-            model.batch_train_step(&mb, 1.0, &mut ws, &mut grads);
+            model.batch_train_step(&mb, &mut ws, &mut grads);
             prop_assert_eq!(grad_bits(&grads), grad_bits(&want_grads));
             let got: Vec<u64> = ws.losses.iter().map(|l| l.to_bits()).collect();
             let want: Vec<u64> = want_losses.iter().map(|l| l.to_bits()).collect();

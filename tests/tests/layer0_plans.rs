@@ -154,14 +154,14 @@ proptest! {
             mb.assemble_with(&store, &jobs, false);
             assert!(mb.plan().is_none(), "plans must be absent when disabled");
             let mut want = model.new_gradients();
-            model.batch_train_step(&mb, 1.0, &mut ws, &mut want);
+            model.batch_train_step(&mb, &mut ws, &mut want);
             let want_losses: Vec<u64> = ws.losses.iter().map(|l| l.to_bits()).collect();
             let mut got_runs = Vec::new();
             for _ in 0..2 {
                 mb.assemble(&store, &jobs);
                 assert!(mb.plan().is_some(), "arena store must serve cached plans");
                 let mut got = model.new_gradients();
-                model.batch_train_step(&mb, 1.0, &mut ws, &mut got);
+                model.batch_train_step(&mb, &mut ws, &mut got);
                 let losses: Vec<u64> = ws.losses.iter().map(|l| l.to_bits()).collect();
                 got_runs.push((grad_bits(&got), losses));
             }
