@@ -210,7 +210,6 @@ pub fn omla_attack(
             ..muxlink_gnn::AdamConfig::default()
         },
         seed: cfg.seed ^ 0x7EA,
-        ..TrainConfig::default()
     };
     muxlink_gnn::train(&mut model, &train_samples, &val, &train_cfg);
 

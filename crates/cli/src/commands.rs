@@ -26,17 +26,17 @@ subcommands:
   lock      --scheme <dmux|symmetric|xor|naive-mux|trll>
             --key-size n [--seed n] in.bench -o out.bench [--key-out key.txt]
   attack    --method <muxlink|scope|saam|sail> [--th f] [--hops n]
-            [--threads n] [--batch-size n] [--paper]
-            [--layer0-rebuild] [--canonicalize] [--timings] [--seed n]
+            [--threads n] [--batch-size n] [--quick|--paper]
+            [--canonicalize] [--timings] [--seed n]
             [--progress] [--save-model m.json] [--model m.json]
             in.bench [-o guess.txt]
   train     --save-model m.json [--hops n] [--threads n]
-            [--batch-size n] [--paper] [--seed n]
-            [--layer0-rebuild] [--canonicalize] [--progress] in.bench
+            [--batch-size n] [--quick|--paper] [--seed n]
+            [--canonicalize] [--progress] in.bench
   score     --model m.json [--th f] [--threads n] [--progress]
             [-o guess.txt]
-  suite     [--out-dir dir] [--th f] [--hops n] [--threads n] [--paper]
-            [--seed n] locked1.bench locked2.bench …
+  suite     [--out-dir dir] [--th f] [--hops n] [--threads n]
+            [--quick|--paper] [--seed n] locked1.bench locked2.bench …
   serve     --socket /path.sock [--tcp host:port] [--cache-dir dir]
             [--workers n] [--cache-entries n]
   client    <submit|status|result|sweep|cancel|stats|shutdown>
@@ -141,11 +141,6 @@ fn muxlink_cfg(cmd: &Command) -> Result<MuxLinkConfig, CliError> {
     // Batch size changes Adam's grouping, so it is part of the training
     // recipe (validated ≥ 1 by the session).
     cfg.batch_size = cmd.parse_flag("--batch-size", cfg.batch_size)?;
-    // Per-epoch layer-0 histogram rebuild instead of the cached S·X
-    // plans — the executable reference path, bit-identical results.
-    if cmd.has("--layer0-rebuild") {
-        cfg.layer0_rebuild = true;
-    }
     // Run the cleanup pass pipeline on the target before structural
     // extraction (changes what the GNN sees — part of the recipe).
     if cmd.has("--canonicalize") {
@@ -695,6 +690,27 @@ mod tests {
     /// against): every listed name is accepted (no "unknown subcommand"),
     /// every listed name appears in the help text, and an unlisted name
     /// is rejected.
+    /// The parser accepts exactly the flags the help text shows: every
+    /// `--flag` (and `-o`) in HELP parses, and every flag the parser
+    /// accepts appears in HELP.
+    #[test]
+    fn parser_accepts_exactly_the_help_flags() {
+        let shown: std::collections::BTreeSet<&str> = HELP
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.starts_with("--") || *w == "-o")
+            .collect();
+        for flag in &shown {
+            let parsed = Command::parse(["attack", flag, "v", "x.bench"].map(str::to_owned));
+            assert!(parsed.is_ok(), "{flag} is in HELP but rejected: {parsed:?}");
+        }
+        for flag in crate::opts::VALUED.iter().chain(crate::opts::BOOLEAN) {
+            assert!(
+                shown.contains(flag),
+                "{flag} is accepted but missing from HELP"
+            );
+        }
+    }
+
     #[test]
     fn dispatcher_covers_canonical_subcommand_list() {
         for &sub in crate::opts::SUBCOMMANDS {
@@ -894,20 +910,6 @@ mod tests {
         assert!(timed.contains("timings: extract"));
         assert!(timed.contains("train phases: assembly"));
         assert!(timed.starts_with(one.lines().next().unwrap()));
-        // --layer0-rebuild selects the histogram-rebuild reference path;
-        // the recovered key must not change by a single bit.
-        let rebuilt = run(&cmd(&[
-            "attack",
-            "--threads",
-            "1",
-            "--layer0-rebuild",
-            &locked,
-        ]))
-        .unwrap();
-        assert_eq!(
-            rebuilt, one,
-            "cached layer-0 plans must match the rebuild reference"
-        );
     }
 
     #[test]

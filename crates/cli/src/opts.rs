@@ -64,10 +64,9 @@ pub const SUBCOMMANDS: &[&str] = &[
     "help",
 ];
 
-/// Flags that take a value (everything else is boolean).
-const VALUED: &[&str] = &[
+/// Flags that take a value.
+pub(crate) const VALUED: &[&str] = &[
     "--profile",
-    "--suite",
     "--scale",
     "--seed",
     "--gates",
@@ -106,12 +105,28 @@ const VALUED: &[&str] = &[
     "--emit",
 ];
 
+/// Flags that take no value. `--quick` names the default profile
+/// explicitly. Any flag outside this list and [`VALUED`] is a usage
+/// error, so a mistyped or removed flag fails loudly instead of being
+/// ignored or swallowing the next argument.
+pub(crate) const BOOLEAN: &[&str] = &[
+    "--quick",
+    "--paper",
+    "--canonicalize",
+    "--timings",
+    "--progress",
+    "--no-wait",
+    "--remap-mux",
+    "--report",
+];
+
 impl Command {
     /// Parses `args` (without the program name).
     ///
     /// # Errors
     ///
-    /// [`CliError::Usage`] on missing subcommand or dangling valued flag.
+    /// [`CliError::Usage`] on missing subcommand, unknown flag or
+    /// dangling valued flag.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, CliError> {
         let mut it = args.into_iter();
         let name = it
@@ -126,8 +141,10 @@ impl Command {
                         .next()
                         .ok_or_else(|| CliError::Usage(format!("flag {arg} expects a value")))?;
                     flags.insert(arg, v);
-                } else {
+                } else if BOOLEAN.contains(&arg.as_str()) {
                     flags.insert(arg, "true".to_owned());
+                } else {
+                    return Err(CliError::Usage(format!("unknown flag {arg} (try `help`)")));
                 }
             } else {
                 positional.push(arg);
@@ -223,6 +240,18 @@ mod tests {
         let c = parse(&["attack", "--quick", "x.bench"]);
         assert!(c.has("--quick"));
         assert!(!c.has("--paper"));
+    }
+
+    #[test]
+    fn unknown_and_removed_flags_are_usage_errors() {
+        for flag in ["--layer0-rebuild", "--dh-keep", "--bogus"] {
+            let e =
+                Command::parse(["attack", flag, "0.5", "x.bench"].map(str::to_owned)).unwrap_err();
+            match e {
+                CliError::Usage(m) => assert!(m.contains(flag), "{m}"),
+                other => panic!("{flag}: expected a usage error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -38,23 +38,10 @@ pub struct MuxLinkConfig {
     /// resident as samples) at once; the scorer recycles one
     /// [`SampleArena`](muxlink_graph::SampleArena) between chunks, so
     /// peak resident sample bytes are bounded by the chunk, not the
-    /// design's candidate-link count. `0` restores the all-resident
-    /// behaviour (every target subgraph materialised up front).
-    /// Results are bit-identical for any value — chunking only bounds
-    /// memory.
+    /// design's candidate-link count. `0` means one chunk holding every
+    /// link. Results are bit-identical for any value — chunking only
+    /// bounds memory.
     pub sample_chunk: usize,
-    /// Train with the per-sample reference loop instead of the default
-    /// block-diagonal batched step. Bit-identical results either way;
-    /// the reference loop parallelises across samples, the batched step
-    /// removes per-sample dispatch overhead.
-    pub reference_trainer: bool,
-    /// Rebuild the batched trainer's layer-0 propagated features from
-    /// the two-hot histograms every epoch instead of consuming the
-    /// epoch-invariant `S·X` plans cached in the sample arena at
-    /// dataset build. Bit-identical results either way — the rebuild
-    /// kernels are the executable reference of the cached path; `false`
-    /// (the default) uses the cache.
-    pub layer0_rebuild: bool,
     /// Canonicalize the target netlist with the cleanup pass pipeline
     /// (constant fold, buffer collapse, MUX simplification, dead-logic
     /// elimination) before structural extraction — both when attacking
@@ -63,11 +50,15 @@ pub struct MuxLinkConfig {
     pub canonicalize: bool,
 }
 
-// Hand-written so checkpoints saved before the `sample_chunk`,
-// `reference_trainer`, `layer0_rebuild` and `canonicalize` knobs existed
-// still load: a missing field takes the production default (none of
-// these change the default path's results, so old artifacts re-score to
-// the same bits). The vendored derive has no `#[serde(default)]`.
+// Hand-written so checkpoints saved before the `sample_chunk` and
+// `canonicalize` knobs existed still load: a missing field takes the
+// production default (neither changes the default path's results, so
+// old artifacts re-score to the same bits). The vendored derive has no
+// `#[serde(default)]`. Keys it does not read are ignored, which is how
+// checkpoints carrying the two removed reference-path knobs still load
+// (see `pre_batched_trainer_checkpoints_still_deserialize` and
+// `pre_layer0_plan_checkpoints_still_deserialize`): both selected
+// bit-identical paths, so either value is today's recipe.
 //
 // The removed `dh_keep` knob (top-k sparsified tanh gradients) is read
 // only to refuse it: a stored `1.0` is the exact recipe every build
@@ -100,14 +91,6 @@ impl Deserialize for MuxLinkConfig {
                 Ok(x) => Deserialize::from_value(x)?,
                 Err(_) => MuxLinkConfig::default().sample_chunk,
             },
-            reference_trainer: match map_get(v, "reference_trainer") {
-                Ok(x) => Deserialize::from_value(x)?,
-                Err(_) => MuxLinkConfig::default().reference_trainer,
-            },
-            layer0_rebuild: match map_get(v, "layer0_rebuild") {
-                Ok(x) => Deserialize::from_value(x)?,
-                Err(_) => MuxLinkConfig::default().layer0_rebuild,
-            },
             canonicalize: match map_get(v, "canonicalize") {
                 Ok(x) => Deserialize::from_value(x)?,
                 Err(_) => MuxLinkConfig::default().canonicalize,
@@ -131,8 +114,6 @@ impl Default for MuxLinkConfig {
             seed: 0,
             threads: 0,
             sample_chunk: 1024,
-            reference_trainer: false,
-            layer0_rebuild: false,
             canonicalize: false,
         }
     }
@@ -164,8 +145,6 @@ impl MuxLinkConfig {
             seed: 0,
             threads: 0,
             sample_chunk: 1024,
-            reference_trainer: false,
-            layer0_rebuild: false,
             canonicalize: false,
         }
     }
@@ -199,8 +178,8 @@ impl MuxLinkConfig {
         self
     }
 
-    /// Returns a copy with a different streaming chunk size (0 = keep
-    /// every sample resident at once). Never changes results.
+    /// Returns a copy with a different streaming chunk size (0 = one
+    /// chunk holding every link). Never changes results.
     #[must_use]
     pub fn with_sample_chunk(mut self, sample_chunk: usize) -> Self {
         self.sample_chunk = sample_chunk;
@@ -288,17 +267,39 @@ mod tests {
         );
     }
 
-    /// Checkpoints written before the batched-trainer knobs existed must
-    /// still load with the production defaults (batched, exact).
+    /// Checkpoints written before the batched trainer existed lack the
+    /// `reference_trainer` knob; those written while it existed carry
+    /// it. The knob selected a bit-identical reference loop, so every
+    /// form loads as today's recipe.
     #[test]
     fn pre_batched_trainer_checkpoints_still_deserialize() {
-        let cfg = MuxLinkConfig::quick().with_seed(6);
+        assert_legacy_knob_ignored("reference_trainer", 6);
+    }
+
+    /// Checkpoints written before the cached layer-0 plans existed lack
+    /// the `layer0_rebuild` knob; those written while it existed carry
+    /// it. The knob selected a bit-identical rebuild of the cached
+    /// plans, so every form loads as today's recipe.
+    #[test]
+    fn pre_layer0_plan_checkpoints_still_deserialize() {
+        assert_legacy_knob_ignored("layer0_rebuild", 8);
+    }
+
+    /// Loads a config saved without `key` and with `key` set to either
+    /// boolean, and checks each comes back as the saved config.
+    fn assert_legacy_knob_ignored(key: &str, seed: u64) {
+        let cfg = MuxLinkConfig::quick().with_seed(seed);
         let json = serde_json::to_string(&cfg).unwrap();
-        let legacy = json.replace(",\"reference_trainer\":false", "");
-        assert_ne!(legacy, json, "test must actually strip the field");
-        let back: MuxLinkConfig = serde_json::from_str(&legacy).unwrap();
-        assert!(!back.reference_trainer);
+        assert!(!json.contains(key), "{key} must no longer be written");
+        let back: MuxLinkConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, cfg);
+        for value in [false, true] {
+            let legacy = json.replacen('}', &format!(",\"{key}\":{value}}}"), 1);
+            assert_ne!(legacy, json, "test must actually add the field");
+            let back: MuxLinkConfig = serde_json::from_str(&legacy).unwrap();
+            assert_eq!(back.seed, seed);
+            assert_eq!(back, cfg, "{key}={value}");
+        }
     }
 
     /// Checkpoints written while the `dh_keep` knob existed carry it. The
@@ -330,21 +331,6 @@ mod tests {
         assert_ne!(legacy, json, "test must actually strip the field");
         let back: MuxLinkConfig = serde_json::from_str(&legacy).unwrap();
         assert!(!back.canonicalize);
-        assert_eq!(back, cfg);
-    }
-
-    /// Checkpoints written before the cached layer-0 plans existed must
-    /// still load; the missing knob takes the production default
-    /// (cached plans on — bit-identical to the rebuild they replace).
-    #[test]
-    fn pre_layer0_plan_checkpoints_still_deserialize() {
-        let cfg = MuxLinkConfig::quick().with_seed(8);
-        let json = serde_json::to_string(&cfg).unwrap();
-        let legacy = json.replace(",\"layer0_rebuild\":false", "");
-        assert_ne!(legacy, json, "test must actually strip the field");
-        let back: MuxLinkConfig = serde_json::from_str(&legacy).unwrap();
-        assert!(!back.layer0_rebuild);
-        assert_eq!(back.seed, 8);
         assert_eq!(back, cfg);
     }
 }

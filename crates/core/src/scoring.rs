@@ -3,11 +3,10 @@
 //! scoring.
 
 use muxlink_gnn::{ArenaSamples, Dgcnn, GraphSample, NodeFeatures};
-use muxlink_graph::dataset::{target_subgraphs, DatasetConfig};
+use muxlink_graph::dataset::DatasetConfig;
 use muxlink_graph::features::one_hot_features;
 use muxlink_graph::graph::Link;
 use muxlink_graph::{ExtractedDesign, SampleArena, Subgraph};
-use rayon::prelude::*;
 
 use crate::postprocess::MuxScores;
 use crate::progress::{NoProgress, Progress};
@@ -28,12 +27,6 @@ pub fn to_graph_sample(sg: &Subgraph, max_label: u32, label: Option<bool>) -> Gr
     }
 }
 
-/// Upper bound on GNN samples materialised at once on the legacy
-/// all-resident scoring path (`ds_cfg.chunk == 0`): keeps the feature
-/// matrices of huge designs (thousands of key MUXes) from all being
-/// resident simultaneously, without hurting parallelism.
-const SCORE_CHUNK: usize = 256;
-
 /// Scores both candidate links of every key MUX with the trained model.
 ///
 /// D-MUX pairs share wires across MUXes, so the flattened candidate list
@@ -42,18 +35,16 @@ const SCORE_CHUNK: usize = 256;
 /// reproduce the same probability bit-for-bit) and the result is
 /// broadcast back in order.
 ///
-/// With `ds_cfg.chunk > 0` (the production configuration) the unique
-/// links **stream** through one recycled
-/// [`SampleArena`]: each chunk is extracted directly into the arena
-/// slabs, scored through [`Dgcnn::predict_batch`] via handle views, and
-/// the arena is cleared — peak resident sample bytes are bounded by the
-/// chunk size however many candidate links the design has. With
-/// `chunk == 0` every target subgraph is materialised up front through
-/// [`target_subgraphs`] (the all-resident path, kept as the executable
-/// reference the streamed path is property-tested against). Every stage
-/// preserves order, so the scores stay aligned with `extracted.muxes`
-/// and bit-identical for any thread count, any chunk size — and to the
-/// pre-dedup implementation.
+/// The unique links **stream** through one recycled [`SampleArena`],
+/// `ds_cfg.chunk` at a time (`0` = one chunk holding every link): each
+/// chunk is extracted directly into the arena slabs, scored through
+/// [`Dgcnn::predict_batch`] via handle views, and the arena is cleared —
+/// peak resident sample bytes are bounded by the chunk size however
+/// many candidate links the design has. Every stage preserves order, so
+/// the scores stay aligned with `extracted.muxes` and bit-identical for
+/// any thread count, any chunk size — and to scoring owned
+/// [`to_graph_sample`]s of every target subgraph at once, the oracle
+/// the integration tests pin this against.
 #[must_use]
 pub fn score_muxes(
     model: &Dgcnn,
@@ -71,10 +62,8 @@ pub fn score_muxes(
 }
 
 /// [`score_muxes`] with cooperative cancellation: `progress.cancelled()`
-/// is polled between scoring chunks (a chunk is `ds_cfg.chunk` unique
-/// links on the streamed path, at most `SCORE_CHUNK` = 256 on the
-/// all-resident one). Identical bits to [`score_muxes`] when not
-/// cancelled.
+/// is polled between scoring chunks of `ds_cfg.chunk` unique links.
+/// Identical bits to [`score_muxes`] when not cancelled.
 ///
 /// # Errors
 ///
@@ -97,35 +86,23 @@ pub fn score_muxes_controlled(
     unique.sort_unstable();
     unique.dedup();
 
-    let mut unique_probs = Vec::with_capacity(unique.len());
-    if ds_cfg.chunk == 0 {
-        // All-resident reference path: every target subgraph
-        // materialised up front, converted in bounded batches.
-        let subgraphs = target_subgraphs(&extracted.graph, &unique, ds_cfg);
-        for chunk in subgraphs.chunks(SCORE_CHUNK) {
-            if progress.cancelled() {
-                return Err(AttackError::Cancelled);
-            }
-            let samples: Vec<GraphSample> = chunk
-                .par_iter()
-                .map(|sg| to_graph_sample(sg, max_label, None))
-                .collect();
-            unique_probs.extend(model.predict_batch(&samples));
-        }
+    // One arena, recycled per chunk: peak resident sample bytes stay
+    // bounded by the chunk size however long the candidate list is.
+    let chunk = if ds_cfg.chunk == 0 {
+        unique.len().max(1)
     } else {
-        // Streamed production path: one arena, recycled per chunk —
-        // peak resident sample bytes stay bounded by the chunk size
-        // however long the candidate list is.
-        let mut arena = SampleArena::new();
-        for chunk in unique.chunks(ds_cfg.chunk) {
-            if progress.cancelled() {
-                return Err(AttackError::Cancelled);
-            }
-            arena.clear();
-            let jobs: Vec<(Link, Option<bool>)> = chunk.iter().map(|&l| (l, None)).collect();
-            arena.extend_extract(&extracted.graph, &jobs, ds_cfg.h, ds_cfg.max_subgraph_nodes);
-            unique_probs.extend(model.predict_batch(&ArenaSamples::all(&arena, max_label)));
+        ds_cfg.chunk
+    };
+    let mut unique_probs = Vec::with_capacity(unique.len());
+    let mut arena = SampleArena::new();
+    for part in unique.chunks(chunk) {
+        if progress.cancelled() {
+            return Err(AttackError::Cancelled);
         }
+        arena.clear();
+        let jobs: Vec<(Link, Option<bool>)> = part.iter().map(|&l| (l, None)).collect();
+        arena.extend_extract(&extracted.graph, &jobs, ds_cfg.h, ds_cfg.max_subgraph_nodes);
+        unique_probs.extend(model.predict_batch(&ArenaSamples::all(&arena, max_label)));
     }
 
     let prob_of = |l: &Link| -> Result<f64, AttackError> {

@@ -385,9 +385,7 @@ impl Prepared {
         // deliberately skips, so a checkpoint-restored `Prepared` arrives
         // without them: (re)build here — a no-op when the dataset build
         // already cached them under this budget.
-        if !cfg.layer0_rebuild {
-            dataset.arena.build_layer0_plans(max_label);
-        }
+        dataset.arena.build_layer0_plans(max_label);
         let input_dim = muxlink_graph::features::feature_cols(max_label);
         let mut model_cfg = DgcnnConfig::paper(input_dim, 10);
         model_cfg.k = k;
@@ -400,8 +398,6 @@ impl Prepared {
                 ..muxlink_gnn::AdamConfig::default()
             },
             seed: cfg.seed ^ TRAIN_SEED_XOR,
-            reference_loop: cfg.reference_trainer,
-            layer0_rebuild: cfg.layer0_rebuild,
         };
         let (outcome, workers) = with_pool(cfg.threads, |workers| {
             let mut model = Dgcnn::new(model_cfg);

@@ -1,7 +1,7 @@
 //! Block-diagonal batched training: one fused kernel per layer per
 //! minibatch.
 //!
-//! The per-sample trainer pays `batch_size` tiny kernel dispatches per
+//! A per-sample training loop pays `batch_size` tiny kernel dispatches per
 //! layer, writes every sample's gradients into its own [`Gradients`]
 //! slot, and then merges the slots — on the paper workload (≤ 64-node
 //! subgraphs, ~45k-parameter dense layers) the slot traffic and
@@ -110,32 +110,20 @@ impl Minibatch {
     /// (two-hot slabs or a dense row-stacked matrix), labels and seeds
     /// recorded in job order.
     ///
+    /// When **every** sample exposes a cached layer-0 plan
+    /// ([`SampleStore::plan`]), the per-sample plan rows are
+    /// row-concatenated into one batch-level plan (entry offsets rebased,
+    /// feature-space columns and values bit-copied) and
+    /// [`Minibatch::plan`] returns it; otherwise — owned stores carry no
+    /// plans — the batch carries none and the training step rebuilds the
+    /// propagated features from the two-hot histograms. Both paths give
+    /// the same bits.
+    ///
     /// # Panics
     ///
     /// Panics when `jobs` is empty, a referenced sample is unlabelled,
     /// or the batch mixes dense and two-hot feature forms.
     pub fn assemble<S: SampleStore + ?Sized>(&mut self, store: &S, jobs: &[(usize, u64)]) {
-        self.assemble_with(store, jobs, true);
-    }
-
-    /// [`Minibatch::assemble`] with explicit control over cached layer-0
-    /// plans: when `use_plans` is true and **every** sample exposes a
-    /// cached plan ([`SampleStore::plan`]), the per-sample plan rows are
-    /// row-concatenated into one batch-level plan (entry offsets rebased,
-    /// feature-space columns and values bit-copied) and
-    /// [`Minibatch::plan`] returns it; otherwise the batch carries no
-    /// plan and the training step falls back to rebuilding the
-    /// propagated features from the two-hot histograms.
-    ///
-    /// # Panics
-    ///
-    /// As [`Minibatch::assemble`].
-    pub fn assemble_with<S: SampleStore + ?Sized>(
-        &mut self,
-        store: &S,
-        jobs: &[(usize, u64)],
-        use_plans: bool,
-    ) {
         assert!(!jobs.is_empty(), "cannot assemble an empty minibatch");
         self.block.clear();
         self.labels.clear();
@@ -180,7 +168,7 @@ impl Minibatch {
         self.plan_cols.clear();
         self.plan_vals.clear();
         self.has_plans = false;
-        if use_plans && self.one_hot {
+        if self.one_hot {
             self.plan_offsets.push(0);
             let mut all = true;
             for &(i, _) in jobs {
@@ -708,7 +696,7 @@ const CONV2_TILE_ROWS: usize = 5;
 /// ascending, output `o` ascending (zero `g` skipped) and kernel offset
 /// `dt`. Row `r` thus sums its products in (t asc, o asc) order, as the
 /// per-sample loop did. For one `t`, the `kk` destination rows are held
-/// in a register tile of [`CONV2_TILE_ROWS`] × [`CONV2_TILE_LANES`]
+/// in a register tile of `CONV2_TILE_ROWS` × `CONV2_TILE_LANES`
 /// lanes across the whole `o` loop, instead of being reloaded and
 /// stored per output.
 ///
@@ -739,7 +727,7 @@ pub fn conv2_input_grads(dconv2: &[f32], w: &Matrix, c1: usize, dpool: &mut [f32
 }
 
 /// Lanes `c0..c0 + L` of step `t` of [`conv2_input_grads`]: the `kk`
-/// destination rows in groups of at most [`CONV2_TILE_ROWS`] (a row
+/// destination rows in groups of at most `CONV2_TILE_ROWS` (a row
 /// belongs to one group per step, so grouping keeps every element's
 /// order).
 #[inline(always)]
@@ -1003,8 +991,8 @@ mod tests {
     }
 
     /// A batch assembled from cached plans must train bit-identically
-    /// to the same batch assembled down the histogram-rebuild path,
-    /// through the same dirty workspace.
+    /// to the same batch assembled from the plan-less owned samples
+    /// (the histogram-rebuild path), through the same dirty workspace.
     #[test]
     fn batched_step_with_cached_plans_matches_rebuild_bitwise() {
         let model = Dgcnn::new(tiny_cfg(11));
@@ -1013,8 +1001,8 @@ mod tests {
         let mut mb = Minibatch::new();
         let mut ws = BatchWorkspace::new();
 
-        mb.assemble_with(&store, &jobs, false);
-        assert!(mb.plan().is_none(), "plans must be absent when disabled");
+        mb.assemble(&store.samples, &jobs);
+        assert!(mb.plan().is_none(), "owned samples carry no plans");
         let mut want = model.new_gradients();
         model.batch_train_step(&mb, &mut ws, &mut want);
         let want_losses = ws.losses.clone();

@@ -133,10 +133,9 @@ pub struct Cache {
     gc_inputs: Vec<Matrix>,
     gc_outputs: Vec<Matrix>,
     /// Column-histogram scratch of the bit-exact sparse first layer.
-    /// Only the rebuild path uses it: the batched trainer's default
-    /// layer 0 consumes the arena-cached `S·X` plan instead, and
-    /// single-sample forwards (prediction, the reference loop) still
-    /// build histograms here.
+    /// Only the rebuild path uses it: the batched trainer consumes a
+    /// store's cached `S·X` plans when it has them, while single-sample
+    /// forwards (validation, prediction) always build histograms here.
     spmm: OneHotSpmmScratch,
     hcat: Matrix,
     perm: Vec<usize>,

@@ -27,8 +27,14 @@
 //!   so owned [`GraphSample`]s and arena-pooled samples
 //!   ([`ArenaSamples`] over a [`SampleArena`]) run the same kernels on
 //!   the same values, bit for bit.
+//! * [`Minibatch`] + [`Dgcnn::batch_train_step`] — the block-diagonal
+//!   batched training step: one fused kernel per layer per minibatch,
+//!   reading a store's cached layer-0 plans when every sample has one
+//!   and rebuilding them from the two-hot histograms otherwise.
 //! * [`trainer::train`] — Adam minibatch loop with best-on-validation
-//!   selection, one workspace per rayon worker.
+//!   selection. It has one batch body, the batched step; the per-sample
+//!   loop it is pinned to bit for bit is `reference_train` in the
+//!   integration-test support crate.
 //!
 //! # Example
 //!

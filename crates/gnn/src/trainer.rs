@@ -2,35 +2,20 @@
 //! (the paper trains 100 epochs with Adam at lr 1e-4 and keeps the model
 //! that performs best on the 10 % validation split).
 //!
-//! # Batched and reference loops
+//! # The batch body
 //!
-//! The default batch body is the **block-diagonal batched step**
-//! ([`Dgcnn::batch_train_step`]): the minibatch is packed into one
+//! Every minibatch runs one **block-diagonal batched step**
+//! ([`Dgcnn::batch_train_step`]): the batch is packed into one
 //! block-diagonal CSR + stacked feature matrix
 //! ([`crate::batch::Minibatch`]) and each layer runs as one fused
-//! kernel over the whole batch — no per-sample dispatch, no per-sample
-//! gradient slots, no slot merge. The step is sequential and reduces
-//! gradients in sample order internally, so it is trivially
-//! thread-count invariant — and it is **bit-identical** to the
-//! reference loop below (the property suite pins this).
-//!
-//! Setting [`TrainConfig::reference_loop`] selects the per-sample
-//! loop: each minibatch member's forward/backward runs on the ambient
-//! rayon pool (size it with `rayon::ThreadPool::install`), with one
-//! reused [`crate::workspace::Workspace`] per worker so the
-//! activation and scratch buffers allocate once per thread, not once
-//! per sample. Each sample writes its
-//! [`Gradients`](crate::param::Gradients) into a pre-sized slot of a
-//! batch-wide pool that is reused across every batch of the run — the
-//! steady-state batch loop performs **no per-sample gradient or
-//! activation allocations**. Slots are then
-//! reduced **in sample order** and dropout seeds are pre-drawn
+//! kernel over the whole batch. The step is sequential and reduces
+//! gradients in sample order internally, and dropout seeds are drawn
 //! sequentially from the training RNG, so the result is bit-identical
-//! for any thread count: keeping one slot per sample — rather than
-//! merging inside the workers — is what preserves the fixed reduction
-//! order. The reference loop remains the executable oracle of the
-//! batched step and the faster choice on many-core hosts with large
-//! per-sample graphs.
+//! for any thread count. Its executable specification is
+//! `reference_train` in the integration-test support crate
+//! (`tests/src/lib.rs`): the per-sample forward/backward loop with
+//! gradients merged in sample order, which the property suite pins this
+//! loop to bit for bit.
 
 use std::time::{Duration, Instant};
 
@@ -57,17 +42,6 @@ pub struct TrainConfig {
     pub adam: AdamConfig,
     /// Shuffling/dropout seed.
     pub seed: u64,
-    /// Use the per-sample reference loop instead of the block-diagonal
-    /// batched step. Bit-identical outputs either way; the reference
-    /// loop parallelises across samples, the batched step avoids
-    /// per-sample dispatch and slot traffic.
-    pub reference_loop: bool,
-    /// Rebuild the layer-0 propagated features from the two-hot
-    /// histograms every epoch instead of consuming the arena's cached
-    /// `S·X` plans. The rebuild kernels are the executable reference of
-    /// the cached path (bit-identical either way); `false` — the
-    /// default — uses the cache whenever the store carries one.
-    pub layer0_rebuild: bool,
 }
 
 impl Default for TrainConfig {
@@ -77,17 +51,13 @@ impl Default for TrainConfig {
             batch_size: 32,
             adam: AdamConfig::default(),
             seed: 0,
-            reference_loop: false,
-            layer0_rebuild: false,
         }
     }
 }
 
 /// Wall-clock breakdown of one training run, accumulated over every
 /// batch of every epoch: minibatch assembly, batched forward, batched
-/// backward and the optimiser step. The reference per-sample loop fuses
-/// forward and backward in one parallel region; its whole region is
-/// attributed to `forward`.
+/// backward and the optimiser step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct TrainPhases {
     /// Packing jobs into the block-diagonal minibatch (incl. plan
@@ -272,18 +242,8 @@ pub fn train_controlled_timed<S: SampleStore + ?Sized, V: SampleStore + ?Sized>(
     let mut history = Vec::with_capacity(cfg.epochs);
     let mut best: Option<(usize, f64, f64, Vec<crate::matrix::Matrix>)> = None;
     let mut step = 0usize;
-    // Pre-sized per-batch gradient slots and the reduction accumulator,
-    // reused across every batch of the run: the backward pass fully
-    // overwrites its slot, so no per-sample gradient allocation ever
-    // happens. (Keeping one slot per sample — rather than merging inside
-    // the workers — is what preserves the fixed sample-order reduction.)
-    // The batched path needs no slots: its minibatch assembler and
-    // batch workspace are reused the same way.
-    let mut grad_slots: Vec<crate::param::Gradients> = if cfg.reference_loop {
-        (0..cfg.batch_size).map(|_| model.new_gradients()).collect()
-    } else {
-        Vec::new()
-    };
+    // The gradient accumulator, minibatch assembler and batch
+    // workspace are reused across every batch of the run.
     let mut acc = model.new_gradients();
     let mut mb = Minibatch::new();
     let mut bws = BatchWorkspace::new();
@@ -298,9 +258,9 @@ pub fn train_controlled_timed<S: SampleStore + ?Sized, V: SampleStore + ?Sized>(
             if ctl.cancelled() {
                 return Err(TrainCancelled);
             }
-            // Dropout seeds are drawn sequentially from the training RNG
-            // *before* the parallel region, so the stream every sample
-            // sees is fixed by (cfg.seed, epoch, batch position) alone.
+            // Dropout seeds are drawn sequentially from the training RNG,
+            // so the stream every sample sees is fixed by (cfg.seed,
+            // epoch, batch position) alone.
             let jobs: Vec<(usize, u64)> = batch
                 .iter()
                 .filter(|&&i| train.view(i).label.is_some())
@@ -309,54 +269,18 @@ pub fn train_controlled_timed<S: SampleStore + ?Sized, V: SampleStore + ?Sized>(
             if jobs.is_empty() {
                 continue;
             }
-            if cfg.reference_loop {
-                // Per-sample forward/backward in parallel against frozen
-                // weights, each worker streaming through one reused
-                // workspace and writing gradients into its sample's slot;
-                // `collect` preserves job order. The fused region is
-                // attributed to the `forward` phase (see [`TrainPhases`]).
-                let t_fused = Instant::now();
-                let frozen: &Dgcnn = model;
-                let ck = frozen.conv_kernels();
-                let losses: Vec<f64> = grad_slots[..jobs.len()]
-                    .par_iter_mut()
-                    .zip(jobs.par_iter())
-                    .map_init(Workspace::new, |ws, (grads, &(i, dropout_seed))| {
-                        let s = train.view(i);
-                        let label = s.label.expect("jobs are pre-filtered to labelled samples");
-                        let mut dropout_rng = seeded_rng(dropout_seed);
-                        frozen.forward_cache(s, Some(&mut dropout_rng), &ck, &mut ws.cache);
-                        frozen.backward_into(s, label, ws, grads);
-                        f64::from(ws.cache.loss(label))
-                    })
-                    .collect();
-                // Deterministic reduction: fold losses and gradients in
-                // sample order, independent of which thread produced them.
-                for loss in &losses {
-                    epoch_loss += loss;
-                }
-                acc.copy_from(&grad_slots[0]);
-                for g in &grad_slots[1..jobs.len()] {
-                    acc.merge(g);
-                }
-                phases.forward += t_fused.elapsed();
-            } else {
-                // Block-diagonal batched step: one fused kernel per
-                // layer over the whole minibatch, gradients reduced in
-                // sample order internally — the same bits as the slot
-                // merge above, with per-sample losses folded in the
-                // same job order. Layer 0 consumes the store's cached
-                // S·X plans unless `layer0_rebuild` forces the
-                // histogram-rebuild reference.
-                let t_asm = Instant::now();
-                mb.assemble_with(train, &jobs, !cfg.layer0_rebuild);
-                phases.assembly += t_asm.elapsed();
-                model.batch_train_step(&mb, &mut bws, &mut acc);
-                phases.forward += bws.forward_time;
-                phases.backward += bws.backward_time;
-                for loss in &bws.losses {
-                    epoch_loss += loss;
-                }
+            // Block-diagonal batched step: one fused kernel per layer
+            // over the whole minibatch, gradients and per-sample losses
+            // reduced in job order. Layer 0 consumes the store's cached
+            // S·X plans when every sample carries one.
+            let t_asm = Instant::now();
+            mb.assemble(train, &jobs);
+            phases.assembly += t_asm.elapsed();
+            model.batch_train_step(&mb, &mut bws, &mut acc);
+            phases.forward += bws.forward_time;
+            phases.backward += bws.backward_time;
+            for loss in &bws.losses {
+                epoch_loss += loss;
             }
             step += 1;
             let t_opt = Instant::now();
@@ -472,7 +396,6 @@ mod tests {
                 ..AdamConfig::default()
             },
             seed: 3,
-            ..TrainConfig::default()
         };
         let report = train(&mut model, train_set, val_set, &cfg);
         assert!(
@@ -554,31 +477,6 @@ mod tests {
             "TrainReport must be bit-identical across thread counts"
         );
         assert_eq!(p1, p4, "weights must be bit-identical across thread counts");
-    }
-
-    /// The default batched loop and the per-sample reference loop must
-    /// produce bit-identical reports and weights — including with
-    /// partial final batches and dropout enabled.
-    #[test]
-    fn batched_loop_is_bit_identical_to_reference_loop() {
-        let data = toy_dataset(22, 13);
-        for batch_size in [1usize, 5, 8] {
-            let cfg_batched = TrainConfig {
-                epochs: 3,
-                batch_size,
-                ..TrainConfig::default()
-            };
-            let cfg_ref = TrainConfig {
-                reference_loop: true,
-                ..cfg_batched.clone()
-            };
-            let mut mb = Dgcnn::new(toy_cfg());
-            let mut mr = Dgcnn::new(toy_cfg());
-            let rb = train(&mut mb, &data[..18], &data[18..], &cfg_batched);
-            let rr = train(&mut mr, &data[..18], &data[18..], &cfg_ref);
-            assert_eq!(rb, rr, "batch_size {batch_size}: reports diverged");
-            assert_eq!(mb.snapshot(), mr.snapshot(), "batch_size {batch_size}");
-        }
     }
 
     #[test]

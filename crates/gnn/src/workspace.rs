@@ -70,7 +70,7 @@ pub(crate) struct BackwardScratch {
     pub(crate) dh_prev: Matrix,
     pub(crate) dh_layers: Vec<Matrix>,
     /// Column-histogram scratch of the bit-exact sparse first layer
-    /// (rebuild path only — the batched trainer's default layer 0 reads
-    /// the arena-cached `S·X` plan and never fills this).
+    /// (rebuild path only — the batched trainer reads a store's cached
+    /// `S·X` plans when it has them and never fills this).
     pub(crate) spmm: OneHotSpmmScratch,
 }

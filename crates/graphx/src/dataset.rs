@@ -71,10 +71,9 @@ pub struct DatasetConfig {
     pub seed: u64,
     /// Streaming granularity of the arena-pooled paths: links are
     /// extracted (and, at scoring time, resident) at most `chunk` at a
-    /// time. `0` keeps the all-resident behaviour (one pass over every
-    /// link). Chunking never changes results — samples are extracted
-    /// independently and appended in link order — it only bounds peak
-    /// transient memory.
+    /// time. `0` means one chunk holding every link. Chunking never
+    /// changes results — samples are extracted independently and
+    /// appended in link order — it only bounds peak transient memory.
     pub chunk: usize,
 }
 

@@ -232,27 +232,33 @@ pub struct Engine {
     running_jobs: AtomicUsize,
 }
 
-/// The single-flight identity of a submit: the design fingerprint plus
-/// the full configuration with the thread count neutralised (results
-/// are thread-count invariant; everything else — recipe *and*
-/// threshold — must match for two submits to share one job).
-fn job_identity(key_hex: &str, cfg: &MuxLinkConfig) -> String {
+/// Neutralises the configuration fields that never change a bit of the
+/// results: the thread count and the streaming chunk size.
+fn without_bit_neutral_fields(cfg: &MuxLinkConfig) -> MuxLinkConfig {
     let mut normal = cfg.clone();
     normal.threads = 0;
+    normal.sample_chunk = 0;
+    normal
+}
+
+/// The single-flight identity of a submit: the design fingerprint plus
+/// the full configuration with the bit-neutral fields neutralised
+/// (everything else — recipe *and* threshold — must match for two
+/// submits to share one job).
+fn job_identity(key_hex: &str, cfg: &MuxLinkConfig) -> String {
+    let normal = without_bit_neutral_fields(cfg);
     let cfg_json = serde_json::to_string(&normal).expect("config always serialises");
     format!("{key_hex}:{cfg_json}")
 }
 
 /// Whether a cached checkpoint's training recipe satisfies a request.
-/// The threshold and thread count are free (scoring re-applies both);
-/// every other field is part of the recipe.
+/// The threshold, thread count and chunk size are free (scoring
+/// re-applies all three); every other field is part of the recipe.
 fn recipe_matches(cached: &MuxLinkConfig, requested: &MuxLinkConfig) -> bool {
-    let mut a = cached.clone();
-    let mut b = requested.clone();
+    let mut a = without_bit_neutral_fields(cached);
+    let mut b = without_bit_neutral_fields(requested);
     a.th = 0.0;
     b.th = 0.0;
-    a.threads = 0;
-    b.threads = 0;
     a == b
 }
 
@@ -397,7 +403,8 @@ impl Engine {
     }
 
     /// Serves a verified cache hit hot: clone the checkpoint, apply the
-    /// request's threshold/threads, score (milliseconds) and recover.
+    /// request's threshold, threads and chunk size, score (milliseconds)
+    /// and recover.
     fn serve_hot(
         &self,
         key_hex: &str,
@@ -408,6 +415,7 @@ impl Engine {
         let mut hot = entry.clone();
         hot.cfg.th = cfg.th;
         hot.cfg.threads = cfg.threads;
+        hot.cfg.sample_chunk = cfg.sample_chunk;
         let scored = hot.score(&NoProgress).map_err(|e| e.to_string())?;
         Ok(result_from_scored(
             job_id, key_hex, true, &scored, cfg.th, 0.0,
@@ -956,6 +964,48 @@ mod tests {
         assert_eq!(warm.key_string, cold.key_string);
         assert_eq!(warm.scores, cold.scores, "bitwise-identical likelihoods");
         assert_eq!(engine.stats().trainings, 1, "one training total");
+        drain(&engine, handles);
+    }
+
+    /// `sample_chunk` never changes a bit, so a checkpoint trained at
+    /// another chunk size is a hit for a default request and scores
+    /// bitwise like a cold default-recipe attack.
+    #[test]
+    fn checkpoint_at_another_chunk_size_is_a_hit_with_identical_scores() {
+        let bench = locked_bench(6, 140, 4);
+        let (engine, handles) = engine_with_workers(1);
+        let cold = engine
+            .run_to_completion(&fast_submit(&bench), None)
+            .unwrap();
+        drain(&engine, handles);
+
+        let (engine, handles) = engine_with_workers(1);
+        let netlist = bench_format::parse("design", &bench).unwrap();
+        let names = key_input_names(&netlist);
+        let cfg = Engine::build_cfg(&fast_submit(&bench))
+            .unwrap()
+            .with_sample_chunk(64);
+        assert_ne!(cfg.sample_chunk, MuxLinkConfig::quick().sample_chunk);
+        let trained = AttackSession::new(&netlist, &names, cfg)
+            .extract()
+            .and_then(|x| x.prepare(&NoProgress))
+            .and_then(|p| p.train(&NoProgress))
+            .unwrap();
+        engine
+            .cache
+            .insert(&trained.fingerprint().to_hex(), Arc::new(trained))
+            .unwrap();
+        let SubmitOutcome::Ready(hit) = engine.submit(&fast_submit(&bench)).unwrap() else {
+            panic!("a checkpoint at another chunk size must be a hit");
+        };
+        assert!(hit.cache_hit);
+        assert_eq!(engine.stats().trainings, 0, "served without training");
+        assert_eq!(hit.key, cold.key);
+        assert_eq!(hit.key_string, cold.key_string);
+        let bits = |s: &[(f64, f64)]| -> Vec<(u64, u64)> {
+            s.iter().map(|(a, b)| (a.to_bits(), b.to_bits())).collect()
+        };
+        assert_eq!(bits(&hit.scores), bits(&cold.scores));
         drain(&engine, handles);
     }
 

@@ -1,7 +1,18 @@
-//! Shared helpers for the integration tests in `tests/tests/`.
+//! Shared helpers for the integration tests in `tests/tests/`, including
+//! the executable specifications the production trainer is pinned to:
+//! [`reference_train`] (the per-sample training loop) and [`NoPlans`]
+//! (the histogram-rebuild layer 0).
 
+use muxlink_gnn::matrix::seeded_rng;
+use muxlink_gnn::{
+    evaluate, Dgcnn, EpochStats, Gradients, Layer0PlanView, Matrix, SampleStore, SampleView,
+    TrainConfig, TrainReport, Workspace,
+};
 use muxlink_netlist::sim::{exhaustive_equiv, random_patterns, Simulator};
 use muxlink_netlist::{Netlist, NetlistError};
+use rand::seq::SliceRandom;
+use rand::Rng;
+use rayon::prelude::*;
 
 /// A mid-sized reconvergent test design, deterministic in `seed`.
 pub fn test_design(gates: usize, seed: u64) -> Netlist {
@@ -81,6 +92,144 @@ pub fn assert_po_equivalent(a: &Netlist, b: &Netlist, label: &str) {
         Ok(true) => {}
         Ok(false) => panic!("{label}: primary-output behaviour diverged"),
         Err(e) => panic!("{label}: oracle error: {e}"),
+    }
+}
+
+/// The per-sample reference trainer: the executable specification of
+/// [`muxlink_gnn::train`], which must match it bit for bit — history,
+/// best epoch and every weight.
+///
+/// The epoch loop is the production one (shuffle, sequential dropout
+/// seed draws, [`evaluate`], best-epoch restore); only the batch body
+/// differs. Each minibatch member's forward/backward runs on the ambient
+/// rayon pool, one reused [`Workspace`] per worker, writing its
+/// [`Gradients`] into a pre-sized slot of a batch-wide pool. The slots
+/// are then merged **in sample order** — keeping one slot per sample
+/// rather than merging inside the workers is what fixes the reduction
+/// order — so the result is bit-identical for any thread count.
+///
+/// # Panics
+///
+/// Panics when `train` is empty or `batch_size` is zero.
+pub fn reference_train<S: SampleStore + ?Sized, V: SampleStore + ?Sized>(
+    model: &mut Dgcnn,
+    train: &S,
+    val: &V,
+    cfg: &TrainConfig,
+) -> TrainReport {
+    assert!(!train.is_empty(), "training set must not be empty");
+    assert!(cfg.batch_size > 0, "batch size must be positive");
+    let mut rng = seeded_rng(cfg.seed);
+    let mut order: Vec<usize> = (0..train.len()).collect();
+    let mut history = Vec::with_capacity(cfg.epochs);
+    let mut best: Option<(usize, f64, f64, Vec<Matrix>)> = None;
+    let mut step = 0usize;
+    let mut grad_slots: Vec<Gradients> =
+        (0..cfg.batch_size).map(|_| model.new_gradients()).collect();
+    let mut acc = model.new_gradients();
+
+    for epoch in 1..=cfg.epochs {
+        order.shuffle(&mut rng);
+        let mut epoch_loss = 0.0f64;
+        let mut seen = 0usize;
+        for batch in order.chunks(cfg.batch_size) {
+            // Dropout seeds are drawn sequentially *before* the parallel
+            // region, exactly as the production loop draws them.
+            let jobs: Vec<(usize, u64)> = batch
+                .iter()
+                .filter(|&&i| train.view(i).label.is_some())
+                .map(|&i| (i, rng.gen::<u64>()))
+                .collect();
+            if jobs.is_empty() {
+                continue;
+            }
+            // Per-sample forward/backward in parallel against frozen
+            // weights; `collect` preserves job order.
+            let frozen: &Dgcnn = model;
+            let losses: Vec<f64> = grad_slots[..jobs.len()]
+                .par_iter_mut()
+                .zip(jobs.par_iter())
+                .map_init(Workspace::new, |ws, (grads, &(i, dropout_seed))| {
+                    let s = train.view(i);
+                    let label = s.label.expect("jobs are pre-filtered to labelled samples");
+                    let mut dropout_rng = seeded_rng(dropout_seed);
+                    frozen.forward_into(s, Some(&mut dropout_rng), ws);
+                    frozen.backward_into(s, label, ws, grads);
+                    f64::from(ws.cache.loss(label))
+                })
+                .collect();
+            // Deterministic reduction: losses and gradients folded in
+            // sample order, independent of which thread produced them.
+            for loss in &losses {
+                epoch_loss += loss;
+            }
+            acc.copy_from(&grad_slots[0]);
+            for g in &grad_slots[1..jobs.len()] {
+                acc.merge(g);
+            }
+            step += 1;
+            model.adam_step(&acc, &cfg.adam, step, 1.0 / jobs.len() as f32);
+            seen += jobs.len();
+        }
+        let train_loss = if seen == 0 {
+            f64::NAN
+        } else {
+            epoch_loss / seen as f64
+        };
+        let (val_loss, val_accuracy) = evaluate(model, val);
+        history.push(EpochStats {
+            epoch,
+            train_loss,
+            val_loss,
+            val_accuracy,
+        });
+        if !val_accuracy.is_nan() {
+            let better = match &best {
+                None => true,
+                Some((_, acc, loss, _)) => {
+                    val_accuracy > *acc || (val_accuracy == *acc && val_loss < *loss)
+                }
+            };
+            if better {
+                best = Some((epoch, val_accuracy, val_loss, model.snapshot()));
+            }
+        }
+    }
+
+    match best {
+        Some((best_epoch, best_val_accuracy, _, snapshot)) => {
+            model.restore(&snapshot);
+            TrainReport {
+                history,
+                best_epoch,
+                best_val_accuracy,
+            }
+        }
+        None => TrainReport {
+            history,
+            best_epoch: 0,
+            best_val_accuracy: f64::NAN,
+        },
+    }
+}
+
+/// A [`SampleStore`] that hides the wrapped store's cached layer-0
+/// plans, so the batched trainer rebuilds the propagated features from
+/// the two-hot histograms — the executable reference of the cached
+/// `S·X` plans.
+pub struct NoPlans<'a, S: ?Sized>(pub &'a S);
+
+impl<S: SampleStore + ?Sized> SampleStore for NoPlans<'_, S> {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn view(&self, i: usize) -> SampleView<'_> {
+        self.0.view(i)
+    }
+
+    fn plan(&self, _: usize) -> Option<Layer0PlanView<'_>> {
+        None
     }
 }
 

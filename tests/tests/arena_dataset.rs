@@ -5,9 +5,11 @@
 //! size.
 
 use muxlink_core::scoring::to_graph_sample;
-use muxlink_core::{score_design, AttackSession, MuxLinkConfig, NoProgress, Prepared};
+use muxlink_core::{AttackSession, MuxLinkConfig, NoProgress, Prepared, Trained};
 use muxlink_gnn::{train, ArenaSamples, Dgcnn, DgcnnConfig, GraphSample, SampleStore, TrainConfig};
-use muxlink_graph::dataset::{build_dataset, build_dataset_arena, DatasetConfig, LinkSample};
+use muxlink_graph::dataset::{
+    build_dataset, build_dataset_arena, target_subgraphs, DatasetConfig, LinkSample,
+};
 use muxlink_graph::extract;
 use muxlink_locking::{dmux, LockOptions};
 use proptest::{proptest, ProptestConfig};
@@ -160,13 +162,47 @@ fn prepared_artifact_round_trips_to_identical_scores() {
     assert_eq!(direct.train_report, reloaded.train_report);
 }
 
+/// The owned-`Vec` scorer the streamed arena scorer is pinned to: every
+/// candidate link's target subgraph materialised up front as an owned
+/// [`GraphSample`] and scored in one [`Dgcnn::predict_batch`] call.
+fn owned_vec_scores(trained: &Trained) -> Vec<(f64, f64)> {
+    let links: Vec<_> = trained
+        .design
+        .muxes
+        .iter()
+        .flat_map(|m| [m.link0(), m.link1()])
+        .collect();
+    let ds_cfg = DatasetConfig {
+        h: trained.cfg.h,
+        max_subgraph_nodes: trained.cfg.max_subgraph_nodes,
+        ..DatasetConfig::default()
+    };
+    let samples: Vec<GraphSample> = target_subgraphs(&trained.design.graph, &links, &ds_cfg)
+        .iter()
+        .map(|sg| to_graph_sample(sg, trained.max_label, None))
+        .collect();
+    trained
+        .model
+        .predict_batch(&samples)
+        .chunks_exact(2)
+        .map(|p| (f64::from(p[0]), f64::from(p[1])))
+        .collect()
+}
+
+fn score_bits(scores: &[(f64, f64)]) -> Vec<(u64, u64)> {
+    scores
+        .iter()
+        .map(|(a, b)| (a.to_bits(), b.to_bits()))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
-    /// End-to-end: the streamed arena pipeline (`sample_chunk > 0`) must
-    /// recover the same bits as the all-resident configuration
-    /// (`sample_chunk = 0`), across random designs/seeds and at 1 and 4
-    /// threads.
+    /// End-to-end: training and the streamed arena scorer must give the
+    /// same bits at every chunk size (`0` = one chunk holding every
+    /// link) and at 1 and 4 threads, and the scores must equal the
+    /// owned-`Vec` scorer's, across random designs and seeds.
     #[test]
     fn attack_is_chunk_and_thread_invariant(seed in 0u64..1000) {
         let design =
@@ -176,26 +212,32 @@ proptest! {
         let mut base = MuxLinkConfig::quick().with_seed(seed);
         base.max_train_links = 250;
         base.epochs = 4;
-
-        let mut all_resident = base.clone().with_threads(1);
-        all_resident.sample_chunk = 0;
-        let reference = score_design(&locked.netlist, &names, &all_resident).unwrap();
-
-        for (chunk, threads) in [(7usize, 1usize), (64, 1), (64, 4)] {
+        let train_at = |chunk: usize, threads: usize| {
             let cfg = base.clone().with_threads(threads).with_sample_chunk(chunk);
-            let streamed = score_design(&locked.netlist, &names, &cfg).unwrap();
+            AttackSession::new(&locked.netlist, &names, cfg)
+                .extract()
+                .and_then(|x| x.prepare(&NoProgress))
+                .and_then(|p| p.train(&NoProgress))
+                .expect("attack trains")
+        };
+
+        let reference = train_at(0, 1);
+        let want = score_bits(&owned_vec_scores(&reference));
+        for (chunk, threads) in [(0usize, 1usize), (7, 1), (64, 1), (64, 4)] {
+            let trained = if (chunk, threads) == (0, 1) {
+                reference.clone()
+            } else {
+                train_at(chunk, threads)
+            };
             assert_eq!(
-                reference.scores, streamed.scores,
-                "chunk {chunk} threads {threads}: scores diverged"
-            );
-            assert_eq!(
-                reference.train_report, streamed.train_report,
+                reference.report, trained.report,
                 "chunk {chunk} threads {threads}: training diverged"
             );
+            let scored = trained.score(&NoProgress).expect("scores");
             assert_eq!(
-                reference.recover_key(base.th),
-                streamed.recover_key(base.th),
-                "chunk {chunk} threads {threads}: key diverged"
+                want,
+                score_bits(&scored.scores),
+                "chunk {chunk} threads {threads}: scores diverged from the owned-Vec scorer"
             );
         }
     }

@@ -1,12 +1,11 @@
-//! Cross-crate contract of the epoch-invariant layer-0 plans (PR 8):
-//! the batched trainer consuming the arena's cached `S·X` sparse plans
-//! must be **bitwise identical** to the histogram-rebuild reference it
-//! replaces — per step, per run, per recovered key — across batch
+//! Cross-crate contract of the epoch-invariant layer-0 plans: the
+//! batched trainer consuming the arena's cached `S·X` sparse plans must
+//! be **bitwise identical** to the histogram-rebuild path it takes on a
+//! plan-less store ([`NoPlans`]) — per step and per run — across batch
 //! sizes, thread pools and dirty reused workspaces.
 
 use std::sync::OnceLock;
 
-use muxlink_core::{attack, MuxLinkConfig};
 use muxlink_gnn::matrix::seeded_rng;
 use muxlink_gnn::{
     train, ArenaSamples, BatchWorkspace, Dgcnn, DgcnnConfig, Gradients, Minibatch, SampleStore,
@@ -14,6 +13,7 @@ use muxlink_gnn::{
 };
 use muxlink_graph::dataset::{build_dataset_arena, ArenaDataset, DatasetConfig};
 use muxlink_graph::extract;
+use muxlink_integration_tests::NoPlans;
 use muxlink_locking::{dmux, LockOptions};
 use proptest::prelude::*;
 use rand::Rng;
@@ -57,19 +57,24 @@ fn grad_bits(g: &Gradients) -> Vec<u32> {
         .collect()
 }
 
-fn train_arena(batch_size: usize, layer0_rebuild: bool) -> (TrainReport, String) {
+/// Trains on the shared arena dataset, through its cached plans or —
+/// with `rebuild` — through [`NoPlans`], which hides them.
+fn train_arena(batch_size: usize, rebuild: bool) -> (TrainReport, String) {
     let ds = dataset();
     let cfg = TrainConfig {
         epochs: 3,
         batch_size,
-        layer0_rebuild,
         ..TrainConfig::default()
     };
     let input_dim = muxlink_graph::features::feature_cols(ds.max_label);
     let mut model = Dgcnn::new(DgcnnConfig::paper(input_dim, 10));
     let tr = ArenaSamples::select(&ds.arena, &ds.train, ds.max_label);
     let va = ArenaSamples::select(&ds.arena, &ds.val, ds.max_label);
-    let report = train(&mut model, &tr, &va, &cfg);
+    let report = if rebuild {
+        train(&mut model, &NoPlans(&tr), &va, &cfg)
+    } else {
+        train(&mut model, &tr, &va, &cfg)
+    };
     (report, model_bits(&model))
 }
 
@@ -103,25 +108,6 @@ fn cached_plans_match_rebuild_at_two_threads() {
     }
 }
 
-/// End to end: the recovered key must be identical with and without the
-/// cached plans — nothing downstream can tell the difference.
-#[test]
-fn full_attack_recovers_identical_key_with_cached_plans() {
-    let design = muxlink_benchgen::synth::SynthConfig::new("l0pk", 14, 6, 260).generate(11);
-    let locked = dmux::lock(&design, &LockOptions::new(8, 3)).unwrap();
-    let run = |layer0_rebuild: bool| {
-        let mut cfg = MuxLinkConfig::quick().with_seed(4).with_threads(1);
-        cfg.layer0_rebuild = layer0_rebuild;
-        attack(&locked.netlist, &locked.key_input_names(), &cfg).expect("attack runs")
-    };
-    let cached = run(false);
-    let rebuild = run(true);
-    assert_eq!(
-        cached.guess, rebuild.guess,
-        "recovered key must not depend on the layer-0 path"
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -151,8 +137,8 @@ proptest! {
             let mut ws = BatchWorkspace::new();
             // Rebuild reference first — it also dirties the buffers the
             // cached passes then reuse.
-            mb.assemble_with(&store, &jobs, false);
-            assert!(mb.plan().is_none(), "plans must be absent when disabled");
+            mb.assemble(&NoPlans(&store), &jobs);
+            assert!(mb.plan().is_none(), "NoPlans must hide the cached plans");
             let mut want = model.new_gradients();
             model.batch_train_step(&mb, &mut ws, &mut want);
             let want_losses: Vec<u64> = ws.losses.iter().map(|l| l.to_bits()).collect();
