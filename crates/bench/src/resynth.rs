@@ -269,6 +269,57 @@ pub fn fig7_config() -> MuxLinkConfig {
 mod tests {
     use super::*;
 
+    /// fig7's per-MUX likelihoods `(l0, l1)` as `f64` bit patterns, in
+    /// `extracted.muxes` order.
+    const FIG7_GOLDEN_SCORES: [(u64, u64); 16] = [
+        (0x3fdb58e900000000, 0x3fce970640000000),
+        (0x3fc58b9ce0000000, 0x3fba6b5700000000),
+        (0x3f9422c600000000, 0x3ff0000000000000),
+        (0x3fe802b940000000, 0x3fe31b5040000000),
+        (0x3f6ab4c740000000, 0x3feffeed40000000),
+        (0x3fb2a81920000000, 0x3fefffffc0000000),
+        (0x3fedfe0980000000, 0x3feda4aea0000000),
+        (0x3fe68b8b60000000, 0x3feb63c880000000),
+        (0x3f1fe3be40000000, 0x3feffff000000000),
+        (0x3fefc04920000000, 0x3fe213d900000000),
+        (0x3fefc5e580000000, 0x3fd8e3b1e0000000),
+        (0x3fc1d2dc80000000, 0x3fb8f03860000000),
+        (0x3fd76871c0000000, 0x3fa04ba660000000),
+        (0x3fc0e72c80000000, 0x3feffda5e0000000),
+        (0x3f8c3f5ec0000000, 0x3feffb8960000000),
+        (0x3fbd798880000000, 0x3fefffffc0000000),
+    ];
+
+    /// Pins all 32 fig7 per-MUX scores (16 MUXes × `(l0, l1)`) bit for
+    /// bit, plus the recovered key `0110110110000111` with all 16 bits
+    /// decided, so any numerics or platform drift fails here by name.
+    /// Trains the full quick-profile fig7 model, so it is `#[ignore]`d in
+    /// the default suite and run by name in release.
+    ///
+    /// `tanh` is the in-repo port, but the softmax and the loss still take
+    /// `expf`/`logf` from the host libm, so these bits are pinned to it.
+    #[test]
+    #[ignore = "trains the fig7 model; run by name in release"]
+    fn fig7_scores_match_golden_bits() {
+        let locked = fig7_workload();
+        let cfg = fig7_config();
+        let names = key_input_names(&locked.netlist);
+        let scored = AttackSession::new(&locked.netlist, &names, cfg.clone())
+            .run(&NoProgress)
+            .expect("fig7 attack runs");
+        let bits: Vec<(u64, u64)> = scored
+            .scores
+            .iter()
+            .map(|&(l0, l1)| (l0.to_bits(), l1.to_bits()))
+            .collect();
+        assert_eq!(bits, FIG7_GOLDEN_SCORES);
+        let key = scored.recover_key(cfg.th);
+        assert_eq!(key.len(), 16);
+        assert!(key.iter().all(|b| b.as_bool().is_some()), "16/16 decided");
+        let key: String = key.iter().map(ToString::to_string).collect();
+        assert_eq!(key, "0110110110000111");
+    }
+
     #[test]
     fn levels_are_well_formed() {
         let levels = default_levels();
