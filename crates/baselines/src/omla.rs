@@ -213,19 +213,23 @@ pub fn omla_attack(
     };
     muxlink_gnn::train(&mut model, &train_samples, &val, &train_cfg);
 
-    // 3. Classify the target key gates.
+    // 3. Classify the target key gates, scored in one batch.
+    let (targets, bits): (Vec<GraphSample>, Vec<usize>) = subgraphs
+        .iter()
+        .filter(|(_, bit)| *bit < target_count)
+        .map(|(sg, bit)| {
+            let sample = GraphSample {
+                adj: sg.adj.clone(),
+                features: NodeFeatures::OneHot(one_hot_features(sg, max_label)),
+                label: None,
+            };
+            (sample, *bit)
+        })
+        .unzip();
     let mut out = vec![KeyValue::X; target_count];
-    for (sg, bit) in &subgraphs {
-        if *bit >= target_count {
-            continue;
-        }
-        let sample = GraphSample {
-            adj: sg.adj.clone(),
-            features: NodeFeatures::OneHot(one_hot_features(sg, max_label)),
-            label: None,
-        };
-        let p = f64::from(model.predict(&sample));
-        out[*bit] = if (p - 0.5).abs() < cfg.margin {
+    for (p, bit) in model.predict_batch(&targets).into_iter().zip(bits) {
+        let p = f64::from(p);
+        out[bit] = if (p - 0.5).abs() < cfg.margin {
             KeyValue::X
         } else {
             KeyValue::from_bool(p > 0.5)

@@ -14,10 +14,13 @@ use muxlink_gnn::sample::{
     onehot_propagate_t_matmul_rows_into, onehot_scatter_add, plan_matmul_into,
     plan_t_matmul_rows_into, propagate_back_into, propagate_into, GraphSample, OneHotSpmmScratch,
 };
-use muxlink_gnn::{Csr, Dgcnn, DgcnnConfig, Layer0PlanView, Matrix, OneHotFeatures, Workspace};
+use muxlink_gnn::{
+    BatchWorkspace, Csr, Dgcnn, DgcnnConfig, Layer0PlanView, Matrix, Minibatch, OneHotFeatures,
+};
 use muxlink_graph::dataset::DatasetConfig;
 use muxlink_graph::subgraph::enclosing_subgraph_ref;
 use muxlink_graph::{build_dataset, extract};
+use muxlink_integration_tests::reference::{Reference, Workspace};
 use muxlink_locking::{dmux, symmetric, LockOptions};
 use muxlink_netlist::sim::Simulator;
 
@@ -85,13 +88,19 @@ fn bench_gnn(c: &mut Criterion) {
         features: Matrix::glorot(n, 24, &mut rng).into(),
         label: Some(true),
     };
+    let one = std::slice::from_ref(&sample);
     c.bench_function("dgcnn_forward", |b| {
-        b.iter(|| model.forward(&sample, None));
+        b.iter(|| model.predict_batch(one));
     });
+    let (mut mb, mut ws, mut grads) = (
+        Minibatch::new(),
+        BatchWorkspace::new(),
+        model.new_gradients(),
+    );
     c.bench_function("dgcnn_forward_backward", |b| {
         b.iter(|| {
-            let cache = model.forward(&sample, None);
-            model.backward(&sample, &cache, true)
+            mb.assemble(one, &[(0, 7)]);
+            model.batch_train_step(&mb, &mut ws, &mut grads);
         });
     });
 }
@@ -220,26 +229,23 @@ fn bench_subgraph_extract(c: &mut Criterion) {
 }
 
 /// Whole-sample forward (and forward+backward) at realistic
-/// enclosing-subgraph sizes: the allocating path vs. the reused
-/// per-worker workspace path the trainer and scorer run.
+/// enclosing-subgraph sizes through the production entry points: the
+/// scorer (`predict_batch` on one sample) and one training step on a
+/// one-sample minibatch (assembly included).
 fn bench_forward_sizes(c: &mut Criterion) {
     let model = Dgcnn::new(DgcnnConfig::paper(24, 30));
     let mut group = c.benchmark_group("dgcnn_sample");
     for n in [30usize, 100, 300] {
-        let s = subgraph_sample(n, 24, n as u64);
-        group.bench_with_input(BenchmarkId::new("forward_alloc", n), &n, |b, _| {
-            b.iter(|| model.forward(&s, None));
+        let s = [subgraph_sample(n, 24, n as u64)];
+        group.bench_with_input(BenchmarkId::new("predict_batch", n), &n, |b, _| {
+            b.iter(|| model.predict_batch(&s[..]));
         });
-        let mut ws = Workspace::new();
-        group.bench_with_input(BenchmarkId::new("forward_ws", n), &n, |b, _| {
-            b.iter(|| model.predict_into(&s, &mut ws));
-        });
-        let mut ws2 = Workspace::new();
+        let (mut mb, mut ws) = (Minibatch::new(), BatchWorkspace::new());
         let mut grads = model.new_gradients();
-        group.bench_with_input(BenchmarkId::new("fwd_bwd_ws", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("batch_train_step", n), &n, |b, _| {
             b.iter(|| {
-                model.forward_into(&s, None, &mut ws2);
-                model.backward_into(&s, true, &mut ws2, &mut grads);
+                mb.assemble(&s[..], &[(0, 7)]);
+                model.batch_train_step(&mb, &mut ws, &mut grads);
             });
         });
     }
@@ -344,11 +350,11 @@ fn bench_dataset_residency(c: &mut Criterion) {
 
 /// The PR 6 tentpole: one fused propagate+GEMM per layer per minibatch
 /// over a block-diagonal CSR vs the per-sample reference loop (forward,
-/// backward and gradient merge per sample), at realistic subgraph sizes
-/// and the trainer's batch sizes. Both paths produce identical bits
-/// (property-tested); this group records the dispatch-overhead win.
+/// backward and gradient merge per sample, the test-support oracle
+/// model), at realistic subgraph sizes and the trainer's batch sizes.
+/// Both paths produce identical bits (property-tested); this group
+/// records the dispatch-overhead win.
 fn bench_batched_layer(c: &mut Criterion) {
-    use muxlink_gnn::{BatchWorkspace, Minibatch};
     let model = Dgcnn::new(DgcnnConfig::paper(24, 30));
     let mut group = c.benchmark_group("batched_layer");
     for batch in [8usize, 32] {
@@ -359,6 +365,7 @@ fn bench_batched_layer(c: &mut Criterion) {
             let jobs: Vec<(usize, u64)> = (0..batch).map(|i| (i, i as u64 * 31 + 7)).collect();
             let id = format!("b{batch}_n{n}");
 
+            let reference = Reference::new(&model);
             let mut ws = Workspace::new();
             let mut acc = model.new_gradients();
             let mut slot = model.new_gradients();
@@ -367,8 +374,8 @@ fn bench_batched_layer(c: &mut Criterion) {
                     for (s, &(i, seed)) in jobs.iter().enumerate() {
                         let v = samples[i].view();
                         let mut rng = muxlink_gnn::matrix::seeded_rng(seed);
-                        model.forward_into(v, Some(&mut rng), &mut ws);
-                        model.backward_into(v, true, &mut ws, &mut slot);
+                        reference.forward_into(v, Some(&mut rng), &mut ws);
+                        reference.backward_into(v, true, &mut ws, &mut slot);
                         if s == 0 {
                             acc.copy_from(&slot);
                         } else {

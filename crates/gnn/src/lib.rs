@@ -20,21 +20,24 @@
 //!   host C library) and its branch-free vectorised slice kernel.
 //! * [`Dgcnn`] — the full model (graph convolutions, SortPooling, 1-D
 //!   convolutions, dense head) with hand-written backprop.
-//! * [`Workspace`] — reusable per-thread scratch for the zero-allocation
-//!   `forward_into`/`backward_into`/`predict_into` variants.
 //! * [`SampleStore`] + [`SampleView`] — the storage abstraction: the
 //!   trainer, evaluator and batch scorer read samples as borrowed views,
 //!   so owned [`GraphSample`]s and arena-pooled samples
 //!   ([`ArenaSamples`] over a [`SampleArena`]) run the same kernels on
 //!   the same values, bit for bit.
 //! * [`Minibatch`] + [`Dgcnn::batch_train_step`] — the block-diagonal
-//!   batched training step: one fused kernel per layer per minibatch,
-//!   reading a store's cached layer-0 plans when every sample has one
-//!   and rebuilding them from the two-hot histograms otherwise.
+//!   batched forward and backward: one fused kernel per layer per
+//!   minibatch, reading a store's cached layer-0 plans when every sample
+//!   has one and rebuilding them from the two-hot histograms otherwise.
+//!   It is the model's only forward: [`Dgcnn::predict_batch`] and
+//!   [`evaluate`] run it without dropout over fixed-size chunks.
 //! * [`trainer::train`] — Adam minibatch loop with best-on-validation
-//!   selection. It has one batch body, the batched step; the per-sample
-//!   loop it is pinned to bit for bit is `reference_train` in the
-//!   integration-test support crate.
+//!   selection, one batched step per minibatch.
+//!
+//! The per-sample model the batched passes are pinned to bit for bit
+//! (forward, backward, validation and the training loop) lives in the
+//! integration-test support crate as an executable specification, not
+//! in this crate.
 //!
 //! # Example
 //!
@@ -47,8 +50,8 @@
 //!     features: Matrix::zeros(2, 9).into(),
 //!     label: None,
 //! };
-//! let p = model.predict(&sample);
-//! assert!((0.0..=1.0).contains(&p));
+//! let p = model.predict_batch(&[sample][..]);
+//! assert!((0.0..=1.0).contains(&p[0]));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -61,10 +64,9 @@ pub mod matrix;
 pub mod param;
 pub mod sample;
 pub mod trainer;
-pub mod workspace;
 
 pub use batch::{BatchWorkspace, Minibatch};
-pub use dgcnn::{Cache, Dgcnn, DgcnnConfig};
+pub use dgcnn::{Dgcnn, DgcnnConfig};
 pub use matrix::Matrix;
 pub use muxlink_graph::{
     Csr, CsrView, Layer0PlanView, OneHotFeatures, OneHotView, SampleArena, SampleHandle,
@@ -75,4 +77,3 @@ pub use trainer::{
     evaluate, train, train_controlled, train_controlled_timed, EpochStats, TrainCancelled,
     TrainConfig, TrainControl, TrainPhases, TrainReport,
 };
-pub use workspace::Workspace;

@@ -1,10 +1,9 @@
 //! Trainable parameters (with Adam state) and detached gradient objects.
 //!
 //! Gradients live *outside* the parameters: the backward pass is a pure
-//! `&self` function returning a [`Gradients`] object per sample, so
-//! minibatch members can be differentiated on different threads and
-//! reduced deterministically afterwards (fixed fold order — results are
-//! bit-identical for any thread count).
+//! `&self` function writing a [`Gradients`] object (the minibatch sum,
+//! reduced in a fixed sample order), which the optimiser step then
+//! applies — results are bit-identical for any thread count.
 
 use serde::{Deserialize, Serialize};
 
@@ -66,8 +65,8 @@ impl Param {
 }
 
 /// Gradients for every parameter of a model, in the model's canonical
-/// parameter order. Produced per sample by the backward pass; reduced
-/// over a minibatch with [`Gradients::merge`].
+/// parameter order. Produced by the backward pass; per-sample gradient
+/// objects reduce over a minibatch with [`Gradients::merge`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Gradients {
     tensors: Vec<Matrix>,
@@ -86,8 +85,9 @@ impl Gradients {
         &self.tensors
     }
 
-    /// Mutable view of the gradient tensors (canonical order) — the
-    /// write target of `Dgcnn::backward_into`.
+    /// Mutable view of the gradient tensors (canonical order, see
+    /// [`crate::Dgcnn::snapshot`]) — the write target of
+    /// [`crate::Dgcnn::batch_train_step`].
     pub fn tensors_mut(&mut self) -> &mut [Matrix] {
         &mut self.tensors
     }

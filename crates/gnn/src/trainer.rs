@@ -11,17 +11,17 @@
 //! kernel over the whole batch. The step is sequential and reduces
 //! gradients in sample order internally, and dropout seeds are drawn
 //! sequentially from the training RNG, so the result is bit-identical
-//! for any thread count. Its executable specification is
+//! for any thread count. Validation ([`evaluate`]) runs the same batched
+//! forward without dropout. The executable specification of the loop is
 //! `reference_train` in the integration-test support crate
 //! (`tests/src/lib.rs`): the per-sample forward/backward loop with
-//! gradients merged in sample order, which the property suite pins this
-//! loop to bit for bit.
+//! gradients merged in sample order and per-sample validation, which
+//! the property suite pins this loop to bit for bit.
 
 use std::time::{Duration, Instant};
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::batch::{BatchWorkspace, Minibatch};
@@ -29,7 +29,6 @@ use crate::dgcnn::Dgcnn;
 use crate::matrix::seeded_rng;
 use crate::param::AdamConfig;
 use crate::sample::SampleStore;
-use crate::workspace::Workspace;
 
 /// Training-loop hyper-parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -139,30 +138,24 @@ impl std::error::Error for TrainCancelled {}
 /// [`SampleStore`] — owned slices/`Vec`s or arena-backed stores.
 #[must_use]
 pub fn evaluate<S: SampleStore + ?Sized>(model: &Dgcnn, samples: &S) -> (f64, f64) {
-    // Parallel forward passes (one reused workspace per worker); the
-    // reduction below runs in sample order, so the reported loss is
-    // independent of the thread count.
-    let ck = model.conv_kernels();
-    let idx: Vec<usize> = (0..samples.len()).collect();
-    let per_sample: Vec<Option<(f64, bool)>> = idx
-        .par_iter()
-        .map_init(Workspace::new, |ws, &i| {
-            let s = samples.view(i);
-            s.label.map(|label| {
-                model.forward_cache(s, None, &ck, &mut ws.cache);
-                let hit = (ws.cache.link_probability() >= 0.5) == label;
-                (f64::from(ws.cache.loss(label)), hit)
-            })
-        })
+    // Batched forward passes over the labelled samples on the ambient
+    // pool; the reduction below runs in sample order, so the reported
+    // loss is independent of the thread count.
+    let labelled: Vec<usize> = (0..samples.len())
+        .filter(|&i| samples.view(i).label.is_some())
         .collect();
+    let per_sample: Vec<(f64, bool)> = model.infer(samples, &labelled, |i, probs| {
+        let label = samples.view(i).label == Some(true);
+        let p = probs[usize::from(label)].max(1e-12);
+        (f64::from(-p.ln()), (probs[1] >= 0.5) == label)
+    });
     let mut loss = 0.0;
     let mut correct = 0usize;
-    let mut count = 0usize;
-    for (l, hit) in per_sample.into_iter().flatten() {
+    for &(l, hit) in &per_sample {
         loss += l;
         correct += usize::from(hit);
-        count += 1;
     }
+    let count = per_sample.len();
     if count == 0 {
         (f64::NAN, f64::NAN)
     } else {
@@ -448,7 +441,7 @@ mod tests {
         let r1 = train(&mut m1, &data[..16], &data[16..], &cfg);
         let r2 = train(&mut m2, &data[..16], &data[16..], &cfg);
         assert_eq!(r1, r2);
-        assert_eq!(m1.predict(&data[0]), m2.predict(&data[0]));
+        assert_eq!(m1.predict_batch(&data[..1]), m2.predict_batch(&data[..1]));
     }
 
     #[test]
@@ -467,7 +460,7 @@ mod tests {
             pool.install(|| {
                 let mut m = Dgcnn::new(toy_cfg());
                 let r = train(&mut m, &data[..20], &data[20..], &cfg);
-                (r, m.predict(&data[0]))
+                (r, m.predict_batch(&data[..1]))
             })
         };
         let (r1, p1) = run(1);
@@ -511,7 +504,10 @@ mod tests {
             train_controlled(&mut observed, &data[..16], &data[16..], &cfg, &counter).unwrap();
         assert_eq!(counter.0.load(Ordering::SeqCst), 4, "one hook per epoch");
         assert_eq!(r_plain, r_obs, "observation must not perturb training");
-        assert_eq!(plain.predict(&data[0]), observed.predict(&data[0]));
+        assert_eq!(
+            plain.predict_batch(&data[..1]),
+            observed.predict_batch(&data[..1])
+        );
     }
 
     #[test]

@@ -1,18 +1,25 @@
 //! Shared helpers for the integration tests in `tests/tests/`, including
-//! the executable specifications the production trainer is pinned to:
-//! [`reference_train`] (the per-sample training loop) and [`NoPlans`]
-//! (the histogram-rebuild layer 0).
+//! the executable specifications the production model is pinned to:
+//! the per-sample DGCNN ([`mod@reference`]: forward, backward,
+//! [`reference_predict`], [`reference_evaluate`]), [`reference_train`]
+//! (the per-sample training loop) and [`NoPlans`] (the histogram-rebuild
+//! layer 0).
+
+pub mod reference;
+
+pub use reference::{reference_evaluate, reference_predict};
 
 use muxlink_gnn::matrix::seeded_rng;
 use muxlink_gnn::{
-    evaluate, Dgcnn, EpochStats, Gradients, Layer0PlanView, Matrix, SampleStore, SampleView,
-    TrainConfig, TrainReport, Workspace,
+    Dgcnn, EpochStats, Gradients, Layer0PlanView, Matrix, SampleStore, SampleView, TrainConfig,
+    TrainReport,
 };
 use muxlink_netlist::sim::{exhaustive_equiv, random_patterns, Simulator};
 use muxlink_netlist::{Netlist, NetlistError};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rayon::prelude::*;
+use reference::{Reference, Workspace};
 
 /// A mid-sized reconvergent test design, deterministic in `seed`.
 pub fn test_design(gates: usize, seed: u64) -> Netlist {
@@ -100,13 +107,16 @@ pub fn assert_po_equivalent(a: &Netlist, b: &Netlist, label: &str) {
 /// best epoch and every weight.
 ///
 /// The epoch loop is the production one (shuffle, sequential dropout
-/// seed draws, [`evaluate`], best-epoch restore); only the batch body
-/// differs. Each minibatch member's forward/backward runs on the ambient
-/// rayon pool, one reused [`Workspace`] per worker, writing its
+/// seed draws, validation, best-epoch restore); the batch body and the
+/// validation pass are the per-sample [`mod@reference`] model's. Each
+/// minibatch member's forward/backward runs on the ambient rayon pool,
+/// one reused [`reference::Workspace`] per worker, writing its
 /// [`Gradients`] into a pre-sized slot of a batch-wide pool. The slots
 /// are then merged **in sample order** — keeping one slot per sample
 /// rather than merging inside the workers is what fixes the reduction
 /// order — so the result is bit-identical for any thread count.
+/// Validation is [`reference_evaluate`], so equal reports also pin the
+/// batched [`muxlink_gnn::evaluate`].
 ///
 /// # Panics
 ///
@@ -145,7 +155,8 @@ pub fn reference_train<S: SampleStore + ?Sized, V: SampleStore + ?Sized>(
             }
             // Per-sample forward/backward in parallel against frozen
             // weights; `collect` preserves job order.
-            let frozen: &Dgcnn = model;
+            let frozen = Reference::new(model);
+            let frozen = &frozen;
             let losses: Vec<f64> = grad_slots[..jobs.len()]
                 .par_iter_mut()
                 .zip(jobs.par_iter())
@@ -176,7 +187,7 @@ pub fn reference_train<S: SampleStore + ?Sized, V: SampleStore + ?Sized>(
         } else {
             epoch_loss / seen as f64
         };
-        let (val_loss, val_accuracy) = evaluate(model, val);
+        let (val_loss, val_accuracy) = reference_evaluate(model, val);
         history.push(EpochStats {
             epoch,
             train_loss,

@@ -6,7 +6,7 @@
 
 use muxlink_core::scoring::to_graph_sample;
 use muxlink_core::{AttackSession, MuxLinkConfig, NoProgress, Prepared, Trained};
-use muxlink_gnn::{train, ArenaSamples, Dgcnn, DgcnnConfig, GraphSample, SampleStore, TrainConfig};
+use muxlink_gnn::{train, ArenaSamples, Dgcnn, DgcnnConfig, GraphSample, TrainConfig};
 use muxlink_graph::dataset::{
     build_dataset, build_dataset_arena, target_subgraphs, DatasetConfig, LinkSample,
 };
@@ -65,7 +65,7 @@ fn arena_training_is_bitwise_identical_to_owned_at_1_and_4_threads() {
         pool(threads).install(|| {
             let mut m = model();
             let r = train(&mut m, &otrain, &oval, &tcfg);
-            (r, m.predict(&otrain[0]))
+            (r, m.predict_batch(&otrain[..1])[0])
         })
     };
     let run_arena = |threads: usize| {
@@ -74,7 +74,8 @@ fn arena_training_is_bitwise_identical_to_owned_at_1_and_4_threads() {
             let tr = ArenaSamples::select(&pooled.arena, &pooled.train, max_label);
             let va = ArenaSamples::select(&pooled.arena, &pooled.val, max_label);
             let r = train(&mut m, &tr, &va, &tcfg);
-            (r, m.predict(tr.view(0)))
+            let first = ArenaSamples::select(&pooled.arena, &pooled.train[..1], max_label);
+            (r, m.predict_batch(&first)[0])
         })
     };
 

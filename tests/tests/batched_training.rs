@@ -10,10 +10,11 @@ use muxlink_core::scoring::to_graph_sample;
 use muxlink_gnn::matrix::seeded_rng;
 use muxlink_gnn::{
     train, AdamConfig, ArenaSamples, BatchWorkspace, Dgcnn, DgcnnConfig, Gradients, GraphSample,
-    Matrix, Minibatch, TrainConfig, TrainReport, Workspace,
+    Matrix, Minibatch, OneHotFeatures, TrainConfig, TrainReport,
 };
 use muxlink_graph::dataset::{build_dataset, build_dataset_arena, DatasetConfig, LinkSample};
-use muxlink_graph::extract;
+use muxlink_graph::{extract, Csr};
+use muxlink_integration_tests::reference::{Reference, Workspace};
 use muxlink_integration_tests::reference_train;
 use muxlink_locking::{dmux, LockOptions};
 use proptest::prelude::*;
@@ -305,12 +306,14 @@ fn drawn_cfg(rng: &mut impl Rng) -> DgcnnConfig {
 }
 
 /// Exactly the gradient accumulation of `reference_train`: per-sample
-/// forward/backward, first slot copied, later slots merged.
+/// forward/backward through a reused workspace, first slot copied,
+/// later slots merged.
 fn reference_step(
     model: &Dgcnn,
     samples: &[GraphSample],
     jobs: &[(usize, u64)],
 ) -> (Gradients, Vec<f64>) {
+    let r = Reference::new(model);
     let mut ws = Workspace::new();
     let mut acc = model.new_gradients();
     let mut slot = model.new_gradients();
@@ -319,8 +322,8 @@ fn reference_step(
         let v = samples[i].view();
         let label = v.label.unwrap();
         let mut rng = seeded_rng(seed);
-        model.forward_into(v, Some(&mut rng), &mut ws);
-        model.backward_into(v, label, &mut ws, &mut slot);
+        r.forward_into(v, Some(&mut rng), &mut ws);
+        r.backward_into(v, label, &mut ws, &mut slot);
         losses.push(f64::from(ws.cache.loss(label)));
         if s == 0 {
             acc.copy_from(&slot);
@@ -372,5 +375,156 @@ proptest! {
             let want: Vec<u64> = want_losses.iter().map(|l| l.to_bits()).collect();
             prop_assert_eq!(got, want);
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Fixed cases: one batched step vs the per-sample reference loop, on
+// three small graph shapes (one with an isolated node) and a 3-layer GC
+// stack with dropout.
+// ---------------------------------------------------------------------
+
+fn tiny_cfg(input_dim: usize) -> DgcnnConfig {
+    DgcnnConfig {
+        input_dim,
+        gc_channels: vec![3, 2, 1],
+        conv1_channels: 2,
+        conv2_channels: 2,
+        conv2_kernel: 2,
+        dense_dim: 4,
+        dropout: 0.5,
+        k: 4,
+        seed: 3,
+    }
+}
+
+fn adj_for(seed: u64) -> Csr {
+    match seed % 3 {
+        0 => Csr::from_lists(&[vec![1, 2], vec![0, 3], vec![0], vec![1, 4], vec![3]]),
+        1 => Csr::from_lists(&[vec![1], vec![0, 2], vec![1]]),
+        _ => Csr::from_lists(&[vec![1], vec![0], vec![3], vec![2], vec![]]),
+    }
+}
+
+fn dense_sample(seed: u64) -> GraphSample {
+    let adj = adj_for(seed);
+    let n = adj.node_count();
+    let mut rng = seeded_rng(seed);
+    GraphSample {
+        features: Matrix::glorot(n, 5, &mut rng).into(),
+        adj,
+        label: Some(seed.is_multiple_of(2)),
+    }
+}
+
+fn onehot_sample(seed: u64) -> GraphSample {
+    let adj = adj_for(seed);
+    let n = adj.node_count();
+    let gate = (0..n).map(|i| (i as u32 + seed as u32) % 8).collect();
+    let label = (0..n).map(|i| (i as u32 ^ seed as u32) % 3).collect();
+    GraphSample {
+        adj,
+        features: OneHotFeatures::new(11, gate, label).into(),
+        label: Some(seed.is_multiple_of(2)),
+    }
+}
+
+fn assert_step_matches(model: &Dgcnn, samples: &[GraphSample], jobs: &[(usize, u64)]) {
+    let (want_grads, want_losses) = reference_step(model, samples, jobs);
+    let mut mb = Minibatch::new();
+    let mut ws = BatchWorkspace::new();
+    let mut grads = model.new_gradients();
+    // Two passes through the same dirty buffers: reuse must not
+    // change a bit.
+    for _ in 0..2 {
+        mb.assemble(samples, jobs);
+        model.batch_train_step(&mb, &mut ws, &mut grads);
+        assert_eq!(grads, want_grads, "gradients diverged from reference");
+        assert_eq!(ws.losses, want_losses, "losses diverged from reference");
+    }
+}
+
+#[test]
+fn batched_step_matches_reference_dense() {
+    let model = Dgcnn::new(tiny_cfg(5));
+    let samples: Vec<GraphSample> = (0..5).map(dense_sample).collect();
+    let jobs: Vec<(usize, u64)> = (0..5).map(|i| (i, 1000 + i as u64)).collect();
+    assert_step_matches(&model, &samples, &jobs);
+}
+
+#[test]
+fn batched_step_matches_reference_onehot() {
+    let model = Dgcnn::new(tiny_cfg(11));
+    let samples: Vec<GraphSample> = (0..6).map(onehot_sample).collect();
+    let jobs: Vec<(usize, u64)> = (0..6).map(|i| (i, 77 + 3 * i as u64)).collect();
+    assert_step_matches(&model, &samples, &jobs);
+}
+
+#[test]
+fn batch_of_one_matches_reference() {
+    let model = Dgcnn::new(tiny_cfg(11));
+    let samples: Vec<GraphSample> = (0..2).map(onehot_sample).collect();
+    assert_step_matches(&model, &samples, &[(1, 42)]);
+}
+
+#[test]
+fn repeated_and_reordered_samples_match_reference() {
+    let model = Dgcnn::new(tiny_cfg(5));
+    let samples: Vec<GraphSample> = (0..4).map(dense_sample).collect();
+    let jobs = [(3, 9u64), (0, 4), (3, 12), (2, 1)];
+    assert_step_matches(&model, &samples, &jobs);
+}
+
+// ---------------------------------------------------------------------
+// The reference model's own buffer-reuse contract: its `_into`
+// variants over one reused workspace give the allocating passes' bits.
+// ---------------------------------------------------------------------
+
+#[test]
+fn reference_workspace_variants_are_bit_identical() {
+    let model = Reference::new(&Dgcnn::new(tiny_cfg(5)));
+    let mut ws = Workspace::new();
+    // Stream several samples of different sizes through one reused
+    // workspace; every prediction must match the allocating path.
+    for seed in [1u64, 2, 9, 5, 1] {
+        let s = dense_sample(seed);
+        assert_eq!(model.predict_into(&s, &mut ws), model.predict(&s));
+    }
+    // And the gradients must match too, including dropout streams.
+    let s = dense_sample(4);
+    let mut rng1 = seeded_rng(42);
+    let mut rng2 = seeded_rng(42);
+    let cache = model.forward(&s, Some(&mut rng1));
+    let fresh = model.backward(&s, &cache, true);
+    model.forward_into(&s, Some(&mut rng2), &mut ws);
+    assert_eq!(ws.cache.probs, cache.probs);
+    let mut reused = model.new_gradients();
+    model.backward_into(&s, true, &mut ws, &mut reused);
+    assert_eq!(reused, fresh);
+    // Second pass over the same dirty buffers: still identical.
+    let mut rng3 = seeded_rng(42);
+    model.forward_into(&s, Some(&mut rng3), &mut ws);
+    model.backward_into(&s, true, &mut ws, &mut reused);
+    assert_eq!(reused, fresh);
+}
+
+/// Workspace reuse on the sparse path: bit-identical to the allocating
+/// sparse pass, across dirty buffers and repeated use.
+#[test]
+fn reference_sparse_workspace_variants_are_bit_identical() {
+    let model = Reference::new(&Dgcnn::new(tiny_cfg(11)));
+    let mut ws = Workspace::new();
+    for seed in [1u64, 3, 7, 2, 1] {
+        let s = onehot_sample(seed);
+        assert_eq!(model.predict_into(&s, &mut ws), model.predict(&s));
+    }
+    let s = onehot_sample(2);
+    let cache = model.forward(&s, None);
+    let fresh = model.backward(&s, &cache, true);
+    model.forward_into(&s, None, &mut ws);
+    let mut reused = model.new_gradients();
+    for _ in 0..2 {
+        model.backward_into(&s, true, &mut ws, &mut reused);
+        assert_eq!(reused, fresh);
     }
 }

@@ -61,18 +61,19 @@ fn muxlink_attack_is_thread_count_invariant_on_symmetric() {
     assert_eq!(s1.scores, s3.scores);
 }
 
-/// Workspace-reuse contract: the `_into` variants over per-worker
-/// workspaces must produce the same bits as the allocating `predict`,
-/// across repeated calls on dirty buffers and across 1-vs-4 rayon
-/// workers. Since PR 3, `to_graph_sample` emits compact one-hot
+/// Scoring contract: `predict_batch` (batched forward over fixed-size
+/// chunks, one reused minibatch and workspace per worker) must produce
+/// the per-sample reference scorer's bits, across repeated calls and
+/// across 1-vs-4 rayon workers. Since PR 3, `to_graph_sample` emits compact one-hot
 /// features, so this case exercises the **fused sparse first layer** on
 /// real enclosing subgraphs end-to-end.
 #[test]
 fn workspace_scoring_is_bit_identical_across_reuse_and_threads() {
     use muxlink_core::scoring::to_graph_sample;
-    use muxlink_gnn::{Dgcnn, DgcnnConfig, GraphSample, NodeFeatures, Workspace};
+    use muxlink_gnn::{Dgcnn, DgcnnConfig, GraphSample, NodeFeatures};
     use muxlink_graph::dataset::{target_subgraphs, DatasetConfig};
     use muxlink_graph::extract;
+    use muxlink_integration_tests::reference_predict;
 
     // Real enclosing subgraphs from a locked design (varied sizes), not
     // toy graphs.
@@ -101,27 +102,19 @@ fn workspace_scoring_is_bit_identical_across_reuse_and_threads() {
     let input_dim = muxlink_graph::features::feature_cols(max_label);
     let model = Dgcnn::new(DgcnnConfig::paper(input_dim, 12));
 
-    // Reference: the allocating path, sequential.
-    let reference: Vec<f32> = samples.iter().map(|s| model.predict(s)).collect();
+    // Reference: the per-sample model, sequential.
+    let reference = reference_predict(&model, &samples);
 
-    // One workspace reused across the whole stream, twice over — dirty
-    // buffers must never leak into results.
-    let mut ws = Workspace::new();
-    for _ in 0..2 {
-        let streamed: Vec<f32> = samples
-            .iter()
-            .map(|s| model.predict_into(s, &mut ws))
-            .collect();
-        assert_eq!(streamed, reference, "workspace reuse changed bits");
-    }
-
-    // predict_batch on 1 vs 4 rayon workers: same bits as the reference.
+    // predict_batch on 1 vs 4 rayon workers, twice each: same bits as
+    // the reference.
     for threads in [1usize, 4] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("pool");
-        let batch = pool.install(|| model.predict_batch(&samples));
-        assert_eq!(batch, reference, "{threads}-thread batch changed bits");
+        for _ in 0..2 {
+            let batch = pool.install(|| model.predict_batch(&samples));
+            assert_eq!(batch, reference, "{threads}-thread batch changed bits");
+        }
     }
 }

@@ -8,7 +8,10 @@
 //! dense round trip, and the hash-free subgraph extraction versus the
 //! retained `HashMap` reference (bit-identical, node order included).
 
-use muxlink_gnn::{Dgcnn, DgcnnConfig, GraphSample, Matrix, NodeFeatures, OneHotFeatures};
+use muxlink_gnn::{
+    BatchWorkspace, Dgcnn, DgcnnConfig, Gradients, GraphSample, Matrix, Minibatch, NodeFeatures,
+    OneHotFeatures,
+};
 use muxlink_graph::features::feature_cols;
 use muxlink_graph::graph::{CircuitGraph, Link};
 use muxlink_graph::subgraph::{enclosing_subgraph, enclosing_subgraph_ref};
@@ -64,6 +67,17 @@ fn arb_circuit() -> impl Strategy<Value = CircuitGraph> {
             )
         })
     })
+}
+
+/// One production training step (`batch_train_step`) on a one-sample
+/// minibatch with a fixed dropout seed: the loss bits and gradients.
+fn train_step(model: &Dgcnn, s: &GraphSample) -> (u64, Gradients) {
+    let mut mb = Minibatch::new();
+    mb.assemble(std::slice::from_ref(s), &[(0, 5)]);
+    let mut ws = BatchWorkspace::new();
+    let mut grads = model.new_gradients();
+    model.batch_train_step(&mb, &mut ws, &mut grads);
+    (ws.losses[0].to_bits(), grads)
 }
 
 fn rel_close(a: f32, b: f32) -> bool {
@@ -134,13 +148,12 @@ proptest! {
             features: sparse.features.to_dense().into(),
             label: Some(label_bit),
         };
-        let cs = model.forward(&sparse, None);
-        let cd = model.forward(&dense, None);
-        for (a, b) in cs.probs.iter().zip(cd.probs) {
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "prob {} vs {}", a, b);
-        }
-        let gs = model.backward(&sparse, &cs, label_bit);
-        let gd = model.backward(&dense, &cd, label_bit);
+        let ps = model.predict_batch(std::slice::from_ref(&sparse));
+        let pd = model.predict_batch(std::slice::from_ref(&dense));
+        prop_assert_eq!(ps[0].to_bits(), pd[0].to_bits(), "prob {} vs {}", ps[0], pd[0]);
+        let (ls, gs) = train_step(&model, &sparse);
+        let (ld, gd) = train_step(&model, &dense);
+        prop_assert_eq!(ls, ld);
         prop_assert_eq!(gs, gd);
     }
 
@@ -205,11 +218,12 @@ proptest! {
 }
 
 /// The sparse scoring path must be bit-identical across thread counts
-/// and workspace reuse (reassociation makes it differ from *dense* at
-/// tolerance level, but the sparse path itself is exactly reproducible).
+/// and repeated calls, and equal to the per-sample reference scorer
+/// (reassociation makes it differ from *dense* at tolerance level, but
+/// the sparse path itself is exactly reproducible).
 #[test]
 fn sparse_path_is_bit_identical_across_threads_and_reuse() {
-    use muxlink_gnn::Workspace;
+    use muxlink_integration_tests::reference_predict;
 
     let cols = feature_cols(2);
     let samples: Vec<GraphSample> = (0..12)
@@ -232,29 +246,21 @@ fn sparse_path_is_bit_identical_across_threads_and_reuse() {
         .collect();
     let model = Dgcnn::new(DgcnnConfig::paper(cols, 10));
 
-    let reference: Vec<f32> = samples.iter().map(|s| model.predict(s)).collect();
+    let reference = reference_predict(&model, &samples);
 
-    // Workspace reuse over the whole (dirty) stream, twice.
-    let mut ws = Workspace::new();
-    for _ in 0..2 {
-        let streamed: Vec<f32> = samples
-            .iter()
-            .map(|s| model.predict_into(s, &mut ws))
-            .collect();
-        assert_eq!(streamed, reference, "sparse workspace reuse changed bits");
-    }
-
-    // 1 vs 4 rayon workers.
+    // 1 vs 4 rayon workers, each twice.
     for threads in [1usize, 4] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("pool");
-        let batch = pool.install(|| model.predict_batch(&samples));
-        assert_eq!(
-            batch, reference,
-            "{threads}-thread sparse batch changed bits"
-        );
+        for _ in 0..2 {
+            let batch = pool.install(|| model.predict_batch(&samples));
+            assert_eq!(
+                batch, reference,
+                "{threads}-thread sparse batch changed bits"
+            );
+        }
     }
 }
 
@@ -269,9 +275,8 @@ fn dense_fallback_still_supported_end_to_end() {
         features: Matrix::zeros(3, 9).into(),
         label: Some(true),
     };
-    let p = model.predict(&s);
-    assert!(p.is_finite());
-    let c = model.forward(&s, None);
-    let g = model.backward(&s, &c, true);
+    let p = model.predict_batch(std::slice::from_ref(&s));
+    assert!(p[0].is_finite());
+    let (_, g) = train_step(&model, &s);
     assert_eq!(g.tensors().len(), model.new_gradients().tensors().len());
 }
