@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use muxlink_gnn::{Dgcnn, DgcnnConfig, GraphSample, NodeFeatures, TrainConfig};
+use muxlink_gnn::{Dgcnn, DgcnnConfig, GraphSample, TrainConfig};
 use muxlink_graph::features::{feature_cols, one_hot_features};
 use muxlink_graph::graph::{CircuitGraph, Link};
 use muxlink_graph::subgraph::node_subgraph;
@@ -179,7 +179,7 @@ pub fn omla_attack(
         if *bit >= target_count {
             train_samples.push(GraphSample {
                 adj: sg.adj.clone(),
-                features: NodeFeatures::OneHot(one_hot_features(sg, max_label)),
+                features: one_hot_features(sg, max_label),
                 label: Some(relocked.key.bit(*bit - target_count)),
             });
         }
@@ -220,7 +220,7 @@ pub fn omla_attack(
         .map(|(sg, bit)| {
             let sample = GraphSample {
                 adj: sg.adj.clone(),
-                features: NodeFeatures::OneHot(one_hot_features(sg, max_label)),
+                features: one_hot_features(sg, max_label),
                 label: None,
             };
             (sample, *bit)

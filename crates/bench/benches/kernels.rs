@@ -9,13 +9,9 @@ use muxlink_benchgen::synth::SynthConfig;
 use muxlink_core::MuxLinkConfig;
 use muxlink_gnn::activation::tanh_slice;
 use muxlink_gnn::matrix::strided_gemm_into;
-use muxlink_gnn::sample::{
-    onehot_project_into, onehot_propagate_matmul_into, onehot_propagate_t_matmul_into,
-    onehot_propagate_t_matmul_rows_into, onehot_scatter_add, plan_matmul_into,
-    plan_t_matmul_rows_into, propagate_back_into, propagate_into, GraphSample, OneHotSpmmScratch,
-};
+use muxlink_gnn::sample::{plan_matmul_into, plan_t_matmul_rows_into, propagate_into, GraphSample};
 use muxlink_gnn::{
-    BatchWorkspace, Csr, Dgcnn, DgcnnConfig, Layer0PlanView, Matrix, Minibatch, OneHotFeatures,
+    BatchWorkspace, Csr, Dgcnn, DgcnnConfig, Layer0Plans, Matrix, Minibatch, OneHotFeatures,
 };
 use muxlink_graph::dataset::DatasetConfig;
 use muxlink_graph::subgraph::enclosing_subgraph_ref;
@@ -39,21 +35,30 @@ fn subgraph_adj(n: usize) -> Csr {
     Csr::from_lists(&lists)
 }
 
-/// Sample with dense random features (the legacy bench shape).
+/// Sample with two-hot features of width `input_dim`, varied by `seed`.
 fn subgraph_sample(n: usize, input_dim: usize, seed: u64) -> GraphSample {
-    let mut rng = muxlink_gnn::matrix::seeded_rng(seed);
     GraphSample {
         adj: subgraph_adj(n),
-        features: Matrix::glorot(n, input_dim, &mut rng).into(),
+        features: onehot_features(n, input_dim, seed as usize),
         label: Some(true),
     }
 }
 
-/// Deterministic two-hot features of width `cols` over `n` nodes.
-fn onehot_features(n: usize, cols: usize) -> OneHotFeatures {
-    let gate = (0..n).map(|i| (i * 5 % 8) as u32).collect();
-    let label = (0..n).map(|i| (i * 7 % (cols - 8)) as u32).collect();
+/// Deterministic two-hot features of width `cols` over `n` nodes,
+/// varied by `seed`.
+fn onehot_features(n: usize, cols: usize, seed: usize) -> OneHotFeatures {
+    let gate = (0..n).map(|i| ((i * 5 + seed) % 8) as u32).collect();
+    let label = (0..n)
+        .map(|i| ((i * 7 + seed) % (cols - 8)) as u32)
+        .collect();
     OneHotFeatures::new(cols, gate, label)
+}
+
+/// The layer-0 plan of one sample, built by the production builder.
+fn built_plan(adj: &Csr, x: &OneHotFeatures) -> Layer0Plans {
+    let mut plans = Layer0Plans::new();
+    plans.push_sample(adj.view(), x.view());
+    plans
 }
 
 fn bench_subgraph(c: &mut Criterion) {
@@ -73,7 +78,6 @@ fn bench_subgraph(c: &mut Criterion) {
 fn bench_gnn(c: &mut Criterion) {
     let cfg = DgcnnConfig::paper(24, 30);
     let model = Dgcnn::new(cfg);
-    let mut rng = muxlink_gnn::matrix::seeded_rng(7);
     // A 60-node binary-tree sample (legacy shape, kept for continuity
     // with earlier recorded numbers).
     let n = 60usize;
@@ -85,7 +89,7 @@ fn bench_gnn(c: &mut Criterion) {
     }
     let sample = GraphSample {
         adj: Csr::from_lists(&adj),
-        features: Matrix::glorot(n, 24, &mut rng).into(),
+        features: onehot_features(n, 24, 7),
         label: Some(true),
     };
     let one = std::slice::from_ref(&sample);
@@ -128,20 +132,18 @@ fn bench_propagate(c: &mut Criterion) {
     group.finish();
 }
 
-/// First-GC-layer forward+backward, dense reference vs. the two fused
-/// sparse formulations, across feature widths F and subgraph sizes n.
+/// First-GC-layer forward+backward, dense reference vs. the sparse plan
+/// kernels the model runs, across feature widths F and subgraph sizes n.
 ///
 /// * `dense_fwd_bwd` — `S·X` (n × F) then `(S·X)·W₀` forward,
 ///   `(S·X)ᵀ·dZ` backward (the pre-PR-3 path).
-/// * `fused_exact_fwd_bwd` — the production path: `(S·X)·W₀` via
-///   per-node column histograms, bit-identical to dense.
-/// * `fused_fwd_bwd` — the reassociated maximum-throughput path:
-///   two-row gather `X·W₀` (n × c₀) + c₀-wide propagation forward,
-///   `Sᵀ·dZ` + two-row scatter-add backward (tolerance-equivalent).
+/// * `cached_fwd_bwd` — the production path: the same products over
+///   the sparse plan rows of `S·X` (built once, outside the loop),
+///   bit-identical to dense.
 ///
-/// PR 4 SIMD-restructuring A/B (min-of-10, same box/target): the fused
-/// one-hot kernels' inner axpy **kept** the `chunks_exact::<8>` blocking
-/// — wash to win, e.g. `fused_exact/F16_n300` 54.3µs plain → ~42µs
+/// PR 4 SIMD-restructuring A/B (min-of-10, same box/target): the
+/// one-hot layer-0 kernels' inner axpy **kept** the `chunks_exact::<8>`
+/// blocking — wash to win, e.g. `F16_n300` 54.3µs plain → ~42µs
 /// blocked, `F64_n100` 14.9 → ~14.2 — while `csr_propagate` rejected it
 /// (see above). `f32::mul_add` rejected everywhere: single rounding
 /// would change bits and break the bit-exact contract. Full numbers in
@@ -152,7 +154,7 @@ fn bench_sparse_layer0(c: &mut Criterion) {
     for f in [16usize, 64, 256] {
         for n in [30usize, 100, 300] {
             let adj = subgraph_adj(n);
-            let x = onehot_features(n, f);
+            let x = onehot_features(n, f, 0);
             let fm = x.to_dense();
             let xdense = Matrix::from_vec(fm.rows, fm.cols, fm.data);
             let mut rng = muxlink_gnn::matrix::seeded_rng((f * n) as u64);
@@ -172,35 +174,14 @@ fn bench_sparse_layer0(c: &mut Criterion) {
                 },
             );
 
-            let (mut ze, mut gwe) = (Matrix::default(), Matrix::default());
-            let mut spmm = OneHotSpmmScratch::default();
+            let plans = built_plan(&adj, &x);
             group.bench_with_input(
-                BenchmarkId::new("fused_exact_fwd_bwd", format!("F{f}_n{n}")),
+                BenchmarkId::new("cached_fwd_bwd", format!("F{f}_n{n}")),
                 &n,
                 |b, _| {
                     b.iter(|| {
-                        onehot_propagate_matmul_into(&adj, &x, &w0, &mut ze, &mut spmm);
-                        onehot_propagate_t_matmul_into(&adj, &x, &dz, &mut gwe, &mut spmm);
-                    });
-                },
-            );
-
-            let (mut e, mut zf, mut dp, mut gwf) = (
-                Matrix::default(),
-                Matrix::default(),
-                Matrix::default(),
-                Matrix::default(),
-            );
-            group.bench_with_input(
-                BenchmarkId::new("fused_fwd_bwd", format!("F{f}_n{n}")),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        onehot_project_into(&x, &w0, &mut e);
-                        propagate_into(&adj, &e, &mut zf);
-                        propagate_back_into(&adj, &dz, &mut dp);
-                        gwf.resize(f, C0);
-                        onehot_scatter_add(&x, &dp, &mut gwf);
+                        plan_matmul_into(plans.view(), &w0, &mut z);
+                        plan_t_matmul_rows_into(plans.view(), &dz, 0..n, f, &mut gw);
                     });
                 },
             );
@@ -399,72 +380,36 @@ fn bench_batched_layer(c: &mut Criterion) {
     group.finish();
 }
 
-/// Builds one sample's layer-0 plan slabs with the arena builder's
-/// histogram logic (the production builder is pinned bitwise against the
-/// dense reference in `muxlink-graph`'s arena tests; this bench-local
-/// copy keeps the group free of arena plumbing).
-fn plan_slabs(adj: &Csr, x: &OneHotFeatures) -> (Vec<u32>, Vec<u32>, Vec<f32>) {
-    let adjv: muxlink_gnn::CsrView<'_> = adj.into();
-    let xv = x.view();
-    let (mut offsets, mut cols, mut vals) = (vec![0u32], Vec::new(), Vec::new());
-    let mut counts = vec![0u32; xv.cols()];
-    for i in 0..adjv.node_count() {
-        let (g, l) = xv.columns(i);
-        counts[g] += 1;
-        counts[l] += 1;
-        for &j in adjv.neighbors(i) {
-            let (g, l) = xv.columns(j as usize);
-            counts[g] += 1;
-            counts[l] += 1;
-        }
-        for (c, cnt) in counts.iter_mut().enumerate() {
-            if *cnt > 0 {
-                cols.push(c as u32);
-                vals.push((*cnt as f32) * adjv.scale(i));
-                *cnt = 0;
-            }
-        }
-        offsets.push(cols.len() as u32);
-    }
-    (offsets, cols, vals)
-}
-
-/// The PR 8 tentpole: layer-0 forward+backward from the epoch-invariant
-/// cached `S·X` plan vs the per-epoch histogram rebuild it replaces
-/// (bit-identical outputs; the cached path skips every per-node
-/// histogram fill + sort per epoch). CI runs this group with `--test`.
+/// The layer-0 plan: building one sample's sparse `S·X` rows with the
+/// production builder (`plan_build`, what a minibatch pays for a sample
+/// its store caches no plan for) and the forward+backward over them
+/// (`cached_fwd_bwd`). CI runs this group with `--test`.
 fn bench_layer0_plan(c: &mut Criterion) {
     const F: usize = 24; // feature width (gate types + label budget)
     const C0: usize = 32; // first-layer channels (paper config)
     let mut group = c.benchmark_group("layer0_plan");
     for n in [30usize, 100, 300] {
         let adj = subgraph_adj(n);
-        let x = onehot_features(n, F);
+        let x = onehot_features(n, F, 0);
         let mut rng = muxlink_gnn::matrix::seeded_rng(n as u64);
         let w0 = Matrix::glorot(F, C0, &mut rng);
         let dz = Matrix::glorot(n, C0, &mut rng);
 
-        let (mut z, mut gw) = (Matrix::default(), Matrix::default());
-        let mut spmm = OneHotSpmmScratch::default();
-        group.bench_with_input(BenchmarkId::new("rebuild_fwd_bwd", n), &n, |b, _| {
-            b.iter(|| {
-                onehot_propagate_matmul_into(&adj, &x, &w0, &mut z, &mut spmm);
-                onehot_propagate_t_matmul_rows_into(&adj, &x, &dz, 0..n, &mut gw, &mut spmm);
-            });
-        });
-
-        let (off, cols, vals) = plan_slabs(&adj, &x);
+        let plans = built_plan(&adj, &x);
         let (mut zc, mut gwc) = (Matrix::default(), Matrix::default());
         group.bench_with_input(BenchmarkId::new("cached_fwd_bwd", n), &n, |b, _| {
             b.iter(|| {
-                let plan = Layer0PlanView::from_raw_parts(&off, &cols, &vals);
-                plan_matmul_into(plan, &w0, &mut zc);
-                plan_t_matmul_rows_into(plan, &dz, 0..n, F, &mut gwc);
+                plan_matmul_into(plans.view(), &w0, &mut zc);
+                plan_t_matmul_rows_into(plans.view(), &dz, 0..n, F, &mut gwc);
             });
         });
 
+        let mut scratch = Layer0Plans::new();
         group.bench_with_input(BenchmarkId::new("plan_build", n), &n, |b, _| {
-            b.iter(|| plan_slabs(&adj, &x));
+            b.iter(|| {
+                scratch.clear();
+                scratch.push_sample(adj.view(), x.view());
+            });
         });
     }
     group.finish();

@@ -1,31 +1,14 @@
-//! Bridging the graph substrate to the GNN: subgraph → feature matrix →
-//! `GraphSample`, plus SortPool-`k` selection and parallel target
-//! scoring.
+//! Bridging the graph substrate to the GNN: SortPool-`k` selection and
+//! streamed target scoring.
 
-use muxlink_gnn::{ArenaSamples, Dgcnn, GraphSample, NodeFeatures};
+use muxlink_gnn::{ArenaSamples, Dgcnn};
 use muxlink_graph::dataset::DatasetConfig;
-use muxlink_graph::features::one_hot_features;
 use muxlink_graph::graph::Link;
-use muxlink_graph::{ExtractedDesign, SampleArena, Subgraph};
+use muxlink_graph::{ExtractedDesign, SampleArena};
 
 use crate::postprocess::MuxScores;
 use crate::progress::{NoProgress, Progress};
 use crate::AttackError;
-
-/// Converts an enclosing subgraph into a GNN input sample.
-///
-/// Features are carried in the compact two-hot form
-/// ([`NodeFeatures::OneHot`]): 8 bytes per node independent of the
-/// dataset's feature width, and the DGCNN's first layer runs its fused
-/// sparse kernels on them.
-#[must_use]
-pub fn to_graph_sample(sg: &Subgraph, max_label: u32, label: Option<bool>) -> GraphSample {
-    GraphSample {
-        adj: sg.adj.clone(),
-        features: NodeFeatures::OneHot(one_hot_features(sg, max_label)),
-        label,
-    }
-}
 
 /// Scores both candidate links of every key MUX with the trained model.
 ///
@@ -42,9 +25,9 @@ pub fn to_graph_sample(sg: &Subgraph, max_label: u32, label: Option<bool>) -> Gr
 /// peak resident sample bytes are bounded by the chunk size however
 /// many candidate links the design has. Every stage preserves order, so
 /// the scores stay aligned with `extracted.muxes` and bit-identical for
-/// any thread count, any chunk size — and to scoring owned
-/// [`to_graph_sample`]s of every target subgraph at once, the oracle
-/// the integration tests pin this against.
+/// any thread count, any chunk size — and to scoring owned two-hot
+/// samples of every target subgraph at once, the oracle the
+/// integration tests pin this against.
 #[must_use]
 pub fn score_muxes(
     model: &Dgcnn,
@@ -133,22 +116,6 @@ pub fn choose_k(sizes: &[usize], percentile: f64, min_k: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use muxlink_graph::graph::{CircuitGraph, Link};
-    use muxlink_graph::subgraph::enclosing_subgraph;
-    use muxlink_netlist::{GateId, GateType};
-
-    #[test]
-    fn sample_has_matching_shapes() {
-        let g = CircuitGraph::from_edges(
-            (0..4).map(GateId::from_index).collect(),
-            vec![GateType::Nand; 4],
-            &[Link::new(0, 1), Link::new(1, 2), Link::new(2, 3)],
-        );
-        let sg = enclosing_subgraph(&g, Link::new(1, 2), 2, None);
-        let s = to_graph_sample(&sg, sg.max_label(), Some(true));
-        assert_eq!(s.node_count(), s.features.rows());
-        assert_eq!(s.label, Some(true));
-    }
 
     #[test]
     fn choose_k_sixty_percent_rule() {

@@ -7,10 +7,11 @@
 //! then merges the slots — on the paper workload (≤ 64-node subgraphs,
 //! ~45k-parameter dense layers) the slot traffic and dispatch overhead
 //! dominate the epoch. This module packs a minibatch into one
-//! [`BlockDiagBatch`] (see `muxlink_graph::batch`) plus stacked
-//! feature/activation matrices and runs **one** kernel per layer per
-//! batch: the graph convolutions via the fused [`propagate_matmul_into`]
-//! / [`onehot_propagate_matmul_into`], the dense head as whole-batch
+//! [`BlockDiagBatch`] (see `muxlink_graph::batch`) plus one layer-0
+//! plan (the sparse rows of `S·X`, see [`Layer0Plans`]) and stacked
+//! activation matrices, and runs **one** kernel per layer per batch:
+//! the first graph convolution via [`plan_matmul_into`], the others via
+//! the fused [`propagate_matmul_into`], the dense head as whole-batch
 //! GEMMs, and the gradient reductions either as single stacked products
 //! (one-row-per-sample tensors) or as segmented per-sample subtotals
 //! (multi-row tensors).
@@ -62,48 +63,36 @@ use std::time::{Duration, Instant};
 use rand::Rng;
 use rayon::prelude::*;
 
-use muxlink_graph::{BlockDiagBatch, Layer0PlanView};
+use muxlink_graph::{BlockDiagBatch, Layer0PlanView, Layer0Plans};
 
 use crate::activation::tanh_slice;
 use crate::dgcnn::{ConvKernels, Dgcnn};
 use crate::matrix::{axpy_rows_tiled, seeded_rng, strided_gemm_into, Matrix};
 use crate::param::Gradients;
 use crate::sample::{
-    onehot_propagate_matmul_into, onehot_propagate_t_matmul_rows_into, plan_matmul_into,
-    plan_t_matmul_rows_into, propagate_back_into, propagate_matmul_into, FeaturesView,
-    OneHotSpmmScratch, SampleStore,
+    plan_matmul_into, plan_t_matmul_rows_into, propagate_back_into, propagate_matmul_into,
+    SampleStore,
 };
 
 /// A minibatch assembled for the batched forward: the block-diagonal
-/// adjacency/feature batch plus, for a training batch, the per-sample
-/// labels and dropout seeds of the jobs it was built from.
+/// adjacency batch and its layer-0 plan plus, for a training batch, the
+/// per-sample labels and dropout seeds of the jobs it was built from.
 ///
 /// Reusable: every assembly clears and refills in place, so
 /// steady-state batches allocate nothing.
 #[derive(Debug, Default)]
 pub struct Minibatch {
-    /// Block-diagonal adjacency + two-hot features.
+    /// Block-diagonal adjacency.
     block: BlockDiagBatch,
-    /// Stacked dense features (dense-featured batches only).
-    dense: Matrix,
-    /// True when the batch carries two-hot features, false for dense.
-    one_hot: bool,
+    /// Layer-0 plan rows of every batch node, in block-diagonal order.
+    plan: Layer0Plans,
+    /// Dense feature width shared by the samples.
+    feature_width: usize,
     /// Per-sample training labels, in job order (empty for inference).
     labels: Vec<bool>,
     /// Per-sample dropout seeds, in job order (empty for inference,
     /// which draws no dropout).
     seeds: Vec<u64>,
-    /// Stacked layer-0 plan row offsets (batch node CSR over plan
-    /// entries; built only when every sample carried a cached plan).
-    plan_offsets: Vec<u32>,
-    /// Stacked plan entry columns (feature-space indices — identical
-    /// across samples, so stacking needs no rebasing).
-    plan_cols: Vec<u32>,
-    /// Stacked plan entry values (`count · scale`, the exact histogram
-    /// bits).
-    plan_vals: Vec<f32>,
-    /// True when the plan slabs cover every sample of this batch.
-    has_plans: bool,
 }
 
 impl Minibatch {
@@ -120,23 +109,19 @@ impl Minibatch {
     }
 
     /// Packs the given `(sample index, dropout seed)` jobs into this
-    /// training batch: adjacency blocks rebased into one CSR, features
-    /// stacked (two-hot slabs or a dense row-stacked matrix), labels and
-    /// seeds recorded in job order.
+    /// training batch: adjacency blocks rebased into one CSR, the
+    /// samples' layer-0 plans stacked, labels and seeds recorded in job
+    /// order.
     ///
-    /// When **every** sample exposes a cached layer-0 plan
-    /// ([`SampleStore::plan`]), the per-sample plan rows are
-    /// row-concatenated into one batch-level plan (entry offsets rebased,
-    /// feature-space columns and values bit-copied) and
-    /// [`Minibatch::plan`] returns it; otherwise — owned stores carry no
-    /// plans — the batch carries none and the forward rebuilds the
-    /// propagated features from the two-hot histograms. Both paths give
-    /// the same bits.
+    /// A sample's plan rows are bit-copied from the store's cached plan
+    /// ([`SampleStore::plan`]) when it has one and built from the
+    /// sample's two-hot features otherwise — per sample, with the same
+    /// bits either way.
     ///
     /// # Panics
     ///
     /// Panics when `jobs` is empty, a referenced sample is unlabelled,
-    /// or the batch mixes dense and two-hot feature forms.
+    /// or the samples disagree on the feature width.
     pub fn assemble<S: SampleStore + ?Sized>(&mut self, store: &S, jobs: &[(usize, u64)]) {
         assert!(!jobs.is_empty(), "cannot assemble an empty minibatch");
         self.labels.clear();
@@ -156,8 +141,8 @@ impl Minibatch {
     ///
     /// # Panics
     ///
-    /// Panics when `indices` is empty or the batch mixes dense and
-    /// two-hot feature forms.
+    /// Panics when `indices` is empty or the samples disagree on the
+    /// feature width.
     pub(crate) fn assemble_inference<S: SampleStore + ?Sized>(
         &mut self,
         store: &S,
@@ -169,87 +154,32 @@ impl Minibatch {
         self.pack(store, indices.iter().copied());
     }
 
-    /// The shared packing of both assemblies: blocks, stacked features
-    /// and (all-or-none) stacked layer-0 plans of the samples at
-    /// `indices`, in order.
-    fn pack<S: SampleStore + ?Sized>(
-        &mut self,
-        store: &S,
-        indices: impl Iterator<Item = usize> + Clone,
-    ) {
+    /// The shared packing of both assemblies: blocks and layer-0 plans
+    /// of the samples at `indices`, in order.
+    fn pack<S: SampleStore + ?Sized>(&mut self, store: &S, indices: impl Iterator<Item = usize>) {
         self.block.clear();
-        let mut dense_cols = None;
-        for i in indices.clone() {
+        self.plan.clear();
+        self.feature_width = 0;
+        for i in indices {
             let s = store.view(i);
-            match s.features {
-                FeaturesView::OneHot(x) => self.block.push(s.adj, Some(x)),
-                FeaturesView::Dense(m) => {
-                    assert!(
-                        dense_cols.is_none_or(|c| c == m.cols()),
-                        "dense feature width changed mid-batch"
-                    );
-                    dense_cols = Some(m.cols());
-                    self.block.push(s.adj, None);
-                }
-            }
-        }
-        self.one_hot = dense_cols.is_none();
-        if let Some(cols) = dense_cols {
-            self.dense
-                .resize_for_overwrite(self.block.node_count(), cols);
-            for (s, i) in indices.clone().enumerate() {
-                let FeaturesView::Dense(m) = store.view(i).features else {
-                    panic!("batch mixes dense and two-hot features");
-                };
-                for (row, dst) in self.block.node_range(s).enumerate() {
-                    self.dense.row_mut(dst).copy_from_slice(m.row(row));
-                }
-            }
-        } else {
-            self.dense.resize_for_overwrite(0, 0);
-        }
-        // Stack cached layer-0 plans, all-or-none: a single plan-less
-        // sample sends the whole batch down the rebuild path, so the
-        // forward never mixes cached and rebuilt rows.
-        self.plan_offsets.clear();
-        self.plan_cols.clear();
-        self.plan_vals.clear();
-        self.has_plans = false;
-        if self.one_hot {
-            self.plan_offsets.push(0);
-            let mut all = true;
-            for i in indices {
-                let Some(plan) = store.plan(i) else {
-                    all = false;
-                    break;
-                };
-                let base = self.plan_cols.len() as u32;
-                let (cols, vals) = plan.entries();
-                self.plan_cols.extend_from_slice(cols);
-                self.plan_vals.extend_from_slice(vals);
-                let off = plan.offsets();
-                let off0 = off[0];
-                self.plan_offsets
-                    .extend(off[1..].iter().map(|&w| base + (w - off0)));
-            }
-            if all {
-                self.has_plans = true;
-            } else {
-                self.plan_offsets.clear();
-                self.plan_cols.clear();
-                self.plan_vals.clear();
+            assert!(
+                self.feature_width == 0 || self.feature_width == s.features.cols(),
+                "feature width changed mid-batch"
+            );
+            self.feature_width = s.features.cols();
+            self.block.push(s.adj);
+            match store.plan(i) {
+                Some(plan) => self.plan.push_plan(plan),
+                None => self.plan.push_sample(s.adj, s.features),
             }
         }
     }
 
-    /// The stacked layer-0 plan of this batch, when every sample carried
-    /// a cached plan at assembly. Row `i` is the plan row of batch node
-    /// `i` (the block-diagonal node order).
+    /// The layer-0 plan of this batch: row `i` is the plan row of batch
+    /// node `i` (the block-diagonal node order).
     #[must_use]
-    pub fn plan(&self) -> Option<Layer0PlanView<'_>> {
-        self.has_plans.then(|| {
-            Layer0PlanView::from_raw_parts(&self.plan_offsets, &self.plan_cols, &self.plan_vals)
-        })
+    pub fn plan(&self) -> Layer0PlanView<'_> {
+        self.plan.view()
     }
 }
 
@@ -265,7 +195,6 @@ pub struct BatchWorkspace {
     // Forward activations (N = total batch nodes, B = samples).
     gc_inputs: Vec<Matrix>,
     gc_outputs: Vec<Matrix>,
-    spmm: OneHotSpmmScratch,
     hcat: Matrix,
     perm: Vec<usize>,
     /// Global `hcat` source row of each pooled row (`u32::MAX` = pad).
@@ -319,6 +248,13 @@ impl BatchWorkspace {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The first GC layer's activations and, after a training step, its
+    /// pre-activation gradient `dZ₀`.
+    #[cfg(test)]
+    pub(crate) fn layer0(&self) -> (&Matrix, &Matrix) {
+        (&self.gc_outputs[0], &self.dh_layers[0])
+    }
 }
 
 impl Dgcnn {
@@ -345,39 +281,19 @@ impl Dgcnn {
             cfg.k3(),
             cfg.concat_width(),
         );
-        let in_cols = if mb.one_hot {
-            mb.block.features().cols()
-        } else {
-            mb.dense.cols()
-        };
-        assert_eq!(in_cols, cfg.input_dim, "feature width mismatch");
+        assert_eq!(mb.feature_width, cfg.input_dim, "feature width mismatch");
 
-        // Graph convolutions, one fused kernel per layer.
+        // Graph convolutions, one kernel per layer: layer 0 is one
+        // sparse·dense product over the plan rows of `S·X` (no `S·X`
+        // is kept — the backward reads the plan), every later layer the
+        // fused propagate+GEMM.
         let nlayers = self.gc.len();
         ws.gc_inputs.resize_with(nlayers, Matrix::default);
         ws.gc_outputs.resize_with(nlayers, Matrix::default);
         for (l, p) in self.gc.iter().enumerate() {
             let (done, rest) = ws.gc_outputs.split_at_mut(l);
             if l == 0 {
-                if let Some(plan) = mb.plan() {
-                    // Cached S·X plan: the layer-0 propagation collapses
-                    // to one sparse·dense product over precomputed
-                    // histogram entries — same values, same order, same
-                    // bits as the rebuild below.
-                    plan_matmul_into(plan, &p.w, &mut rest[0]);
-                    ws.gc_inputs[0].resize(0, 0);
-                } else if mb.one_hot {
-                    onehot_propagate_matmul_into(
-                        adj,
-                        mb.block.features(),
-                        &p.w,
-                        &mut rest[0],
-                        &mut ws.spmm,
-                    );
-                    ws.gc_inputs[0].resize(0, 0);
-                } else {
-                    propagate_matmul_into(adj, &mb.dense, &p.w, &mut ws.gc_inputs[0], &mut rest[0]);
-                }
+                plan_matmul_into(mb.plan(), &p.w, &mut rest[0]);
             } else {
                 propagate_matmul_into(adj, &done[l - 1], &p.w, &mut ws.gc_inputs[l], &mut rest[0]);
             }
@@ -679,25 +595,16 @@ impl Dgcnn {
             {
                 *g *= 1.0 - o * o;
             }
-            let plan0 = if l == 0 { mb.plan() } else { None };
             for s in 0..nb {
                 let range = mb.block.node_range(s);
-                if let Some(plan) = plan0 {
+                if l == 0 {
+                    let plan = mb.plan();
                     plan_t_matmul_rows_into(
                         plan,
                         &ws.dh_layers[0],
                         range,
                         cfg.input_dim,
                         &mut ws.seg,
-                    );
-                } else if l == 0 && mb.one_hot {
-                    onehot_propagate_t_matmul_rows_into(
-                        adj,
-                        mb.block.features(),
-                        &ws.dh_layers[0],
-                        range,
-                        &mut ws.seg,
-                        &mut ws.spmm,
                     );
                 } else {
                     ws.gc_inputs[l].t_matmul_rows_into(&ws.dh_layers[l], range, &mut ws.seg);
@@ -726,8 +633,7 @@ impl Dgcnn {
     ///
     /// # Panics
     ///
-    /// Panics when a chunk mixes dense and two-hot feature forms or a
-    /// feature width differs from the model's input width.
+    /// Panics when a feature width differs from the model's input width.
     pub(crate) fn infer<S, T, F>(&self, samples: &S, indices: &[usize], f: F) -> Vec<T>
     where
         S: SampleStore + ?Sized,
@@ -954,7 +860,7 @@ mod tests {
     use super::*;
     use crate::dgcnn::DgcnnConfig;
     use crate::matrix::seeded_rng;
-    use crate::sample::{build_plan_slabs, GraphSample, NodeFeatures, SampleView};
+    use crate::sample::{GraphSample, SampleView};
     use muxlink_graph::{Csr, OneHotFeatures};
 
     fn tiny_cfg(input_dim: usize) -> DgcnnConfig {
@@ -979,17 +885,6 @@ mod tests {
         }
     }
 
-    fn dense_sample(seed: u64) -> GraphSample {
-        let adj = adj_for(seed);
-        let n = adj.node_count();
-        let mut rng = seeded_rng(seed);
-        GraphSample {
-            features: Matrix::glorot(n, 5, &mut rng).into(),
-            adj,
-            label: Some(seed.is_multiple_of(2)),
-        }
-    }
-
     fn onehot_sample(seed: u64) -> GraphSample {
         let adj = adj_for(seed);
         let n = adj.node_count();
@@ -997,37 +892,34 @@ mod tests {
         let label = (0..n).map(|i| (i as u32 ^ seed as u32) % 3).collect();
         GraphSample {
             adj,
-            features: OneHotFeatures::new(11, gate, label).into(),
+            features: OneHotFeatures::new(11, gate, label),
             label: Some(seed.is_multiple_of(2)),
         }
     }
 
-    /// A store serving owned two-hot samples plus per-sample cached
-    /// layer-0 plans — the test double of the arena's plan path.
+    /// A store serving owned two-hot samples plus cached layer-0 plans
+    /// for the samples `cached` selects — the test double of the arena's
+    /// plan cache.
     struct PlannedSamples {
         samples: Vec<GraphSample>,
-        offsets: Vec<Vec<u32>>,
-        cols: Vec<Vec<u32>>,
-        vals: Vec<Vec<f32>>,
+        plans: Vec<Layer0Plans>,
+        cached: fn(usize) -> bool,
     }
 
     impl PlannedSamples {
-        fn new(samples: Vec<GraphSample>) -> Self {
-            let (mut offsets, mut cols, mut vals) = (Vec::new(), Vec::new(), Vec::new());
-            for s in &samples {
-                let NodeFeatures::OneHot(x) = &s.features else {
-                    panic!("plan test samples must be two-hot");
-                };
-                let (o, c, v) = build_plan_slabs(&s.adj, x);
-                offsets.push(o);
-                cols.push(c);
-                vals.push(v);
-            }
+        fn new(samples: Vec<GraphSample>, cached: fn(usize) -> bool) -> Self {
+            let plans = samples
+                .iter()
+                .map(|s| {
+                    let mut p = Layer0Plans::new();
+                    p.push_sample(s.adj.view(), s.features.view());
+                    p
+                })
+                .collect();
             Self {
                 samples,
-                offsets,
-                cols,
-                vals,
+                plans,
+                cached,
             }
         }
     }
@@ -1042,27 +934,22 @@ mod tests {
         }
 
         fn plan(&self, i: usize) -> Option<Layer0PlanView<'_>> {
-            Some(Layer0PlanView::from_raw_parts(
-                &self.offsets[i],
-                &self.cols[i],
-                &self.vals[i],
-            ))
+            (self.cached)(i).then(|| self.plans[i].view())
         }
     }
 
     /// A batch assembled from cached plans must train bit-identically
     /// to the same batch assembled from the plan-less owned samples
-    /// (the histogram-rebuild path), through the same dirty workspace.
+    /// (plans built at assembly), through the same dirty workspace.
     #[test]
     fn batched_step_with_cached_plans_matches_rebuild_bitwise() {
         let model = Dgcnn::new(tiny_cfg(11));
-        let store = PlannedSamples::new((0..6).map(onehot_sample).collect());
+        let store = PlannedSamples::new((0..6).map(onehot_sample).collect(), |_| true);
         let jobs: Vec<(usize, u64)> = (0..6).map(|i| (i, 77 + 3 * i as u64)).collect();
         let mut mb = Minibatch::new();
         let mut ws = BatchWorkspace::new();
 
         mb.assemble(&store.samples, &jobs);
-        assert!(mb.plan().is_none(), "owned samples carry no plans");
         let mut want = model.new_gradients();
         model.batch_train_step(&mb, &mut ws, &mut want);
         let want_losses = ws.losses.clone();
@@ -1070,8 +957,7 @@ mod tests {
         // Two cached passes through the now-dirty buffers.
         for _ in 0..2 {
             mb.assemble(&store, &jobs);
-            let plan = mb.plan().expect("every sample carries a plan");
-            assert_eq!(plan.node_count(), mb.block.node_count());
+            assert_eq!(mb.plan().node_count(), mb.block.node_count());
             let mut got = model.new_gradients();
             model.batch_train_step(&mb, &mut ws, &mut got);
             assert_eq!(got, want, "cached-plan gradients diverged");
@@ -1079,13 +965,24 @@ mod tests {
         }
     }
 
-    /// A batch with any plan-less sample falls back to rebuild whole.
+    /// Plans are stacked per sample: a batch mixing cached and
+    /// plan-less samples carries the bits of the all-built batch.
     #[test]
-    fn plan_stacking_is_all_or_none() {
-        let samples: Vec<GraphSample> = (0..3).map(onehot_sample).collect();
+    fn plan_stacking_is_per_sample() {
+        let store = PlannedSamples::new((0..4).map(onehot_sample).collect(), |i| i % 2 == 1);
+        let jobs = [(3, 1), (0, 2), (1, 3), (3, 4), (2, 5)];
+        let plan_bits = |mb: &Minibatch| {
+            let plan = mb.plan();
+            let (cols, vals) = plan.entries();
+            let vals: Vec<u32> = vals.iter().map(|v| v.to_bits()).collect();
+            (plan.offsets().to_vec(), cols.to_vec(), vals)
+        };
         let mut mb = Minibatch::new();
-        mb.assemble(&samples[..], &[(0, 1), (2, 5)]);
-        assert!(mb.plan().is_none(), "plain stores expose no plans");
+        mb.assemble(&store.samples, &jobs);
+        let built = plan_bits(&mb);
+        assert_eq!(built.0.len(), mb.block.node_count() + 1);
+        mb.assemble(&store, &jobs);
+        assert_eq!(plan_bits(&mb), built);
     }
 
     /// The per-sample conv2 backward loop the two kernels replaced, kept
@@ -1170,8 +1067,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty minibatch")]
     fn empty_jobs_rejected() {
-        let samples: Vec<GraphSample> = vec![dense_sample(0)];
-        let model = Dgcnn::new(tiny_cfg(5));
+        let samples: Vec<GraphSample> = vec![onehot_sample(0)];
+        let model = Dgcnn::new(tiny_cfg(11));
         let mut mb = Minibatch::new();
         mb.assemble(&samples[..], &[(0, 1)]);
         let mb_empty = Minibatch::new();

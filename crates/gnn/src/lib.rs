@@ -26,11 +26,12 @@
 //!   ([`ArenaSamples`] over a [`SampleArena`]) run the same kernels on
 //!   the same values, bit for bit.
 //! * [`Minibatch`] + [`Dgcnn::batch_train_step`] — the block-diagonal
-//!   batched forward and backward: one fused kernel per layer per
-//!   minibatch, reading a store's cached layer-0 plans when every sample
-//!   has one and rebuilding them from the two-hot histograms otherwise.
-//!   It is the model's only forward: [`Dgcnn::predict_batch`] and
-//!   [`evaluate`] run it without dropout over fixed-size chunks.
+//!   batched forward and backward: one kernel per layer per minibatch,
+//!   layer 0 over the sparse rows of `S·X` (a store's cached layer-0
+//!   plan per sample, or one built from the sample's two-hot features
+//!   when the store caches none). It is the model's only forward:
+//!   [`Dgcnn::predict_batch`] and [`evaluate`] run it without dropout
+//!   over fixed-size chunks.
 //! * [`trainer::train`] — Adam minibatch loop with best-on-validation
 //!   selection, one batched step per minibatch.
 //!
@@ -42,12 +43,13 @@
 //! # Example
 //!
 //! ```
-//! use muxlink_gnn::{Csr, Dgcnn, DgcnnConfig, GraphSample, Matrix};
+//! use muxlink_gnn::{Csr, Dgcnn, DgcnnConfig, GraphSample, OneHotFeatures};
 //!
-//! let model = Dgcnn::new(DgcnnConfig::paper(9, 10));
+//! // Two nodes, 8 gate-type columns + DRNL labels 0..=2: width 11.
+//! let model = Dgcnn::new(DgcnnConfig::paper(11, 10));
 //! let sample = GraphSample {
 //!     adj: Csr::from_lists(&[vec![1], vec![0]]),
-//!     features: Matrix::zeros(2, 9).into(),
+//!     features: OneHotFeatures::new(11, vec![0, 3], vec![1, 1]),
 //!     label: None,
 //! };
 //! let p = model.predict_batch(&[sample][..]);
@@ -69,10 +71,11 @@ pub use batch::{BatchWorkspace, Minibatch};
 pub use dgcnn::{Dgcnn, DgcnnConfig};
 pub use matrix::Matrix;
 pub use muxlink_graph::{
-    Csr, CsrView, Layer0PlanView, OneHotFeatures, OneHotView, SampleArena, SampleHandle,
+    Csr, CsrView, Layer0PlanView, Layer0Plans, OneHotFeatures, OneHotView, SampleArena,
+    SampleHandle,
 };
 pub use param::{AdamConfig, Gradients, Param};
-pub use sample::{ArenaSamples, FeaturesView, GraphSample, NodeFeatures, SampleStore, SampleView};
+pub use sample::{ArenaSamples, GraphSample, SampleStore, SampleView};
 pub use trainer::{
     evaluate, train, train_controlled, train_controlled_timed, EpochStats, TrainCancelled,
     TrainConfig, TrainControl, TrainPhases, TrainReport,

@@ -20,113 +20,24 @@
 use muxlink_graph::{
     Csr, CsrView, Layer0PlanView, OneHotFeatures, OneHotView, SampleArena, SampleHandle,
 };
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::matrix::{axpy_rows_tiled, Matrix};
 
-/// Node features of one sample: dense, or the compact two-hot form.
-///
-/// MuxLink's node information matrix X is two-hot by construction (one
-/// gate-type bit, one DRNL-label bit per row), so the hot attack path
-/// carries [`NodeFeatures::OneHot`] — 8 bytes per node instead of
-/// `4 · cols` — and the first graph-convolution layer runs the fused
-/// kernels ([`onehot_project_into`] / [`onehot_scatter_add`]) instead of
-/// a dense matmul. [`NodeFeatures::Dense`] remains fully supported for
-/// arbitrary feature matrices (tests, baselines, toy datasets) and is the
-/// executable spec the sparse path is property-tested against.
-#[derive(Debug, Clone)]
-pub enum NodeFeatures {
-    /// Arbitrary dense `n × d` features.
-    Dense(Matrix),
-    /// Compact two-hot features (gate-type ⊕ DRNL-label one-hots).
-    OneHot(OneHotFeatures),
-}
-
-impl NodeFeatures {
-    /// Number of rows (nodes).
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        match self {
-            Self::Dense(m) => m.rows(),
-            Self::OneHot(x) => x.rows(),
-        }
-    }
-
-    /// Feature width (dense columns).
-    #[must_use]
-    pub fn cols(&self) -> usize {
-        match self {
-            Self::Dense(m) => m.cols(),
-            Self::OneHot(x) => x.cols,
-        }
-    }
-
-    /// The equivalent dense matrix (copies the one-hot form; borrows
-    /// nothing). Dense consumers that only need a reference should match
-    /// on the enum instead.
-    #[must_use]
-    pub fn to_dense(&self) -> Matrix {
-        match self {
-            Self::Dense(m) => m.clone(),
-            Self::OneHot(x) => {
-                let fm = x.to_dense();
-                Matrix::from_vec(fm.rows, fm.cols, fm.data)
-            }
-        }
-    }
-}
-
-impl From<Matrix> for NodeFeatures {
-    fn from(m: Matrix) -> Self {
-        Self::Dense(m)
-    }
-}
-
-impl From<OneHotFeatures> for NodeFeatures {
-    fn from(x: OneHotFeatures) -> Self {
-        Self::OneHot(x)
-    }
-}
-
-// Externally-tagged enum representation (`{"Dense": …}` / `{"OneHot": …}`,
-// upstream serde's default), written by hand because the vendored derive
-// only covers unit-variant enums.
-impl Serialize for NodeFeatures {
-    fn to_value(&self) -> Value {
-        match self {
-            Self::Dense(m) => Value::Map(vec![("Dense".to_owned(), m.to_value())]),
-            Self::OneHot(x) => Value::Map(vec![("OneHot".to_owned(), x.to_value())]),
-        }
-    }
-}
-
-impl Deserialize for NodeFeatures {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Map(entries) if entries.len() == 1 => match entries[0].0.as_str() {
-                "Dense" => Matrix::from_value(&entries[0].1).map(Self::Dense),
-                "OneHot" => OneHotFeatures::from_value(&entries[0].1).map(Self::OneHot),
-                other => Err(DeError(format!(
-                    "unknown NodeFeatures variant {}",
-                    serde::excerpt(other)
-                ))),
-            },
-            other => Err(DeError(format!(
-                "expected single-variant map for NodeFeatures, found {}",
-                other.describe()
-            ))),
-        }
-    }
-}
-
 /// One graph-classification example: flat CSR adjacency plus node
 /// features (and, for training, a binary label).
+///
+/// MuxLink's node information matrix X is two-hot by construction (one
+/// gate-type bit, one DRNL-label bit per row), so features are carried
+/// in that compact form — 8 bytes per node instead of `4 · cols` — and
+/// the first graph-convolution layer consumes the sparse rows of `S·X`
+/// built from it (see [`plan_matmul_into`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GraphSample {
     /// CSR adjacency over local node indices (sorted neighbour runs).
     pub adj: Csr,
-    /// `n × d` node features (dense or compact two-hot).
-    pub features: NodeFeatures,
+    /// `n × d` two-hot node features (gate-type ⊕ DRNL-label one-hots).
+    pub features: OneHotFeatures,
     /// Class label (`true` = positive/link) when known.
     pub label: Option<bool>,
 }
@@ -145,41 +56,8 @@ impl GraphSample {
     pub fn view(&self) -> SampleView<'_> {
         SampleView {
             adj: self.adj.view(),
-            features: match &self.features {
-                NodeFeatures::Dense(m) => FeaturesView::Dense(m),
-                NodeFeatures::OneHot(x) => FeaturesView::OneHot(x.view()),
-            },
+            features: self.features.view(),
             label: self.label,
-        }
-    }
-}
-
-/// Borrowed node features of one sample (see [`NodeFeatures`] for the
-/// owned forms and their semantics).
-#[derive(Debug, Clone, Copy)]
-pub enum FeaturesView<'a> {
-    /// Arbitrary dense `n × d` features.
-    Dense(&'a Matrix),
-    /// Compact two-hot features (gate-type ⊕ DRNL-label one-hots).
-    OneHot(OneHotView<'a>),
-}
-
-impl FeaturesView<'_> {
-    /// Number of rows (nodes).
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        match self {
-            Self::Dense(m) => m.rows(),
-            Self::OneHot(x) => x.rows(),
-        }
-    }
-
-    /// Feature width (dense columns).
-    #[must_use]
-    pub fn cols(&self) -> usize {
-        match self {
-            Self::Dense(m) => m.cols(),
-            Self::OneHot(x) => x.cols(),
         }
     }
 }
@@ -194,8 +72,8 @@ impl FeaturesView<'_> {
 pub struct SampleView<'a> {
     /// CSR adjacency over local node indices (sorted neighbour runs).
     pub adj: CsrView<'a>,
-    /// `n × d` node features (dense or compact two-hot).
-    pub features: FeaturesView<'a>,
+    /// `n × d` two-hot node features.
+    pub features: OneHotView<'a>,
     /// Class label (`true` = positive/link) when known.
     pub label: Option<bool>,
 }
@@ -232,8 +110,9 @@ pub trait SampleStore: Sync {
 
     /// Cached layer-0 plan of sample `i` (the sparse rows of `S·X`
     /// under the store's label budget), when the backing storage
-    /// carries one. `None` — the default — means consumers fall back
-    /// to the per-epoch histogram-rebuild kernels.
+    /// carries one. `None` — the default — means the batched trainer
+    /// builds the sample's plan rows itself when it packs a minibatch;
+    /// both give the same bits.
     fn plan(&self, i: usize) -> Option<Layer0PlanView<'_>> {
         let _ = i;
         None
@@ -307,7 +186,7 @@ impl SampleStore for ArenaSamples<'_> {
             .map_or_else(|| self.arena.nth_handle(i), |hs| hs[i]);
         SampleView {
             adj: self.arena.adj(h),
-            features: FeaturesView::OneHot(self.arena.one_hot(h, self.max_label)),
+            features: self.arena.one_hot(h, self.max_label),
             label: self.arena.label(h),
         }
     }
@@ -332,16 +211,14 @@ impl SampleStore for ArenaSamples<'_> {
 // bounds-check-free body.
 //
 // Measured outcome (`benches/kernels.rs`, baseline x86-64 target): the
-// 8-lane blocking is a wash-to-win for the fused one-hot kernels, whose
-// inner axpy runs under an outer per-touched-column loop
-// (`sparse_layer0/fused_exact` min-of-10 at F16_n300: 54.3µs plain →
-// ~42µs blocked across repeated runs), but a consistent ~1.7× LOSS
-// inside `propagate_into` / `propagate_back_into` (`csr_propagate/100`
-// min: 1.96µs plain → 3.41µs blocked): LLVM already vectorizes those
-// short dynamic-length zips and the added block/tail structure only
-// costs. So the blocked primitives are used exactly where they win —
-// the one-hot kernels — and the propagate pair keeps its plain zip
-// loops.
+// 8-lane blocking was a wash-to-win for the one-hot layer-0 kernels,
+// whose inner axpy runs under an outer per-column loop (54.3µs plain →
+// ~42µs blocked at F16_n300), but a consistent ~1.7× LOSS inside
+// `propagate_into` / `propagate_back_into` (`csr_propagate/100` min:
+// 1.96µs plain → 3.41µs blocked): LLVM already vectorizes those short
+// dynamic-length zips and the added block/tail structure only costs. So
+// the blocked axpy is used by the layer-0 plan backward, and the
+// propagate pair keeps its plain zip loops.
 //
 // `f32::mul_add` was evaluated for all of these and deliberately NOT
 // used: fusing multiply and add rounds once instead of twice, which
@@ -352,22 +229,6 @@ impl SampleStore for ArenaSamples<'_> {
 // ---------------------------------------------------------------------
 
 const LANES: usize = 8;
-
-/// `acc[i] += src[i]` (8-lane blocks, bit-identical to the scalar zip).
-#[inline]
-fn add_rows(acc: &mut [f32], src: &[f32]) {
-    debug_assert_eq!(acc.len(), src.len());
-    let mut a = acc.chunks_exact_mut(LANES);
-    let mut s = src.chunks_exact(LANES);
-    for (a8, s8) in a.by_ref().zip(s.by_ref()) {
-        for (o, &b) in a8.iter_mut().zip(s8) {
-            *o += b;
-        }
-    }
-    for (o, &b) in a.into_remainder().iter_mut().zip(s.remainder()) {
-        *o += b;
-    }
-}
 
 /// `acc[i] += a · src[i]` (8-lane blocks, bit-identical to the scalar zip).
 #[inline]
@@ -385,226 +246,16 @@ fn axpy_rows(acc: &mut [f32], src: &[f32], a: f32) {
     }
 }
 
-/// Fused sparse product `X·W` for two-hot features: row `i` of the output
-/// is the sum of the two `W` rows selected by node `i`'s gate and label
-/// columns — `O(n·c)` work and no `n × d` dense X in memory.
+/// **Bit-exact** first layer forward: `out = (S·X)·W` from the sparse
+/// rows of `S·X` in a [`Layer0PlanView`] — without materialising the
+/// `n × F` matrix `S·X`.
 ///
-/// Within each output row the gate-row entry is added before the
-/// label-row entry, a fixed order, so the result is a pure function of
-/// `(x, w)` — bit-identical across runs, threads and buffer reuse.
-///
-/// Composing this with `propagate` yields `S·(X·W)` — the *reassociated*
-/// first layer, the maximum-throughput formulation (`O(n·c)` gather, no
-/// per-column histogram). It equals the dense `(S·X)·W` in exact
-/// arithmetic but only to ≤ 1e-5 relative in `f32`, so the model's
-/// default path uses the bit-exact [`onehot_propagate_matmul_into`]
-/// instead: training amplifies reassociation drift chaotically across
-/// optimiser steps (observed as macroscopically different weights).
-/// See the numerics policy in the README.
-///
-/// # Panics
-///
-/// Panics when `w` has fewer rows than the feature width.
-pub fn onehot_project_into<'a>(x: impl Into<OneHotView<'a>>, w: &Matrix, out: &mut Matrix) {
-    let x = x.into();
-    assert_eq!(w.rows(), x.cols(), "feature width mismatch");
-    let c = w.cols();
-    out.resize_for_overwrite(x.rows(), c);
-    for i in 0..x.rows() {
-        let (g, l) = x.columns(i);
-        let grow = w.row(g);
-        let lrow = w.row(l);
-        for ((o, &a), &b) in out.row_mut(i).iter_mut().zip(grow).zip(lrow) {
-            *o = a + b;
-        }
-    }
-}
-
-/// Adjoint of [`onehot_project_into`]: accumulates `Xᵀ·G` into `gw` as a
-/// two-row scatter-add per node (`gw[gate_i] += G_i`,
-/// `gw[8 + label_i] += G_i`). `gw` must be pre-shaped `x.cols × g.cols()`
-/// (typically via `Matrix::resize`, which zeroes); rows are visited in
-/// ascending node order, so the summation order — and hence the bits —
-/// are a pure function of `(x, g)`.
-///
-/// # Panics
-///
-/// Panics when shapes disagree.
-pub fn onehot_scatter_add<'a>(x: impl Into<OneHotView<'a>>, g: &Matrix, gw: &mut Matrix) {
-    let x = x.into();
-    assert_eq!(g.rows(), x.rows(), "row count mismatch");
-    assert_eq!(
-        (gw.rows(), gw.cols()),
-        (x.cols(), g.cols()),
-        "gradient shape mismatch"
-    );
-    for i in 0..x.rows() {
-        let (gi, li) = x.columns(i);
-        let src = g.row(i);
-        add_rows(gw.row_mut(gi), src);
-        add_rows(gw.row_mut(li), src);
-    }
-}
-
-/// Reusable column-histogram scratch for the **bit-exact** fused
-/// first-layer kernels ([`onehot_propagate_matmul_into`],
-/// [`onehot_propagate_t_matmul_into`]).
-#[derive(Debug, Clone, Default)]
-pub struct OneHotSpmmScratch {
-    /// Per-column hit count of the current node's closed neighbourhood
-    /// (all-zero between kernel calls; only touched entries are reset).
-    counts: Vec<u32>,
-    /// Columns with nonzero count, sorted ascending before use.
-    touched: Vec<u32>,
-}
-
-impl OneHotSpmmScratch {
-    /// Builds the column histogram of row `i` of `S·X` (unscaled): hit
-    /// counts of the two-hot columns over `{i} ∪ N(i)`, with the touched
-    /// column list sorted ascending. `counts` must be (and is left)
-    /// all-zero outside `touched`.
-    fn build_row(&mut self, adj: CsrView<'_>, x: OneHotView<'_>, i: usize) {
-        if self.counts.len() < x.cols() {
-            self.counts.resize(x.cols(), 0);
-        }
-        self.touched.clear();
-        let mut hit = |col: usize| {
-            if self.counts[col] == 0 {
-                self.touched.push(col as u32);
-            }
-            self.counts[col] += 1;
-        };
-        let (g, l) = x.columns(i);
-        hit(g);
-        hit(l);
-        for &j in adj.neighbors(i) {
-            let (g, l) = x.columns(j as usize);
-            hit(g);
-            hit(l);
-        }
-        self.touched.sort_unstable();
-    }
-
-    /// Resets the touched counters back to zero (O(touched), no memset).
-    fn clear_row(&mut self) {
-        for &c in &self.touched {
-            self.counts[c as usize] = 0;
-        }
-    }
-}
-
-/// **Bit-exact** fused first layer forward: `out = (S·X)·W` computed
-/// without materialising the `n × F` matrix `S·X`.
-///
-/// Row `i` of `S·X` has at most `2·(1 + deg(i))` nonzeros, each of the
-/// form `count · scaleᵢ` with an integer `count` — and integer-valued
-/// `f32` sums are exact, so the histogram reproduces the propagated
-/// values bit-for-bit. The product then accumulates over the touched
-/// columns in ascending order, exactly the order
-/// [`Matrix::matmul_into`]'s skip-zero loop visits them: the result is
-/// **bitwise identical** to `propagate` + `matmul` on the dense
-/// expansion, while skipping all `O(n·F)` work. This is the production
-/// first layer — unlike the reassociated [`onehot_project_into`] path it
-/// cannot drift from the dense reference, which keeps training (where
-/// `f32` drift amplifies chaotically across Adam steps) exactly
-/// reproducible.
-///
-/// # Panics
-///
-/// Panics when shapes disagree.
-pub fn onehot_propagate_matmul_into<'a, 'b>(
-    adj: impl Into<CsrView<'a>>,
-    x: impl Into<OneHotView<'b>>,
-    w: &Matrix,
-    out: &mut Matrix,
-    scratch: &mut OneHotSpmmScratch,
-) {
-    let (adj, x) = (adj.into(), x.into());
-    let n = adj.node_count();
-    assert_eq!(x.rows(), n, "row count mismatch");
-    assert_eq!(w.rows(), x.cols(), "feature width mismatch");
-    out.resize(n, w.cols());
-    for i in 0..n {
-        scratch.build_row(adj, x, i);
-        let scale = adj.scale(i);
-        let orow = out.row_mut(i);
-        for &c in &scratch.touched {
-            let a = (scratch.counts[c as usize] as f32) * scale;
-            axpy_rows(orow, w.row(c as usize), a);
-        }
-        scratch.clear_row();
-    }
-}
-
-/// **Bit-exact** fused first layer backward: `gw = (S·X)ᵀ·G` (the `dW₀`
-/// of the first GC layer) without materialising `S·X`.
-///
-/// Mirrors [`Matrix::t_matmul_into`]'s order exactly — rows in ascending
-/// node order, touched columns ascending within each row — so the result
-/// is bitwise identical to `t_matmul` on the cached dense `S·X` the
-/// dense path keeps. See [`onehot_propagate_matmul_into`] for why the
-/// histogram values are exact.
-///
-/// # Panics
-///
-/// Panics when shapes disagree.
-pub fn onehot_propagate_t_matmul_into<'a, 'b>(
-    adj: impl Into<CsrView<'a>>,
-    x: impl Into<OneHotView<'b>>,
-    g: &Matrix,
-    gw: &mut Matrix,
-    scratch: &mut OneHotSpmmScratch,
-) {
-    let (adj, x) = (adj.into(), x.into());
-    let n = adj.node_count();
-    onehot_propagate_t_matmul_rows_into(adj, x, g, 0..n, gw, scratch);
-}
-
-/// [`onehot_propagate_t_matmul_into`] restricted to a contiguous row
-/// range: `gw = (S·X)[rows]ᵀ·G[rows]`, rows visited ascending. Over one
-/// sample's row segment of a block-diagonal batch (whose neighbour runs
-/// never leave the segment) this reproduces that sample's standalone
-/// `dW₀` bit-for-bit — the segmented reduction the batched trainer needs
-/// to keep per-sample gradient subtotals in merge order.
-///
-/// # Panics
-///
-/// Panics when shapes disagree or the range is out of bounds.
-pub fn onehot_propagate_t_matmul_rows_into<'a, 'b>(
-    adj: impl Into<CsrView<'a>>,
-    x: impl Into<OneHotView<'b>>,
-    g: &Matrix,
-    rows: std::ops::Range<usize>,
-    gw: &mut Matrix,
-    scratch: &mut OneHotSpmmScratch,
-) {
-    let (adj, x) = (adj.into(), x.into());
-    let n = adj.node_count();
-    assert_eq!(x.rows(), n, "row count mismatch");
-    assert_eq!(g.rows(), n, "gradient row count mismatch");
-    assert!(rows.end <= n, "row range out of bounds");
-    gw.resize(x.cols(), g.cols());
-    for i in rows {
-        scratch.build_row(adj, x, i);
-        let scale = adj.scale(i);
-        let grow = g.row(i);
-        for &c in &scratch.touched {
-            let a = (scratch.counts[c as usize] as f32) * scale;
-            axpy_rows(gw.row_mut(c as usize), grow, a);
-        }
-        scratch.clear_row();
-    }
-}
-
-/// **Bit-exact** cached-plan first layer forward: `out = (S·X)·W` from a
-/// precomputed [`Layer0PlanView`] — zero histogram rebuilds.
-///
-/// A plan row holds the exact `(column, count·scale)` entries
-/// [`onehot_propagate_matmul_into`]'s histogram derives per epoch, with
-/// the columns in the same ascending order the histogram's sorted
-/// touched list visits — so accumulating `value · W[column]` over the
-/// row reproduces the rebuild kernel (and hence the dense
-/// `propagate` + `matmul` reference) bit-for-bit, by construction.
+/// A plan row holds the nonzero entries of row `i` of `S·X`, each the
+/// exact `count · scaleᵢ` (integer-valued `f32` counts are exact), with
+/// the columns ascending — the order [`Matrix::matmul_into`]'s skip-zero
+/// loop visits them. Accumulating `value · W[column]` over the row thus
+/// reproduces the dense `propagate` + `matmul` bit-for-bit, while
+/// skipping all `O(n·F)` work.
 ///
 /// # Panics
 ///
@@ -620,12 +271,16 @@ pub fn plan_matmul_into(plan: Layer0PlanView<'_>, w: &Matrix, out: &mut Matrix) 
     }
 }
 
-/// **Bit-exact** cached-plan first layer backward over a contiguous row
-/// range: `gw = (S·X)[rows]ᵀ·G[rows]` from a precomputed plan — the
-/// cached twin of [`onehot_propagate_t_matmul_rows_into`], bit-identical
-/// to it for the same reasons as [`plan_matmul_into`]. `feature_width`
-/// is the dense feature column count (the plan itself only knows the
-/// columns it touches).
+/// **Bit-exact** first layer backward over a contiguous row range:
+/// `gw = (S·X)[rows]ᵀ·G[rows]` (the `dW₀` of the first GC layer) from a
+/// plan. Rows are visited ascending and each row's columns ascending,
+/// [`Matrix::t_matmul_into`]'s order over the dense `S·X`, so the result
+/// is bitwise identical to it for the same reasons as
+/// [`plan_matmul_into`]. Over one sample's row segment of a
+/// block-diagonal batch this is that sample's standalone `dW₀` — the
+/// segmented reduction the batched trainer folds in sample order.
+/// `feature_width` is the dense feature column count (the plan itself
+/// only knows the columns it touches).
 ///
 /// # Panics
 ///
@@ -648,37 +303,6 @@ pub fn plan_t_matmul_rows_into(
             axpy_rows(gw.row_mut(c as usize), grow, a);
         }
     }
-}
-
-/// Builds one sample's layer-0 plan slabs with the histogram logic the
-/// arena's plan builder runs — shared by the kernel- and batch-level
-/// equivalence tests (the production builder itself is pinned against
-/// the dense reference in `muxlink-graph`'s arena tests).
-#[cfg(test)]
-pub(crate) fn build_plan_slabs(adj: &Csr, x: &OneHotFeatures) -> (Vec<u32>, Vec<u32>, Vec<f32>) {
-    let adjv: CsrView<'_> = adj.into();
-    let xv = x.view();
-    let (mut offsets, mut cols, mut vals) = (vec![0u32], Vec::new(), Vec::new());
-    let mut counts = vec![0u32; xv.cols()];
-    for i in 0..adjv.node_count() {
-        let (g, l) = xv.columns(i);
-        counts[g] += 1;
-        counts[l] += 1;
-        for &j in adjv.neighbors(i) {
-            let (g, l) = xv.columns(j as usize);
-            counts[g] += 1;
-            counts[l] += 1;
-        }
-        for (c, cnt) in counts.iter_mut().enumerate() {
-            if *cnt > 0 {
-                cols.push(c as u32);
-                vals.push((*cnt as f32) * adjv.scale(i));
-                *cnt = 0;
-            }
-        }
-        offsets.push(cols.len() as u32);
-    }
-    (offsets, cols, vals)
 }
 
 /// Applies the DGCNN propagation `S·H` with `S = D̃⁻¹(A + I)`:
@@ -859,6 +483,7 @@ mod tests {
 
     use super::*;
     use crate::matrix::seeded_rng;
+    use muxlink_graph::Layer0Plans;
 
     fn path_adj() -> Csr {
         Csr::from_lists(&[vec![1], vec![0, 2], vec![1]])
@@ -911,99 +536,47 @@ mod tests {
         OneHotFeatures::new(11, vec![0, 3, 7, 3], vec![1, 0, 2, 2])
     }
 
-    #[test]
-    fn onehot_project_matches_dense_matmul() {
-        let x = tiny_onehot();
-        let mut rng = seeded_rng(8);
-        let w = Matrix::glorot(11, 6, &mut rng);
-        let dense = NodeFeatures::OneHot(x.clone()).to_dense();
-        let expect = dense.matmul(&w);
-        let mut out = Matrix::from_vec(1, 1, vec![5.0]); // dirty buffer
-        onehot_project_into(&x, &w, &mut out);
-        assert_eq!(out.rows(), 4);
-        // Two-term sums in a fixed order: equal to the dense product up
-        // to f32 reassociation; for 0/1 entries it is in fact exact.
-        for (a, b) in out.data().iter().zip(expect.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+    /// A second, two-node feature set of the same width.
+    fn tiny_onehot_2() -> OneHotFeatures {
+        OneHotFeatures::new(11, vec![5, 1], vec![2, 1])
     }
 
-    #[test]
-    fn onehot_scatter_matches_dense_t_matmul() {
-        let x = tiny_onehot();
-        let mut rng = seeded_rng(9);
-        let g = Matrix::glorot(4, 6, &mut rng);
-        let dense = NodeFeatures::OneHot(x.clone()).to_dense();
-        let expect = dense.t_matmul(&g);
-        let mut gw = Matrix::zeros(0, 0);
-        gw.resize(11, 6);
-        onehot_scatter_add(&x, &g, &mut gw);
-        for (a, b) in gw.data().iter().zip(expect.data()) {
-            assert!((a - b).abs() <= 1e-6, "{a} vs {b}");
-        }
+    fn tiny_adj() -> Csr {
+        Csr::from_lists(&[vec![1, 2], vec![0, 3], vec![0], vec![1]])
     }
 
-    #[test]
-    fn onehot_project_and_scatter_are_adjoint() {
-        // <X·W, G> must equal <W, Xᵀ·G>.
-        let x = tiny_onehot();
-        let mut rng = seeded_rng(10);
-        let w = Matrix::glorot(11, 3, &mut rng);
-        let g = Matrix::glorot(4, 3, &mut rng);
-        let mut xw = Matrix::zeros(0, 0);
-        onehot_project_into(&x, &w, &mut xw);
-        let mut xtg = Matrix::zeros(0, 0);
-        xtg.resize(11, 3);
-        onehot_scatter_add(&x, &g, &mut xtg);
-        let lhs: f32 = xw.data().iter().zip(g.data()).map(|(a, b)| a * b).sum();
-        let rhs: f32 = w.data().iter().zip(xtg.data()).map(|(a, b)| a * b).sum();
-        assert!((lhs - rhs).abs() < 1e-5, "{lhs} vs {rhs}");
+    fn dense(x: &OneHotFeatures) -> Matrix {
+        let fm = x.to_dense();
+        Matrix::from_vec(fm.rows, fm.cols, fm.data)
     }
 
-    /// The production fused kernels must reproduce the dense reference
-    /// pipeline (`propagate` + `matmul` / `t_matmul`) bit-for-bit.
+    fn built_plan(adj: &Csr, x: &OneHotFeatures) -> Layer0Plans {
+        let mut plans = Layer0Plans::new();
+        plans.push_sample(adj.view(), x.view());
+        plans
+    }
+
+    /// The plan kernels over a freshly built plan must reproduce the
+    /// dense reference pipeline (`propagate` + `matmul` / `t_matmul`)
+    /// bit-for-bit, including from dirty reused buffers.
     #[test]
     fn onehot_exact_kernels_match_dense_pipeline_bitwise() {
-        let x = tiny_onehot();
-        let adj = Csr::from_lists(&[vec![1, 2], vec![0, 3], vec![0], vec![1]]);
+        let (x, adj) = (tiny_onehot(), tiny_adj());
         let mut rng = seeded_rng(12);
         let w = Matrix::glorot(11, 6, &mut rng);
         let dz = Matrix::glorot(4, 6, &mut rng);
-        let dense = NodeFeatures::OneHot(x.clone()).to_dense();
-        let sx = propagate(&adj, &dense);
+        let sx = propagate(&adj, &dense(&x));
         let fwd_ref = sx.matmul(&w);
         let bwd_ref = sx.t_matmul(&dz);
 
-        let mut scratch = OneHotSpmmScratch::default();
+        let plans = built_plan(&adj, &x);
         let mut fwd = Matrix::from_vec(1, 1, vec![3.0]); // dirty buffer
         let mut bwd = Matrix::from_vec(1, 2, vec![4.0, 4.0]);
         for _ in 0..2 {
-            onehot_propagate_matmul_into(&adj, &x, &w, &mut fwd, &mut scratch);
+            plan_matmul_into(plans.view(), &w, &mut fwd);
             assert_eq!(fwd, fwd_ref, "forward diverged from dense bits");
-            onehot_propagate_t_matmul_into(&adj, &x, &dz, &mut bwd, &mut scratch);
+            plan_t_matmul_rows_into(plans.view(), &dz, 0..4, 11, &mut bwd);
             assert_eq!(bwd, bwd_ref, "backward diverged from dense bits");
-        }
-    }
-
-    /// The reassociated gather formulation `S·(X·W)` stays within 1e-5
-    /// relative of the exact `(S·X)·W`.
-    #[test]
-    fn reassociated_composite_is_tolerance_close_to_exact() {
-        let x = tiny_onehot();
-        let adj = Csr::from_lists(&[vec![1, 2], vec![0, 3], vec![0], vec![1]]);
-        let mut rng = seeded_rng(13);
-        let w = Matrix::glorot(11, 6, &mut rng);
-        let mut scratch = OneHotSpmmScratch::default();
-        let mut exact = Matrix::default();
-        onehot_propagate_matmul_into(&adj, &x, &w, &mut exact, &mut scratch);
-        let mut xw = Matrix::default();
-        onehot_project_into(&x, &w, &mut xw);
-        let reassoc = propagate(&adj, &xw);
-        for (a, b) in reassoc.data().iter().zip(exact.data()) {
-            assert!(
-                (a - b).abs() <= 1e-5 * a.abs().max(b.abs()).max(1.0),
-                "{a} vs {b}"
-            );
         }
     }
 
@@ -1026,97 +599,88 @@ mod tests {
         }
     }
 
-    /// The cached-plan kernels must reproduce the histogram-rebuild
-    /// kernels bit-for-bit, including from dirty reused buffers.
+    /// A plan bit-copied into another slab (`push_plan`, the cached
+    /// path) must drive the kernels to the bits of the freshly built
+    /// histogram plan, over the whole sample and over row ranges.
     #[test]
     fn plan_kernels_match_histogram_kernels_bitwise() {
-        let x = tiny_onehot();
-        let adj = Csr::from_lists(&[vec![1, 2], vec![0, 3], vec![0], vec![1]]);
-        let (off, cols, vals) = build_plan_slabs(&adj, &x);
-        let plan = Layer0PlanView::from_raw_parts(&off, &cols, &vals);
+        let (x, adj) = (tiny_onehot(), tiny_adj());
+        let built = built_plan(&adj, &x);
+        let mut copied = built_plan(&Csr::from_lists(&[vec![1], vec![0]]), &tiny_onehot_2());
+        copied.push_plan(built.view());
+        let all = copied.view();
+        let (cols, vals) = all.entries();
+        let cached = Layer0PlanView::from_raw_parts(&all.offsets()[2..], cols, vals);
         let mut rng = seeded_rng(23);
         let w = Matrix::glorot(11, 6, &mut rng);
         let dz = Matrix::glorot(4, 6, &mut rng);
-        let mut scratch = OneHotSpmmScratch::default();
 
         let mut fwd_ref = Matrix::default();
-        onehot_propagate_matmul_into(&adj, &x, &w, &mut fwd_ref, &mut scratch);
+        plan_matmul_into(built.view(), &w, &mut fwd_ref);
         let mut fwd = Matrix::from_vec(1, 1, vec![3.0]); // dirty buffer
         for _ in 0..2 {
-            plan_matmul_into(plan, &w, &mut fwd);
-            assert_eq!(fwd, fwd_ref, "cached forward diverged from rebuild");
+            plan_matmul_into(cached, &w, &mut fwd);
+            assert_eq!(fwd, fwd_ref, "cached forward diverged from built");
         }
 
         for range in [0..4usize, 1..3] {
             let mut bwd_ref = Matrix::default();
-            onehot_propagate_t_matmul_rows_into(
-                &adj,
-                &x,
-                &dz,
-                range.clone(),
-                &mut bwd_ref,
-                &mut scratch,
-            );
+            plan_t_matmul_rows_into(built.view(), &dz, range.clone(), 11, &mut bwd_ref);
             let mut bwd = Matrix::from_vec(1, 2, vec![4.0, 4.0]);
             for _ in 0..2 {
-                plan_t_matmul_rows_into(plan, &dz, range.clone(), 11, &mut bwd);
+                plan_t_matmul_rows_into(cached, &dz, range.clone(), 11, &mut bwd);
                 assert_eq!(bwd, bwd_ref, "cached backward diverged ({range:?})");
             }
         }
     }
 
-    /// The rows-range one-hot backward over a block's segment must equal
-    /// the standalone kernel on that block alone.
+    /// The rows-range backward over one sample's segment of a
+    /// two-sample block-diagonal plan must equal the backward over that
+    /// sample's standalone plan.
     #[test]
     fn onehot_rows_range_backward_matches_standalone() {
-        let x = tiny_onehot();
-        let adj = Csr::from_lists(&[vec![1, 2], vec![0, 3], vec![0], vec![1]]);
+        let (x, adj) = (tiny_onehot(), tiny_adj());
+        let mut block = built_plan(&Csr::from_lists(&[vec![1], vec![0]]), &tiny_onehot_2());
+        block.push_sample(adj.view(), x.view());
         let mut rng = seeded_rng(19);
-        let g = Matrix::glorot(4, 6, &mut rng);
-        let mut scratch = OneHotSpmmScratch::default();
+        let g = Matrix::glorot(6, 6, &mut rng);
+        let mut tail = Matrix::zeros(4, 6);
+        for i in 0..4 {
+            tail.row_mut(i).copy_from_slice(g.row(2 + i));
+        }
         let mut full = Matrix::default();
-        onehot_propagate_t_matmul_into(&adj, &x, &g, &mut full, &mut scratch);
+        plan_t_matmul_rows_into(built_plan(&adj, &x).view(), &tail, 0..4, 11, &mut full);
         let mut ranged = Matrix::from_vec(1, 1, vec![7.0]);
-        onehot_propagate_t_matmul_rows_into(&adj, &x, &g, 0..4, &mut ranged, &mut scratch);
+        plan_t_matmul_rows_into(block.view(), &g, 2..6, 11, &mut ranged);
         assert_eq!(ranged, full);
     }
 
     #[test]
     fn node_features_shape_accessors() {
-        let x = tiny_onehot();
-        let nf = NodeFeatures::OneHot(x);
-        assert_eq!(nf.rows(), 4);
-        assert_eq!(nf.cols(), 11);
-        let d = nf.to_dense();
+        let s = GraphSample {
+            adj: tiny_adj(),
+            features: tiny_onehot(),
+            label: None,
+        };
+        assert_eq!(s.node_count(), 4);
+        let v = s.view();
+        assert_eq!((v.features.rows(), v.features.cols()), (4, 11));
+        let d = dense(&s.features);
         assert_eq!((d.rows(), d.cols()), (4, 11));
-        let nf2 = NodeFeatures::from(d);
-        assert_eq!(nf2.rows(), 4);
     }
 
     #[test]
-    fn graph_sample_serde_round_trips_both_feature_forms() {
-        let onehot = GraphSample {
+    fn graph_sample_serde_round_trips() {
+        let s = GraphSample {
             adj: Csr::from_lists(&[vec![1], vec![0, 2], vec![1]]),
-            features: OneHotFeatures::new(11, vec![0, 3, 7], vec![1, 0, 2]).into(),
+            features: OneHotFeatures::new(11, vec![0, 3, 7], vec![1, 0, 2]),
             label: Some(true),
         };
-        let mut rng = seeded_rng(21);
-        let dense = GraphSample {
-            adj: Csr::from_lists(&[vec![1], vec![0]]),
-            features: Matrix::glorot(2, 5, &mut rng).into(),
-            label: None,
-        };
-        for s in [onehot, dense] {
-            let json = serde_json::to_string(&s).unwrap();
-            let back: GraphSample = serde_json::from_str(&json).unwrap();
-            assert_eq!(back.adj, s.adj);
-            assert_eq!(back.label, s.label);
-            match (&back.features, &s.features) {
-                (NodeFeatures::Dense(a), NodeFeatures::Dense(b)) => assert_eq!(a, b),
-                (NodeFeatures::OneHot(a), NodeFeatures::OneHot(b)) => assert_eq!(a, b),
-                _ => panic!("feature variant changed across serde round trip"),
-            }
-        }
+        let json = serde_json::to_string(&s).unwrap();
+        let back: GraphSample = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.adj, s.adj);
+        assert_eq!(back.label, s.label);
+        assert_eq!(back.features, s.features);
     }
 
     #[test]

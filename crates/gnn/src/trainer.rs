@@ -329,14 +329,14 @@ pub fn train_controlled_timed<S: SampleStore + ?Sized, V: SampleStore + ?Sized>(
 mod tests {
     use super::*;
     use crate::dgcnn::DgcnnConfig;
-    use crate::matrix::Matrix;
     use crate::sample::GraphSample;
+    use muxlink_graph::OneHotFeatures;
     use rand::Rng;
 
     /// A separable link-prediction-like task on a 4-node path 0-1-2-3:
-    /// two nodes carry a "target" flag; the label says whether the flagged
-    /// pair is adjacent (1,2) or far apart (0,3). Small feature noise keeps
-    /// samples distinct.
+    /// two nodes carry a "target" gate type (column 1, the rest column
+    /// 0); the label says whether the flagged pair is adjacent (1,2) or
+    /// far apart (0,3). Random DRNL-label columns keep samples distinct.
     fn toy_dataset(n: usize, seed: u64) -> Vec<GraphSample> {
         let mut rng = seeded_rng(seed);
         (0..n)
@@ -344,27 +344,24 @@ mod tests {
                 let label = rng.gen::<bool>();
                 let adj =
                     muxlink_graph::Csr::from_lists(&[vec![1], vec![0, 2], vec![1, 3], vec![2]]);
-                let mut features = Matrix::zeros(4, 4);
-                for i in 0..4 {
-                    features.set(i, 0, 1.0);
-                    features.set(i, 2, rng.gen_range(-0.05..0.05));
-                }
                 let flagged: [usize; 2] = if label { [1, 2] } else { [0, 3] };
-                for f in flagged {
-                    features.set(f, 1, 1.0);
-                }
+                let gate = (0..4).map(|i| u32::from(flagged.contains(&i))).collect();
+                let labels = (0..4).map(|_| rng.gen_range(0..3)).collect();
                 GraphSample {
                     adj,
-                    features: features.into(),
+                    features: OneHotFeatures::new(TOY_WIDTH, gate, labels),
                     label: Some(label),
                 }
             })
             .collect()
     }
 
+    /// 8 gate-type columns + DRNL labels 0..=2.
+    const TOY_WIDTH: usize = 11;
+
     fn toy_cfg() -> DgcnnConfig {
         DgcnnConfig {
-            input_dim: 4,
+            input_dim: TOY_WIDTH,
             gc_channels: vec![4, 1],
             conv1_channels: 4,
             conv2_channels: 4,

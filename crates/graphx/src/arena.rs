@@ -41,14 +41,14 @@
 //!
 //! # Layer-0 plan slabs
 //!
-//! Training's first GC layer consumes `S·X`, which depends only on a
-//! sample's fixed adjacency and two-hot features — constant across all
-//! epochs. [`SampleArena::build_layer0_plans`] precomputes each node's
-//! sparse `S·X` row **once** (per dataset label budget) into three more
-//! slabs (`plan_offsets`/`plan_cols`/`plan_vals`, read through
-//! [`Layer0PlanView`]), holding exactly the `(column, count·scale)`
-//! entries the per-epoch histogram kernels would rederive — so the
-//! cached path is bit-identical to the rebuild path by construction.
+//! The first GC layer consumes `S·X`, which depends only on a sample's
+//! fixed adjacency and two-hot features — constant across all epochs.
+//! [`SampleArena::build_layer0_plans`] precomputes each node's sparse
+//! `S·X` row **once** (per dataset label budget) into a [`Layer0Plans`]
+//! (read through [`Layer0PlanView`]). [`Layer0Plans::push_sample`] is
+//! the only place the plan histogram is computed: the batched trainer
+//! builds the rows of a sample whose store caches none with the same
+//! function, so a cached and a freshly built plan carry the same bits.
 //! The plans are *derived* state: any sample mutation invalidates
 //! them, and serde skips them (checkpoints stay in the pre-plan
 //! format; plans are rebuilt on demand after deserialisation).
@@ -104,11 +104,11 @@ impl SampleHandle {
 /// Row `i` holds at most `2·(1 + deg(i))` `(column, value)` entries with
 /// the columns strictly ascending, where every value is
 /// `count · scaleᵢ` for an integer hit `count` of that feature column
-/// over the closed neighbourhood `{i} ∪ N(i)` — the exact quantities
-/// the histogram kernels derive per epoch, precomputed once. Because
-/// the entries carry the same `(count as f32) * scale` products in the
-/// same ascending-column order the histogram path visits, any kernel
-/// consuming a plan row reproduces the rebuild path bit-for-bit.
+/// over the closed neighbourhood `{i} ∪ N(i)`. Integer-valued `f32`
+/// counts are exact, so each value is bit-equal to the entry of the
+/// dense `propagate(S, X)`, and the ascending columns are the order a
+/// dense skip-zero product visits them: a kernel consuming a plan row
+/// reproduces the dense `(S·X)·W` bit-for-bit.
 #[derive(Debug, Clone, Copy)]
 pub struct Layer0PlanView<'a> {
     /// `node_count + 1` entry offsets, absolute into `cols`/`vals`.
@@ -126,8 +126,9 @@ impl<'a> Layer0PlanView<'a> {
     /// `node_count + 1` non-decreasing entry offsets, each in bounds
     /// for `cols`/`vals` (which must have equal lengths over the
     /// addressed span), and each row's columns are strictly ascending.
-    /// The arena and the batched trainer's plan stacker are the only
-    /// intended constructors.
+    /// Production plans come from [`Layer0Plans::view`] and
+    /// [`SampleArena::layer0_plan`]; raw assembly is for kernel tests
+    /// over hand-made plans.
     #[must_use]
     pub fn from_raw_parts(offsets: &'a [u32], cols: &'a [u32], vals: &'a [f32]) -> Self {
         debug_assert!(!offsets.is_empty());
@@ -178,6 +179,149 @@ impl<'a> Layer0PlanView<'a> {
     }
 }
 
+/// Owned, growable layer-0 plan slabs: one CSR of `S·X` rows (see
+/// [`Layer0PlanView`]) over the nodes of a sequence of samples, appended
+/// sample by sample. It holds a dataset's cached plans inside a
+/// [`SampleArena`] and a minibatch's plan in the batched trainer.
+///
+/// [`Layer0Plans::push_sample`] is the one function that computes the
+/// plan histogram; [`Layer0Plans::push_plan`] appends an already-built
+/// plan by bit copy. Either way a sample's rows carry the same bits.
+#[derive(Debug, Clone)]
+pub struct Layer0Plans {
+    /// `node_count + 1` entry offsets, absolute into `cols`/`vals`.
+    offsets: Vec<u32>,
+    /// Entry feature columns, ascending per row.
+    cols: Vec<u32>,
+    /// Entry values (`count · scale`).
+    vals: Vec<f32>,
+    /// Per-column hit counts of the row being built (all zero between
+    /// rows; only touched entries are reset).
+    counts: Vec<u32>,
+    /// Columns the row being built hits, sorted before emission.
+    touched: Vec<u32>,
+}
+
+impl Default for Layer0Plans {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Layer0Plans {
+    /// Empty plans; slabs grow on first use.
+    #[must_use]
+    pub fn new() -> Self {
+        Self {
+            offsets: vec![0],
+            cols: Vec::new(),
+            vals: Vec::new(),
+            counts: Vec::new(),
+            touched: Vec::new(),
+        }
+    }
+
+    /// Drops every row while keeping slab capacity.
+    pub fn clear(&mut self) {
+        self.offsets.truncate(1);
+        self.cols.clear();
+        self.vals.clear();
+    }
+
+    /// Number of node rows.
+    fn node_count(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Bytes of plan data currently held (length-based).
+    fn resident_bytes(&self) -> usize {
+        (self.offsets.len() + self.cols.len() + self.vals.len()) * 4
+    }
+
+    /// Appends one sample's rows of `S·X`, computed from its adjacency
+    /// and two-hot features: per node, the hit counts of the two-hot
+    /// columns over the closed neighbourhood (labels clamped on read
+    /// like [`OneHotView::columns`]), touched columns sorted ascending,
+    /// each value `(count as f32) * scale`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the features and the adjacency disagree on the node
+    /// count, or the entry slab would exceed `u32` addressing.
+    pub fn push_sample(&mut self, adj: CsrView<'_>, x: OneHotView<'_>) {
+        assert_eq!(
+            x.rows(),
+            adj.node_count(),
+            "feature rows disagree with adjacency"
+        );
+        if self.counts.len() < x.cols() {
+            self.counts.resize(x.cols(), 0);
+        }
+        for i in 0..adj.node_count() {
+            let (counts, touched) = (&mut self.counts, &mut self.touched);
+            touched.clear();
+            let mut hit = |col: usize| {
+                if counts[col] == 0 {
+                    touched.push(col as u32);
+                }
+                counts[col] += 1;
+            };
+            let (g, l) = x.columns(i);
+            hit(g);
+            hit(l);
+            for &j in adj.neighbors(i) {
+                let (g, l) = x.columns(j as usize);
+                hit(g);
+                hit(l);
+            }
+            touched.sort_unstable();
+            let scale = adj.scale(i);
+            for &c in touched.iter() {
+                self.cols.push(c);
+                self.vals.push((counts[c as usize] as f32) * scale);
+                counts[c as usize] = 0;
+            }
+            self.offsets.push(to_u32(self.cols.len()));
+        }
+    }
+
+    /// Appends an already-built plan: entries bit-copied, offsets
+    /// rebased onto this slab.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the entry slab would exceed `u32` addressing.
+    pub fn push_plan(&mut self, plan: Layer0PlanView<'_>) {
+        let (cols, vals) = plan.entries();
+        let (base, off0) = (self.cols.len(), plan.offsets()[0] as usize);
+        self.cols.extend_from_slice(cols);
+        self.vals.extend_from_slice(vals);
+        for &w in &plan.offsets()[1..] {
+            self.offsets.push(to_u32(base + (w as usize - off0)));
+        }
+    }
+
+    /// Borrowed view of every row.
+    #[must_use]
+    pub fn view(&self) -> Layer0PlanView<'_> {
+        self.rows(0..self.node_count())
+    }
+
+    /// Borrowed view of the rows `nodes` (one sample's run).
+    fn rows(&self, nodes: std::ops::Range<usize>) -> Layer0PlanView<'_> {
+        Layer0PlanView::from_raw_parts(
+            &self.offsets[nodes.start..=nodes.end],
+            &self.cols,
+            &self.vals,
+        )
+    }
+}
+
+/// A plan entry offset, which must stay addressable as `u32`.
+fn to_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("layer-0 plan slab exceeds u32 addressing")
+}
+
 /// Per-sample record: where the sample's runs start inside the slabs.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct SampleRec {
@@ -194,7 +338,7 @@ struct SampleRec {
 }
 
 /// Pooled storage for the adjacency and two-hot features of many
-/// [`GraphSample`](crate::subgraph::Subgraph)-shaped samples — see the
+/// enclosing-subgraph samples ([`Subgraph`]-shaped) — see the
 /// [module docs](self) for layout, streaming and determinism.
 #[derive(Debug, Clone, Default)]
 pub struct SampleArena {
@@ -217,16 +361,10 @@ pub struct SampleArena {
     /// Bumped by [`SampleArena::clear`]; handles remember the generation
     /// they were issued under and are rejected afterwards.
     generation: u32,
-    /// Layer-0 plan slab: one global CSR of entry offsets over every
-    /// node of every sample in push order (`scales.len() + 1` entries
-    /// when built, absolute into `plan_cols`/`plan_vals`). Derived
-    /// state — rebuilt by [`SampleArena::build_layer0_plans`], never
-    /// serialised, dropped by any mutation.
-    plan_offsets: Vec<u32>,
-    /// Layer-0 plan slab: entry feature columns, ascending per row.
-    plan_cols: Vec<u32>,
-    /// Layer-0 plan slab: entry values (`count · scale`).
-    plan_vals: Vec<f32>,
+    /// Layer-0 plans of every node of every sample in push order.
+    /// Derived state — rebuilt by [`SampleArena::build_layer0_plans`],
+    /// never serialised, dropped by any mutation.
+    plans: Layer0Plans,
     /// The label budget the plans were built under; `None` = no plans.
     plan_budget: Option<u32>,
 }
@@ -263,9 +401,7 @@ impl Deserialize for SampleArena {
             recs: Deserialize::from_value(map_get(v, "recs")?)?,
             max_label: Deserialize::from_value(map_get(v, "max_label")?)?,
             generation: Deserialize::from_value(map_get(v, "generation")?)?,
-            plan_offsets: Vec::new(),
-            plan_cols: Vec::new(),
-            plan_vals: Vec::new(),
+            plans: Layer0Plans::new(),
             plan_budget: None,
         })
     }
@@ -340,9 +476,7 @@ impl SampleArena {
     /// sample mutation funnels through this: plans are derived from the
     /// sample slabs, so any slab write makes them stale.
     fn invalidate_plans(&mut self) {
-        self.plan_offsets.clear();
-        self.plan_cols.clear();
-        self.plan_vals.clear();
+        self.plans.clear();
         self.plan_budget = None;
     }
 
@@ -354,8 +488,7 @@ impl SampleArena {
         (self.offsets.len() + self.neighbors.len() + self.gate.len() + self.labels.len()) * 4
             + self.scales.len() * 4
             + self.recs.len() * std::mem::size_of::<SampleRec>()
-            + (self.plan_offsets.len() + self.plan_cols.len()) * 4
-            + self.plan_vals.len() * 4
+            + self.plan_budget.map_or(0, |_| self.plans.resident_bytes())
     }
 
     /// Number of nodes of a stored sample.
@@ -638,17 +771,8 @@ impl SampleArena {
 
     /// Precomputes every sample's layer-0 plan — the sparse rows of
     /// `S·X` under the given label budget (see [`Layer0PlanView`]) —
-    /// into the plan slabs, once, so training epochs consume the plan
-    /// instead of rebuilding per-node column histograms twice per
-    /// sample per epoch.
-    ///
-    /// The builder runs the exact histogram the rebuild kernels run:
-    /// per node, hit counts of the two-hot columns over the closed
-    /// neighbourhood (labels clamped on read like [`OneHotView::columns`]),
-    /// touched columns sorted ascending, each value computed as
-    /// `(count as f32) * scale` from the same operands — which is what
-    /// makes a plan-consuming kernel bit-identical to the rebuild path
-    /// by construction.
+    /// once, through [`Layer0Plans::push_sample`], so training epochs
+    /// read the plan instead of rebuilding it per minibatch.
     ///
     /// Idempotent for a given budget; a different budget rebuilds.
     ///
@@ -661,59 +785,20 @@ impl SampleArena {
         }
         // Taken out of `self` so the sample views borrowed below don't
         // conflict with the slab writes; restored before returning.
-        let mut offsets = std::mem::take(&mut self.plan_offsets);
-        let mut cols = std::mem::take(&mut self.plan_cols);
-        let mut vals = std::mem::take(&mut self.plan_vals);
-        offsets.clear();
-        cols.clear();
-        vals.clear();
-        let width = feature_cols(max_label);
-        let mut counts = vec![0u32; width];
-        let mut touched: Vec<u32> = Vec::new();
-        offsets.push(0);
+        let mut plans = std::mem::take(&mut self.plans);
+        plans.clear();
         for s in 0..self.len() {
             let h = self.nth_handle(s);
-            let adj = self.adj(h);
-            let x = self.one_hot(h, max_label);
-            for i in 0..adj.node_count() {
-                touched.clear();
-                let mut hit = |col: usize| {
-                    if counts[col] == 0 {
-                        touched.push(col as u32);
-                    }
-                    counts[col] += 1;
-                };
-                let (g, l) = x.columns(i);
-                hit(g);
-                hit(l);
-                for &j in adj.neighbors(i) {
-                    let (g, l) = x.columns(j as usize);
-                    hit(g);
-                    hit(l);
-                }
-                touched.sort_unstable();
-                let scale = adj.scale(i);
-                for &c in &touched {
-                    cols.push(c);
-                    vals.push((counts[c as usize] as f32) * scale);
-                    counts[c as usize] = 0;
-                }
-                offsets.push(cols.len() as u32);
-            }
+            plans.push_sample(self.adj(h), self.one_hot(h, max_label));
         }
-        assert!(
-            cols.len() <= u32::MAX as usize,
-            "layer-0 plan slab exceeds u32 addressing"
-        );
-        self.plan_offsets = offsets;
-        self.plan_cols = cols;
-        self.plan_vals = vals;
+        self.plans = plans;
         self.plan_budget = Some(max_label);
     }
 
     /// Borrowed layer-0 plan of a stored sample, or `None` when no
     /// plans are cached for this exact label budget (never a silently
-    /// mismatched plan — consumers fall back to the rebuild kernels).
+    /// mismatched plan — the batched trainer then builds the sample's
+    /// rows itself).
     ///
     /// # Panics
     ///
@@ -725,11 +810,7 @@ impl SampleArena {
         }
         let r = self.rec(h);
         let (node, n) = (r.node_start as usize, r.node_count as usize);
-        Some(Layer0PlanView::from_raw_parts(
-            &self.plan_offsets[node..=node + n],
-            &self.plan_cols,
-            &self.plan_vals,
-        ))
+        Some(self.plans.rows(node..node + n))
     }
 }
 

@@ -12,13 +12,15 @@
 //! produced.
 //!
 //! [`BlockDiagBatch`] is the reusable assembler: [`BlockDiagBatch::push`]
-//! appends one sample's borrowed views (owned or arena-backed — both
-//! arrive as [`CsrView`]/[`OneHotView`], so both storage paths batch
-//! identically), [`BlockDiagBatch::clear`] resets while keeping slab
-//! capacity, and [`BlockDiagBatch::adj`]/[`BlockDiagBatch::features`]
-//! yield whole-batch views. Per-sample row boundaries are retained
-//! ([`BlockDiagBatch::node_range`]) for the stages that *are*
-//! sample-aware: SortPooling and the segmented gradient reductions.
+//! appends one sample's borrowed adjacency (owned or arena-backed — both
+//! arrive as [`CsrView`], so both storage paths batch identically),
+//! [`BlockDiagBatch::clear`] resets while keeping slab capacity, and
+//! [`BlockDiagBatch::adj`] yields the whole-batch view. Per-sample row
+//! boundaries are retained ([`BlockDiagBatch::node_range`]) for the
+//! stages that *are* sample-aware: SortPooling and the segmented
+//! gradient reductions. (The first GC layer reads no features from the
+//! batch: it runs on the batch's layer-0 plan rows, stacked alongside by
+//! the GNN's minibatch.)
 //!
 //! # Determinism contract
 //!
@@ -26,15 +28,9 @@
 //! each run stays sorted and deduplicated — the batch CSR honours the
 //! same contract as [`crate::csr::Csr`], and neighbour iteration order
 //! within any sample's rows is exactly the per-sample order. Scales are
-//! copied bit-for-bit, never recomputed. Two-hot feature columns are
-//! recorded post-clamp via [`OneHotView::columns`], which is idempotent,
-//! so the batch view emits the same column indices as the per-sample
-//! views it was filled from.
-
-use muxlink_netlist::GATE_TYPE_COUNT;
+//! copied bit-for-bit, never recomputed.
 
 use crate::csr::CsrView;
-use crate::features::OneHotView;
 
 /// Reusable block-diagonal concatenation of a minibatch's samples — see
 /// the [module docs](self) for layout and determinism.
@@ -46,15 +42,8 @@ pub struct BlockDiagBatch {
     neighbors: Vec<u32>,
     /// Concatenated per-node propagation scales, copied verbatim.
     scales: Vec<f32>,
-    /// Concatenated per-node gate-type columns (two-hot batches only).
-    gate: Vec<u32>,
-    /// Concatenated per-node clamped label offsets (two-hot batches only).
-    label: Vec<u32>,
     /// First global node of each sample (`sample_count + 1` entries).
     node_starts: Vec<u32>,
-    /// Dense feature width of the two-hot slabs (0 until the first
-    /// [`BlockDiagBatch::push`] with features).
-    cols: usize,
 }
 
 impl Default for BlockDiagBatch {
@@ -71,10 +60,7 @@ impl BlockDiagBatch {
             offsets: vec![0],
             neighbors: Vec::new(),
             scales: Vec::new(),
-            gate: Vec::new(),
-            label: Vec::new(),
             node_starts: vec![0],
-            cols: 0,
         }
     }
 
@@ -86,11 +72,8 @@ impl BlockDiagBatch {
         self.offsets.push(0);
         self.neighbors.clear();
         self.scales.clear();
-        self.gate.clear();
-        self.label.clear();
         self.node_starts.clear();
         self.node_starts.push(0);
-        self.cols = 0;
     }
 
     /// Number of samples in the batch.
@@ -127,23 +110,15 @@ impl BlockDiagBatch {
         &self.node_starts
     }
 
-    /// Appends one sample: the adjacency block (neighbour indices rebased
-    /// to global node ids, scales verbatim) and, when given, its two-hot
-    /// feature rows (columns recorded post-clamp, so any later read
-    /// re-clamps into the same values).
-    ///
-    /// Feature pushes must be all-or-none across a batch, with one dense
-    /// width throughout.
+    /// Appends one sample's adjacency block: neighbour indices rebased
+    /// to global node ids, scales verbatim.
     ///
     /// # Panics
     ///
-    /// Panics when a feature view disagrees with the adjacency on row
-    /// count or with earlier pushes on width, or when features were
-    /// given for some samples of the batch but not others.
-    pub fn push(&mut self, adj: CsrView<'_>, features: Option<OneHotView<'_>>) {
+    /// Panics when the neighbour slab would exceed `u32` addressing.
+    pub fn push(&mut self, adj: CsrView<'_>) {
         let base = self.node_count() as u32;
-        let n = adj.node_count();
-        for i in 0..n {
+        for i in 0..adj.node_count() {
             self.neighbors
                 .extend(adj.neighbors(i).iter().map(|&j| base + j));
             self.neighbors
@@ -152,24 +127,6 @@ impl BlockDiagBatch {
                 .map(|len| self.offsets.push(len))
                 .expect("batch neighbour slab exceeds u32 addressing");
             self.scales.push(adj.scale(i));
-        }
-        if let Some(x) = features {
-            assert_eq!(x.rows(), n, "feature rows disagree with adjacency");
-            assert!(
-                self.cols == 0 || self.cols == x.cols(),
-                "feature width changed mid-batch"
-            );
-            self.cols = x.cols();
-            for i in 0..n {
-                let (g, l) = x.columns(i);
-                self.gate.push(g as u32);
-                self.label.push((l - GATE_TYPE_COUNT) as u32);
-            }
-        } else {
-            assert!(
-                self.cols == 0,
-                "feature pushes must be all-or-none across a batch"
-            );
         }
         self.node_starts.push(self.node_count() as u32);
     }
@@ -180,21 +137,6 @@ impl BlockDiagBatch {
     pub fn adj(&self) -> CsrView<'_> {
         CsrView::from_raw_parts(&self.offsets, &self.neighbors, &self.scales)
     }
-
-    /// Borrowed two-hot features of the whole batch (row
-    /// `node_starts[s] + i` is row `i` of sample `s`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the batch was assembled without feature views.
-    #[must_use]
-    pub fn features(&self) -> OneHotView<'_> {
-        assert!(
-            self.cols > 0 && self.gate.len() == self.node_count(),
-            "batch holds no two-hot features"
-        );
-        OneHotView::from_raw_parts(self.cols, &self.gate, &self.label)
-    }
 }
 
 #[cfg(test)]
@@ -202,41 +144,29 @@ mod tests {
     use super::*;
     use crate::arena::SampleArena;
     use crate::csr::Csr;
-    use crate::features::{feature_cols, one_hot_features, OneHotFeatures};
     use crate::graph::{CircuitGraph, Link};
     use crate::subgraph::enclosing_subgraph;
     use muxlink_netlist::{GateId, GateType};
 
-    fn samples() -> Vec<(Csr, OneHotFeatures)> {
-        let adjs = [
+    fn samples() -> Vec<Csr> {
+        vec![
             Csr::from_lists(&[vec![1, 2], vec![0], vec![0]]),
             Csr::from_lists(&[vec![1], vec![0, 2, 3], vec![1], vec![1]]),
             Csr::from_lists(&[vec![], vec![]]),
-        ];
-        adjs.into_iter()
-            .enumerate()
-            .map(|(s, adj)| {
-                let n = adj.node_count();
-                let gate = (0..n).map(|i| ((i + s) % 8) as u32).collect();
-                let label = (0..n).map(|i| ((i * 2 + s) % 4) as u32).collect();
-                let x = OneHotFeatures::new(feature_cols(3), gate, label);
-                (adj, x)
-            })
-            .collect()
+        ]
     }
 
     #[test]
     fn blocks_reproduce_per_sample_rows_and_scales() {
         let samples = samples();
         let mut batch = BlockDiagBatch::new();
-        for (adj, x) in &samples {
-            batch.push(adj.view(), Some(x.view()));
+        for adj in &samples {
+            batch.push(adj.view());
         }
         assert_eq!(batch.sample_count(), 3);
         assert_eq!(batch.node_count(), 9);
         let view = batch.adj();
-        let feats = batch.features();
-        for (s, (adj, x)) in samples.iter().enumerate() {
+        for (s, adj) in samples.iter().enumerate() {
             let range = batch.node_range(s);
             assert_eq!(range.len(), adj.node_count());
             let base = range.start;
@@ -244,61 +174,47 @@ mod tests {
                 let expect: Vec<u32> = adj.neighbors(i).iter().map(|&j| j + base as u32).collect();
                 assert_eq!(view.neighbors(base + i), &expect[..]);
                 assert_eq!(view.scale(base + i).to_bits(), adj.scale(i).to_bits());
-                assert_eq!(feats.columns(base + i), x.columns(i));
             }
         }
     }
 
     #[test]
     fn batch_of_one_equals_the_sample() {
-        let (adj, x) = samples().remove(1);
+        let adj = samples().remove(1);
         let mut batch = BlockDiagBatch::new();
-        batch.push(adj.view(), Some(x.view()));
+        batch.push(adj.view());
         assert_eq!(batch.adj().to_owned_csr(), adj);
-        assert_eq!(batch.features().to_owned_features(), x);
     }
 
     #[test]
     fn clear_resets_for_reuse() {
         let samples = samples();
         let mut batch = BlockDiagBatch::new();
-        for (adj, x) in &samples {
-            batch.push(adj.view(), Some(x.view()));
+        for adj in &samples {
+            batch.push(adj.view());
         }
         batch.clear();
         assert!(batch.is_empty());
         assert_eq!(batch.node_count(), 0);
         // Refill with a different subset: identical to a fresh batch.
         let mut fresh = BlockDiagBatch::new();
-        for (adj, x) in samples.iter().rev() {
-            batch.push(adj.view(), Some(x.view()));
-            fresh.push(adj.view(), Some(x.view()));
+        for adj in samples.iter().rev() {
+            batch.push(adj.view());
+            fresh.push(adj.view());
         }
         assert_eq!(batch.adj().to_owned_csr(), fresh.adj().to_owned_csr());
-        assert_eq!(
-            batch.features().to_owned_features(),
-            fresh.features().to_owned_features()
-        );
+        assert_eq!(batch.node_starts(), fresh.node_starts());
     }
 
     #[test]
     fn adjacency_only_batches_supported() {
         let samples = samples();
         let mut batch = BlockDiagBatch::new();
-        for (adj, _) in &samples {
-            batch.push(adj.view(), None);
+        for adj in &samples {
+            batch.push(adj.view());
         }
         assert_eq!(batch.node_count(), 9);
         assert_eq!(batch.adj().node_count(), 9);
-    }
-
-    #[test]
-    #[should_panic(expected = "all-or-none")]
-    fn mixed_feature_pushes_rejected() {
-        let samples = samples();
-        let mut batch = BlockDiagBatch::new();
-        batch.push(samples[0].0.view(), Some(samples[0].1.view()));
-        batch.push(samples[1].0.view(), None);
     }
 
     /// Arena-backed views batch to the same bits as owned views — the
@@ -322,25 +238,18 @@ mod tests {
             .iter()
             .map(|&l| arena.extract_sample(&g, l, 2, None, None))
             .collect();
-        let budget = arena.max_label();
 
         let mut from_arena = BlockDiagBatch::new();
         for &h in &handles {
-            from_arena.push(arena.adj(h), Some(arena.one_hot(h, budget)));
+            from_arena.push(arena.adj(h));
         }
         let mut from_owned = BlockDiagBatch::new();
         for &l in &links {
-            let sg = enclosing_subgraph(&g, l, 2, None);
-            let x = one_hot_features(&sg, budget);
-            from_owned.push(sg.adj.view(), Some(x.view()));
+            from_owned.push(enclosing_subgraph(&g, l, 2, None).adj.view());
         }
         assert_eq!(
             from_arena.adj().to_owned_csr(),
             from_owned.adj().to_owned_csr()
-        );
-        assert_eq!(
-            from_arena.features().to_owned_features(),
-            from_owned.features().to_owned_features()
         );
         assert_eq!(from_arena.node_starts(), from_owned.node_starts());
     }

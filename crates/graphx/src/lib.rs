@@ -40,7 +40,7 @@ pub mod sampling;
 pub(crate) mod scratch;
 pub mod subgraph;
 
-pub use arena::{Layer0PlanView, SampleArena, SampleHandle};
+pub use arena::{Layer0PlanView, Layer0Plans, SampleArena, SampleHandle};
 pub use batch::BlockDiagBatch;
 pub use csr::{Csr, CsrBuilder, CsrView};
 pub use dataset::{build_dataset, build_dataset_arena, ArenaDataset, Dataset, LinkSample};

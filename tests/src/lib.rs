@@ -2,8 +2,9 @@
 //! the executable specifications the production model is pinned to:
 //! the per-sample DGCNN ([`mod@reference`]: forward, backward,
 //! [`reference_predict`], [`reference_evaluate`]), [`reference_train`]
-//! (the per-sample training loop) and [`NoPlans`] (the histogram-rebuild
-//! layer 0).
+//! (the per-sample training loop), [`to_graph_sample`] (owned samples
+//! from enclosing subgraphs), and [`NoPlans`] / [`MixedPlans`] (stores
+//! without cached layer-0 plans, or with them for every other sample).
 
 pub mod reference;
 
@@ -11,9 +12,11 @@ pub use reference::{reference_evaluate, reference_predict};
 
 use muxlink_gnn::matrix::seeded_rng;
 use muxlink_gnn::{
-    Dgcnn, EpochStats, Gradients, Layer0PlanView, Matrix, SampleStore, SampleView, TrainConfig,
-    TrainReport,
+    Dgcnn, EpochStats, Gradients, GraphSample, Layer0PlanView, Matrix, SampleStore, SampleView,
+    TrainConfig, TrainReport,
 };
+use muxlink_graph::features::one_hot_features;
+use muxlink_graph::Subgraph;
 use muxlink_netlist::sim::{exhaustive_equiv, random_patterns, Simulator};
 use muxlink_netlist::{Netlist, NetlistError};
 use rand::seq::SliceRandom;
@@ -224,10 +227,23 @@ pub fn reference_train<S: SampleStore + ?Sized, V: SampleStore + ?Sized>(
     }
 }
 
+/// Converts an enclosing subgraph into an owned GNN input sample with
+/// two-hot features under the label budget `max_label` — the owned
+/// counterpart of an arena-pooled sample, which the storage- and
+/// scoring-equivalence tests compare against.
+#[must_use]
+pub fn to_graph_sample(sg: &Subgraph, max_label: u32, label: Option<bool>) -> GraphSample {
+    GraphSample {
+        adj: sg.adj.clone(),
+        features: one_hot_features(sg, max_label),
+        label,
+    }
+}
+
 /// A [`SampleStore`] that hides the wrapped store's cached layer-0
-/// plans, so the batched trainer rebuilds the propagated features from
-/// the two-hot histograms — the executable reference of the cached
-/// `S·X` plans.
+/// plans, so the batched trainer builds every sample's `S·X` plan rows
+/// when it packs a minibatch — the check that a cached plan and a
+/// freshly built one give the same bits.
 pub struct NoPlans<'a, S: ?Sized>(pub &'a S);
 
 impl<S: SampleStore + ?Sized> SampleStore for NoPlans<'_, S> {
@@ -244,9 +260,48 @@ impl<S: SampleStore + ?Sized> SampleStore for NoPlans<'_, S> {
     }
 }
 
+/// A [`SampleStore`] that hides the wrapped store's cached layer-0
+/// plans of odd sample indices only, so a minibatch mixes bit-copied
+/// cached plans with plans built at assembly.
+pub struct MixedPlans<'a, S: ?Sized>(pub &'a S);
+
+impl<S: SampleStore + ?Sized> SampleStore for MixedPlans<'_, S> {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn view(&self, i: usize) -> SampleView<'_> {
+        self.0.view(i)
+    }
+
+    fn plan(&self, i: usize) -> Option<Layer0PlanView<'_>> {
+        if i.is_multiple_of(2) {
+            self.0.plan(i)
+        } else {
+            None
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use muxlink_graph::graph::{CircuitGraph, Link};
+    use muxlink_graph::subgraph::enclosing_subgraph;
+    use muxlink_netlist::{GateId, GateType};
+
+    #[test]
+    fn sample_has_matching_shapes() {
+        let g = CircuitGraph::from_edges(
+            (0..4).map(GateId::from_index).collect(),
+            vec![GateType::Nand; 4],
+            &[Link::new(0, 1), Link::new(1, 2), Link::new(2, 3)],
+        );
+        let sg = enclosing_subgraph(&g, Link::new(1, 2), 2, None);
+        let s = to_graph_sample(&sg, sg.max_label(), Some(true));
+        assert_eq!(s.node_count(), s.features.rows());
+        assert_eq!(s.label, Some(true));
+    }
 
     #[test]
     fn oracle_accepts_identical_designs() {

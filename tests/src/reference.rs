@@ -11,15 +11,15 @@
 //! architecture from [`Dgcnn::config`], the weights from
 //! [`Dgcnn::snapshot`] in its canonical order, the public kernels, and
 //! gradients written through [`Gradients::from_tensors`] /
-//! [`Gradients::tensors_mut`] in the same order.
+//! [`Gradients::tensors_mut`] in the same order. Its first layer is
+//! dense: each sample's two-hot features are expanded to the `n × F`
+//! matrix `X` and propagated like every other layer, the executable
+//! reference of production's sparse `S·X` plan rows.
 
 use muxlink_gnn::activation::tanh_slice;
 use muxlink_gnn::matrix::strided_gemm_into;
-use muxlink_gnn::sample::{
-    onehot_propagate_matmul_into, onehot_propagate_t_matmul_into, propagate_back_into,
-    propagate_into, OneHotSpmmScratch,
-};
-use muxlink_gnn::{Dgcnn, DgcnnConfig, FeaturesView, Gradients, Matrix, SampleStore, SampleView};
+use muxlink_gnn::sample::{propagate_back_into, propagate_into};
+use muxlink_gnn::{Dgcnn, DgcnnConfig, Gradients, Matrix, OneHotView, SampleStore, SampleView};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -51,10 +51,10 @@ pub struct Reference {
 /// are identical to a freshly-allocated pass.
 #[derive(Debug, Clone, Default)]
 pub struct Cache {
+    /// The sample's two-hot features expanded to a dense `n × F` matrix.
+    x: Matrix,
     gc_inputs: Vec<Matrix>,
     gc_outputs: Vec<Matrix>,
-    /// Column-histogram scratch of the bit-exact sparse first layer.
-    spmm: OneHotSpmmScratch,
     hcat: Matrix,
     perm: Vec<usize>,
     pooled: Matrix,
@@ -118,7 +118,6 @@ struct BackwardScratch {
     dzw: Matrix,
     dh_prev: Matrix,
     dh_layers: Vec<Matrix>,
-    spmm: OneHotSpmmScratch,
 }
 
 impl Reference {
@@ -259,27 +258,12 @@ impl Reference {
         let nlayers = self.gc.len();
         cache.gc_inputs.resize_with(nlayers, Matrix::default);
         cache.gc_outputs.resize_with(nlayers, Matrix::default);
+        densify_into(s.features, &mut cache.x);
         for (l, w) in self.gc.iter().enumerate() {
             let (done, rest) = cache.gc_outputs.split_at_mut(l);
-            if l == 0 {
-                match s.features {
-                    FeaturesView::Dense(x) => {
-                        propagate_into(s.adj, x, &mut cache.gc_inputs[0]);
-                        cache.gc_inputs[0].matmul_into(w, &mut rest[0]);
-                    }
-                    FeaturesView::OneHot(x) => {
-                        // Bit-exact fused first layer: `(S·X)·W₀` via
-                        // per-node column histograms — identical bits to
-                        // the dense branch. `gc_inputs[0]` stays empty;
-                        // the backward pass rebuilds the histograms.
-                        onehot_propagate_matmul_into(s.adj, x, w, &mut rest[0], &mut cache.spmm);
-                        cache.gc_inputs[0].resize(0, 0);
-                    }
-                }
-            } else {
-                propagate_into(s.adj, &done[l - 1], &mut cache.gc_inputs[l]);
-                cache.gc_inputs[l].matmul_into(w, &mut rest[0]);
-            }
+            let h = if l == 0 { &cache.x } else { &done[l - 1] };
+            propagate_into(s.adj, h, &mut cache.gc_inputs[l]);
+            cache.gc_inputs[l].matmul_into(w, &mut rest[0]);
             tanh_slice(rest[0].data_mut());
         }
 
@@ -573,30 +557,24 @@ impl Reference {
             for (g, &o) in dz.data_mut().iter_mut().zip(cache.gc_outputs[l].data()) {
                 *g *= 1.0 - o * o;
             }
-            match (l, s.features) {
-                (0, FeaturesView::OneHot(x)) => {
-                    // Mirror of the bit-exact fused forward:
-                    // `dW₀ = (S·X)ᵀ·dZ₀` from rebuilt per-node column
-                    // histograms — identical bits to `t_matmul` over the
-                    // dense `S·X`. (No `dX` is needed at the input layer.)
-                    onehot_propagate_t_matmul_into(
-                        s.adj,
-                        x,
-                        &scratch.dh_layers[0],
-                        &mut gt[0],
-                        &mut scratch.spmm,
-                    );
-                }
-                _ => {
-                    cache.gc_inputs[l].t_matmul_into(&scratch.dh_layers[l], &mut gt[l]);
-                }
-            }
+            cache.gc_inputs[l].t_matmul_into(&scratch.dh_layers[l], &mut gt[l]);
             if l > 0 {
                 scratch.dh_layers[l].matmul_t_into(&self.gc[l], &mut scratch.dzw);
                 propagate_back_into(s.adj, &scratch.dzw, &mut scratch.dh_prev);
                 scratch.dh_layers[l - 1].add_assign(&scratch.dh_prev);
             }
         }
+    }
+}
+
+/// Expands two-hot features into the dense `n × F` matrix `X` (one 1.0
+/// in the gate column and one in the label column of each row).
+fn densify_into(x: OneHotView<'_>, out: &mut Matrix) {
+    out.resize(x.rows(), x.cols());
+    for i in 0..x.rows() {
+        let (g, l) = x.columns(i);
+        out.set(i, g, 1.0);
+        out.set(i, l, 1.0);
     }
 }
 

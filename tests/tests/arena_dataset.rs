@@ -4,13 +4,13 @@
 //! end-to-end scoring — at 1 and 4 worker threads and for any chunk
 //! size.
 
-use muxlink_core::scoring::to_graph_sample;
 use muxlink_core::{AttackSession, MuxLinkConfig, NoProgress, Prepared, Trained};
 use muxlink_gnn::{train, ArenaSamples, Dgcnn, DgcnnConfig, GraphSample, TrainConfig};
 use muxlink_graph::dataset::{
     build_dataset, build_dataset_arena, target_subgraphs, DatasetConfig, LinkSample,
 };
 use muxlink_graph::extract;
+use muxlink_integration_tests::to_graph_sample;
 use muxlink_locking::{dmux, LockOptions};
 use proptest::{proptest, ProptestConfig};
 

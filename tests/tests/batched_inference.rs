@@ -4,19 +4,20 @@
 //! ([`reference_predict`], [`reference_evaluate`]) **bit for bit** —
 //! for any sample count around the chunk size, any mix of labelled and
 //! unlabelled samples, graphs smaller than SortPool's `k`, NaN
-//! activations, owned and arena stores with and without cached layer-0
-//! plans, and any thread count.
+//! activations, owned and arena stores with, without and with some
+//! cached layer-0 plans, and any thread count.
 
 use std::sync::OnceLock;
 
-use muxlink_core::scoring::to_graph_sample;
 use muxlink_gnn::matrix::seeded_rng;
 use muxlink_gnn::{
-    evaluate, ArenaSamples, Dgcnn, DgcnnConfig, GraphSample, NodeFeatures, SampleArena, SampleStore,
+    evaluate, ArenaSamples, Dgcnn, DgcnnConfig, GraphSample, SampleArena, SampleStore,
 };
 use muxlink_graph::dataset::{build_dataset, Dataset, DatasetConfig};
 use muxlink_graph::extract;
-use muxlink_integration_tests::{reference_evaluate, reference_predict, NoPlans};
+use muxlink_integration_tests::{
+    reference_evaluate, reference_predict, to_graph_sample, MixedPlans, NoPlans,
+};
 use muxlink_locking::{dmux, LockOptions};
 use proptest::prelude::*;
 use rand::Rng;
@@ -85,9 +86,10 @@ proptest! {
 
     /// Random draws of real subgraphs (with repeats), each labelled
     /// `true`, `false` or unlabelled, scored and evaluated through four
-    /// stores holding the same samples: owned two-hot, owned dense (one
-    /// feature set to NaN in every other case), arena with cached
-    /// layer-0 plans and the same arena with its plans hidden. The
+    /// stores holding the same samples: owned two-hot, arena with cached
+    /// layer-0 plans, the same arena with its plans hidden, and with
+    /// the plans of odd indices hidden (chunks then mix cached plans
+    /// with plans built at assembly). The
     /// model's `k` is drawn up to 60, above most subgraph sizes, and one
     /// case in four poisons a first-layer weight with NaN so that
     /// SortPooling orders NaN activations.
@@ -127,19 +129,6 @@ proptest! {
             .iter()
             .map(|&(sg, label)| to_graph_sample(sg, ds.max_label, label))
             .collect();
-        let mut dense: Vec<GraphSample> = owned
-            .iter()
-            .map(|s| GraphSample {
-                adj: s.adj.clone(),
-                features: s.features.to_dense().into(),
-                label: s.label,
-            })
-            .collect();
-        if seed % 2 == 0 {
-            if let Some(NodeFeatures::Dense(m)) = dense.first_mut().map(|s| &mut s.features) {
-                m.data_mut()[0] = f32::NAN;
-            }
-        }
         let mut arena = SampleArena::new();
         for &(sg, label) in &drawn {
             arena.push_subgraph(sg, label);
@@ -151,8 +140,8 @@ proptest! {
         }
 
         check_store(&model, &owned, "owned two-hot");
-        check_store(&model, &dense, "owned dense");
         check_store(&model, &arena_store, "arena with plans");
         check_store(&model, &NoPlans(&arena_store), "arena without plans");
+        check_store(&model, &MixedPlans(&arena_store), "arena with plans for even indices");
     }
 }

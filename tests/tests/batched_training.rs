@@ -2,20 +2,19 @@
 //! production loop — one fused propagate+GEMM per layer per minibatch —
 //! must be **bitwise identical** to the per-sample
 //! [`reference_train`] in the test support crate, across batch sizes,
-//! thread counts, feature forms and storage backends. Recovered keys
+//! thread counts, feature patterns and storage backends. Recovered keys
 //! and scores are a pure function of the weights, so equal weights
 //! carry the contract through the whole attack.
 
-use muxlink_core::scoring::to_graph_sample;
 use muxlink_gnn::matrix::seeded_rng;
 use muxlink_gnn::{
     train, AdamConfig, ArenaSamples, BatchWorkspace, Dgcnn, DgcnnConfig, Gradients, GraphSample,
-    Matrix, Minibatch, OneHotFeatures, TrainConfig, TrainReport,
+    Minibatch, OneHotFeatures, TrainConfig, TrainReport,
 };
 use muxlink_graph::dataset::{build_dataset, build_dataset_arena, DatasetConfig, LinkSample};
 use muxlink_graph::{extract, Csr};
 use muxlink_integration_tests::reference::{Reference, Workspace};
-use muxlink_integration_tests::reference_train;
+use muxlink_integration_tests::{reference_train, to_graph_sample};
 use muxlink_locking::{dmux, LockOptions};
 use proptest::prelude::*;
 use rand::Rng;
@@ -160,42 +159,40 @@ fn batched_loop_is_storage_invariant_owned_vs_arena() {
     assert_eq!(model_bits(&om), model_bits(&am), "weights diverged");
 }
 
-/// A separable toy task with dense features on a 4-node path 0-1-2-3:
-/// two nodes carry a "target" flag and the label says whether the
-/// flagged pair is adjacent (1,2) or far apart (0,3). Small feature
-/// noise keeps samples distinct.
+/// Two-hot feature width of the synthetic samples: 8 gate-type columns
+/// plus DRNL labels 0..=2.
+const WIDTH: usize = 11;
+
+/// A separable toy task on a 4-node path 0-1-2-3: two nodes carry a
+/// "target" gate type and the label says whether the flagged pair is
+/// adjacent (1,2) or far apart (0,3). Random DRNL-label columns keep
+/// samples distinct.
 fn toy_dataset(n: usize, seed: u64) -> Vec<GraphSample> {
     let mut rng = seeded_rng(seed);
     (0..n)
         .map(|_| {
             let label = rng.gen::<bool>();
             let adj = muxlink_graph::Csr::from_lists(&[vec![1], vec![0, 2], vec![1, 3], vec![2]]);
-            let mut features = Matrix::zeros(4, 4);
-            for i in 0..4 {
-                features.set(i, 0, 1.0);
-                features.set(i, 2, rng.gen_range(-0.05..0.05));
-            }
             let flagged: [usize; 2] = if label { [1, 2] } else { [0, 3] };
-            for f in flagged {
-                features.set(f, 1, 1.0);
-            }
+            let gate = (0..4).map(|i| u32::from(flagged.contains(&i))).collect();
+            let labels = (0..4).map(|_| rng.gen_range(0..3)).collect();
             GraphSample {
                 adj,
-                features: features.into(),
+                features: OneHotFeatures::new(WIDTH, gate, labels),
                 label: Some(label),
             }
         })
         .collect()
 }
 
-/// The batched loop matches the reference loop on dense features and a
+/// The batched loop matches the reference loop on a toy task and a
 /// tiny model too — including partial final batches, dropout and a
 /// learning rate large enough to move every weight.
 #[test]
 fn batched_loop_is_bit_identical_to_reference_loop() {
     let data = toy_dataset(22, 13);
     let model_cfg = DgcnnConfig {
-        input_dim: 4,
+        input_dim: WIDTH,
         gc_channels: vec![4, 1],
         conv1_channels: 4,
         conv2_channels: 4,
@@ -235,7 +232,7 @@ fn batched_loop_is_bit_identical_to_reference_loop() {
 /// A small random labelled sample on one of three fixed graph shapes
 /// (including an isolated node) or a random connected graph of up to 23
 /// nodes (larger than SortPool's `k`, so rows are dropped as well as
-/// padded), dense features.
+/// padded), random two-hot features.
 fn random_sample(rng: &mut impl Rng) -> GraphSample {
     let adj = match rng.gen_range(0u8..4) {
         0 => muxlink_graph::Csr::from_lists(&[vec![1], vec![0, 2], vec![1, 3], vec![2]]),
@@ -255,15 +252,11 @@ fn random_sample(rng: &mut impl Rng) -> GraphSample {
         }
     };
     let n = adj.node_count();
-    let mut features = Matrix::zeros(n, 5);
-    for i in 0..n {
-        for c in 0..5 {
-            features.set(i, c, rng.gen_range(-1.0..1.0));
-        }
-    }
+    let gate = (0..n).map(|_| rng.gen_range(0..8)).collect();
+    let labels = (0..n).map(|_| rng.gen_range(0..3)).collect();
     GraphSample {
         adj,
-        features: features.into(),
+        features: OneHotFeatures::new(WIDTH, gate, labels),
         label: Some(rng.gen()),
     }
 }
@@ -293,7 +286,7 @@ fn drawn_cfg(rng: &mut impl Rng) -> DgcnnConfig {
         )
     };
     DgcnnConfig {
-        input_dim: 5,
+        input_dim: WIDTH,
         gc_channels,
         conv1_channels,
         conv2_channels,
@@ -406,17 +399,6 @@ fn adj_for(seed: u64) -> Csr {
     }
 }
 
-fn dense_sample(seed: u64) -> GraphSample {
-    let adj = adj_for(seed);
-    let n = adj.node_count();
-    let mut rng = seeded_rng(seed);
-    GraphSample {
-        features: Matrix::glorot(n, 5, &mut rng).into(),
-        adj,
-        label: Some(seed.is_multiple_of(2)),
-    }
-}
-
 fn onehot_sample(seed: u64) -> GraphSample {
     let adj = adj_for(seed);
     let n = adj.node_count();
@@ -424,7 +406,7 @@ fn onehot_sample(seed: u64) -> GraphSample {
     let label = (0..n).map(|i| (i as u32 ^ seed as u32) % 3).collect();
     GraphSample {
         adj,
-        features: OneHotFeatures::new(11, gate, label).into(),
+        features: OneHotFeatures::new(WIDTH, gate, label),
         label: Some(seed.is_multiple_of(2)),
     }
 }
@@ -445,16 +427,8 @@ fn assert_step_matches(model: &Dgcnn, samples: &[GraphSample], jobs: &[(usize, u
 }
 
 #[test]
-fn batched_step_matches_reference_dense() {
-    let model = Dgcnn::new(tiny_cfg(5));
-    let samples: Vec<GraphSample> = (0..5).map(dense_sample).collect();
-    let jobs: Vec<(usize, u64)> = (0..5).map(|i| (i, 1000 + i as u64)).collect();
-    assert_step_matches(&model, &samples, &jobs);
-}
-
-#[test]
 fn batched_step_matches_reference_onehot() {
-    let model = Dgcnn::new(tiny_cfg(11));
+    let model = Dgcnn::new(tiny_cfg(WIDTH));
     let samples: Vec<GraphSample> = (0..6).map(onehot_sample).collect();
     let jobs: Vec<(usize, u64)> = (0..6).map(|i| (i, 77 + 3 * i as u64)).collect();
     assert_step_matches(&model, &samples, &jobs);
@@ -462,15 +436,15 @@ fn batched_step_matches_reference_onehot() {
 
 #[test]
 fn batch_of_one_matches_reference() {
-    let model = Dgcnn::new(tiny_cfg(11));
+    let model = Dgcnn::new(tiny_cfg(WIDTH));
     let samples: Vec<GraphSample> = (0..2).map(onehot_sample).collect();
     assert_step_matches(&model, &samples, &[(1, 42)]);
 }
 
 #[test]
 fn repeated_and_reordered_samples_match_reference() {
-    let model = Dgcnn::new(tiny_cfg(5));
-    let samples: Vec<GraphSample> = (0..4).map(dense_sample).collect();
+    let model = Dgcnn::new(tiny_cfg(WIDTH));
+    let samples: Vec<GraphSample> = (0..4).map(onehot_sample).collect();
     let jobs = [(3, 9u64), (0, 4), (3, 12), (2, 1)];
     assert_step_matches(&model, &samples, &jobs);
 }
@@ -482,16 +456,16 @@ fn repeated_and_reordered_samples_match_reference() {
 
 #[test]
 fn reference_workspace_variants_are_bit_identical() {
-    let model = Reference::new(&Dgcnn::new(tiny_cfg(5)));
+    let model = Reference::new(&Dgcnn::new(tiny_cfg(WIDTH)));
     let mut ws = Workspace::new();
     // Stream several samples of different sizes through one reused
     // workspace; every prediction must match the allocating path.
     for seed in [1u64, 2, 9, 5, 1] {
-        let s = dense_sample(seed);
+        let s = random_sample(&mut seeded_rng(seed));
         assert_eq!(model.predict_into(&s, &mut ws), model.predict(&s));
     }
     // And the gradients must match too, including dropout streams.
-    let s = dense_sample(4);
+    let s = random_sample(&mut seeded_rng(4));
     let mut rng1 = seeded_rng(42);
     let mut rng2 = seeded_rng(42);
     let cache = model.forward(&s, Some(&mut rng1));
@@ -508,11 +482,11 @@ fn reference_workspace_variants_are_bit_identical() {
     assert_eq!(reused, fresh);
 }
 
-/// Workspace reuse on the sparse path: bit-identical to the allocating
-/// sparse pass, across dirty buffers and repeated use.
+/// Workspace reuse on patterned two-hot samples: bit-identical to the
+/// allocating pass, across dirty buffers and repeated use.
 #[test]
 fn reference_sparse_workspace_variants_are_bit_identical() {
-    let model = Reference::new(&Dgcnn::new(tiny_cfg(11)));
+    let model = Reference::new(&Dgcnn::new(tiny_cfg(WIDTH)));
     let mut ws = Workspace::new();
     for seed in [1u64, 3, 7, 2, 1] {
         let s = onehot_sample(seed);

@@ -1,8 +1,9 @@
 //! Cross-crate contract of the epoch-invariant layer-0 plans: the
 //! batched trainer consuming the arena's cached `S·X` sparse plans must
-//! be **bitwise identical** to the histogram-rebuild path it takes on a
-//! plan-less store ([`NoPlans`]) — per step and per run — across batch
-//! sizes, thread pools and dirty reused workspaces.
+//! be **bitwise identical** to building every sample's plan at
+//! minibatch assembly (a plan-less store, [`NoPlans`]) and to a mix of
+//! both ([`MixedPlans`]) — per step and per run — across batch sizes,
+//! thread pools and dirty reused workspaces.
 
 use std::sync::OnceLock;
 
@@ -13,7 +14,7 @@ use muxlink_gnn::{
 };
 use muxlink_graph::dataset::{build_dataset_arena, ArenaDataset, DatasetConfig};
 use muxlink_graph::extract;
-use muxlink_integration_tests::NoPlans;
+use muxlink_integration_tests::{MixedPlans, NoPlans};
 use muxlink_locking::{dmux, LockOptions};
 use proptest::prelude::*;
 use rand::Rng;
@@ -111,10 +112,11 @@ fn cached_plans_match_rebuild_at_two_threads() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// One batched step per job list, cached plans vs histogram rebuild,
-    /// through the same dirty reused minibatch + workspace, on a 1- or
-    /// 4-thread pool: every gradient tensor and per-sample loss must be
-    /// bit-identical, at batch sizes 1, 7 and 32.
+    /// One batched step per job list, plans built at assembly vs cached
+    /// plans vs cached plans for even indices only, through the same
+    /// dirty reused minibatch + workspace, on a 1- or 4-thread pool:
+    /// every gradient tensor and per-sample loss must be bit-identical,
+    /// at batch sizes 1, 7 and 32.
     #[test]
     fn cached_step_is_bitwise_identical_to_rebuild(
         job_seed in 0u64..1000,
@@ -137,19 +139,21 @@ proptest! {
             let mut ws = BatchWorkspace::new();
             // Rebuild reference first — it also dirties the buffers the
             // cached passes then reuse.
+            assert!(NoPlans(&store).plan(0).is_none(), "NoPlans must hide the cached plans");
+            assert!(store.plan(0).is_some(), "arena store must serve cached plans");
             mb.assemble(&NoPlans(&store), &jobs);
-            assert!(mb.plan().is_none(), "NoPlans must hide the cached plans");
             let mut want = model.new_gradients();
             model.batch_train_step(&mb, &mut ws, &mut want);
             let want_losses: Vec<u64> = ws.losses.iter().map(|l| l.to_bits()).collect();
             let mut got_runs = Vec::new();
             for _ in 0..2 {
-                mb.assemble(&store, &jobs);
-                assert!(mb.plan().is_some(), "arena store must serve cached plans");
-                let mut got = model.new_gradients();
-                model.batch_train_step(&mb, &mut ws, &mut got);
-                let losses: Vec<u64> = ws.losses.iter().map(|l| l.to_bits()).collect();
-                got_runs.push((grad_bits(&got), losses));
+                for cached in [&store as &dyn SampleStore, &MixedPlans(&store)] {
+                    mb.assemble(cached, &jobs);
+                    let mut got = model.new_gradients();
+                    model.batch_train_step(&mb, &mut ws, &mut got);
+                    let losses: Vec<u64> = ws.losses.iter().map(|l| l.to_bits()).collect();
+                    got_runs.push((grad_bits(&got), losses));
+                }
             }
             (grad_bits(&want), want_losses, got_runs)
         });

@@ -64,16 +64,15 @@ fn muxlink_attack_is_thread_count_invariant_on_symmetric() {
 /// Scoring contract: `predict_batch` (batched forward over fixed-size
 /// chunks, one reused minibatch and workspace per worker) must produce
 /// the per-sample reference scorer's bits, across repeated calls and
-/// across 1-vs-4 rayon workers. Since PR 3, `to_graph_sample` emits compact one-hot
-/// features, so this case exercises the **fused sparse first layer** on
-/// real enclosing subgraphs end-to-end.
+/// across 1-vs-4 rayon workers. The owned samples carry no cached
+/// layer-0 plans, so this case exercises the plans built at minibatch
+/// assembly on real enclosing subgraphs end-to-end.
 #[test]
 fn workspace_scoring_is_bit_identical_across_reuse_and_threads() {
-    use muxlink_core::scoring::to_graph_sample;
-    use muxlink_gnn::{Dgcnn, DgcnnConfig, GraphSample, NodeFeatures};
+    use muxlink_gnn::{Dgcnn, DgcnnConfig, GraphSample};
     use muxlink_graph::dataset::{target_subgraphs, DatasetConfig};
     use muxlink_graph::extract;
-    use muxlink_integration_tests::reference_predict;
+    use muxlink_integration_tests::{reference_predict, to_graph_sample};
 
     // Real enclosing subgraphs from a locked design (varied sizes), not
     // toy graphs.
@@ -92,12 +91,6 @@ fn workspace_scoring_is_bit_identical_across_reuse_and_threads() {
         .map(|sg| to_graph_sample(sg, max_label, None))
         .collect();
     assert!(samples.len() >= 8, "need a non-trivial batch");
-    assert!(
-        samples
-            .iter()
-            .all(|s| matches!(s.features, NodeFeatures::OneHot(_))),
-        "scoring samples must carry compact one-hot features"
-    );
 
     let input_dim = muxlink_graph::features::feature_cols(max_label);
     let model = Dgcnn::new(DgcnnConfig::paper(input_dim, 12));

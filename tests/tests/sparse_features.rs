@@ -1,21 +1,23 @@
 //! Property tests pinning the sparse one-hot feature pipeline to its
 //! dense executable specification.
 //!
-//! Numerics policy (see the README "Data layer" section): the fused
-//! first GC layer computes `S·(X·W₀)` where the dense reference computes
-//! `(S·X)·W₀` — equal in exact arithmetic, tolerance-close (≤ 1e-5
-//! relative) in `f32`. Everything *structural* is exact: the one-hot ↔
-//! dense round trip, and the hash-free subgraph extraction versus the
-//! retained `HashMap` reference (bit-identical, node order included).
+//! Numerics policy (see the README "Data layer" section): the first GC
+//! layer runs over the sparse plan rows of `S·X`, and reproduces the
+//! dense `(S·X)·W₀` of the per-sample reference model (which expands
+//! the two-hot features to a dense `X`) **bit for bit**. Everything
+//! structural is exact too: the one-hot ↔ dense round trip, and the
+//! hash-free subgraph extraction versus the retained `HashMap`
+//! reference (bit-identical, node order included).
 
+use muxlink_gnn::matrix::seeded_rng;
 use muxlink_gnn::{
-    BatchWorkspace, Dgcnn, DgcnnConfig, Gradients, GraphSample, Matrix, Minibatch, NodeFeatures,
-    OneHotFeatures,
+    BatchWorkspace, Dgcnn, DgcnnConfig, Gradients, GraphSample, Minibatch, OneHotFeatures,
 };
 use muxlink_graph::features::feature_cols;
 use muxlink_graph::graph::{CircuitGraph, Link};
 use muxlink_graph::subgraph::{enclosing_subgraph, enclosing_subgraph_ref};
 use muxlink_graph::Csr;
+use muxlink_integration_tests::reference::Reference;
 use muxlink_netlist::{GateId, GateType, GATE_TYPE_COUNT};
 use proptest::prelude::*;
 
@@ -69,19 +71,18 @@ fn arb_circuit() -> impl Strategy<Value = CircuitGraph> {
     })
 }
 
+/// Dropout seed of [`train_step`].
+const STEP_SEED: u64 = 5;
+
 /// One production training step (`batch_train_step`) on a one-sample
 /// minibatch with a fixed dropout seed: the loss bits and gradients.
 fn train_step(model: &Dgcnn, s: &GraphSample) -> (u64, Gradients) {
     let mut mb = Minibatch::new();
-    mb.assemble(std::slice::from_ref(s), &[(0, 5)]);
+    mb.assemble(std::slice::from_ref(s), &[(0, STEP_SEED)]);
     let mut ws = BatchWorkspace::new();
     let mut grads = model.new_gradients();
     model.batch_train_step(&mb, &mut ws, &mut grads);
     (ws.losses[0].to_bits(), grads)
-}
-
-fn rel_close(a: f32, b: f32) -> bool {
-    (a - b).abs() <= 1e-5 * a.abs().max(b.abs()).max(1.0)
 }
 
 proptest! {
@@ -110,10 +111,11 @@ proptest! {
         }
     }
 
-    /// The production sparse path (histogram formulation of `(S·X)·W₀`)
-    /// is **bit-identical** to the dense reference: forward
-    /// probabilities and every gradient tensor — `dW₀` included; no `dX`
-    /// exists on the sparse path.
+    /// The production sparse path (plan rows of `S·X` times `W₀`) is
+    /// **bit-identical** to the reference model's densified first
+    /// layer: forward probabilities, the training loss and every
+    /// gradient tensor — `dW₀` included; no `dX` exists on the sparse
+    /// path.
     #[test]
     fn sparse_forward_backward_is_bit_identical_to_dense(
         lists in arb_lists(),
@@ -138,53 +140,20 @@ proptest! {
             seed: model_seed,
         };
         let model = Dgcnn::new(cfg);
-        let sparse = GraphSample {
-            adj: adj.clone(),
-            features: NodeFeatures::OneHot(x),
-            label: Some(label_bit),
-        };
-        let dense = GraphSample {
+        let sample = GraphSample {
             adj,
-            features: sparse.features.to_dense().into(),
+            features: x,
             label: Some(label_bit),
         };
-        let ps = model.predict_batch(std::slice::from_ref(&sparse));
-        let pd = model.predict_batch(std::slice::from_ref(&dense));
-        prop_assert_eq!(ps[0].to_bits(), pd[0].to_bits(), "prob {} vs {}", ps[0], pd[0]);
-        let (ls, gs) = train_step(&model, &sparse);
-        let (ld, gd) = train_step(&model, &dense);
-        prop_assert_eq!(ls, ld);
+        let dense = Reference::new(&model);
+        let ps = model.predict_batch(std::slice::from_ref(&sample));
+        let pd = dense.predict(&sample);
+        prop_assert_eq!(ps[0].to_bits(), pd.to_bits(), "prob {} vs {}", ps[0], pd);
+        let (ls, gs) = train_step(&model, &sample);
+        let cache = dense.forward(&sample, Some(&mut seeded_rng(STEP_SEED)));
+        let gd = dense.backward(&sample, &cache, label_bit);
+        prop_assert_eq!(ls, f64::from(cache.loss(label_bit)).to_bits());
         prop_assert_eq!(gs, gd);
-    }
-
-    /// The reassociated maximum-throughput formulation `S·(X·W₀)`
-    /// (`onehot_project_into` + `propagate`) stays within the documented
-    /// 1e-5 relative tolerance of the exact `(S·X)·W₀`.
-    #[test]
-    fn reassociated_layer0_matches_exact_within_tolerance(
-        lists in arb_lists(),
-        labels in 2u32..6,
-        feat_seed in 0u64..50,
-        w_seed in 0u64..50,
-    ) {
-        use muxlink_gnn::sample::{
-            onehot_project_into, onehot_propagate_matmul_into, propagate, OneHotSpmmScratch,
-        };
-        use muxlink_gnn::matrix::seeded_rng;
-        let n = lists.len();
-        let adj = Csr::from_lists(&lists);
-        let x = seeded_onehot(n, labels, feat_seed);
-        let mut rng = seeded_rng(w_seed);
-        let w = Matrix::glorot(x.cols, 8, &mut rng);
-        let mut exact = Matrix::default();
-        let mut scratch = OneHotSpmmScratch::default();
-        onehot_propagate_matmul_into(&adj, &x, &w, &mut exact, &mut scratch);
-        let mut xw = Matrix::default();
-        onehot_project_into(&x, &w, &mut xw);
-        let reassoc = propagate(&adj, &xw);
-        for (a, b) in reassoc.data().iter().zip(exact.data()) {
-            prop_assert!(rel_close(*a, *b), "{} vs {}", a, b);
-        }
     }
 
     /// Hash-free epoch-stamped extraction is bit-identical to the
@@ -218,9 +187,7 @@ proptest! {
 }
 
 /// The sparse scoring path must be bit-identical across thread counts
-/// and repeated calls, and equal to the per-sample reference scorer
-/// (reassociation makes it differ from *dense* at tolerance level, but
-/// the sparse path itself is exactly reproducible).
+/// and repeated calls, and equal to the per-sample reference scorer.
 #[test]
 fn sparse_path_is_bit_identical_across_threads_and_reuse() {
     use muxlink_integration_tests::reference_predict;
@@ -239,7 +206,7 @@ fn sparse_path_is_bit_identical_across_threads_and_reuse() {
             let label = (0..n).map(|i| ((i * 2 + s) % 3) as u32).collect();
             GraphSample {
                 adj: Csr::from_lists(&lists),
-                features: NodeFeatures::OneHot(OneHotFeatures::new(cols, gate, label)),
+                features: OneHotFeatures::new(cols, gate, label),
                 label: None,
             }
         })
@@ -262,21 +229,4 @@ fn sparse_path_is_bit_identical_across_threads_and_reuse() {
             );
         }
     }
-}
-
-/// Keep the dense fallback honest too: a dense-featured sample still
-/// flows through every entry point.
-#[test]
-fn dense_fallback_still_supported_end_to_end() {
-    let adj = Csr::from_lists(&[vec![1], vec![0, 2], vec![1]]);
-    let model = Dgcnn::new(DgcnnConfig::paper(9, 10));
-    let s = GraphSample {
-        adj,
-        features: Matrix::zeros(3, 9).into(),
-        label: Some(true),
-    };
-    let p = model.predict_batch(std::slice::from_ref(&s));
-    assert!(p[0].is_finite());
-    let (_, g) = train_step(&model, &s);
-    assert_eq!(g.tensors().len(), model.new_gradients().tensors().len());
 }
