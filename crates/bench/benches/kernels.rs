@@ -451,9 +451,10 @@ fn bench_activation(c: &mut Criterion) {
 }
 
 /// The two 1-D convolutions at the paper's shapes (k = 30: conv1 over
-/// 30 pooled rows of width 97, conv2 over 15 × 16 with kernel 5): the
-/// per-output dot loops vs the output-vectorised strided GEMM
-/// (bit-identical outputs). CI runs this group with `--test`.
+/// 30 pooled rows of width 97, conv2 over 15 × 16 with kernel 5) through
+/// the output-vectorised strided GEMM the model runs, and conv2's
+/// per-output dot loops it replaced (bit-identical outputs). CI runs
+/// this group with `--test`.
 fn bench_conv_forward(c: &mut Criterion) {
     const K: usize = 30;
     const CCAT: usize = 97;
@@ -471,9 +472,6 @@ fn bench_conv_forward(c: &mut Criterion) {
     let mut out = Matrix::default();
     let mut group = c.benchmark_group("conv_forward");
     group.sample_size(2000);
-    group.bench_function("conv1_matmul_t", |b| {
-        b.iter(|| pooled.matmul_t_into(&w1, &mut out));
-    });
     group.bench_function("conv1_strided_gemm", |b| {
         b.iter(|| {
             out.resize_for_overwrite(K, C1);
@@ -503,16 +501,28 @@ fn bench_conv_forward(c: &mut Criterion) {
     group.finish();
 }
 
-/// The four register-tiled training-step kernels at the paper's shapes:
-/// conv2's backward (k = 30: 11 steps of 32 outputs over 15 × 16 pooled
-/// rows, kernel 5, a random half of the gradients zeroed by the ReLU;
-/// the iterations cycle through 64 such gradients so that, as in
-/// training, the branch predictor cannot learn the zero pattern), and the
-/// GC layers' forward GEMM, input gradient `dZ·Wᵀ` and weight gradient
-/// over a 32-sample block-diagonal batch of 30-node subgraphs, 32
-/// channels. CI runs this group with `--test`.
+/// Training-step kernels, one series each:
+///
+/// * `conv2_backward` — conv2's weight and input gradients of one sample
+///   at k = 30 (11 steps of 32 outputs over 15 × 16 pooled rows, kernel
+///   5), a random half of the gradients zeroed by the ReLU; the
+///   iterations cycle through 64 such gradients so that, as in training,
+///   the branch predictor cannot learn the zero pattern.
+/// * `propagate_matmul`, `gc_dx`, `gc_dw` — a GC layer's forward GEMM,
+///   input gradient `dZ·Wᵀ` and weight gradient over a 32-sample
+///   block-diagonal batch of 30-node subgraphs, 32 channels.
+/// * `gc_dw_1wide` — the last GC layer's weight gradient on the same
+///   batch (`dZ` one channel wide: the branch-free masked-add kernel).
+/// * `dense1_dx` — dense1's input gradient `dd1·W₁ᵀ` at fig7's head
+///   (k = 53): 32 × 128 · (704 × 128)ᵀ, as the model computes it: the
+///   strided GEMM `W₁·dd1ᵀ` between transposes of the two activations.
+/// * `sortpool` — SortPooling of a 32-sample batch at fig7's shapes:
+///   k = 53, 40–60 nodes per sample, layers of 32, 32, 32 and 1 channels
+///   (97 concatenated).
+///
+/// CI runs this group with `--test`.
 fn bench_train_step(c: &mut Criterion) {
-    use muxlink_gnn::batch::{conv2_input_grads, conv2_weight_grads};
+    use muxlink_gnn::batch::{conv2_input_grads, conv2_weight_grads, sort_pool_into};
     use muxlink_gnn::sample::propagate_matmul_into;
     const K2: usize = 15;
     const C1: usize = 16;
@@ -550,7 +560,26 @@ fn bench_train_step(c: &mut Criterion) {
     let w = Matrix::glorot(CH, CH, &mut rng);
     let wt = w.transpose();
     let dz = Matrix::glorot(n, CH, &mut rng);
+    let dz1 = Matrix::glorot(n, 1, &mut rng);
     let (mut prop, mut out) = (Matrix::default(), Matrix::default());
+
+    const FLAT: usize = 704;
+    const DENSE: usize = 128;
+    let dd1 = Matrix::glorot(BATCH, DENSE, &mut rng);
+    let w1 = Matrix::glorot(FLAT, DENSE, &mut rng);
+    let (mut dd1_t, mut dflat_t) = (Matrix::default(), Matrix::default());
+
+    const K: usize = 53;
+    let mut starts = vec![0u32];
+    for s in 0..BATCH as u32 {
+        starts.push(starts[s as usize] + 40 + s * 7 % 21);
+    }
+    let nodes = *starts.last().unwrap() as usize;
+    let layers: Vec<Matrix> = [CH, CH, CH, 1]
+        .iter()
+        .map(|&c| Matrix::glorot(nodes, c, &mut rng))
+        .collect();
+    let (mut perm, mut pooled, mut pool_src) = (Vec::new(), Matrix::default(), Vec::new());
 
     let mut group = c.benchmark_group("train_step");
     group.sample_size(200);
@@ -581,6 +610,24 @@ fn bench_train_step(c: &mut Criterion) {
                 h.t_matmul_rows_into(&dz, s * NODES..(s + 1) * NODES, &mut gw);
             }
         });
+    });
+    group.bench_function("gc_dw_1wide", |b| {
+        b.iter(|| {
+            for s in 0..BATCH {
+                h.t_matmul_rows_into(&dz1, s * NODES..(s + 1) * NODES, &mut gw);
+            }
+        });
+    });
+    group.bench_function("dense1_dx", |b| {
+        b.iter(|| {
+            dd1.transpose_into(&mut dd1_t);
+            dflat_t.resize_for_overwrite(FLAT, BATCH);
+            strided_gemm_into(w1.data(), DENSE, &dd1_t, None, dflat_t.data_mut());
+            dflat_t.transpose_into(&mut out);
+        });
+    });
+    group.bench_function("sortpool", |b| {
+        b.iter(|| sort_pool_into(&layers, &starts, K, &mut perm, &mut pooled, &mut pool_src));
     });
     group.finish();
 }

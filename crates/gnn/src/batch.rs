@@ -41,6 +41,11 @@
 //! * Bias gradients that the per-sample path `copy_from`s
 //!   (`dense1_b`, `dense2_b`) reduce copy-first-then-add — preserving
 //!   even `-0.0` payloads a fresh accumulation would lose.
+//! * Input gradients `d·Wᵀ` run [`strided_gemm_into`]: on `Wᵀ`,
+//!   transposed once per step, for the GC layers ≥ 1 and dense2, and as
+//!   the transpose of `W·dᵀ` for dense1. Either way each output is one
+//!   accumulator summed from `0.0` over ascending `k`, the per-sample
+//!   dot-product loop's bits.
 //! * Multi-row weight gradients (GC layers, conv1, conv2) reduce as
 //!   per-sample subtotals into a reused scratch tensor (the exact
 //!   per-sample kernel over the sample's row segment), folded in
@@ -195,9 +200,8 @@ pub struct BatchWorkspace {
     // Forward activations (N = total batch nodes, B = samples).
     gc_inputs: Vec<Matrix>,
     gc_outputs: Vec<Matrix>,
-    hcat: Matrix,
     perm: Vec<usize>,
-    /// Global `hcat` source row of each pooled row (`u32::MAX` = pad).
+    /// Global node of each pooled row (`u32::MAX` = pad).
     pool_src: Vec<u32>,
     pooled: Matrix,
     conv_kernels: ConvKernels,
@@ -218,14 +222,19 @@ pub struct BatchWorkspace {
     /// reference loop folds its per-sample loss vector.
     pub losses: Vec<f64>,
     // Backward scratch.
+    /// Transposed dense2 weight `W₂ᵀ`, the operand layout of its
+    /// input-gradient GEMM.
+    dense2_wt: Matrix,
     dlogits: Matrix,
     dd1: Matrix,
-    dflat: Matrix,
+    /// `dd1ᵀ` and `dflatᵀ`: dense1's input gradient is computed
+    /// transposed (see [`Dgcnn::batch_train_step`]).
+    dd1_t: Matrix,
+    dflat_t: Matrix,
     dconv2: Matrix,
     dpool: Matrix,
     dconv1: Matrix,
     dpooled: Matrix,
-    dhcat: Matrix,
     /// Transposed GC weights `W_lᵀ` (layers ≥ 1; `[0]` stays empty),
     /// the operand layout of the input-gradient GEMM.
     gc_wt: Vec<Matrix>,
@@ -255,6 +264,12 @@ impl BatchWorkspace {
     pub(crate) fn layer0(&self) -> (&Matrix, &Matrix) {
         (&self.gc_outputs[0], &self.dh_layers[0])
     }
+
+    /// The dense layer's post-ReLU activations of the last forward.
+    #[cfg(test)]
+    pub(crate) fn dense1_out(&self) -> &Matrix {
+        &self.d1_out
+    }
 }
 
 impl Dgcnn {
@@ -271,15 +286,13 @@ impl Dgcnn {
         let nb = mb.sample_count();
         assert!(nb > 0, "empty minibatch");
         let adj = mb.block.adj();
-        let n = adj.node_count();
         let cfg = &self.cfg;
-        let (k, c1, c2, k2, k3, ccat) = (
+        let (k, c1, c2, k2, k3) = (
             cfg.k,
             cfg.conv1_channels,
             cfg.conv2_channels,
             cfg.k2(),
             cfg.k3(),
-            cfg.concat_width(),
         );
         assert_eq!(mb.feature_width, cfg.input_dim, "feature width mismatch");
 
@@ -300,64 +313,41 @@ impl Dgcnn {
             tanh_slice(rest[0].data_mut());
         }
 
-        // Column-concatenate H¹…Hᴸ (row-wise — block structure is moot).
-        ws.hcat.resize_for_overwrite(n, ccat);
-        for i in 0..n {
-            let row = ws.hcat.row_mut(i);
-            let mut off = 0;
-            for hl in &ws.gc_outputs {
-                row[off..off + hl.cols()].copy_from_slice(hl.row(i));
-                off += hl.cols();
-            }
-        }
-
-        // SortPooling per sample segment: order rows by the last channel
-        // (Hᴸ), descending, on global row indices (tie-break by
-        // ascending index is base-shift invariant within a segment).
-        // `total_cmp` keeps the order total even for NaN activations.
-        // Graphs smaller than `k` leave zero padding rows.
-        ws.pooled.resize(nb * k, ccat);
-        ws.pool_src.clear();
-        ws.pool_src.resize(nb * k, u32::MAX);
-        for s in 0..nb {
-            let range = mb.block.node_range(s);
-            let hcat = &ws.hcat;
-            ws.perm.clear();
-            ws.perm.extend(range);
-            ws.perm.sort_by(|&a, &b| {
-                let va = hcat.get(a, ccat - 1);
-                let vb = hcat.get(b, ccat - 1);
-                vb.total_cmp(&va).then(a.cmp(&b))
-            });
-            ws.perm.truncate(k);
-            for (t, &src) in ws.perm.iter().enumerate() {
-                ws.pooled
-                    .row_mut(s * k + t)
-                    .copy_from_slice(ws.hcat.row(src));
-                ws.pool_src[s * k + t] = src as u32;
-            }
-        }
+        // SortPooling per sample segment, straight from the layer outputs.
+        sort_pool_into(
+            &ws.gc_outputs,
+            mb.block.node_starts(),
+            k,
+            &mut ws.perm,
+            &mut ws.pooled,
+            &mut ws.pool_src,
+        );
 
         // Conv1 (per-row linear): one GEMM over all B·k pooled rows.
         self.conv_kernels_into(&mut ws.conv_kernels);
         self.conv1_forward(&ws.conv_kernels, &ws.pooled, &mut ws.conv1_out);
 
-        // MaxPool1d(2, 2) per sample segment.
+        // MaxPool1d(2, 2) per sample segment: rows `2t`, `2t + 1` of the
+        // sample's `k` conv1 rows (an odd last row is dropped) into row
+        // `t`; the second row wins wherever `a >= b` fails (`b > a`, or
+        // a NaN).
         ws.pool_out.resize_for_overwrite(nb * k2, c1);
-        ws.pool_idx.clear();
         ws.pool_idx.resize(nb * k2 * c1, 0);
-        for s in 0..nb {
-            for t in 0..k2 {
-                for o in 0..c1 {
-                    let a = ws.conv1_out.get(s * k + 2 * t, o);
-                    let b = ws.conv1_out.get(s * k + 2 * t + 1, o);
-                    let dst = s * k2 + t;
-                    if a >= b {
-                        ws.pool_out.set(dst, o, a);
-                    } else {
-                        ws.pool_out.set(dst, o, b);
-                        ws.pool_idx[dst * c1 + o] = 1;
-                    }
+        for ((conv1, out), idx) in ws
+            .conv1_out
+            .data()
+            .chunks_exact(k * c1)
+            .zip(ws.pool_out.data_mut().chunks_exact_mut(k2 * c1))
+            .zip(ws.pool_idx.chunks_exact_mut(k2 * c1))
+        {
+            for ((pair, out), idx) in conv1
+                .chunks_exact(2 * c1)
+                .zip(out.chunks_exact_mut(c1))
+                .zip(idx.chunks_exact_mut(c1))
+            {
+                let (ra, rb) = pair.split_at(c1);
+                for (((o, i), &a), &b) in out.iter_mut().zip(idx).zip(ra).zip(rb) {
+                    (*o, *i) = if a >= b { (a, 0) } else { (b, 1) };
                 }
             }
         }
@@ -459,13 +449,14 @@ impl Dgcnn {
         let t_mid = Instant::now();
         ws.forward_time = t_mid - t_start;
 
-        // ---- Backward. The transposed GC weights of the input-gradient
-        // GEMM are built once per step.
+        // ---- Backward. The transposed weights of the input-gradient
+        // GEMMs are built once per step.
         let nlayers = self.gc.len();
         ws.gc_wt.resize_with(nlayers, Matrix::default);
         for (p, wt) in self.gc.iter().zip(&mut ws.gc_wt).skip(1) {
             p.w.transpose_into(wt);
         }
+        self.dense2_w.w.transpose_into(&mut ws.dense2_wt);
         let gt = grads.tensors_mut();
         assert_eq!(gt.len(), nlayers + 8, "gradient layout mismatch");
         let (conv1_w_g, conv1_b_g, conv2_w_g, conv2_b_g) =
@@ -485,7 +476,7 @@ impl Dgcnn {
         ws.d1_dropped
             .t_matmul_into(&ws.dlogits, &mut gt[dense2_w_g]);
         reduce_rows_copy_first(&ws.dlogits, &mut gt[dense2_b_g]);
-        ws.dlogits.matmul_t_into(&self.dense2_w.w, &mut ws.dd1);
+        mul_transposed_into(&ws.dlogits, &ws.dense2_wt, &mut ws.dd1);
 
         // Dropout + ReLU of dense 1 (elementwise; rows are samples).
         for (g, (&m, &o)) in ws
@@ -501,17 +492,20 @@ impl Dgcnn {
         }
         ws.flat.t_matmul_into(&ws.dd1, &mut gt[dense1_w_g]);
         reduce_rows_copy_first(&ws.dd1, &mut gt[dense1_b_g]);
-        ws.dd1.matmul_t_into(&self.dense1_w.w, &mut ws.dflat);
+        // dflat = dd1·W₁ᵀ, computed as its transpose W₁·dd1ᵀ: the GEMM
+        // reads W₁ as it is, and only the activations are transposed
+        // (on fig7 32 × 128 and 704 × 32, against the 704 × 128 weight).
+        ws.dd1.transpose_into(&mut ws.dd1_t);
+        mul_transposed_into(&self.dense1_w.w, &ws.dd1_t, &mut ws.dflat_t);
 
-        // Un-flatten + ReLU of conv2 (elementwise, reshape only).
+        // Un-flatten (a reshape: dflat's rows are the samples' conv2
+        // rows) straight out of the transpose, then ReLU of conv2.
+        ws.dflat_t.transpose_into(&mut ws.dconv2);
         ws.dconv2.resize_for_overwrite(nb * k3, c2);
-        for (g, (&d, &o)) in ws
-            .dconv2
-            .data_mut()
-            .iter_mut()
-            .zip(ws.dflat.data().iter().zip(ws.conv2_out.data()))
-        {
-            *g = if o <= 0.0 { 0.0 } else { d };
+        for (g, &o) in ws.dconv2.data_mut().iter_mut().zip(ws.conv2_out.data()) {
+            if o <= 0.0 {
+                *g = 0.0;
+            }
         }
 
         // Conv2 parameter gradients: per-sample subtotals (the exact
@@ -531,18 +525,37 @@ impl Dgcnn {
             fold_subtotal(s, &ws.seg_b, &mut gt[conv2_b_g]);
         }
 
-        // Max-pool routing + ReLU of conv1 (rows per-sample-disjoint).
+        // Max-pool routing + ReLU of conv1 (rows per-sample-disjoint):
+        // each pooled gradient goes to the conv1 row that won its pair,
+        // where that row's output is positive. The rows start at +0 and
+        // take at most one term each, so adding a masked-out +0 (or a
+        // ±0 gradient) leaves +0, exactly as skipping it does.
         ws.dconv1.resize(nb * k, c1);
-        for s in 0..nb {
-            for t in 0..k2 {
-                for o in 0..c1 {
-                    let idx = ws.pool_idx[(s * k2 + t) * c1 + o];
-                    let src = s * k + 2 * t + usize::from(idx);
-                    let g = ws.dpool.get(s * k2 + t, o);
-                    if g != 0.0 && ws.conv1_out.get(src, o) > 0.0 {
-                        let v = ws.dconv1.get(src, o) + g;
-                        ws.dconv1.set(src, o, v);
-                    }
+        for (((dconv1, conv1), dpool), idx) in ws
+            .dconv1
+            .data_mut()
+            .chunks_exact_mut(k * c1)
+            .zip(ws.conv1_out.data().chunks_exact(k * c1))
+            .zip(ws.dpool.data().chunks_exact(k2 * c1))
+            .zip(ws.pool_idx.chunks_exact(k2 * c1))
+        {
+            for (((dpair, pair), dpool), idx) in dconv1
+                .chunks_exact_mut(2 * c1)
+                .zip(conv1.chunks_exact(2 * c1))
+                .zip(dpool.chunks_exact(c1))
+                .zip(idx.chunks_exact(c1))
+            {
+                let (d0, d1) = dpair.split_at_mut(c1);
+                let (r0, r1) = pair.split_at(c1);
+                for ((((d0, d1), (&a, &b)), &g), &i) in d0
+                    .iter_mut()
+                    .zip(d1)
+                    .zip(r0.iter().zip(r1))
+                    .zip(dpool)
+                    .zip(idx)
+                {
+                    *d0 += if i == 0 && a > 0.0 { g } else { 0.0 };
+                    *d1 += if i != 0 && b > 0.0 { g } else { 0.0 };
                 }
             }
         }
@@ -562,26 +575,22 @@ impl Dgcnn {
         }
         ws.dconv1.matmul_into(&self.conv1_w.w, &mut ws.dpooled);
 
-        // Un-SortPool (padded rows vanish; rows per-sample-disjoint).
-        ws.dhcat.resize(n, ccat);
-        for (t, &src) in ws.pool_src.iter().enumerate() {
-            if src != u32::MAX {
-                ws.dhcat
-                    .row_mut(src as usize)
-                    .copy_from_slice(ws.dpooled.row(t));
-            }
-        }
-
-        // Split the concat gradient per GC layer.
+        // Un-SortPool: each pooled row's gradient, split per GC layer,
+        // lands on its source node (padded rows vanish; a node is pooled
+        // at most once, so nothing accumulates).
         ws.dh_layers.resize_with(nlayers, Matrix::default);
-        let mut off = 0;
         for (hl, d) in ws.gc_outputs.iter().zip(&mut ws.dh_layers) {
-            let c = hl.cols();
-            d.resize_for_overwrite(n, c);
-            for i in 0..n {
-                d.row_mut(i).copy_from_slice(&ws.dhcat.row(i)[off..off + c]);
+            d.resize(n, hl.cols());
+        }
+        for (&src, drow) in ws.pool_src.iter().zip(ws.dpooled.data().chunks_exact(ccat)) {
+            if src != u32::MAX {
+                let mut off = 0;
+                for d in &mut ws.dh_layers {
+                    let c = d.cols();
+                    d.row_mut(src as usize).copy_from_slice(&drow[off..off + c]);
+                    off += c;
+                }
             }
-            off += c;
         }
 
         // Graph-convolution chain, last to first: tanh′ elementwise,
@@ -612,11 +621,7 @@ impl Dgcnn {
                 fold_subtotal(s, &ws.seg, &mut gt[l]);
             }
             if l > 0 {
-                // dZ_l·W_lᵀ, each output summed from 0.0 over ascending
-                // k: bit-identical to `matmul_t_into`.
-                let dz = &ws.dh_layers[l];
-                ws.dzw.resize_for_overwrite(n, self.gc[l].w.rows());
-                strided_gemm_into(dz.data(), dz.cols(), &ws.gc_wt[l], None, ws.dzw.data_mut());
+                mul_transposed_into(&ws.dh_layers[l], &ws.gc_wt[l], &mut ws.dzw);
                 propagate_back_into(adj, &ws.dzw, &mut ws.dh_prev);
                 ws.dh_layers[l - 1].add_assign(&ws.dh_prev);
             }
@@ -666,6 +671,67 @@ impl Dgcnn {
 /// a quarter and slowed scoring, while 8 kept both at the level of the
 /// per-sample scorer this forward replaced.
 const INFERENCE_CHUNK: usize = 8;
+
+/// `out = a·bᵀ`, given `bt` = `bᵀ`: one [`strided_gemm_into`] window
+/// per row of `a`. Each output is summed from `0.0` over ascending `k` —
+/// bit-identical to the dot-product loop over the rows of `b`.
+fn mul_transposed_into(a: &Matrix, bt: &Matrix, out: &mut Matrix) {
+    out.resize_for_overwrite(a.rows(), bt.cols());
+    strided_gemm_into(a.data(), a.cols(), bt, None, out.data_mut());
+}
+
+/// SortPooling of a block-diagonal batch, straight from the per-layer
+/// GC outputs `layers` (no concatenated copy): sample `s` owns the nodes
+/// `node_starts[s]..node_starts[s + 1]`, ordered by the last channel of
+/// the last layer, descending, ties by ascending node index (on global
+/// indices, which keeps a sample's order independent of its offset;
+/// `total_cmp` keeps the order total for NaN activations). The first
+/// `k` of them land in `pooled` rows `s·k ..`, each the concatenation of
+/// its rows in every layer, with their node index in `pool_src`; rows
+/// past a graph smaller than `k` are zero, their `pool_src` `u32::MAX`.
+/// The comparator never calls two nodes equal, so the unstable sort has
+/// the stable sort's result.
+///
+/// # Panics
+///
+/// Panics when `layers` is empty or a node index is out of range.
+pub fn sort_pool_into(
+    layers: &[Matrix],
+    node_starts: &[u32],
+    k: usize,
+    perm: &mut Vec<usize>,
+    pooled: &mut Matrix,
+    pool_src: &mut Vec<u32>,
+) {
+    let last = layers.last().expect("at least one GC layer");
+    let (lc, ccat) = (last.cols(), layers.iter().map(Matrix::cols).sum());
+    let key = |i: usize| last.data()[i * lc + lc - 1];
+    let nb = node_starts.len().saturating_sub(1);
+    pooled.resize_for_overwrite(nb * k, ccat);
+    pool_src.clear();
+    pool_src.resize(nb * k, u32::MAX);
+    for (s, w) in node_starts.windows(2).enumerate() {
+        perm.clear();
+        perm.extend(w[0] as usize..w[1] as usize);
+        perm.sort_unstable_by(|&a, &b| key(b).total_cmp(&key(a)).then(a.cmp(&b)));
+        perm.truncate(k);
+        let seg = &mut pooled.data_mut()[s * k * ccat..(s + 1) * k * ccat];
+        let (rows, pad) = seg.split_at_mut(perm.len() * ccat);
+        for ((row, &src), slot) in rows
+            .chunks_exact_mut(ccat)
+            .zip(perm.iter())
+            .zip(&mut pool_src[s * k..])
+        {
+            let mut off = 0;
+            for hl in layers {
+                row[off..off + hl.cols()].copy_from_slice(hl.row(src));
+                off += hl.cols();
+            }
+            *slot = src as u32;
+        }
+        pad.fill(0.0);
+    }
+}
 
 /// Conv2 weight and bias gradients of one sample, accumulated into `gw`
 /// (`c2 × kk·c1`) and `gb` (`c2`): for each output `o`, over ascending

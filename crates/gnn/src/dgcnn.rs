@@ -662,12 +662,22 @@ mod tests {
     fn dropout_masks_at_training_time_only() {
         let mut cfg = tiny_cfg();
         cfg.dropout = 0.5;
-        // Seed chosen so the 4-unit dense layer has live ReLU units for
-        // this sample; a dead layer would make dropout a no-op and void
-        // the property under test.
-        cfg.seed = 7;
-        let model = Dgcnn::new(cfg);
+        let mut model = Dgcnn::new(cfg);
+        // A positive dense bias keeps the 4-unit dense layer live
+        // whatever the model seed (with a zero bias, seeds 0–6, 8 and 9
+        // leave it dead on this sample), and the assertion checks it: a
+        // dead layer would make dropout a no-op and void the property
+        // under test.
+        model.dense1_b.w.data_mut().fill(1.0);
         let s = tiny_sample(8);
+        let mut mb = Minibatch::new();
+        mb.assemble_inference(std::slice::from_ref(&s), &[0]);
+        let mut ws = BatchWorkspace::new();
+        model.batch_forward(&mb, &mut ws);
+        assert!(
+            ws.dense1_out().data().iter().any(|&v| v > 0.0),
+            "the dense layer is dead"
+        );
         let draws: Vec<u32> = (0..16)
             .map(|seed| step(&model, &s, seed).0.to_bits())
             .collect();

@@ -223,9 +223,9 @@ impl Matrix {
 
     /// Reshapes in place *without* clearing: existing entries keep stale
     /// values. Only for buffers whose every entry the caller overwrites
-    /// before reading (row copies, `matmul_t_into`-style full writes) —
-    /// skipping the zeroing keeps fully-overwritten hot-loop buffers
-    /// free of redundant memset traffic.
+    /// before reading (row copies, [`strided_gemm_into`]-style full
+    /// writes) — skipping the zeroing keeps fully-overwritten hot-loop
+    /// buffers free of redundant memset traffic.
     pub fn resize_for_overwrite(&mut self, rows: usize, cols: usize) {
         self.data.resize(rows * cols, 0.0);
         self.rows = rows;
@@ -240,7 +240,7 @@ impl Matrix {
 
     /// Matrix product `self × rhs`.
     ///
-    /// The three product kernels below are the hottest loops in the
+    /// The two product kernels below are among the hottest loops in the
     /// model; they iterate whole row slices (`chunks_exact` / `zip`) so
     /// the inner loops carry no per-element bounds checks or index
     /// arithmetic, and skip zero multipliers (common after ReLU).
@@ -327,22 +327,32 @@ impl Matrix {
         self.t_matmul_body(rhs, 0..self.rows, out);
     }
 
-    /// Shared register-tiled body of [`Matrix::t_matmul_into`] and
+    /// Shared body of [`Matrix::t_matmul_into`] and
     /// [`Matrix::t_matmul_rows_into`]: `out = self[rows]ᵀ × rhs[rows]`.
     ///
-    /// When `rhs` is one or two whole [`GEMM_LANES`]-wide tiles the
-    /// accumulators live in registers ([`Matrix::t_matmul_tiled`]).
-    /// Otherwise four output rows (columns of `self`) are kept hot per
-    /// pass while the `self`/`rhs` row pairs stream through once per
-    /// tile — the one-column-at-a-time loop instead re-streamed the
-    /// whole output for every input row. Either way each output element
-    /// keeps one accumulator summing its products in ascending input-row
-    /// order, so every element is bit-identical to the untiled loop.
+    /// `rhs` one column wide (the last GC layer's weight gradient) takes
+    /// the branch-free [`Matrix::t_matmul_1wide`]; one or two whole
+    /// [`GEMM_LANES`]-wide tiles keep their accumulators in registers
+    /// ([`Matrix::t_matmul_tiled`]); every other width streams
+    /// ([`Matrix::t_matmul_streaming`]). Each output element keeps one
+    /// accumulator summing its products in ascending input-row order, so
+    /// every element is bit-identical to the untiled loop.
     fn t_matmul_body(&self, rhs: &Matrix, rows: std::ops::Range<usize>, out: &mut Matrix) {
-        if rhs.cols.is_multiple_of(GEMM_LANES) && (1..=2).contains(&(rhs.cols / GEMM_LANES)) {
+        if rhs.cols == 1 {
+            self.t_matmul_1wide(rhs, rows, out);
+        } else if rhs.cols.is_multiple_of(GEMM_LANES) && (1..=2).contains(&(rhs.cols / GEMM_LANES))
+        {
             self.t_matmul_tiled(rhs, rows, out);
-            return;
+        } else {
+            self.t_matmul_streaming(rhs, rows, out);
         }
+    }
+
+    /// [`Matrix::t_matmul_body`] for any `rhs` width: four output rows
+    /// (columns of `self`) are kept hot per pass while the `self`/`rhs`
+    /// row pairs stream through once per pass — the one-column-at-a-time
+    /// loop instead re-streamed the whole output for every input row.
+    fn t_matmul_streaming(&self, rhs: &Matrix, rows: std::ops::Range<usize>, out: &mut Matrix) {
         out.resize(self.cols, rhs.cols);
         let rc = rhs.cols.max(1);
         let mut oq = out.data.chunks_exact_mut(4 * rc);
@@ -365,6 +375,51 @@ impl Matrix {
                 axpy_skip_zero(orow, rhs.row(i), self.row(i)[c + j]);
             }
         }
+    }
+
+    /// [`Matrix::t_matmul_body`] for a one-column `rhs`: output `c` is
+    /// `Σᵢ self[i][c] · rhs[i]`, the accumulators of [`GEMM_LANES`]
+    /// outputs at a time held in registers across the row sweep. The
+    /// skip-zero branch becomes a masked add — `acc += if x != 0 { x·r }
+    /// else { +0 }` — which vectorises across the outputs and has the
+    /// skip's bits: an accumulator starts at `+0` and so never holds `−0`
+    /// (under round-to-nearest `+0 + −0` and an exact cancellation both
+    /// give `+0`), so adding `+0` leaves it unchanged, and a zero
+    /// multiplier's `0·NaN` or `0·∞` is masked out just as the skip
+    /// dropped it.
+    fn t_matmul_1wide(&self, rhs: &Matrix, rows: std::ops::Range<usize>, out: &mut Matrix) {
+        let lc = self.cols;
+        out.resize_for_overwrite(lc, 1);
+        let tiled = lc - lc % GEMM_LANES;
+        for c0 in (0..tiled).step_by(GEMM_LANES) {
+            self.t_matmul_1wide_tile::<GEMM_LANES>(rhs, rows.clone(), c0, &mut out.data);
+        }
+        for c0 in tiled..lc {
+            self.t_matmul_1wide_tile::<1>(rhs, rows.clone(), c0, &mut out.data);
+        }
+    }
+
+    /// Outputs `c0..c0 + L` of [`Matrix::t_matmul_1wide`].
+    #[inline(always)]
+    fn t_matmul_1wide_tile<const L: usize>(
+        &self,
+        rhs: &Matrix,
+        rows: std::ops::Range<usize>,
+        c0: usize,
+        out: &mut [f32],
+    ) {
+        let mut acc = [0.0f32; L];
+        for i in rows {
+            let r = rhs.data[i];
+            let x: &[f32; L] = self.data[i * self.cols + c0..i * self.cols + c0 + L]
+                .try_into()
+                .expect("tile width");
+            for (a, &x) in acc.iter_mut().zip(x) {
+                let p = x * r;
+                *a += if x != 0.0 { p } else { 0.0 };
+            }
+        }
+        out[c0..c0 + L].copy_from_slice(&acc);
     }
 
     /// [`Matrix::t_matmul_body`] for `rhs.cols` of 16 or 32: a
@@ -434,165 +489,6 @@ impl Matrix {
         assert_eq!(self.rows, rhs.rows, "t_matmul shape mismatch");
         assert!(rows.end <= self.rows, "row range out of bounds");
         self.t_matmul_body(rhs, rows, out);
-    }
-
-    /// `self × rhsᵀ` without materialising the transpose.
-    ///
-    /// # Panics
-    ///
-    /// Panics when column counts disagree.
-    #[must_use]
-    pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_t_into(rhs, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul_t`] into a reusable output buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics when column counts disagree.
-    pub fn matmul_t_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, rhs.cols, "matmul_t shape mismatch");
-        // Every output entry is written (`*o = s`), so no pre-zeroing —
-        // except the zero-width product, whose empty dots the row
-        // chunking below never visits.
-        out.resize_for_overwrite(self.rows, rhs.rows);
-        if self.cols == 0 {
-            out.data.fill(0.0);
-            return;
-        }
-        let rcols = rhs.cols.max(1);
-        let lc = self.cols.max(1);
-        let oc = rhs.rows.max(1);
-        // Pair output rows: two `self` rows share each streamed pass
-        // over `rhs`, halving the dominant operand traffic. Combined
-        // with the 8-wide dot blocking below that is a 2×8 register
-        // tile — 16 independent accumulators, each still summing its
-        // own products in ascending column order, so every output
-        // element stays bit-identical to the single-dot loop.
-        let mut lp = self.data.chunks_exact(2 * lc);
-        let mut op = out.data.chunks_exact_mut(2 * oc);
-        for (ls, os) in (&mut lp).zip(&mut op) {
-            let (l0, l1) = ls.split_at(lc);
-            let (o0, o1) = os.split_at_mut(oc);
-            let mut oq0 = o0.chunks_exact_mut(8);
-            let mut oq1 = o1.chunks_exact_mut(8);
-            let mut rq = rhs.data.chunks_exact(8 * rcols);
-            for ((osa, osb), rs) in (&mut oq0).zip(&mut oq1).zip(&mut rq) {
-                let (r0, rest) = rs.split_at(rcols);
-                let (r1, rest) = rest.split_at(rcols);
-                let (r2, rest) = rest.split_at(rcols);
-                let (r3, rest) = rest.split_at(rcols);
-                let (r4, rest) = rest.split_at(rcols);
-                let (r5, rest) = rest.split_at(rcols);
-                let (r6, r7) = rest.split_at(rcols);
-                let mut sa = [0.0f32; 8];
-                let mut sb = [0.0f32; 8];
-                for (((((((((&a, &b), &c0), &c1), &c2), &c3), &c4), &c5), &c6), &c7) in l0
-                    .iter()
-                    .zip(l1)
-                    .zip(r0)
-                    .zip(r1)
-                    .zip(r2)
-                    .zip(r3)
-                    .zip(r4)
-                    .zip(r5)
-                    .zip(r6)
-                    .zip(r7)
-                {
-                    sa[0] += a * c0;
-                    sa[1] += a * c1;
-                    sa[2] += a * c2;
-                    sa[3] += a * c3;
-                    sa[4] += a * c4;
-                    sa[5] += a * c5;
-                    sa[6] += a * c6;
-                    sa[7] += a * c7;
-                    sb[0] += b * c0;
-                    sb[1] += b * c1;
-                    sb[2] += b * c2;
-                    sb[3] += b * c3;
-                    sb[4] += b * c4;
-                    sb[5] += b * c5;
-                    sb[6] += b * c6;
-                    sb[7] += b * c7;
-                }
-                osa.copy_from_slice(&sa);
-                osb.copy_from_slice(&sb);
-            }
-            for ((oa, ob), rrow) in oq0
-                .into_remainder()
-                .iter_mut()
-                .zip(oq1.into_remainder().iter_mut())
-                .zip(rq.remainder().chunks_exact(rcols))
-            {
-                let (mut s0, mut s1) = (0.0, 0.0);
-                for ((&a, &b), &r) in l0.iter().zip(l1).zip(rrow) {
-                    s0 += a * r;
-                    s1 += b * r;
-                }
-                *oa = s0;
-                *ob = s1;
-            }
-        }
-        for (lrow, orow) in lp
-            .remainder()
-            .chunks_exact(lc)
-            .zip(op.into_remainder().chunks_exact_mut(oc))
-        {
-            // Eight dots per pass. Each accumulator sums its own
-            // products in ascending column order — bit-identical to the
-            // one-dot-at-a-time loop — but the eight independent chains
-            // hide FP-add latency, which a single serial dot cannot
-            // (a lone `s += a * b` chain is ~4 cycles per element no
-            // matter how wide the machine is).
-            let mut oq = orow.chunks_exact_mut(8);
-            let mut rq = rhs.data.chunks_exact(8 * rcols);
-            for (os, rs) in (&mut oq).zip(&mut rq) {
-                let (r0, rest) = rs.split_at(rcols);
-                let (r1, rest) = rest.split_at(rcols);
-                let (r2, rest) = rest.split_at(rcols);
-                let (r3, rest) = rest.split_at(rcols);
-                let (r4, rest) = rest.split_at(rcols);
-                let (r5, rest) = rest.split_at(rcols);
-                let (r6, r7) = rest.split_at(rcols);
-                let mut s = [0.0f32; 8];
-                for ((((((((&a, &b0), &b1), &b2), &b3), &b4), &b5), &b6), &b7) in lrow
-                    .iter()
-                    .zip(r0)
-                    .zip(r1)
-                    .zip(r2)
-                    .zip(r3)
-                    .zip(r4)
-                    .zip(r5)
-                    .zip(r6)
-                    .zip(r7)
-                {
-                    s[0] += a * b0;
-                    s[1] += a * b1;
-                    s[2] += a * b2;
-                    s[3] += a * b3;
-                    s[4] += a * b4;
-                    s[5] += a * b5;
-                    s[6] += a * b6;
-                    s[7] += a * b7;
-                }
-                os.copy_from_slice(&s);
-            }
-            for (o, rrow) in oq
-                .into_remainder()
-                .iter_mut()
-                .zip(rq.remainder().chunks_exact(rcols))
-            {
-                let mut s = 0.0;
-                for (&a, &b) in lrow.iter().zip(rrow) {
-                    s += a * b;
-                }
-                *o = s;
-            }
-        }
     }
 
     /// Transposed copy.
@@ -835,6 +731,171 @@ pub(crate) mod tests {
     use proptest::prelude::*;
 
     use super::*;
+
+    /// The `self × rhsᵀ` kernel production ran before every such product
+    /// moved to [`strided_gemm_into`] on a transposed weight, kept as
+    /// that kernel's oracle: each output is one dot summed from `0.0`
+    /// over ascending `k`, in a 2-row × 8-dot register tile.
+    impl Matrix {
+        /// `self × rhsᵀ` without materialising the transpose.
+        ///
+        /// # Panics
+        ///
+        /// Panics when column counts disagree.
+        #[must_use]
+        pub(crate) fn matmul_t(&self, rhs: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(0, 0);
+            self.matmul_t_into(rhs, &mut out);
+            out
+        }
+
+        /// [`Matrix::matmul_t`] into a reusable output buffer.
+        ///
+        /// # Panics
+        ///
+        /// Panics when column counts disagree.
+        pub(crate) fn matmul_t_into(&self, rhs: &Matrix, out: &mut Matrix) {
+            assert_eq!(self.cols, rhs.cols, "matmul_t shape mismatch");
+            // Every output entry is written (`*o = s`), so no pre-zeroing —
+            // except the zero-width product, whose empty dots the row
+            // chunking below never visits.
+            out.resize_for_overwrite(self.rows, rhs.rows);
+            if self.cols == 0 {
+                out.data.fill(0.0);
+                return;
+            }
+            let rcols = rhs.cols.max(1);
+            let lc = self.cols.max(1);
+            let oc = rhs.rows.max(1);
+            // Pair output rows: two `self` rows share each streamed pass
+            // over `rhs`, halving the dominant operand traffic. Combined
+            // with the 8-wide dot blocking below that is a 2×8 register
+            // tile — 16 independent accumulators, each still summing its
+            // own products in ascending column order, so every output
+            // element stays bit-identical to the single-dot loop.
+            let mut lp = self.data.chunks_exact(2 * lc);
+            let mut op = out.data.chunks_exact_mut(2 * oc);
+            for (ls, os) in (&mut lp).zip(&mut op) {
+                let (l0, l1) = ls.split_at(lc);
+                let (o0, o1) = os.split_at_mut(oc);
+                let mut oq0 = o0.chunks_exact_mut(8);
+                let mut oq1 = o1.chunks_exact_mut(8);
+                let mut rq = rhs.data.chunks_exact(8 * rcols);
+                for ((osa, osb), rs) in (&mut oq0).zip(&mut oq1).zip(&mut rq) {
+                    let (r0, rest) = rs.split_at(rcols);
+                    let (r1, rest) = rest.split_at(rcols);
+                    let (r2, rest) = rest.split_at(rcols);
+                    let (r3, rest) = rest.split_at(rcols);
+                    let (r4, rest) = rest.split_at(rcols);
+                    let (r5, rest) = rest.split_at(rcols);
+                    let (r6, r7) = rest.split_at(rcols);
+                    let mut sa = [0.0f32; 8];
+                    let mut sb = [0.0f32; 8];
+                    for (((((((((&a, &b), &c0), &c1), &c2), &c3), &c4), &c5), &c6), &c7) in l0
+                        .iter()
+                        .zip(l1)
+                        .zip(r0)
+                        .zip(r1)
+                        .zip(r2)
+                        .zip(r3)
+                        .zip(r4)
+                        .zip(r5)
+                        .zip(r6)
+                        .zip(r7)
+                    {
+                        sa[0] += a * c0;
+                        sa[1] += a * c1;
+                        sa[2] += a * c2;
+                        sa[3] += a * c3;
+                        sa[4] += a * c4;
+                        sa[5] += a * c5;
+                        sa[6] += a * c6;
+                        sa[7] += a * c7;
+                        sb[0] += b * c0;
+                        sb[1] += b * c1;
+                        sb[2] += b * c2;
+                        sb[3] += b * c3;
+                        sb[4] += b * c4;
+                        sb[5] += b * c5;
+                        sb[6] += b * c6;
+                        sb[7] += b * c7;
+                    }
+                    osa.copy_from_slice(&sa);
+                    osb.copy_from_slice(&sb);
+                }
+                for ((oa, ob), rrow) in oq0
+                    .into_remainder()
+                    .iter_mut()
+                    .zip(oq1.into_remainder().iter_mut())
+                    .zip(rq.remainder().chunks_exact(rcols))
+                {
+                    let (mut s0, mut s1) = (0.0, 0.0);
+                    for ((&a, &b), &r) in l0.iter().zip(l1).zip(rrow) {
+                        s0 += a * r;
+                        s1 += b * r;
+                    }
+                    *oa = s0;
+                    *ob = s1;
+                }
+            }
+            for (lrow, orow) in lp
+                .remainder()
+                .chunks_exact(lc)
+                .zip(op.into_remainder().chunks_exact_mut(oc))
+            {
+                // Eight dots per pass. Each accumulator sums its own
+                // products in ascending column order — bit-identical to the
+                // one-dot-at-a-time loop — but the eight independent chains
+                // hide FP-add latency, which a single serial dot cannot
+                // (a lone `s += a * b` chain is ~4 cycles per element no
+                // matter how wide the machine is).
+                let mut oq = orow.chunks_exact_mut(8);
+                let mut rq = rhs.data.chunks_exact(8 * rcols);
+                for (os, rs) in (&mut oq).zip(&mut rq) {
+                    let (r0, rest) = rs.split_at(rcols);
+                    let (r1, rest) = rest.split_at(rcols);
+                    let (r2, rest) = rest.split_at(rcols);
+                    let (r3, rest) = rest.split_at(rcols);
+                    let (r4, rest) = rest.split_at(rcols);
+                    let (r5, rest) = rest.split_at(rcols);
+                    let (r6, r7) = rest.split_at(rcols);
+                    let mut s = [0.0f32; 8];
+                    for ((((((((&a, &b0), &b1), &b2), &b3), &b4), &b5), &b6), &b7) in lrow
+                        .iter()
+                        .zip(r0)
+                        .zip(r1)
+                        .zip(r2)
+                        .zip(r3)
+                        .zip(r4)
+                        .zip(r5)
+                        .zip(r6)
+                        .zip(r7)
+                    {
+                        s[0] += a * b0;
+                        s[1] += a * b1;
+                        s[2] += a * b2;
+                        s[3] += a * b3;
+                        s[4] += a * b4;
+                        s[5] += a * b5;
+                        s[6] += a * b6;
+                        s[7] += a * b7;
+                    }
+                    os.copy_from_slice(&s);
+                }
+                for (o, rrow) in oq
+                    .into_remainder()
+                    .iter_mut()
+                    .zip(rq.remainder().chunks_exact(rcols))
+                {
+                    let mut s = 0.0;
+                    for (&a, &b) in lrow.iter().zip(rrow) {
+                        s += a * b;
+                    }
+                    *o = s;
+                }
+            }
+        }
+    }
 
     /// Bit patterns decimal JSON floats cannot carry: NaN payloads (quiet
     /// and signalling, both signs), ±0, the extreme subnormals and ±inf.
@@ -1331,6 +1392,77 @@ pub(crate) mod tests {
             let mut got = vec![7.0f32; n * cprev];
             strided_gemm_into(dz.data(), cl, &w.transpose(), None, &mut got);
             prop_assert!(same_bits(&Matrix::from_vec(n, cprev, got), &want), "{n} {cl} {cprev}");
+        }
+
+        /// The branch-free 1-wide `t_matmul` kernel against the streaming
+        /// body it replaced at `rhs.cols` = 1: output counts across the
+        /// 16-lane tile and its remainder, row sub-ranges, entries drawn
+        /// from `SPECIAL_BITS` (NaN, ±0, subnormals, ±∞) and from ±1, ±0.5
+        /// (sums that cancel exactly), and all-zero `self` columns of
+        /// mixed sign.
+        #[test]
+        fn t_matmul_1wide_matches_streaming_body_bitwise(
+            ((rows, lc), (zero_cols, seed)) in (
+                (0usize..40, 0usize..70),
+                (proptest::num::u64::ANY, proptest::num::u64::ANY),
+            ),
+        ) {
+            let mut rng = seeded_rng(seed);
+            let entry = |rng: &mut StdRng| match rng.gen_range(0..8) {
+                0 | 1 => f32::from_bits(SPECIAL_BITS[rng.gen_range(0..SPECIAL_BITS.len())]),
+                2 | 3 => [1.0f32, -1.0, 0.5, -0.5][rng.gen_range(0..4usize)],
+                _ => rng.gen_range(-1.0f32..1.0),
+            };
+            let mut l = Matrix::zeros(rows, lc);
+            for (i, v) in l.data.iter_mut().enumerate() {
+                let zeroed = lc > 0 && zero_cols >> (i % lc % 64) & 1 == 1;
+                *v = if zeroed { [0.0f32, -0.0][rng.gen_range(0..2usize)] } else { entry(&mut rng) };
+            }
+            let r = Matrix::from_vec(rows, 1, (0..rows).map(|_| entry(&mut rng)).collect());
+            let lo = rng.gen_range(0..rows + 1);
+            let hi = rng.gen_range(lo..rows + 1);
+            let (mut got, mut want) = (Matrix::from_vec(1, 2, vec![7.0, 7.0]), Matrix::default());
+            l.t_matmul_rows_into(&r, lo..hi, &mut got);
+            l.t_matmul_streaming(&r, lo..hi, &mut want);
+            prop_assert!(same_bits(&got, &want), "{rows} {lc} {lo}..{hi}");
+            prop_assert!(same_bits(&got, &naive_t_matmul_rows(&l, &r, lo..hi)), "{rows} {lc} {lo}..{hi}");
+        }
+    }
+
+    /// `strided_gemm_into` against `matmul_t_into` at the dense head's
+    /// input-gradient shapes, in the two layouts the training step uses:
+    /// dense2's `dlogits·W₂ᵀ` (32 × 2 · (128 × 2)ᵀ) on the transposed
+    /// weight, and dense1's `dd1·W₁ᵀ` (32 × 128 · (704 × 128)ᵀ, and a
+    /// short last batch of 7 rows) as the transpose of `W₁·dd1ᵀ`; each
+    /// shape is checked in both layouts, with and without zeros, −0.0,
+    /// NaN and ±∞ in both operands.
+    #[test]
+    fn strided_gemm_matches_matmul_t_at_dense_head_shapes() {
+        for (seed, (n, width, outs)) in [(32, 2, 128), (32, 128, 704), (7, 128, 704)]
+            .into_iter()
+            .enumerate()
+        {
+            for special in [false, true] {
+                let mut rng = seeded_rng(seed as u64);
+                let d = conv_input(n, width, 0, special, &mut rng);
+                let w = conv_input(outs, width, 0, special, &mut rng);
+                let mut want = Matrix::default();
+                d.matmul_t_into(&w, &mut want);
+                let mut got = vec![7.0f32; n * outs];
+                strided_gemm_into(d.data(), width, &w.transpose(), None, &mut got);
+                let got = Matrix::from_vec(n, outs, got);
+                assert!(
+                    same_bits(&got, &want),
+                    "d·(Wᵀ) {n} x {width} x {outs}, special {special}"
+                );
+                let mut got_t = vec![7.0f32; outs * n];
+                strided_gemm_into(w.data(), width, &d.transpose(), None, &mut got_t);
+                let got = Matrix::from_vec(outs, n, got_t).transpose();
+                assert!(
+                    same_bits(&got, &want),
+                    "(W·dᵀ)ᵀ {n} x {width} x {outs}, special {special}"
+                );
+            }
         }
     }
 }

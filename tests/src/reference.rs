@@ -438,9 +438,7 @@ impl Reference {
             .d1_dropped
             .t_matmul_into(&scratch.dlogits, &mut gt[dense2_w_g]);
         gt[dense2_b_g].copy_from(&scratch.dlogits);
-        scratch
-            .dlogits
-            .matmul_t_into(&self.dense2_w, &mut scratch.dd1);
+        matmul_t_into(&scratch.dlogits, &self.dense2_w, &mut scratch.dd1);
 
         // Dropout + ReLU of dense 1.
         for (g, (&m, &o)) in scratch
@@ -456,9 +454,7 @@ impl Reference {
         }
         cache.flat.t_matmul_into(&scratch.dd1, &mut gt[dense1_w_g]);
         gt[dense1_b_g].copy_from(&scratch.dd1);
-        scratch
-            .dd1
-            .matmul_t_into(&self.dense1_w, &mut scratch.dflat);
+        matmul_t_into(&scratch.dd1, &self.dense1_w, &mut scratch.dflat);
 
         // Un-flatten + ReLU of conv2.
         scratch.dconv2.resize_for_overwrite(k3, c2);
@@ -559,10 +555,27 @@ impl Reference {
             }
             cache.gc_inputs[l].t_matmul_into(&scratch.dh_layers[l], &mut gt[l]);
             if l > 0 {
-                scratch.dh_layers[l].matmul_t_into(&self.gc[l], &mut scratch.dzw);
+                matmul_t_into(&scratch.dh_layers[l], &self.gc[l], &mut scratch.dzw);
                 propagate_back_into(s.adj, &scratch.dzw, &mut scratch.dh_prev);
                 scratch.dh_layers[l - 1].add_assign(&scratch.dh_prev);
             }
+        }
+    }
+}
+
+/// The input gradient `out = a·bᵀ` of a layer with weight `b`: each
+/// output one dot product summed from `0.0` over ascending `k`, the
+/// bits production's `strided_gemm_into` on `bᵀ` must reproduce.
+fn matmul_t_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    assert_eq!(a.cols(), b.cols(), "matmul_t shape mismatch");
+    out.resize_for_overwrite(a.rows(), b.rows());
+    for r in 0..a.rows() {
+        for j in 0..b.rows() {
+            let mut s = 0.0f32;
+            for (&x, &y) in a.row(r).iter().zip(b.row(j)) {
+                s += x * y;
+            }
+            out.row_mut(r)[j] = s;
         }
     }
 }
