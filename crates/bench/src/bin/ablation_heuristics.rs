@@ -5,11 +5,12 @@
 //!
 //! Run: `cargo run --release -p muxlink-bench --bin ablation_heuristics`
 
-use muxlink_bench::runner::{parallel_map, Scheme};
+use muxlink_bench::runner::Scheme;
 use muxlink_bench::{maybe_write_json, pct_or_na, HarnessOptions, Table};
 use muxlink_core::metrics::score_key;
 use muxlink_core::{score_design, score_design_with_heuristic};
 use muxlink_graph::heuristics::Heuristic;
+use rayon::prelude::*;
 use serde::Serialize;
 
 #[derive(Debug, Clone, Serialize)]
@@ -28,30 +29,33 @@ fn main() {
     let key = opts.iscas_key_sizes()[0];
 
     // Lock each benchmark once; score with every method.
-    let jobs: Vec<muxlink_benchgen::Profile> = suite.profiles.clone();
     let seed = opts.seed;
-    let results = parallel_map(jobs, move |profile| {
-        let design = profile.generate(seed);
-        let locked = Scheme::DMux
-            .lock_fitting(&design, key, seed ^ 0xBEEF)
-            .expect("synthetic benchmarks lock");
-        let names = locked.key_input_names();
+    let results: Vec<_> = suite
+        .profiles
+        .par_iter()
+        .map(|profile| {
+            let design = profile.generate(seed);
+            let locked = Scheme::DMux
+                .lock_fitting(&design, key, seed ^ 0xBEEF)
+                .expect("synthetic benchmarks lock");
+            let names = locked.key_input_names();
 
-        let mut per_scorer = Vec::new();
-        let t0 = std::time::Instant::now();
-        if let Ok(scored) = score_design(&locked.netlist, &names, &cfg) {
-            let m = score_key(&scored.recover_key(cfg.th), &locked.key);
-            per_scorer.push(("DGCNN".to_owned(), m, t0.elapsed().as_secs_f64()));
-        }
-        for h in Heuristic::ALL {
-            let t = std::time::Instant::now();
-            if let Ok(scored) = score_design_with_heuristic(&locked.netlist, &names, h) {
+            let mut per_scorer = Vec::new();
+            let t0 = std::time::Instant::now();
+            if let Ok(scored) = score_design(&locked.netlist, &names, &cfg) {
                 let m = score_key(&scored.recover_key(cfg.th), &locked.key);
-                per_scorer.push((h.name().to_owned(), m, t.elapsed().as_secs_f64()));
+                per_scorer.push(("DGCNN".to_owned(), m, t0.elapsed().as_secs_f64()));
             }
-        }
-        per_scorer
-    });
+            for h in Heuristic::ALL {
+                let t = std::time::Instant::now();
+                if let Ok(scored) = score_design_with_heuristic(&locked.netlist, &names, h) {
+                    let m = score_key(&scored.recover_key(cfg.th), &locked.key);
+                    per_scorer.push((h.name().to_owned(), m, t.elapsed().as_secs_f64()));
+                }
+            }
+            per_scorer
+        })
+        .collect();
 
     // Aggregate per scorer across benchmarks.
     let mut names: Vec<String> = vec!["DGCNN".to_owned()];

@@ -12,10 +12,11 @@
 //!
 //! Run: `cargo run --release -p muxlink-bench --bin ablation_reconvergence`
 
-use muxlink_bench::runner::{parallel_map, Scheme};
+use muxlink_bench::runner::Scheme;
 use muxlink_bench::{maybe_write_json, pct_or_na, HarnessOptions, Table};
 use muxlink_core::metrics::score_key;
 use muxlink_core::score_design;
+use rayon::prelude::*;
 use serde::Serialize;
 
 #[derive(Debug, Clone, Serialize)]
@@ -34,30 +35,33 @@ fn main() {
 
     let probs = [0.0f64, 0.2, 0.45, 0.65, 0.8];
     let seed = opts.seed;
-    let rows: Vec<Option<ReconvRow>> = parallel_map(probs.to_vec(), move |p| {
-        let mut synth =
-            muxlink_benchgen::synth::SynthConfig::new(format!("reconv_{p}"), 16, 8, gates);
-        synth.reconvergence_prob = p;
-        let design = synth.generate(seed);
-        let locked = Scheme::DMux
-            .lock_fitting(&design, key, seed ^ 0xACE)
-            .expect("synthetic benchmarks lock");
-        match score_design(&locked.netlist, &locked.key_input_names(), &cfg) {
-            Ok(scored) => {
-                let m = score_key(&scored.recover_key(cfg.th), &locked.key);
-                Some(ReconvRow {
-                    reconvergence_prob: p,
-                    ac: m.accuracy_pct(),
-                    pc: m.precision_pct(),
-                    kpa: m.kpa_pct(),
-                })
+    let rows: Vec<Option<ReconvRow>> = probs
+        .par_iter()
+        .map(|&p| {
+            let mut synth =
+                muxlink_benchgen::synth::SynthConfig::new(format!("reconv_{p}"), 16, 8, gates);
+            synth.reconvergence_prob = p;
+            let design = synth.generate(seed);
+            let locked = Scheme::DMux
+                .lock_fitting(&design, key, seed ^ 0xACE)
+                .expect("synthetic benchmarks lock");
+            match score_design(&locked.netlist, &locked.key_input_names(), &cfg) {
+                Ok(scored) => {
+                    let m = score_key(&scored.recover_key(cfg.th), &locked.key);
+                    Some(ReconvRow {
+                        reconvergence_prob: p,
+                        ac: m.accuracy_pct(),
+                        pc: m.precision_pct(),
+                        kpa: m.kpa_pct(),
+                    })
+                }
+                Err(e) => {
+                    eprintln!("warning: p={p}: {e}");
+                    None
+                }
             }
-            Err(e) => {
-                eprintln!("warning: p={p}: {e}");
-                None
-            }
-        }
-    });
+        })
+        .collect();
     let rows: Vec<ReconvRow> = rows.into_iter().flatten().collect();
 
     let mut table = Table::new(&["reconv p", "AC%", "PC%", "KPA%"]);

@@ -4,8 +4,9 @@
 //!
 //! Run: `cargo run --release -p muxlink-bench --bin fig10_hops`
 
-use muxlink_bench::runner::{parallel_map, run_attack, Scheme};
+use muxlink_bench::runner::{run_attack, Scheme};
 use muxlink_bench::{maybe_write_json, pct_or_na, HarnessOptions, Table};
+use rayon::prelude::*;
 use serde::Serialize;
 
 #[derive(Debug, Clone, Serialize)]
@@ -32,16 +33,19 @@ fn main() {
     eprintln!("fig10: {} attack jobs …", jobs.len());
     let seed = opts.seed;
     type HopResult = (usize, f64, f64, Option<f64>, f64);
-    let results: Vec<Option<HopResult>> = parallel_map(jobs, move |(profile, h)| {
-        let cfg = base_cfg.clone().with_h(h);
-        match run_attack("ISCAS-85", &profile, Scheme::DMux, key, &cfg, seed) {
-            Ok((res, _, _, _)) => Some((h, res.ac, res.pc, res.kpa, res.seconds)),
-            Err(e) => {
-                eprintln!("warning: {e}");
-                None
+    let results: Vec<Option<HopResult>> = jobs
+        .par_iter()
+        .map(|&(ref profile, h)| {
+            let cfg = base_cfg.clone().with_h(h);
+            match run_attack("ISCAS-85", profile, Scheme::DMux, key, &cfg, seed) {
+                Ok((res, _, _, _)) => Some((h, res.ac, res.pc, res.kpa, res.seconds)),
+                Err(e) => {
+                    eprintln!("warning: {e}");
+                    None
+                }
             }
-        }
-    });
+        })
+        .collect();
 
     let mut rows = Vec::new();
     for &h in &hops {

@@ -12,10 +12,11 @@
 
 use muxlink_attack_baselines::sweep::training_examples;
 use muxlink_attack_baselines::{scope_attack, ScopeConfig, SweepConfig, SweepModel};
-use muxlink_bench::runner::{parallel_map, Scheme};
+use muxlink_bench::runner::Scheme;
 use muxlink_bench::{maybe_write_json, pct_or_na, HarnessOptions, Table};
 use muxlink_core::metrics::score_key;
 use muxlink_locking::LockedNetlist;
+use rayon::prelude::*;
 use serde::Serialize;
 
 #[derive(Debug, Clone, Serialize)]
@@ -50,15 +51,17 @@ fn main() {
             })
         })
         .collect();
-    let profiles = suite.profiles.clone();
     let seed = opts.seed;
-    let locked: Vec<(usize, Scheme, LockedNetlist)> = parallel_map(jobs, move |(b, c, s)| {
-        let design = profiles[b].generate(seed ^ (c << 8));
-        let l = s
-            .lock_fitting(&design, key_size, seed ^ (c << 8) ^ 0xF00D)
-            .expect("locking synthetic benchmarks");
-        (b, s, l)
-    });
+    let locked: Vec<(usize, Scheme, LockedNetlist)> = jobs
+        .par_iter()
+        .map(|&(b, c, s)| {
+            let design = suite.profiles[b].generate(seed ^ (c << 8));
+            let l = s
+                .lock_fitting(&design, key_size, seed ^ (c << 8) ^ 0xF00D)
+                .expect("locking synthetic benchmarks");
+            (b, s, l)
+        })
+        .collect();
 
     let mut rows: Vec<Fig2Row> = Vec::new();
     for scheme in [Scheme::DMux, Scheme::Symmetric] {

@@ -5,9 +5,10 @@
 //!
 //! Run: `cargo run --release -p muxlink-bench --bin fig8_hamming`
 
-use muxlink_bench::runner::{parallel_map, run_attack, Scheme};
+use muxlink_bench::runner::{run_attack, Scheme};
 use muxlink_bench::{maybe_write_json, HarnessOptions, Table};
 use muxlink_core::metrics::hamming_with_guess;
+use rayon::prelude::*;
 use serde::Serialize;
 
 #[derive(Debug, Clone, Serialize)]
@@ -38,30 +39,33 @@ fn main() {
 
     eprintln!("fig8: {} attack+simulate jobs …", jobs.len());
     let seed = opts.seed;
-    let rows: Vec<Option<Fig8Row>> = parallel_map(jobs, move |(profile, k)| {
-        let (res, scored, locked, design) =
-            match run_attack("ISCAS-85", &profile, Scheme::DMux, k, &cfg, seed) {
-                Ok(x) => x,
-                Err(e) => {
-                    eprintln!("warning: {e}");
-                    return None;
-                }
-            };
-        let guess = scored.recover_key(cfg.th);
-        let x_bits = guess
-            .iter()
-            .filter(|v| **v == muxlink_locking::KeyValue::X)
-            .count();
-        let hd = hamming_with_guess(&design, &locked, &guess, patterns, 10, seed)
-            .expect("matching interfaces by construction");
-        Some(Fig8Row {
-            bench: profile.name.clone(),
-            key_size: res.key_size,
-            ac: res.ac,
-            x_bits,
-            hd_percent: hd,
+    let rows: Vec<Option<Fig8Row>> = jobs
+        .par_iter()
+        .map(|&(ref profile, k)| {
+            let (res, scored, locked, design) =
+                match run_attack("ISCAS-85", profile, Scheme::DMux, k, &cfg, seed) {
+                    Ok(x) => x,
+                    Err(e) => {
+                        eprintln!("warning: {e}");
+                        return None;
+                    }
+                };
+            let guess = scored.recover_key(cfg.th);
+            let x_bits = guess
+                .iter()
+                .filter(|v| **v == muxlink_locking::KeyValue::X)
+                .count();
+            let hd = hamming_with_guess(&design, &locked, &guess, patterns, 10, seed)
+                .expect("matching interfaces by construction");
+            Some(Fig8Row {
+                bench: profile.name.clone(),
+                key_size: res.key_size,
+                ac: res.ac,
+                x_bits,
+                hd_percent: hd,
+            })
         })
-    });
+        .collect();
     let rows: Vec<Fig8Row> = rows.into_iter().flatten().collect();
 
     let mut table = Table::new(&["bench", "K", "AC%", "X bits", "HD%"]);

@@ -6,10 +6,11 @@
 //!
 //! Run: `cargo run --release -p muxlink-bench --bin fig9_threshold`
 
-use muxlink_bench::runner::{parallel_map, run_attack, Scheme};
+use muxlink_bench::runner::{run_attack, Scheme};
 use muxlink_bench::{maybe_write_json, pct_or_na, HarnessOptions, Table};
 use muxlink_core::metrics::score_key;
 use muxlink_locking::KeyValue;
+use rayon::prelude::*;
 use serde::Serialize;
 
 #[derive(Debug, Clone, Serialize)]
@@ -40,15 +41,18 @@ fn main() {
         .collect();
     eprintln!("fig9: scoring {} designs …", jobs.len());
     let seed = opts.seed;
-    let scored: Vec<Option<_>> = parallel_map(jobs, move |(profile, scheme)| {
-        match run_attack("ISCAS-85", &profile, scheme, key, &cfg, seed) {
-            Ok((_, scored, locked, _)) => Some((scheme, scored, locked)),
-            Err(e) => {
-                eprintln!("warning: {e}");
-                None
+    let scored: Vec<Option<_>> = jobs
+        .par_iter()
+        .map(|&(ref profile, scheme)| {
+            match run_attack("ISCAS-85", profile, scheme, key, &cfg, seed) {
+                Ok((_, scored, locked, _)) => Some((scheme, scored, locked)),
+                Err(e) => {
+                    eprintln!("warning: {e}");
+                    None
+                }
             }
-        }
-    });
+        })
+        .collect();
     let scored: Vec<_> = scored.into_iter().flatten().collect();
 
     let thresholds: Vec<f64> = (0..=20).map(|i| f64::from(i) * 0.05).collect();

@@ -230,68 +230,10 @@ pub fn run_attack_suite(
         .collect()
 }
 
-/// Runs a set of independent jobs across available cores, preserving input
-/// order in the output.
-pub fn parallel_map<T, R, F>(jobs: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
-        .min(jobs.len().max(1));
-    if workers <= 1 {
-        return jobs.into_iter().map(f).collect();
-    }
-    let queue: std::sync::Mutex<Vec<(usize, T)>> =
-        std::sync::Mutex::new(jobs.into_iter().enumerate().collect());
-    let n = queue.lock().expect("fresh mutex").len();
-    let buckets: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let job = queue.lock().expect("no poisoned workers").pop();
-                        match job {
-                            Some((i, job)) => local.push((i, f(job))),
-                            None => break,
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    let mut results: Vec<Option<R>> = Vec::new();
-    results.resize_with(n, || None);
-    for bucket in buckets {
-        for (i, r) in bucket {
-            results[i] = Some(r);
-        }
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every job produces a result"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use muxlink_benchgen::SyntheticSuite;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map((0..50).collect(), |x: i32| x * 2);
-        assert_eq!(out, (0..50).map(|x| x * 2).collect::<Vec<_>>());
-    }
 
     #[test]
     fn lock_fitting_shrinks_on_tiny_designs() {

@@ -159,17 +159,15 @@ fn save_trained(path: &str, trained: &Trained) -> Result<(), CliError> {
     Ok(())
 }
 
-fn load_trained(path: &str) -> Result<Trained, CliError> {
-    serde_json::from_str(&fs::read_to_string(path)?)
-        .map_err(|e| CliError::Domain(format!("{path}: not a muxlink model checkpoint: {e}")))
-}
-
-/// Only `--th` and `--threads` can take effect on a loaded checkpoint;
-/// reject the training-time flags instead of silently ignoring them.
-fn reject_checkpoint_fixed_flags(cmd: &Command) -> Result<(), CliError> {
+/// Loads the checkpoint that `attack --model` and `score` resume and
+/// applies `--th` and `--threads`, the only flags that can take effect
+/// on it. The training-time flags are refused instead of silently
+/// ignored: the checkpoint fixes the recipe.
+fn resume_checkpoint(cmd: &Command, path: &str) -> Result<Trained, CliError> {
     for flag in [
         "--hops",
         "--seed",
+        "--quick",
         "--paper",
         "--batch-size",
         "--canonicalize",
@@ -181,7 +179,11 @@ fn reject_checkpoint_fixed_flags(cmd: &Command) -> Result<(), CliError> {
             )));
         }
     }
-    Ok(())
+    let mut trained: Trained = serde_json::from_str(&fs::read_to_string(path)?)
+        .map_err(|e| CliError::Domain(format!("{path}: not a muxlink model checkpoint: {e}")))?;
+    trained.cfg.th = cmd.parse_flag("--th", trained.cfg.th)?;
+    trained.cfg.threads = cmd.parse_flag("--threads", trained.cfg.threads)?;
+    Ok(trained)
 }
 
 fn load_netlist(path: &str) -> Result<Netlist, CliError> {
@@ -286,10 +288,7 @@ fn attack(cmd: &Command) -> Result<String, CliError> {
             // run extract → prepare → train, optionally checkpointing
             // the trained stage (`--save-model`).
             let trained = if let Some(model_path) = cmd.flags.get("--model") {
-                reject_checkpoint_fixed_flags(cmd)?;
-                let mut t = load_trained(model_path)?;
-                t.cfg.th = cmd.parse_flag("--th", t.cfg.th)?;
-                t.cfg.threads = cmd.parse_flag("--threads", t.cfg.threads)?;
+                let t = resume_checkpoint(cmd, model_path)?;
                 // Scoring runs on the checkpoint's embedded design, so
                 // the supplied netlist must be the design it was trained
                 // on (names alone are always keyinput0..N — compare the
@@ -390,10 +389,7 @@ fn train_cmd(cmd: &Command) -> Result<String, CliError> {
 /// netlist and no retraining needed, bit-identical to a one-shot attack.
 fn score_cmd(cmd: &Command) -> Result<String, CliError> {
     let path = cmd.require("--model")?;
-    reject_checkpoint_fixed_flags(cmd)?;
-    let mut trained = load_trained(path)?;
-    trained.cfg.th = cmd.parse_flag("--th", trained.cfg.th)?;
-    trained.cfg.threads = cmd.parse_flag("--threads", trained.cfg.threads)?;
+    let trained = resume_checkpoint(cmd, path)?;
     let prog = progress_of(cmd);
     let scored = trained.score(prog).map_err(domain)?;
     let guess = scored.recover_key(trained.cfg.th);
@@ -1130,6 +1126,10 @@ mod tests {
         // Flags the checkpoint fixes are rejected, not silently ignored.
         assert!(matches!(
             run(&cmd(&["attack", "--model", &model, "--hops", "4", &locked])),
+            Err(CliError::Usage(_))
+        ));
+        assert!(matches!(
+            run(&cmd(&["attack", "--quick", "--model", &model, &locked])),
             Err(CliError::Usage(_))
         ));
         // A different design (same key size, same keyinput0..3 names)

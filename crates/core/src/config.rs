@@ -199,6 +199,42 @@ impl MuxLinkConfig {
         self.canonicalize = canonicalize;
         self
     }
+
+    /// Whether a model trained under `self` is bit-identical to one
+    /// trained under `other`: every field that fixes the trained bits
+    /// matches. `threads` and `sample_chunk` are bit-neutral by contract
+    /// and `th` is read only by post-processing, so all three are free —
+    /// a checkpoint re-scores under any of them. This is the one place
+    /// that line is drawn; the destructure names every field, so a new
+    /// field does not compile until it is classified here.
+    #[must_use]
+    pub fn same_recipe(&self, other: &Self) -> bool {
+        let Self {
+            h,
+            th: _,
+            max_train_links,
+            val_fraction,
+            max_subgraph_nodes,
+            epochs,
+            batch_size,
+            learning_rate,
+            k_percentile,
+            seed,
+            threads: _,
+            sample_chunk: _,
+            canonicalize,
+        } = self;
+        *h == other.h
+            && *max_train_links == other.max_train_links
+            && *val_fraction == other.val_fraction
+            && *max_subgraph_nodes == other.max_subgraph_nodes
+            && *epochs == other.epochs
+            && *batch_size == other.batch_size
+            && *learning_rate == other.learning_rate
+            && *k_percentile == other.k_percentile
+            && *seed == other.seed
+            && *canonicalize == other.canonicalize
+    }
 }
 
 #[cfg(test)]
@@ -234,6 +270,47 @@ mod tests {
     fn default_uses_all_cores() {
         assert_eq!(MuxLinkConfig::paper().threads, 0);
         assert_eq!(MuxLinkConfig::quick().threads, 0);
+    }
+
+    #[test]
+    fn same_recipe_ignores_only_the_run_settings() {
+        let base = MuxLinkConfig::quick().with_seed(5);
+        let changed = |change: fn(&mut MuxLinkConfig)| {
+            let mut other = base.clone();
+            change(&mut other);
+            other
+        };
+        for (field, other) in [
+            ("h", changed(|c| c.h += 1)),
+            ("max_train_links", changed(|c| c.max_train_links += 1)),
+            ("val_fraction", changed(|c| c.val_fraction += 0.01)),
+            (
+                "max_subgraph_nodes",
+                changed(|c| c.max_subgraph_nodes = None),
+            ),
+            ("epochs", changed(|c| c.epochs += 1)),
+            ("batch_size", changed(|c| c.batch_size += 1)),
+            ("learning_rate", changed(|c| c.learning_rate *= 2.0)),
+            ("k_percentile", changed(|c| c.k_percentile += 0.1)),
+            ("seed", changed(|c| c.seed += 1)),
+            (
+                "canonicalize",
+                changed(|c| c.canonicalize = !c.canonicalize),
+            ),
+        ] {
+            assert_ne!(other, base, "{field}: the change must change the config");
+            assert!(!base.same_recipe(&other), "{field} is part of the recipe");
+            assert!(!other.same_recipe(&base), "{field} is part of the recipe");
+        }
+        for (field, other) in [
+            ("threads", base.clone().with_threads(3)),
+            ("sample_chunk", base.clone().with_sample_chunk(0)),
+            ("th", base.clone().with_th(0.9)),
+        ] {
+            assert_ne!(other, base, "{field}: the change must change the config");
+            assert!(base.same_recipe(&other), "{field} is a run setting");
+            assert!(other.same_recipe(&base), "{field} is a run setting");
+        }
     }
 
     #[test]

@@ -131,12 +131,14 @@ impl DesignFingerprint {
         out
     }
 
-    /// Parses the 64-character hex form back.
+    /// Parses the 64-character hex form back. Digits may be upper or
+    /// lower case; [`to_hex`](Self::to_hex) gives the canonical
+    /// spelling.
     ///
     /// # Errors
     ///
-    /// A description of the malformed input (wrong length or non-hex
-    /// characters).
+    /// A description of the malformed input (wrong length or a
+    /// character outside `[0-9a-fA-F]`).
     pub fn parse(text: &str) -> Result<Self, String> {
         if text.len() != 64 {
             return Err(format!(
@@ -144,14 +146,14 @@ impl DesignFingerprint {
                 text.len()
             ));
         }
+        // Digit by digit: `u64::from_str_radix` would also take a
+        // leading `+` in a word.
         let mut words = [0u64; 4];
-        for (i, w) in words.iter_mut().enumerate() {
-            // `get`, not indexing: a multi-byte character across a chunk
-            // edge is bad input, not a panic.
-            *w = text
-                .get(i * 16..(i + 1) * 16)
-                .and_then(|chunk| u64::from_str_radix(chunk, 16).ok())
+        for (i, byte) in text.bytes().enumerate() {
+            let digit = char::from(byte)
+                .to_digit(16)
                 .ok_or_else(|| format!("design fingerprint has non-hex characters: `{text}`"))?;
+            words[i / 16] = (words[i / 16] << 4) | u64::from(digit);
         }
         Ok(Self(words))
     }
@@ -257,6 +259,10 @@ mod tests {
         assert!(hex.chars().all(|c| c.is_ascii_hexdigit()));
         assert_eq!(DesignFingerprint::parse(&hex).unwrap(), fp);
         assert_eq!(hex.parse::<DesignFingerprint>().unwrap(), fp);
+        // Either case parses; `to_hex` is the canonical lower case.
+        let upper = DesignFingerprint::parse(&hex.to_ascii_uppercase()).unwrap();
+        assert_eq!(upper, fp);
+        assert_eq!(upper.to_hex(), hex);
     }
 
     #[test]
@@ -279,6 +285,11 @@ mod tests {
         let straddling = format!("{}é{}", "a".repeat(15), "a".repeat(47));
         assert_eq!(straddling.len(), 64);
         assert!(DesignFingerprint::parse(&straddling).is_err());
+        // `from_str_radix` takes a leading `+`; a fingerprint does not.
+        let plus = format!("+{}", "f".repeat(63));
+        assert!(DesignFingerprint::parse(&plus).is_err());
+        let plus_word = format!("{}+{}", "0".repeat(16), "f".repeat(47));
+        assert!(DesignFingerprint::parse(&plus_word).is_err());
     }
 
     #[test]

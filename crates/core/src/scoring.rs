@@ -7,7 +7,7 @@ use muxlink_graph::graph::Link;
 use muxlink_graph::{ExtractedDesign, SampleArena};
 
 use crate::postprocess::MuxScores;
-use crate::progress::{NoProgress, Progress};
+use crate::progress::Progress;
 use crate::AttackError;
 
 /// Scores both candidate links of every key MUX with the trained model.
@@ -27,33 +27,15 @@ use crate::AttackError;
 /// the scores stay aligned with `extracted.muxes` and bit-identical for
 /// any thread count, any chunk size — and to scoring owned two-hot
 /// samples of every target subgraph at once, the oracle the
-/// integration tests pin this against.
-#[must_use]
-pub fn score_muxes(
-    model: &Dgcnn,
-    extracted: &ExtractedDesign,
-    ds_cfg: &DatasetConfig,
-    max_label: u32,
-) -> MuxScores {
-    match score_muxes_controlled(model, extracted, ds_cfg, max_label, &NoProgress) {
-        Ok(scores) => scores,
-        // NoProgress never cancels, and the internal-invariant arm is
-        // unreachable by construction (every link is scored); fail loud
-        // in the infallible wrapper rather than silently.
-        Err(e) => unreachable!("uncancellable scoring cannot fail: {e}"),
-    }
-}
-
-/// [`score_muxes`] with cooperative cancellation: `progress.cancelled()`
-/// is polled between scoring chunks of `ds_cfg.chunk` unique links.
-/// Identical bits to [`score_muxes`] when not cancelled.
+/// integration tests pin this against. `progress.cancelled()` is
+/// polled between chunks.
 ///
 /// # Errors
 ///
 /// [`AttackError::Cancelled`] when the observer requested a stop;
 /// [`AttackError::Internal`] if a candidate link went unscored (a bug —
 /// reported instead of panicking in the pipeline hot path).
-pub fn score_muxes_controlled(
+pub fn score_muxes(
     model: &Dgcnn,
     extracted: &ExtractedDesign,
     ds_cfg: &DatasetConfig,

@@ -57,9 +57,7 @@
 
 use std::time::Instant;
 
-use muxlink_gnn::{
-    train_controlled_timed, ArenaSamples, Dgcnn, DgcnnConfig, TrainConfig, TrainPhases, TrainReport,
-};
+use muxlink_gnn::{train_controlled, ArenaSamples, Dgcnn, DgcnnConfig, TrainConfig, TrainReport};
 use muxlink_graph::dataset::{build_dataset_arena, ArenaDataset, DatasetConfig};
 use muxlink_graph::{extract, ExtractedDesign};
 use muxlink_netlist::Netlist;
@@ -69,7 +67,7 @@ use crate::fingerprint::DesignFingerprint;
 use crate::pipeline::ScoredDesign;
 use crate::progress::{Progress, Stage, TrainBridge};
 use crate::report::{StageThreads, Timings};
-use crate::scoring::{choose_k, score_muxes_controlled};
+use crate::scoring::{choose_k, score_muxes};
 use crate::{AttackError, MuxLinkConfig};
 
 /// Seed whitening for the model-initialisation stream (kept identical to
@@ -406,16 +404,14 @@ impl Prepared {
             // `Vec`s (property-tested at 1 and 4 threads).
             let train_set = ArenaSamples::select(&dataset.arena, &dataset.train, max_label);
             let val_set = ArenaSamples::select(&dataset.arena, &dataset.val, max_label);
-            let mut phases = TrainPhases::default();
-            let r = train_controlled_timed(
+            let r = train_controlled(
                 &mut model,
                 &train_set,
                 &val_set,
                 &train_cfg,
                 &TrainBridge(progress),
-                &mut phases,
             );
-            (r.map(|report| (model, report, phases)), workers)
+            (r.map(|(report, phases)| (model, report, phases)), workers)
         })?;
         let (model, report, phases) = outcome.map_err(|_| AttackError::Cancelled)?;
         timings.train = t0.elapsed();
@@ -537,13 +533,7 @@ impl Trained {
         let ds_cfg = dataset_config(&self.cfg);
         let (scores, workers) = with_pool(self.cfg.threads, |workers| {
             (
-                score_muxes_controlled(
-                    &self.model,
-                    &self.design,
-                    &ds_cfg,
-                    self.max_label,
-                    progress,
-                ),
+                score_muxes(&self.model, &self.design, &ds_cfg, self.max_label, progress),
                 workers,
             )
         })?;

@@ -77,6 +77,6 @@ pub use muxlink_graph::{
 pub use param::{AdamConfig, Gradients, Param};
 pub use sample::{ArenaSamples, GraphSample, SampleStore, SampleView};
 pub use trainer::{
-    evaluate, train, train_controlled, train_controlled_timed, EpochStats, TrainCancelled,
-    TrainConfig, TrainControl, TrainPhases, TrainReport,
+    evaluate, train, train_controlled, EpochStats, TrainCancelled, TrainConfig, TrainControl,
+    TrainPhases, TrainReport,
 };

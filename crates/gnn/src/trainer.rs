@@ -176,16 +176,18 @@ pub fn train<S: SampleStore + ?Sized, V: SampleStore + ?Sized>(
     cfg: &TrainConfig,
 ) -> TrainReport {
     match train_controlled(model, train, val, cfg, &()) {
-        Ok(report) => report,
+        Ok((report, _)) => report,
         Err(TrainCancelled) => unreachable!("the () control never cancels"),
     }
 }
 
-/// [`train`] with an observer and cooperative cancellation.
+/// [`train`] with an observer, cooperative cancellation and a
+/// wall-clock phase breakdown of the run.
 ///
-/// Identical numerics to [`train`] — the control hooks sit outside every
-/// RNG draw and every reduction, so an uncancelled controlled run is
-/// bit-identical to the plain one for any thread count.
+/// Identical numerics to [`train`] — the control hooks and timers sit
+/// outside every RNG draw and every reduction, so an uncancelled
+/// controlled run is bit-identical to the plain one for any thread
+/// count.
 ///
 /// # Errors
 ///
@@ -202,32 +204,8 @@ pub fn train_controlled<S: SampleStore + ?Sized, V: SampleStore + ?Sized>(
     val: &V,
     cfg: &TrainConfig,
     ctl: &dyn TrainControl,
-) -> Result<TrainReport, TrainCancelled> {
+) -> Result<(TrainReport, TrainPhases), TrainCancelled> {
     let mut phases = TrainPhases::default();
-    train_controlled_timed(model, train, val, cfg, ctl, &mut phases)
-}
-
-/// [`train_controlled`] with a wall-clock phase breakdown accumulated
-/// into `phases` (timers sit outside every RNG draw and reduction, so
-/// the numerics are untouched). `phases` is overwritten, not folded
-/// into; on cancellation it holds the phases of the completed batches.
-///
-/// # Errors
-///
-/// As [`train_controlled`].
-///
-/// # Panics
-///
-/// Panics when `train` is empty or `batch_size` is zero.
-pub fn train_controlled_timed<S: SampleStore + ?Sized, V: SampleStore + ?Sized>(
-    model: &mut Dgcnn,
-    train: &S,
-    val: &V,
-    cfg: &TrainConfig,
-    ctl: &dyn TrainControl,
-    phases: &mut TrainPhases,
-) -> Result<TrainReport, TrainCancelled> {
-    *phases = TrainPhases::default();
     assert!(!train.is_empty(), "training set must not be empty");
     assert!(cfg.batch_size > 0, "batch size must be positive");
     let mut rng = seeded_rng(cfg.seed);
@@ -308,7 +286,7 @@ pub fn train_controlled_timed<S: SampleStore + ?Sized, V: SampleStore + ?Sized>(
         }
     }
 
-    Ok(match best {
+    let report = match best {
         Some((best_epoch, best_val_accuracy, _, snapshot)) => {
             model.restore(&snapshot);
             TrainReport {
@@ -322,7 +300,8 @@ pub fn train_controlled_timed<S: SampleStore + ?Sized, V: SampleStore + ?Sized>(
             best_epoch: 0,
             best_val_accuracy: f64::NAN,
         },
-    })
+    };
+    Ok((report, phases))
 }
 
 #[cfg(test)]
@@ -497,7 +476,7 @@ mod tests {
         let r_plain = train(&mut plain, &data[..16], &data[16..], &cfg);
         let counter = Counter(AtomicUsize::new(0));
         let mut observed = Dgcnn::new(toy_cfg());
-        let r_obs =
+        let (r_obs, _) =
             train_controlled(&mut observed, &data[..16], &data[16..], &cfg, &counter).unwrap();
         assert_eq!(counter.0.load(Ordering::SeqCst), 4, "one hook per epoch");
         assert_eq!(r_plain, r_obs, "observation must not perturb training");

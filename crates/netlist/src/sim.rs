@@ -136,66 +136,10 @@ pub fn hamming_distance(
             "primary input names differ".into(),
         ));
     }
-    let outs_a: std::collections::BTreeSet<_> = a.output_names().into_iter().collect();
-    let outs_b: std::collections::BTreeSet<_> = b.output_names().into_iter().collect();
-    if outs_a != outs_b {
-        return Err(NetlistError::InterfaceMismatch(
-            "primary output names differ".into(),
-        ));
-    }
-
-    let sim_a = Simulator::new(a)?;
-    let sim_b = Simulator::new(b)?;
-
-    // b's input words are a permutation of a's, matched by name.
-    let b_input_order: Vec<usize> = b
-        .inputs()
-        .iter()
-        .map(|&nb| {
-            let name = b.net(nb).name();
-            a.inputs()
-                .iter()
-                .position(|&na| a.net(na).name() == name)
-                .expect("name sets equal")
-        })
-        .collect();
-    // Compare b's outputs against a's by name.
-    let b_output_order: Vec<usize> = a
-        .outputs()
-        .iter()
-        .map(|&na| {
-            let name = a.net(na).name();
-            b.outputs()
-                .iter()
-                .position(|&nb| b.net(nb).name() == name)
-                .expect("name sets equal")
-        })
-        .collect();
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut bits_differing = 0u64;
-    let mut remaining = patterns;
-    while remaining > 0 {
-        let lanes = remaining.min(64);
-        let mask = if lanes == 64 {
-            !0u64
-        } else {
-            (1u64 << lanes) - 1
-        };
-        let words_a: Vec<u64> = (0..a.inputs().len()).map(|_| rng.gen::<u64>()).collect();
-        let words_b: Vec<u64> = b_input_order.iter().map(|&i| words_a[i]).collect();
-        let out_a = sim_a.run_words(&words_a);
-        let out_b = sim_b.run_words(&words_b);
-        for (ia, &pos_b) in b_output_order.iter().enumerate() {
-            bits_differing += ((out_a[ia] ^ out_b[pos_b]) & mask).count_ones() as u64;
-        }
-        remaining -= lanes;
-    }
-    Ok(HammingReport {
-        patterns,
-        bits_compared: patterns as u64 * a.outputs().len() as u64,
-        bits_differing,
-    })
+    // With equal input name sets every input of `b` is functional, so
+    // the keyed form with no key is exactly this comparison (it also
+    // checks the output name sets).
+    hamming_distance_with_key(a, b, &std::collections::HashMap::new(), patterns, seed)
 }
 
 /// Like [`hamming_distance`], but `b` (the locked/recovered design) may have

@@ -6,17 +6,19 @@
 //!
 //! 1. resolve the netlist (inline text or daemon-side path), derive the
 //!    key-input names and the [`DesignFingerprint`];
-//! 2. under the in-flight lock: attach to an identical in-flight job if
-//!    one exists (**single-flight** — the same design with the same
-//!    recipe never trains twice concurrently), otherwise consult the
-//!    [`CheckpointCache`];
-//! 3. a cache hit is **verified** against the incoming netlist
-//!    ([`Trained::verify_design`]) and against the requested training
-//!    recipe before reuse; verification failure expels the entry and
-//!    falls through to a fresh train, a recipe mismatch simply retrains
-//!    (latest recipe wins the cache slot);
+//! 2. under the in-flight lock, one attach-or-register step: attach to
+//!    an in-flight job of the same fingerprint, recipe
+//!    ([`MuxLinkConfig::same_recipe`]) and threshold if one exists
+//!    (**single-flight** — the same design with the same recipe never
+//!    trains twice concurrently); otherwise consult the
+//!    [`CheckpointCache`], and register and queue a job when it has no
+//!    entry or only one of another training recipe (latest recipe wins
+//!    the cache slot);
+//! 3. outside the lock, a cache hit is **verified** against the
+//!    incoming netlist ([`Trained::verify_design`]); failure expels the
+//!    entry and retries step 2;
 //! 4. verified hits are scored on the submitting thread (milliseconds)
-//!    and answered inline; misses become queued jobs.
+//!    and answered inline.
 //!
 //! Workers re-check the cache when they dequeue a job — a duplicate
 //! submit that queued behind the first train of a design completes as a
@@ -102,14 +104,14 @@ struct JobEntry {
     id: u64,
     /// Fingerprint hex — the cache key.
     key_hex: String,
-    /// `fingerprint hex + normalised config` — the single-flight
-    /// identity (two submits coalesce only when this matches, so a
-    /// different recipe or threshold never silently adopts another
-    /// job's result).
-    identity: String,
     kind: JobKind,
     netlist: Netlist,
     names: Vec<String>,
+    /// With `key_hex`, the single-flight identity: a submit attaches
+    /// only to a job of the same design, the same recipe
+    /// ([`MuxLinkConfig::same_recipe`]) and the same threshold, so a
+    /// different recipe or threshold never silently adopts another
+    /// job's result.
     cfg: MuxLinkConfig,
     cancel: muxlink_core::CancelFlag,
     state: Mutex<JobState>,
@@ -230,36 +232,6 @@ pub struct Engine {
     trainings: AtomicU64,
     coalesced_submits: AtomicU64,
     running_jobs: AtomicUsize,
-}
-
-/// Neutralises the configuration fields that never change a bit of the
-/// results: the thread count and the streaming chunk size.
-fn without_bit_neutral_fields(cfg: &MuxLinkConfig) -> MuxLinkConfig {
-    let mut normal = cfg.clone();
-    normal.threads = 0;
-    normal.sample_chunk = 0;
-    normal
-}
-
-/// The single-flight identity of a submit: the design fingerprint plus
-/// the full configuration with the bit-neutral fields neutralised
-/// (everything else — recipe *and* threshold — must match for two
-/// submits to share one job).
-fn job_identity(key_hex: &str, cfg: &MuxLinkConfig) -> String {
-    let normal = without_bit_neutral_fields(cfg);
-    let cfg_json = serde_json::to_string(&normal).expect("config always serialises");
-    format!("{key_hex}:{cfg_json}")
-}
-
-/// Whether a cached checkpoint's training recipe satisfies a request.
-/// The threshold, thread count and chunk size are free (scoring
-/// re-applies all three); every other field is part of the recipe.
-fn recipe_matches(cached: &MuxLinkConfig, requested: &MuxLinkConfig) -> bool {
-    let mut a = without_bit_neutral_fields(cached);
-    let mut b = without_bit_neutral_fields(requested);
-    a.th = 0.0;
-    b.th = 0.0;
-    a == b
 }
 
 fn render_guess(guess: &[KeyValue]) -> (String, usize) {
@@ -445,49 +417,56 @@ impl Engine {
         let key_hex = DesignFingerprint::of_netlist(&netlist, &names)
             .map_err(|e| e.to_string())?
             .to_hex();
-        let identity = job_identity(&key_hex, &cfg);
-
         // The single-flight critical section: in-flight check, cache
-        // lookup and (on a miss) job registration happen under one
-        // lock, so two identical submits can never both queue a train.
-        // Verification and hot scoring run outside it.
+        // lookup, recipe check and (when the cache cannot answer) job
+        // registration happen under one lock, so two identical submits
+        // can never both queue a train. Verification and hot scoring
+        // run outside it.
         loop {
             let entry = {
                 let mut inflight = lock(&self.inflight);
-                if let Some(active) = inflight.get(&key_hex) {
+                let attach = inflight.get(&key_hex).and_then(|active| {
                     let jobs = lock(&self.jobs);
                     // A job that already finished (but whose worker has
                     // not yet swept the in-flight map) is never worth
                     // attaching to — its checkpoint is in the cache, so
                     // fall through to the lookup instead of spinning on
-                    // wait-and-resubmit.
-                    let same = active.iter().find(|id| {
+                    // wait-and-resubmit. A score job waits for any
+                    // training of its design.
+                    active.iter().copied().find(|id| {
                         jobs.get(id).is_some_and(|j| {
                             !lock(&j.state).is_terminal()
-                                && (j.identity == identity
-                                    || (sreq.job == JobKind::Score && j.kind != JobKind::Score))
+                                && ((sreq.job == JobKind::Score && j.kind != JobKind::Score)
+                                    || (j.cfg.same_recipe(&cfg)
+                                        && j.cfg.th.to_bits() == cfg.th.to_bits()))
                         })
+                    })
+                });
+                if let Some(job_id) = attach {
+                    self.coalesced_submits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(SubmitOutcome::Queued {
+                        job_id,
+                        key: key_hex,
+                        coalesced: true,
                     });
-                    if let Some(&id) = same {
-                        self.coalesced_submits.fetch_add(1, Ordering::Relaxed);
-                        return Ok(SubmitOutcome::Queued {
-                            job_id: id,
-                            key: key_hex,
-                            coalesced: true,
-                        });
-                    }
                 }
                 match self.cache.lookup(&key_hex) {
-                    Some(entry) => entry,
-                    None => {
-                        if sreq.job == JobKind::Score {
-                            return Err(format!(
-                                "no cached checkpoint for design {key_hex}; submit an attack or \
-                                 train job first"
-                            ));
-                        }
-                        let job =
-                            self.register_job(sreq.job, &key_hex, &identity, netlist, names, cfg);
+                    // A score job re-scores whatever recipe is cached.
+                    Some(entry) if sreq.job == JobKind::Score || entry.cfg.same_recipe(&cfg) => {
+                        entry
+                    }
+                    None if sreq.job == JobKind::Score => {
+                        return Err(format!(
+                            "no cached checkpoint for design {key_hex}; submit an attack or \
+                             train job first"
+                        ));
+                    }
+                    // A miss, or the same design under another training
+                    // recipe: the cache cannot answer, so train fresh
+                    // (the new checkpoint takes the slot — latest recipe
+                    // wins).
+                    _ => {
+                        let job = self.register_job(sreq.job, &key_hex, netlist, names, cfg);
                         inflight.entry(key_hex.clone()).or_default().push(job.id);
                         drop(inflight);
                         self.enqueue(job.id);
@@ -500,45 +479,13 @@ impl Engine {
                 }
             };
             // Outside the lock: verify the entry belongs to this exact
-            // netlist, then check the recipe.
+            // netlist.
             if entry.verify_design(&netlist, &names).is_err() {
                 // A colliding or stale artifact under this key: expel
                 // it and retry the loop (someone else may have
                 // registered a job meanwhile — the re-lock handles it).
                 self.cache.reject(&key_hex);
                 continue;
-            }
-            if sreq.job != JobKind::Score && !recipe_matches(&entry.cfg, &cfg) {
-                // Same design, different training recipe: the cache
-                // cannot answer this; train fresh (the new checkpoint
-                // overwrites the slot — latest recipe wins). Re-check
-                // single-flight under the lock: an identical submit may
-                // have registered while we verified.
-                let mut inflight = lock(&self.inflight);
-                if let Some(active) = inflight.get(&key_hex) {
-                    let jobs = lock(&self.jobs);
-                    if let Some(&id) = active.iter().find(|id| {
-                        jobs.get(id).is_some_and(|j| {
-                            !lock(&j.state).is_terminal() && j.identity == identity
-                        })
-                    }) {
-                        self.coalesced_submits.fetch_add(1, Ordering::Relaxed);
-                        return Ok(SubmitOutcome::Queued {
-                            job_id: id,
-                            key: key_hex,
-                            coalesced: true,
-                        });
-                    }
-                }
-                let job = self.register_job(sreq.job, &key_hex, &identity, netlist, names, cfg);
-                inflight.entry(key_hex.clone()).or_default().push(job.id);
-                drop(inflight);
-                self.enqueue(job.id);
-                return Ok(SubmitOutcome::Queued {
-                    job_id: job.id,
-                    key: key_hex,
-                    coalesced: false,
-                });
             }
             let result = self.serve_hot(&key_hex, &entry, &cfg, None)?;
             return Ok(SubmitOutcome::Ready(Box::new(result)));
@@ -549,7 +496,6 @@ impl Engine {
         &self,
         kind: JobKind,
         key_hex: &str,
-        identity: &str,
         netlist: Netlist,
         names: Vec<String>,
         cfg: MuxLinkConfig,
@@ -558,7 +504,6 @@ impl Engine {
         let job = Arc::new(JobEntry {
             id,
             key_hex: key_hex.to_owned(),
-            identity: identity.to_owned(),
             kind,
             netlist,
             names,
@@ -724,8 +669,9 @@ impl Engine {
     ///
     /// A malformed key, or no cached checkpoint under it.
     pub fn sweep(&self, key: &str, thresholds: &[f64]) -> Result<Vec<SweepRow>, String> {
-        DesignFingerprint::parse(key)?;
-        let entry = self.cache.lookup(key).ok_or_else(|| {
+        // The cache keys on the canonical lower-case spelling.
+        let key = DesignFingerprint::parse(key)?.to_hex();
+        let entry = self.cache.lookup(&key).ok_or_else(|| {
             format!("no cached checkpoint for design {key}; submit an attack or train job first")
         })?;
         let scored = entry.score(&NoProgress).map_err(|e| e.to_string())?;
@@ -869,7 +815,7 @@ impl Engine {
         // completed while this job sat in the queue is a hit now.
         if let Some(entry) = self.cache.lookup(&job.key_hex) {
             if entry.verify_design(&job.netlist, &job.names).is_ok()
-                && recipe_matches(&entry.cfg, &job.cfg)
+                && entry.cfg.same_recipe(&job.cfg)
             {
                 let result = self.serve_hot(&job.key_hex, &entry, &job.cfg, Some(job.id))?;
                 return Ok(Box::new(result));
@@ -1060,6 +1006,30 @@ mod tests {
         let rows = engine.sweep(&cold.key, &[0.5, 0.9]).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(engine.stats().trainings, 1);
+        drain(&engine, handles);
+    }
+
+    /// The cache keys on the canonical lower-case fingerprint, so a sweep
+    /// under the upper-cased spelling of a cached design's key is the
+    /// same hit; a key `from_str_radix` alone would take (a `+`-signed
+    /// word) is refused.
+    #[test]
+    fn sweep_accepts_any_hex_case_and_refuses_a_signed_word() {
+        let (engine, handles) = engine_with_workers(1);
+        let bench = locked_bench(7, 140, 4);
+        let cold = engine
+            .run_to_completion(&fast_submit(&bench), None)
+            .unwrap();
+        let upper = engine
+            .sweep(&cold.key.to_ascii_uppercase(), &[cold.th])
+            .unwrap();
+        assert_eq!(upper[0].key_string, cold.key_string);
+        let signed = format!("{}+{}", &cold.key[..16], &cold.key[17..]);
+        assert_eq!(signed.len(), 64);
+        assert!(engine
+            .sweep(&signed, &[cold.th])
+            .unwrap_err()
+            .contains("non-hex"));
         drain(&engine, handles);
     }
 
