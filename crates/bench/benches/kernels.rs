@@ -632,6 +632,45 @@ fn bench_train_step(c: &mut Criterion) {
     group.finish();
 }
 
+/// The non-GNN half of a checkpoint resume, one series each:
+///
+/// * `matrix_encode`, `matrix_decode` — JSON text of a 640 × 128
+///   `Matrix` (dense1's shape class: the bulk of a checkpoint is such
+///   hex strings) and its parse back;
+/// * `design_encode`, `design_decode` — the same for the fig7
+///   `ExtractedDesign` (integer arrays, gate-type strings, float
+///   scales), decode including its validation;
+/// * `extract` — `muxlink_graph::extract` on the fig7 locked netlist
+///   (what `Trained::verify_design` re-runs on every resume).
+///
+/// CI runs this group with `--test`.
+fn bench_checkpoint_codec(c: &mut Criterion) {
+    let mut rng = muxlink_gnn::matrix::seeded_rng(11);
+    let matrix = Matrix::glorot(640, 128, &mut rng);
+    let matrix_json = serde_json::to_string(&matrix).unwrap();
+    let locked = muxlink_bench::resynth::fig7_workload();
+    let names = locked.key_input_names();
+    let design = extract(&locked.netlist, &names).unwrap();
+    let design_json = serde_json::to_string(&design).unwrap();
+    let mut group = c.benchmark_group("checkpoint_codec");
+    group.bench_function("matrix_encode", |b| {
+        b.iter(|| serde_json::to_string(&matrix).unwrap());
+    });
+    group.bench_function("matrix_decode", |b| {
+        b.iter(|| serde_json::from_str::<Matrix>(&matrix_json).unwrap());
+    });
+    group.bench_function("design_encode", |b| {
+        b.iter(|| serde_json::to_string(&design).unwrap());
+    });
+    group.bench_function("design_decode", |b| {
+        b.iter(|| serde_json::from_str::<muxlink_graph::ExtractedDesign>(&design_json).unwrap());
+    });
+    group.bench_function("extract", |b| {
+        b.iter(|| extract(&locked.netlist, &names).unwrap());
+    });
+    group.finish();
+}
+
 fn bench_quick_profile_constant(_c: &mut Criterion) {
     // Sanity anchor: the quick attack profile must exist for the pipeline
     // bench in `pipeline.rs` (compile-time cross-check only).
@@ -656,6 +695,7 @@ criterion_group!(
     bench_activation,
     bench_conv_forward,
     bench_train_step,
+    bench_checkpoint_codec,
     bench_quick_profile_constant
 );
 criterion_main!(kernels);

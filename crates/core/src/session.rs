@@ -61,7 +61,7 @@ use muxlink_gnn::{train_controlled, ArenaSamples, Dgcnn, DgcnnConfig, TrainConfi
 use muxlink_graph::dataset::{build_dataset_arena, ArenaDataset, DatasetConfig};
 use muxlink_graph::{extract, ExtractedDesign};
 use muxlink_netlist::Netlist;
-use serde::{Deserialize, Serialize};
+use serde::{map_get, DeError, Deserialize, Serialize, Value};
 
 use crate::fingerprint::DesignFingerprint;
 use crate::pipeline::ScoredDesign;
@@ -439,7 +439,10 @@ impl Prepared {
 /// The (large, training-only) dataset is deliberately dropped at this
 /// boundary, so checkpoints stay proportional to the model plus the
 /// extracted graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Deserialising checks the embedded design (see [`ExtractedDesign`])
+/// and that every MUX's key bit indexes `key_input_names`.
+#[derive(Debug, Clone, Serialize)]
 pub struct Trained {
     /// The attack configuration this session ran with.
     pub cfg: MuxLinkConfig,
@@ -457,6 +460,35 @@ pub struct Trained {
     pub report: TrainReport,
     /// Wall-clock of the stages run so far.
     pub timings: Timings,
+}
+
+impl Deserialize for Trained {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let trained = Self {
+            cfg: MuxLinkConfig::from_value(map_get(v, "cfg")?)?,
+            key_input_names: Vec::from_value(map_get(v, "key_input_names")?)?,
+            design: ExtractedDesign::from_value(map_get(v, "design")?)?,
+            max_label: u32::from_value(map_get(v, "max_label")?)?,
+            k: usize::from_value(map_get(v, "k")?)?,
+            model: Dgcnn::from_value(map_get(v, "model")?)?,
+            report: TrainReport::from_value(map_get(v, "report")?)?,
+            timings: Timings::from_value(map_get(v, "timings")?)?,
+        };
+        let key_len = trained.key_input_names.len();
+        if let Some((i, m)) = trained
+            .design
+            .muxes
+            .iter()
+            .enumerate()
+            .find(|(_, m)| m.key_bit >= key_len)
+        {
+            return Err(DeError(format!(
+                "checkpoint `design.muxes[{i}].key_bit` is {}, but there are {key_len} key inputs",
+                m.key_bit
+            )));
+        }
+        Ok(trained)
+    }
 }
 
 impl Trained {
@@ -798,5 +830,32 @@ mod tests {
             direct.recover_key(cfg.th),
             "recovered key must be identical after a checkpoint round trip"
         );
+        assert_eq!(
+            serde_json::to_string(&restored).unwrap(),
+            json,
+            "re-encoding is exact"
+        );
+
+        // A tampered design or key bit is refused on load, naming the
+        // field — never a panic in scoring.
+        let tamper = |path: &[&str], value: Value| {
+            let mut v: Value = serde_json::from_str(&json).unwrap();
+            let slot = path.iter().fold(&mut v, |v, key| match v {
+                Value::Map(entries) => &mut entries.iter_mut().find(|(k, _)| k == key).unwrap().1,
+                Value::Seq(items) => &mut items[key.parse::<usize>().unwrap()],
+                other => panic!("no `{key}` in {other:?}"),
+            });
+            *slot = value;
+            serde_json::from_str::<Trained>(&serde_json::to_string(&v).unwrap())
+                .unwrap_err()
+                .to_string()
+        };
+        let err = tamper(
+            &["design", "graph", "adj", "neighbors", "0"],
+            Value::Int(4_000_000_000),
+        );
+        assert!(err.contains("csr `neighbors` of node"), "{err}");
+        let err = tamper(&["design", "muxes", "0", "key_bit"], Value::Int(99));
+        assert!(err.contains("`design.muxes[0].key_bit` is 99"), "{err}");
     }
 }

@@ -44,14 +44,15 @@ fn axpy_skip_zero(out: &mut [f32], b: &[f32], a: f32) {
 
 impl Serialize for Matrix {
     fn to_value(&self) -> Value {
-        const HEX: &[u8; 16] = b"0123456789abcdef";
-        let mut hex = String::with_capacity(8 * self.data.len());
+        let mut hex = Vec::with_capacity(8 * self.data.len());
         for v in &self.data {
-            let bits = v.to_bits();
-            for shift in (0..32).step_by(4).rev() {
-                hex.push(char::from(HEX[(bits >> shift) as usize & 0xf]));
+            let mut word = [0u8; 8];
+            for (pair, byte) in word.chunks_exact_mut(2).zip(v.to_bits().to_be_bytes()) {
+                pair.copy_from_slice(&HEX_PAIRS[usize::from(byte)]);
             }
+            hex.extend_from_slice(&word);
         }
+        let hex = String::from_utf8(hex).expect("hex digits are ASCII");
         Value::Map(vec![
             ("rows".to_owned(), self.rows.to_value()),
             ("cols".to_owned(), self.cols.to_value()),
@@ -78,6 +79,36 @@ impl Deserialize for Matrix {
     }
 }
 
+/// The two lower-case hex digits of every byte value.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut pairs = [[0u8; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        pairs[b] = [DIGITS[b >> 4], DIGITS[b & 0xf]];
+        b += 1;
+    }
+    pairs
+};
+
+/// The value of every hex digit byte (either case, as
+/// [`char::to_digit`] reads them); `0xff` for every other byte.
+const HEX_VALUES: [u8; 256] = {
+    let mut values = [0xffu8; 256];
+    let mut d = 0;
+    while d < 10 {
+        values[b'0' as usize + d] = d as u8;
+        d += 1;
+    }
+    let mut d = 0;
+    while d < 6 {
+        values[b'a' as usize + d] = 10 + d as u8;
+        values[b'A' as usize + d] = 10 + d as u8;
+        d += 1;
+    }
+    values
+};
+
 /// Decodes [`Matrix`]'s hex `data` string: eight hex digits per value.
 fn f32s_from_hex(hex: &str) -> Result<Vec<f32>, DeError> {
     if !hex.len().is_multiple_of(8) {
@@ -86,18 +117,20 @@ fn f32s_from_hex(hex: &str) -> Result<Vec<f32>, DeError> {
             hex.len()
         )));
     }
-    hex.as_bytes()
-        .chunks_exact(8)
-        .enumerate()
-        .map(|(i, word)| {
-            word.iter()
-                .try_fold(0u32, |bits, &b| {
-                    char::from(b).to_digit(16).map(|digit| bits << 4 | digit)
-                })
-                .map(f32::from_bits)
-                .ok_or_else(|| DeError(format!("matrix hex data: bad digit in value {i}")))
-        })
-        .collect()
+    let mut out = Vec::with_capacity(hex.len() / 8);
+    for (i, word) in hex.as_bytes().chunks_exact(8).enumerate() {
+        // OR-ing the looked-up values leaves a bit above the low nibble
+        // set exactly when some byte of the word is not a hex digit.
+        let (bits, seen) = word.iter().fold((0u32, 0u8), |(bits, seen), &b| {
+            let digit = HEX_VALUES[usize::from(b)];
+            (bits << 4 | u32::from(digit & 0xf), seen | digit)
+        });
+        if seen > 0xf {
+            return Err(DeError(format!("matrix hex data: bad digit in value {i}")));
+        }
+        out.push(f32::from_bits(bits));
+    }
+    Ok(out)
 }
 
 impl Default for Matrix {
@@ -939,6 +972,102 @@ pub(crate) mod tests {
             let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&back), bits(&m), "{}", text);
         }
+    }
+
+    /// The per-digit hex writer the byte-table encoder replaced, kept as
+    /// its executable specification: one `char` pushed per digit.
+    fn hex_per_digit(data: &[f32]) -> String {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut hex = String::with_capacity(8 * data.len());
+        for v in data {
+            let bits = v.to_bits();
+            for shift in (0..32).step_by(4).rev() {
+                hex.push(char::from(HEX[(bits >> shift) as usize & 0xf]));
+            }
+        }
+        hex
+    }
+
+    /// The per-digit hex reader [`f32s_from_hex`] replaced, kept as its
+    /// executable specification: [`char::to_digit`] on every byte.
+    fn f32s_from_hex_per_digit(hex: &str) -> Result<Vec<f32>, DeError> {
+        if !hex.len().is_multiple_of(8) {
+            return Err(DeError(format!(
+                "matrix hex data has {} digits, not a multiple of 8",
+                hex.len()
+            )));
+        }
+        hex.as_bytes()
+            .chunks_exact(8)
+            .enumerate()
+            .map(|(i, word)| {
+                word.iter()
+                    .try_fold(0u32, |bits, &b| {
+                        char::from(b).to_digit(16).map(|digit| bits << 4 | digit)
+                    })
+                    .map(f32::from_bits)
+                    .ok_or_else(|| DeError(format!("matrix hex data: bad digit in value {i}")))
+            })
+            .collect()
+    }
+
+    /// Bytes that are not hex digits, next to the digits' neighbours in
+    /// ASCII and the first bytes of multi-byte characters.
+    const NON_DIGITS: &[&str] = &["g", "G", "/", ":", "@", "`", "+", "-", " ", "x", "é", "✓"];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn table_codec_matches_per_digit_oracle(
+            words in proptest::collection::vec(proptest::num::u64::ANY, 0..40),
+            upper in proptest::bool::ANY,
+            (bad_word, bad_pos, pick) in (0usize..48, 0usize..8, 0..NON_DIGITS.len()),
+            cut in 0usize..9,
+        ) {
+            let data: Vec<f32> = words.iter().map(|&w| f32::from_bits(w as u32)).collect();
+            let value = Matrix::from_vec(1, data.len(), data.clone()).to_value();
+            let Ok(Value::Str(hex)) = map_get(&value, "data") else {
+                panic!("data is not a string: {value:?}");
+            };
+            prop_assert_eq!(hex, &hex_per_digit(&data));
+            // Mutate: either case, one bad byte at any of a word's eight
+            // positions (none when the word is past the end), and a cut
+            // that breaks the multiple of 8.
+            let mut text = if upper { hex.to_ascii_uppercase() } else { hex.clone() };
+            let at = 8 * bad_word + bad_pos;
+            if at < text.len() {
+                text.replace_range(at..=at, NON_DIGITS[pick]);
+            }
+            let mut end = text.len().saturating_sub(cut);
+            while !text.is_char_boundary(end) {
+                end -= 1;
+            }
+            let text = &text[..end];
+            let got = f32s_from_hex(text).map(|v| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>());
+            let want = f32s_from_hex_per_digit(text)
+                .map(|v| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>());
+            prop_assert_eq!(got, want, "{:?}", text);
+        }
+    }
+
+    #[test]
+    fn bad_digit_is_reported_at_each_position() {
+        for pos in 0..8 {
+            let mut text = "3f800000".repeat(3);
+            text.replace_range(8 + pos..9 + pos, "g");
+            let err = f32s_from_hex(&text).unwrap_err().0;
+            assert_eq!(
+                err, "matrix hex data: bad digit in value 1",
+                "position {pos}"
+            );
+            assert_eq!(Err(DeError(err)), f32s_from_hex_per_digit(&text));
+        }
+        let upper = f32s_from_hex("3F80000080000000").unwrap();
+        assert_eq!(
+            upper.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
+            [0x3f80_0000, 0x8000_0000]
+        );
     }
 
     #[test]

@@ -23,12 +23,15 @@
 //! or hash state — the GNN kernels sum in this order, which is what keeps
 //! scores bit-identical across runs and thread counts.
 
-use serde::{Deserialize, Serialize};
+use serde::{map_get, DeError, Deserialize, Serialize, Value};
 
 /// Flat CSR adjacency with precomputed `1/(1 + deg)` propagation scales.
 ///
 /// See the [module docs](self) for the layout and determinism contract.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Deserialising checks every invariant the kernels rely on and fails
+/// with a [`DeError`] naming the field, so a tampered checkpoint is
+/// refused on load instead of panicking (or scoring wrongly) later.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Csr {
     /// `node_count() + 1` row offsets into `neighbors`.
     offsets: Vec<u32>,
@@ -36,6 +39,69 @@ pub struct Csr {
     neighbors: Vec<u32>,
     /// Per-node `1/(1 + degree)` — the DGCNN propagation scale.
     scales: Vec<f32>,
+}
+
+impl Deserialize for Csr {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let csr = Self {
+            offsets: Vec::from_value(map_get(v, "offsets")?)?,
+            neighbors: Vec::from_value(map_get(v, "neighbors")?)?,
+            scales: Vec::from_value(map_get(v, "scales")?)?,
+        };
+        csr.check().map_err(|e| DeError(format!("csr {e}")))?;
+        Ok(csr)
+    }
+}
+
+impl Csr {
+    /// The layout invariants: `offsets` start at 0, never decrease and
+    /// end at `neighbors.len()`; every neighbour run is sorted,
+    /// deduplicated and below the node count; `scales[i]` holds the bits
+    /// of `1 / (1 + degree(i))`.
+    fn check(&self) -> Result<(), String> {
+        if self.offsets.first() != Some(&0) {
+            return Err("`offsets` must start at 0".into());
+        }
+        let n = self.node_count();
+        let last = self.offsets[n] as usize;
+        if last != self.neighbors.len() {
+            return Err(format!(
+                "`offsets` end at {last}, but `neighbors` holds {}",
+                self.neighbors.len()
+            ));
+        }
+        if let Some(i) = self.offsets.windows(2).position(|w| w[1] < w[0]) {
+            return Err(format!("`offsets` decrease after entry {i}"));
+        }
+        if self.scales.len() != n {
+            return Err(format!(
+                "`scales` holds {} entries for {n} nodes",
+                self.scales.len()
+            ));
+        }
+        for (i, w) in self.offsets.windows(2).enumerate() {
+            let run = &self.neighbors[w[0] as usize..w[1] as usize];
+            if let Some(&j) = run.iter().find(|&&j| j as usize >= n) {
+                return Err(format!(
+                    "`neighbors` of node {i} hold {j}, not below the node count {n}"
+                ));
+            }
+            if run.windows(2).any(|p| p[0] >= p[1]) {
+                return Err(format!(
+                    "`neighbors` of node {i} are not sorted and deduplicated"
+                ));
+            }
+            let want = 1.0 / (1.0 + (w[1] - w[0]) as f32);
+            if self.scales[i].to_bits() != want.to_bits() {
+                return Err(format!(
+                    "`scales[{i}]` is {}, not 1 / (1 + degree {})",
+                    self.scales[i],
+                    w[1] - w[0]
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Default for Csr {
@@ -158,34 +224,6 @@ impl Csr {
     #[must_use]
     pub fn to_lists(&self) -> Vec<Vec<u32>> {
         self.iter().map(<[u32]>::to_vec).collect()
-    }
-
-    /// Builds from `n` nodes and directed pairs that are already sorted by
-    /// `(a, b)` and deduplicated — each undirected edge must appear in
-    /// both directions.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a pair is out of range or the input is unsorted.
-    #[must_use]
-    pub fn from_sorted_pairs(n: usize, pairs: &[(u32, u32)]) -> Self {
-        let mut b = CsrBuilder::with_capacity(n, pairs.len());
-        let mut it = pairs.iter().copied().peekable();
-        for i in 0..n as u32 {
-            let start = b.neighbors.len();
-            while let Some(&(a, bb)) = it.peek() {
-                if a != i {
-                    assert!(a > i, "pairs must be sorted by source node");
-                    break;
-                }
-                b.neighbors.push(bb);
-                it.next();
-            }
-            debug_assert!(b.neighbors[start..].windows(2).all(|w| w[0] < w[1]));
-            b.offsets.push(b.neighbors.len() as u32);
-        }
-        assert!(it.next().is_none(), "pair source node out of range");
-        b.finish()
     }
 }
 
@@ -424,18 +462,6 @@ mod tests {
         assert_eq!(csr.node_count(), 0);
         assert_eq!(csr.edge_count(), 0);
         assert_eq!(Csr::default(), csr);
-    }
-
-    #[test]
-    fn from_sorted_pairs_matches_from_lists() {
-        let lists = vec![vec![1, 3], vec![0, 2], vec![1], vec![0]];
-        let mut pairs = Vec::new();
-        for (i, row) in lists.iter().enumerate() {
-            for &j in row {
-                pairs.push((i as u32, j));
-            }
-        }
-        assert_eq!(Csr::from_sorted_pairs(4, &pairs), Csr::from_lists(&lists));
     }
 
     #[test]

@@ -119,22 +119,36 @@ impl CheckpointCache {
     /// Looks up a checkpoint: memory first, then the on-disk store
     /// (parsed and promoted into memory). Returns `None` on a miss.
     pub fn lookup(&self, key: &str) -> Option<Arc<Trained>> {
-        {
-            let mut inner = self.lock();
-            if let Some(entry) = inner.entries.get(key).cloned() {
-                inner.stats.hits += 1;
-                Self::touch(&mut inner.order, key);
-                return Some(entry);
-            }
+        let from_disk = self.read_disk(key);
+        self.lookup_or_promote(key, from_disk)
+    }
+
+    /// The on-disk copy of `key`, parsed, when memory does not hold the
+    /// key (`None` when it does, or when there is no readable copy).
+    /// Takes no lock while it reads and parses — a multi-MB JSON parse
+    /// must not stall unrelated lookups — and counts nothing: hand the
+    /// result to [`CheckpointCache::lookup_or_promote`].
+    pub fn read_disk(&self, key: &str) -> Option<Trained> {
+        if self.lock().entries.contains_key(key) {
+            return None;
         }
-        // Disk read happens outside the lock: a multi-MB JSON parse
-        // must not stall unrelated lookups.
-        let loaded = self
-            .disk_path(key)
+        self.disk_path(key)
             .and_then(|p| fs::read_to_string(p).ok())
-            .and_then(|text| serde_json::from_str::<Trained>(&text).ok());
+            .and_then(|text| serde_json::from_str::<Trained>(&text).ok())
+    }
+
+    /// Looks `key` up in memory; on a miss, promotes `from_disk` (a
+    /// [`CheckpointCache::read_disk`] result) into memory. Only map
+    /// work, so callers may hold their own locks across it. Counts the
+    /// hit, disk hit or miss as [`CheckpointCache::lookup`] does.
+    pub fn lookup_or_promote(&self, key: &str, from_disk: Option<Trained>) -> Option<Arc<Trained>> {
         let mut inner = self.lock();
-        match loaded {
+        if let Some(entry) = inner.entries.get(key).cloned() {
+            inner.stats.hits += 1;
+            Self::touch(&mut inner.order, key);
+            return Some(entry);
+        }
+        match from_disk {
             Some(trained) => {
                 inner.stats.hits += 1;
                 inner.stats.disk_hits += 1;
@@ -254,6 +268,34 @@ mod tests {
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.insertions, 3);
         assert_eq!(stats.misses, 1);
+    }
+
+    /// The two halves of a lookup, as the engine splits them around its
+    /// in-flight lock, count exactly what one `lookup` counts.
+    #[test]
+    fn disk_read_then_promote_counts_as_one_lookup() {
+        let dir = std::env::temp_dir().join(format!("muxlink-promote-test-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let (key, trained) = tiny_trained(6);
+        CheckpointCache::new(Some(dir.clone()), 1)
+            .unwrap()
+            .insert(&key, Arc::new(trained))
+            .unwrap();
+        let cache = CheckpointCache::new(Some(dir.clone()), 1).unwrap();
+        let from_disk = cache.read_disk(&key);
+        assert!(from_disk.is_some(), "the disk copy is read");
+        assert_eq!(
+            cache.stats(),
+            CacheStats::default(),
+            "reading counts nothing"
+        );
+        assert!(cache.lookup_or_promote(&key, from_disk).is_some());
+        assert!(cache.read_disk(&key).is_none(), "resident: no second read");
+        assert!(cache.lookup_or_promote(&key, None).is_some());
+        assert!(cache.lookup_or_promote(&"0".repeat(64), None).is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.disk_hits, stats.misses), (2, 1, 1));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -420,9 +420,11 @@ impl Engine {
         // The single-flight critical section: in-flight check, cache
         // lookup, recipe check and (when the cache cannot answer) job
         // registration happen under one lock, so two identical submits
-        // can never both queue a train. Verification and hot scoring
-        // run outside it.
+        // can never both queue a train. Reading a disk-tier checkpoint,
+        // verification and hot scoring run outside it: under the lock
+        // the cache only looks up (or promotes) memory.
         loop {
+            let from_disk = self.cache.read_disk(&key_hex);
             let entry = {
                 let mut inflight = lock(&self.inflight);
                 let attach = inflight.get(&key_hex).and_then(|active| {
@@ -450,7 +452,7 @@ impl Engine {
                         coalesced: true,
                     });
                 }
-                match self.cache.lookup(&key_hex) {
+                match self.cache.lookup_or_promote(&key_hex, from_disk) {
                     // A score job re-scores whatever recipe is cached.
                     Some(entry) if sreq.job == JobKind::Score || entry.cfg.same_recipe(&cfg) => {
                         entry

@@ -4,8 +4,10 @@
 //! [`reference_predict`], [`reference_evaluate`]), [`reference_train`]
 //! (the per-sample training loop), [`to_graph_sample`] (owned samples
 //! from enclosing subgraphs), and [`NoPlans`] / [`MixedPlans`] (stores
-//! without cached layer-0 plans, or with them for every other sample).
+//! without cached layer-0 plans, or with them for every other sample),
+//! and [`extract_oracle`] (the hashed netlist-to-graph extractor).
 
+pub mod extract_oracle;
 pub mod reference;
 
 pub use reference::{reference_evaluate, reference_predict};

@@ -184,3 +184,96 @@ proptest! {
         );
     }
 }
+
+/// Injects fault `kind` at key MUX `pick` of `locked` (kind 0 leaves the
+/// design intact) and returns the netlist and key-input names to
+/// extract from.
+fn with_fault(
+    locked: &muxlink_locking::LockedNetlist,
+    kind: usize,
+    pick: usize,
+) -> (muxlink_netlist::Netlist, Vec<String>) {
+    let mut netlist = locked.netlist.clone();
+    let mut names = locked.key_input_names();
+    let muxes = locked.mux_instances();
+    let m = muxes[pick % muxes.len()];
+    let other = muxes[(pick + 1) % muxes.len()];
+    let out = netlist.gate(m.gate).output();
+    let fresh = netlist.fresh_net_name("fault");
+    match kind {
+        0 => {}
+        // A data input driven by a primary input.
+        1 => {
+            let pi = netlist
+                .inputs()
+                .iter()
+                .copied()
+                .find(|&n| !netlist.net(n).name().starts_with("keyinput"))
+                .unwrap();
+            netlist.rewire_input(m.gate, m.in0, pi).unwrap();
+        }
+        // A data input driven by another key MUX.
+        2 => {
+            let other_out = netlist.gate(other.gate).output();
+            netlist.rewire_input(m.gate, m.in1, other_out).unwrap();
+        }
+        // A second ordinary reader of the MUX output.
+        3 => {
+            netlist.add_gate(fresh, GateType::Buf, &[out]).unwrap();
+        }
+        // No reader: the sink takes the data input directly.
+        4 => {
+            netlist.rewire_input(m.sink, out, m.in0).unwrap();
+        }
+        // A key input feeding an ordinary gate.
+        5 => {
+            let key = netlist.find_net(&names[m.key_bit]).unwrap();
+            netlist.add_gate(fresh, GateType::Not, &[key]).unwrap();
+        }
+        // A key input name the netlist does not have.
+        _ => names.push("no_such_key_input".to_owned()),
+    }
+    (netlist, names)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The dense-index extractor equals the hashed one it replaced
+    /// (`extract_oracle`) on D-MUX, symmetric and naive-MUX locked
+    /// designs, intact or with one injected fault: the same design on
+    /// success, the same error variant on failure.
+    #[test]
+    fn extract_matches_hashed_oracle(
+        (scheme, gates, key_size, seed) in (0usize..3, 120usize..320, 2usize..12, 0u64..1_000),
+        (kind, pick) in (0usize..7, 0usize..64),
+    ) {
+        use muxlink_locking::{dmux, naive_mux, symmetric, LockOptions};
+        let design = muxlink_benchgen::synth::SynthConfig::new("x", 12, 6, gates).generate(seed);
+        let opts = LockOptions::new(key_size, seed);
+        let locked = match scheme {
+            0 => dmux::lock(&design, &opts),
+            1 => symmetric::lock(&design, &opts),
+            _ => naive_mux::lock(&design, &opts),
+        };
+        // A design with too few sites for the key is not a case.
+        let Ok(locked) = locked else { return };
+        let (netlist, names) = with_fault(&locked, kind, pick);
+        let got = muxlink_graph::extract::extract(&netlist, &names);
+        let want = muxlink_integration_tests::extract_oracle::extract_with_hash_maps(&netlist, &names);
+        match (got, want) {
+            (Ok(got), Ok(want)) => {
+                prop_assert_eq!(&got.muxes, &want.muxes);
+                prop_assert_eq!(&got.graph.gate_of_node, &want.graph.gate_of_node);
+                prop_assert_eq!(&got.graph.gate_types, &want.graph.gate_types);
+                prop_assert_eq!(&got.graph.adj, &want.graph.adj);
+                prop_assert!(kind == 0, "fault {} went unnoticed", kind);
+            }
+            (Err(got), Err(want)) => {
+                prop_assert_eq!(std::mem::discriminant(&got), std::mem::discriminant(&want));
+                prop_assert!(kind != 0, "intact design failed: {}", got);
+            }
+            (got, want) => prop_assert!(false, "fault {}: {:?} vs {:?}", kind, got.err(), want.err()),
+        }
+    }
+}
