@@ -440,8 +440,10 @@ impl Prepared {
 /// boundary, so checkpoints stay proportional to the model plus the
 /// extracted graph.
 ///
-/// Deserialising checks the embedded design (see [`ExtractedDesign`])
-/// and that every MUX's key bit indexes `key_input_names`.
+/// Deserialising checks the embedded design (see [`ExtractedDesign`]),
+/// that every MUX's key bit indexes `key_input_names`, and that
+/// `max_label` and `k` agree with the model's input width and SortPool
+/// size.
 #[derive(Debug, Clone, Serialize)]
 pub struct Trained {
     /// The attack configuration this session ran with.
@@ -454,7 +456,7 @@ pub struct Trained {
     pub max_label: u32,
     /// Chosen SortPooling size.
     pub k: usize,
-    /// The trained model (weights + Adam state + architecture).
+    /// The trained model (weights + architecture; no optimiser state).
     pub model: Dgcnn,
     /// Training statistics.
     pub report: TrainReport,
@@ -485,6 +487,20 @@ impl Deserialize for Trained {
             return Err(DeError(format!(
                 "checkpoint `design.muxes[{i}].key_bit` is {}, but there are {key_len} key inputs",
                 m.key_bit
+            )));
+        }
+        let model = trained.model.config();
+        let cols = muxlink_graph::features::feature_cols(trained.max_label);
+        if cols != model.input_dim {
+            return Err(DeError(format!(
+                "checkpoint `max_label` is {}, giving {cols} feature columns, but the model reads {}",
+                trained.max_label, model.input_dim
+            )));
+        }
+        if trained.k != model.k {
+            return Err(DeError(format!(
+                "checkpoint `k` is {}, but the model pools to {}",
+                trained.k, model.k
             )));
         }
         Ok(trained)

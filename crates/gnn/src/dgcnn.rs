@@ -18,7 +18,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::matrix::{seeded_rng, strided_gemm_into, Matrix};
-use crate::param::{AdamConfig, Gradients, Param};
+use crate::param::{Gradients, Param};
 use crate::sample::SampleStore;
 
 /// Hyper-parameters of the DGCNN (defaults = the paper's topology).
@@ -88,8 +88,9 @@ impl DgcnnConfig {
 
 /// The model: all trainable parameters plus the architecture description.
 ///
-/// Serialisable (weights, Adam state and architecture) so trained
-/// attack models can be checkpointed and reloaded.
+/// Serialisable (weights and architecture) so trained attack models
+/// can be checkpointed and reloaded. The optimiser state is not part of
+/// the model: training keeps it in a [`crate::AdamState`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Dgcnn {
     pub(crate) cfg: DgcnnConfig,
@@ -229,22 +230,6 @@ impl Dgcnn {
         self.infer(samples, &idx, |_, probs| probs[1])
     }
 
-    /// One Adam step over all parameters from a (merged) gradient object
-    /// (`t` is 1-based, `scale` divides the gradients, typically
-    /// `1/batch_size`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `grads` does not match this model's parameter layout.
-    pub fn adam_step(&mut self, grads: &Gradients, opt: &AdamConfig, t: usize, scale: f32) {
-        let params = self.params_mut();
-        let tensors = grads.tensors();
-        assert_eq!(params.len(), tensors.len(), "gradient layout mismatch");
-        for (p, g) in params.into_iter().zip(tensors) {
-            p.adam_step(g, opt, t, scale);
-        }
-    }
-
     /// Snapshot of all weights (for best-on-validation model selection),
     /// in the canonical parameter order that [`Gradients`] tensors and
     /// [`Dgcnn::restore`] share: the GC weights `W_0 … W_{L-1}`, then
@@ -278,7 +263,8 @@ impl Dgcnn {
         self.params().iter().map(|p| p.w.rows() * p.w.cols()).sum()
     }
 
-    fn params(&self) -> Vec<&Param> {
+    /// Every parameter, in the canonical order of [`Dgcnn::snapshot`].
+    pub(crate) fn params(&self) -> Vec<&Param> {
         let mut v: Vec<&Param> = self.gc.iter().collect();
         v.extend([
             &self.conv1_w,
@@ -293,7 +279,8 @@ impl Dgcnn {
         v
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
+    /// [`Dgcnn::params`], mutably.
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
         let mut v: Vec<&mut Param> = self.gc.iter_mut().collect();
         v.extend([
             &mut self.conv1_w,
@@ -313,6 +300,7 @@ impl Dgcnn {
 mod tests {
     use super::*;
     use crate::batch::{BatchWorkspace, Minibatch};
+    use crate::param::{AdamConfig, AdamState};
     use crate::sample::{propagate, GraphSample};
     use muxlink_graph::{Csr, OneHotFeatures};
     use rand::Rng;
@@ -508,9 +496,10 @@ mod tests {
             ..AdamConfig::default()
         };
         let (before, _) = step(&model, &s, 0);
+        let mut adam = AdamState::new(&model);
         for t in 1..=60 {
             let (_, g) = step(&model, &s, t as u64);
-            model.adam_step(&g, &opt, t, 1.0);
+            adam.step(&mut model, &g, &opt, t, 1.0);
         }
         let (after, _) = step(&model, &s, 0);
         assert!(after < before * 0.5, "loss {before} -> {after}");
@@ -540,7 +529,7 @@ mod tests {
             ..AdamConfig::default()
         };
         let (_, g) = step(&model, &s[0], 1);
-        model.adam_step(&g, &opt, 1, 1.0);
+        AdamState::new(&model).step(&mut model, &g, &opt, 1, 1.0);
         assert_ne!(model.predict_batch(&s[..]), p0);
         model.restore(&snap);
         assert_eq!(model.predict_batch(&s[..]), p0);

@@ -74,7 +74,7 @@ pub use muxlink_graph::{
     Csr, CsrView, Layer0PlanView, Layer0Plans, OneHotFeatures, OneHotView, SampleArena,
     SampleHandle,
 };
-pub use param::{AdamConfig, Gradients, Param};
+pub use param::{AdamConfig, AdamState, Gradients, Param};
 pub use sample::{ArenaSamples, GraphSample, SampleStore, SampleView};
 pub use trainer::{
     evaluate, train, train_controlled, EpochStats, TrainCancelled, TrainConfig, TrainControl,

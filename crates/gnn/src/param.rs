@@ -1,66 +1,128 @@
-//! Trainable parameters (with Adam state) and detached gradient objects.
+//! Trainable parameters, detached gradient objects and the optimiser
+//! state.
 //!
 //! Gradients live *outside* the parameters: the backward pass is a pure
 //! `&self` function writing a [`Gradients`] object (the minibatch sum,
 //! reduced in a fixed sample order), which the optimiser step then
 //! applies — results are bit-identical for any thread count.
+//!
+//! Adam's moments live outside them too: an [`AdamState`] is built when
+//! training starts, updated once per minibatch and dropped when training
+//! ends, so a model — and every checkpoint of it — holds weights only.
 
 use serde::{Deserialize, Serialize};
 
+use crate::dgcnn::Dgcnn;
 use crate::matrix::Matrix;
 
-/// One weight tensor with its Adam moments.
+/// One weight tensor of the model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Param {
     /// Current weights.
     pub w: Matrix,
-    m: Matrix,
-    v: Matrix,
 }
 
 impl Param {
     /// Wraps an initialised weight matrix.
     #[must_use]
     pub fn new(w: Matrix) -> Self {
-        let (r, c) = (w.rows(), w.cols());
+        Self { w }
+    }
+}
+
+/// Adam's first and second moments for every parameter of a model, in
+/// the canonical parameter order of [`Dgcnn::snapshot`] — optimiser
+/// state the training loop owns. A trained model carries none of it.
+#[derive(Debug, Clone)]
+pub struct AdamState {
+    m: Vec<Matrix>,
+    v: Vec<Matrix>,
+}
+
+impl AdamState {
+    /// Zeroed moments shaped like `model`'s parameters (Adam's start).
+    #[must_use]
+    pub fn new(model: &Dgcnn) -> Self {
+        let zeros = || {
+            model
+                .params()
+                .iter()
+                .map(|p| Matrix::zeros(p.w.rows(), p.w.cols()))
+                .collect()
+        };
         Self {
-            w,
-            m: Matrix::zeros(r, c),
-            v: Matrix::zeros(r, c),
+            m: zeros(),
+            v: zeros(),
         }
     }
 
-    /// One Adam update with bias correction from an externally-computed
-    /// gradient; `t` is the 1-based step count and `scale` divides the
-    /// gradient (typically `1/batch_size` for a summed minibatch
-    /// gradient).
+    /// One Adam update with bias correction of all of `model`'s weights
+    /// from a (merged) gradient object; `t` is the 1-based step count
+    /// and `scale` divides the gradients (typically `1/batch_size` for a
+    /// summed minibatch gradient).
     ///
     /// # Panics
     ///
-    /// Panics when `grad` has a different shape than the weights.
-    pub fn adam_step(&mut self, grad: &Matrix, opt: &AdamConfig, t: usize, scale: f32) {
-        assert_eq!(
-            (self.w.rows(), self.w.cols()),
-            (grad.rows(), grad.cols()),
-            "gradient shape mismatch"
+    /// Panics when `grads` or these moments do not match `model`'s
+    /// parameter layout.
+    pub fn step(
+        &mut self,
+        model: &mut Dgcnn,
+        grads: &Gradients,
+        opt: &AdamConfig,
+        t: usize,
+        scale: f32,
+    ) {
+        let params = model.params_mut();
+        let tensors = grads.tensors();
+        assert!(
+            params.len() == tensors.len() && params.len() == self.m.len(),
+            "gradient layout mismatch"
         );
-        let b1t = 1.0 - opt.beta1.powi(t as i32);
-        let b2t = 1.0 - opt.beta2.powi(t as i32);
-        let Self { w, m, v } = self;
-        for (((w, m), v), &g0) in w
-            .data_mut()
-            .iter_mut()
-            .zip(m.data_mut().iter_mut())
-            .zip(v.data_mut().iter_mut())
-            .zip(grad.data())
+        for (((p, m), v), g) in params
+            .into_iter()
+            .zip(&mut self.m)
+            .zip(&mut self.v)
+            .zip(tensors)
         {
-            let g = g0 * scale;
-            *m = opt.beta1 * *m + (1.0 - opt.beta1) * g;
-            *v = opt.beta2 * *v + (1.0 - opt.beta2) * g * g;
-            let mhat = *m / b1t;
-            let vhat = *v / b2t;
-            *w -= opt.lr * mhat / (vhat.sqrt() + opt.eps);
+            adam_update(&mut p.w, m, v, g, opt, t, scale);
         }
+    }
+}
+
+/// The element-wise Adam update of one tensor `w` with moments `m` and
+/// `v` at 1-based step `t`.
+fn adam_update(
+    w: &mut Matrix,
+    m: &mut Matrix,
+    v: &mut Matrix,
+    grad: &Matrix,
+    opt: &AdamConfig,
+    t: usize,
+    scale: f32,
+) {
+    let shape = (w.rows(), w.cols());
+    assert!(
+        shape == (grad.rows(), grad.cols())
+            && shape == (m.rows(), m.cols())
+            && shape == (v.rows(), v.cols()),
+        "gradient shape mismatch"
+    );
+    let b1t = 1.0 - opt.beta1.powi(t as i32);
+    let b2t = 1.0 - opt.beta2.powi(t as i32);
+    for (((w, m), v), &g0) in w
+        .data_mut()
+        .iter_mut()
+        .zip(m.data_mut().iter_mut())
+        .zip(v.data_mut().iter_mut())
+        .zip(grad.data())
+    {
+        let g = g0 * scale;
+        *m = opt.beta1 * *m + (1.0 - opt.beta1) * g;
+        *v = opt.beta2 * *v + (1.0 - opt.beta2) * g * g;
+        let mhat = *m / b1t;
+        let vhat = *v / b2t;
+        *w -= opt.lr * mhat / (vhat.sqrt() + opt.eps);
     }
 }
 
@@ -173,10 +235,33 @@ mod tests {
     use super::*;
     use crate::matrix::seeded_rng;
 
+    /// One tensor with its moments, stepped by the production update.
+    struct Tensor {
+        w: Matrix,
+        m: Matrix,
+        v: Matrix,
+    }
+
+    impl Tensor {
+        fn new(w: Matrix) -> Self {
+            let zeros = Matrix::zeros(w.rows(), w.cols());
+            Self {
+                m: zeros.clone(),
+                v: zeros,
+                w,
+            }
+        }
+
+        fn step(&mut self, grad: &Matrix, opt: &AdamConfig, t: usize, scale: f32) {
+            let Self { w, m, v } = self;
+            adam_update(w, m, v, grad, opt, t, scale);
+        }
+    }
+
     #[test]
     fn adam_descends_simple_quadratic() {
         // Minimise f(w) = w² with gradient 2w.
-        let mut p = Param::new(Matrix::from_vec(1, 1, vec![1.0]));
+        let mut p = Tensor::new(Matrix::from_vec(1, 1, vec![1.0]));
         let opt = AdamConfig {
             lr: 0.05,
             ..AdamConfig::default()
@@ -184,20 +269,20 @@ mod tests {
         for t in 1..=500 {
             let w = p.w.get(0, 0);
             let grad = Matrix::from_vec(1, 1, vec![2.0 * w]);
-            p.adam_step(&grad, &opt, t, 1.0);
+            p.step(&grad, &opt, t, 1.0);
         }
         assert!(p.w.get(0, 0).abs() < 1e-2);
     }
 
     #[test]
     fn scale_divides_batch_gradient() {
-        let mut p1 = Param::new(Matrix::from_vec(1, 1, vec![0.0]));
-        let mut p2 = Param::new(Matrix::from_vec(1, 1, vec![0.0]));
+        let mut p1 = Tensor::new(Matrix::from_vec(1, 1, vec![0.0]));
+        let mut p2 = Tensor::new(Matrix::from_vec(1, 1, vec![0.0]));
         let opt = AdamConfig::default();
         let g4 = Matrix::from_vec(1, 1, vec![4.0]);
         let g1 = Matrix::from_vec(1, 1, vec![1.0]);
-        p1.adam_step(&g4, &opt, 1, 0.25);
-        p2.adam_step(&g1, &opt, 1, 1.0);
+        p1.step(&g4, &opt, 1, 0.25);
+        p2.step(&g1, &opt, 1, 1.0);
         assert!((p1.w.get(0, 0) - p2.w.get(0, 0)).abs() < 1e-7);
     }
 
@@ -205,9 +290,9 @@ mod tests {
     #[should_panic(expected = "gradient shape mismatch")]
     fn adam_rejects_wrong_shape() {
         let mut rng = seeded_rng(1);
-        let mut p = Param::new(Matrix::glorot(3, 3, &mut rng));
+        let mut p = Tensor::new(Matrix::glorot(3, 3, &mut rng));
         let bad = Matrix::zeros(2, 3);
-        p.adam_step(&bad, &AdamConfig::default(), 1, 1.0);
+        p.step(&bad, &AdamConfig::default(), 1, 1.0);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 use crate::batch::{BatchWorkspace, Minibatch};
 use crate::dgcnn::Dgcnn;
 use crate::matrix::seeded_rng;
-use crate::param::AdamConfig;
+use crate::param::{AdamConfig, AdamState};
 use crate::sample::SampleStore;
 
 /// Training-loop hyper-parameters.
@@ -214,8 +214,10 @@ pub fn train_controlled<S: SampleStore + ?Sized, V: SampleStore + ?Sized>(
     let mut best: Option<(usize, f64, f64, Vec<crate::matrix::Matrix>)> = None;
     let mut step = 0usize;
     // The gradient accumulator, minibatch assembler and batch
-    // workspace are reused across every batch of the run.
+    // workspace are reused across every batch of the run; the Adam
+    // moments live only as long as the run.
     let mut acc = model.new_gradients();
+    let mut adam = AdamState::new(model);
     let mut mb = Minibatch::new();
     let mut bws = BatchWorkspace::new();
 
@@ -255,7 +257,7 @@ pub fn train_controlled<S: SampleStore + ?Sized, V: SampleStore + ?Sized>(
             }
             step += 1;
             let t_opt = Instant::now();
-            model.adam_step(&acc, &cfg.adam, step, 1.0 / jobs.len() as f32);
+            adam.step(model, &acc, &cfg.adam, step, 1.0 / jobs.len() as f32);
             phases.optimizer += t_opt.elapsed();
             seen += jobs.len();
         }
@@ -436,16 +438,18 @@ mod tests {
             pool.install(|| {
                 let mut m = Dgcnn::new(toy_cfg());
                 let r = train(&mut m, &data[..20], &data[20..], &cfg);
-                (r, m.predict_batch(&data[..1]))
+                (r, m.snapshot())
             })
         };
         let (r1, p1) = run(1);
-        let (r4, p4) = run(4);
-        assert_eq!(
-            r1, r4,
-            "TrainReport must be bit-identical across thread counts"
-        );
-        assert_eq!(p1, p4, "weights must be bit-identical across thread counts");
+        for threads in [2, 4] {
+            let (r, p) = run(threads);
+            assert_eq!(
+                r1, r,
+                "TrainReport must be bit-identical across thread counts"
+            );
+            assert_eq!(p1, p, "weights must be bit-identical across thread counts");
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!
 //! The per-node propagation scale `1/(1 + deg)` of the DGCNN operator
 //! `S = D̃⁻¹(A + I)` is precomputed at construction so the hot kernels
-//! never recompute degrees.
+//! never recompute degrees. It is derived state: serialisation writes
+//! only `offsets` and `neighbors`, and deserialisation recomputes it.
 //!
 //! # Determinism contract
 //!
@@ -31,7 +32,7 @@ use serde::{map_get, DeError, Deserialize, Serialize, Value};
 /// Deserialising checks every invariant the kernels rely on and fails
 /// with a [`DeError`] naming the field, so a tampered checkpoint is
 /// refused on load instead of panicking (or scoring wrongly) later.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
     /// `node_count() + 1` row offsets into `neighbors`.
     offsets: Vec<u32>,
@@ -41,66 +42,103 @@ pub struct Csr {
     scales: Vec<f32>,
 }
 
+/// Writes `offsets` and `neighbors`; the scales are derived from the
+/// offsets on decode.
+impl Serialize for Csr {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("offsets".to_owned(), self.offsets.to_value()),
+            ("neighbors".to_owned(), self.neighbors.to_value()),
+        ])
+    }
+}
+
+/// Reads `offsets` and `neighbors` and recomputes the scales. A
+/// `scales` array — written by earlier versions — must hold exactly the
+/// recomputed bits.
 impl Deserialize for Csr {
     fn from_value(v: &Value) -> Result<Self, DeError> {
+        let offsets: Vec<u32> = Vec::from_value(map_get(v, "offsets")?)?;
+        let neighbors: Vec<u32> = Vec::from_value(map_get(v, "neighbors")?)?;
+        check_layout(&offsets, &neighbors).map_err(|e| DeError(format!("csr {e}")))?;
         let csr = Self {
-            offsets: Vec::from_value(map_get(v, "offsets")?)?,
-            neighbors: Vec::from_value(map_get(v, "neighbors")?)?,
-            scales: Vec::from_value(map_get(v, "scales")?)?,
+            scales: scales_of(&offsets),
+            offsets,
+            neighbors,
         };
-        csr.check().map_err(|e| DeError(format!("csr {e}")))?;
+        if let Ok(stored) = map_get(v, "scales") {
+            csr.check_stored_scales(&Vec::from_value(stored)?)
+                .map_err(|e| DeError(format!("csr {e}")))?;
+        }
         Ok(csr)
     }
 }
 
-impl Csr {
-    /// The layout invariants: `offsets` start at 0, never decrease and
-    /// end at `neighbors.len()`; every neighbour run is sorted,
-    /// deduplicated and below the node count; `scales[i]` holds the bits
-    /// of `1 / (1 + degree(i))`.
-    fn check(&self) -> Result<(), String> {
-        if self.offsets.first() != Some(&0) {
-            return Err("`offsets` must start at 0".into());
-        }
-        let n = self.node_count();
-        let last = self.offsets[n] as usize;
-        if last != self.neighbors.len() {
+/// The layout invariants: `offsets` start at 0, never decrease and end
+/// at `neighbors.len()`; every neighbour run is sorted, deduplicated and
+/// below the node count.
+fn check_layout(offsets: &[u32], neighbors: &[u32]) -> Result<(), String> {
+    if offsets.first() != Some(&0) {
+        return Err("`offsets` must start at 0".into());
+    }
+    let n = offsets.len() - 1;
+    let last = offsets[n];
+    if last as usize != neighbors.len() {
+        return Err(format!(
+            "`offsets` end at {last}, but `neighbors` holds {}",
+            neighbors.len()
+        ));
+    }
+    if let Some(i) = offsets.windows(2).position(|w| w[1] < w[0]) {
+        return Err(format!("`offsets` decrease after entry {i}"));
+    }
+    for (i, w) in offsets.windows(2).enumerate() {
+        let run = &neighbors[w[0] as usize..w[1] as usize];
+        if let Some(&j) = run.iter().find(|&&j| j as usize >= n) {
             return Err(format!(
-                "`offsets` end at {last}, but `neighbors` holds {}",
-                self.neighbors.len()
+                "`neighbors` of node {i} hold {j}, not below the node count {n}"
             ));
         }
-        if let Some(i) = self.offsets.windows(2).position(|w| w[1] < w[0]) {
-            return Err(format!("`offsets` decrease after entry {i}"));
+        if run.windows(2).any(|p| p[0] >= p[1]) {
+            return Err(format!(
+                "`neighbors` of node {i} are not sorted and deduplicated"
+            ));
         }
-        if self.scales.len() != n {
+    }
+    Ok(())
+}
+
+/// The propagation scale `1/(1 + degree)` of every node of `offsets`.
+fn scales_of(offsets: &[u32]) -> Vec<f32> {
+    offsets
+        .windows(2)
+        .map(|w| 1.0 / (1.0 + (w[1] - w[0]) as f32))
+        .collect()
+}
+
+impl Csr {
+    /// A stored `scales` array must hold one entry per node, each with
+    /// the bits of `1 / (1 + degree)`.
+    fn check_stored_scales(&self, stored: &[f32]) -> Result<(), String> {
+        let n = self.node_count();
+        if stored.len() != n {
             return Err(format!(
                 "`scales` holds {} entries for {n} nodes",
-                self.scales.len()
+                stored.len()
             ));
         }
-        for (i, w) in self.offsets.windows(2).enumerate() {
-            let run = &self.neighbors[w[0] as usize..w[1] as usize];
-            if let Some(&j) = run.iter().find(|&&j| j as usize >= n) {
-                return Err(format!(
-                    "`neighbors` of node {i} hold {j}, not below the node count {n}"
-                ));
-            }
-            if run.windows(2).any(|p| p[0] >= p[1]) {
-                return Err(format!(
-                    "`neighbors` of node {i} are not sorted and deduplicated"
-                ));
-            }
-            let want = 1.0 / (1.0 + (w[1] - w[0]) as f32);
-            if self.scales[i].to_bits() != want.to_bits() {
-                return Err(format!(
-                    "`scales[{i}]` is {}, not 1 / (1 + degree {})",
-                    self.scales[i],
-                    w[1] - w[0]
-                ));
-            }
+        match stored
+            .iter()
+            .zip(&self.scales)
+            .position(|(a, b)| a.to_bits() != b.to_bits())
+        {
+            Some(i) => Err(format!(
+                "`scales[{i}]` is {}, not 1 / (1 + degree {})",
+                stored[i],
+                self.degree(i)
+            )),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -402,15 +440,10 @@ impl CsrBuilder {
             self.neighbors.iter().all(|&j| (j as usize) < n),
             "neighbour index out of range"
         );
-        let scales = self
-            .offsets
-            .windows(2)
-            .map(|w| 1.0 / (1.0 + (w[1] - w[0]) as f32))
-            .collect();
         Csr {
+            scales: scales_of(&self.offsets),
             offsets: self.offsets,
             neighbors: self.neighbors,
-            scales,
         }
     }
 }

@@ -573,9 +573,39 @@ mod tests {
         assert!(err.contains("are not sorted and deduplicated"), "{err}");
     }
 
+    /// Adds the `scales` array earlier versions wrote next to `offsets`
+    /// and `neighbors`: `1 / (1 + degree)` per node.
+    fn inject_legacy_scales(v: &mut Value) {
+        let ex = locked_design();
+        let scales: Vec<f32> = (0..ex.graph.node_count())
+            .map(|i| ex.graph.adj.scale(i))
+            .collect();
+        match at(v, &ADJ) {
+            Value::Map(entries) => entries.push(("scales".to_owned(), scales.to_value())),
+            other => panic!("not a map: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn legacy_scales_load_and_are_not_written() {
+        let text = serde_json::to_string(&locked_design()).unwrap();
+        assert!(
+            !text.contains("\"scales\""),
+            "scales are derived, not stored"
+        );
+        let mut v = serde_json::from_str::<Value>(&text).unwrap();
+        inject_legacy_scales(&mut v);
+        let legacy = serde_json::to_string(&v).unwrap();
+        let back: ExtractedDesign = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), text);
+    }
+
     #[test]
     fn cut_scales_are_refused() {
-        let err = tampered(|v| seq(at(v, &[ADJ[0], ADJ[1], "scales"])).truncate(2));
+        let err = tampered(|v| {
+            inject_legacy_scales(v);
+            seq(at(v, &[ADJ[0], ADJ[1], "scales"])).truncate(2);
+        });
         assert!(
             err.contains("`scales` holds 2 entries for 300 nodes"),
             "{err}"
@@ -584,7 +614,10 @@ mod tests {
 
     #[test]
     fn wrong_scale_is_refused() {
-        let err = tampered(|v| *at(v, &[ADJ[0], ADJ[1], "scales", "1"]) = Value::Float(0.25));
+        let err = tampered(|v| {
+            inject_legacy_scales(v);
+            *at(v, &[ADJ[0], ADJ[1], "scales", "1"]) = Value::Float(0.25);
+        });
         assert!(err.contains("`scales[1]` is 0.25"), "{err}");
     }
 

@@ -5,13 +5,16 @@
 //! (the per-sample training loop), [`to_graph_sample`] (owned samples
 //! from enclosing subgraphs), and [`NoPlans`] / [`MixedPlans`] (stores
 //! without cached layer-0 plans, or with them for every other sample),
-//! and [`extract_oracle`] (the hashed netlist-to-graph extractor).
+//! [`extract_oracle`] (the hashed netlist-to-graph extractor) and
+//! [`adam_oracle`] (Adam with per-tensor moments).
 
+pub mod adam_oracle;
 pub mod extract_oracle;
 pub mod reference;
 
 pub use reference::{reference_evaluate, reference_predict};
 
+use adam_oracle::OracleAdam;
 use muxlink_gnn::matrix::seeded_rng;
 use muxlink_gnn::{
     Dgcnn, EpochStats, Gradients, GraphSample, Layer0PlanView, Matrix, SampleStore, SampleView,
@@ -121,7 +124,9 @@ pub fn assert_po_equivalent(a: &Netlist, b: &Netlist, label: &str) {
 /// rather than merging inside the workers is what fixes the reduction
 /// order — so the result is bit-identical for any thread count.
 /// Validation is [`reference_evaluate`], so equal reports also pin the
-/// batched [`muxlink_gnn::evaluate`].
+/// batched [`muxlink_gnn::evaluate`], and the optimiser is the
+/// per-tensor [`OracleAdam`], so equal weights also pin
+/// [`muxlink_gnn::AdamState`].
 ///
 /// # Panics
 ///
@@ -142,6 +147,7 @@ pub fn reference_train<S: SampleStore + ?Sized, V: SampleStore + ?Sized>(
     let mut grad_slots: Vec<Gradients> =
         (0..cfg.batch_size).map(|_| model.new_gradients()).collect();
     let mut acc = model.new_gradients();
+    let mut adam = OracleAdam::new(model);
 
     for epoch in 1..=cfg.epochs {
         order.shuffle(&mut rng);
@@ -184,7 +190,7 @@ pub fn reference_train<S: SampleStore + ?Sized, V: SampleStore + ?Sized>(
                 acc.merge(g);
             }
             step += 1;
-            model.adam_step(&acc, &cfg.adam, step, 1.0 / jobs.len() as f32);
+            adam.step(model, &acc, &cfg.adam, step, 1.0 / jobs.len() as f32);
             seen += jobs.len();
         }
         let train_loss = if seen == 0 {

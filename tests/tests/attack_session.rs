@@ -4,7 +4,9 @@
 //! a serialized `Trained` checkpoint must reload to identical scores and
 //! an identical recovered key.
 
-use muxlink_core::{score_design, AttackSession, MuxLinkConfig, NoProgress, Trained};
+use std::sync::OnceLock;
+
+use muxlink_core::{score_design, AttackSession, MuxLinkConfig, NoProgress, ScoredDesign, Trained};
 use muxlink_locking::{dmux, symmetric, LockOptions};
 use proptest::{proptest, ProptestConfig};
 use serde::{Deserialize, Serialize, Value};
@@ -150,26 +152,36 @@ fn to_legacy_matrices(v: &mut Value) -> usize {
     }
 }
 
+/// One trained checkpoint shared by the checkpoint-format tests: its
+/// direct scores and its JSON text.
+fn checkpoint_fixture() -> &'static (ScoredDesign, String) {
+    static FIXTURE: OnceLock<(ScoredDesign, String)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let design = muxlink_benchgen::synth::SynthConfig::new("legacy", 14, 6, 230).generate(78);
+        let locked = dmux::lock(&design, &LockOptions::new(6, 4)).unwrap();
+        let trained = AttackSession::new(&locked.netlist, &locked.key_input_names(), fast_cfg(1))
+            .extract()
+            .unwrap()
+            .prepare(&NoProgress)
+            .unwrap()
+            .train(&NoProgress)
+            .unwrap();
+        let direct = trained.score(&NoProgress).unwrap();
+        (direct, serde_json::to_string(&trained).unwrap())
+    })
+}
+
 /// Checkpoints written before the hex tensor encoding (every matrix a
 /// numeric array) still load, score bit-identically and re-encode to
 /// exactly today's checkpoint text.
 #[test]
 fn legacy_array_checkpoint_loads_and_scores_identically() {
-    let design = muxlink_benchgen::synth::SynthConfig::new("legacy", 14, 6, 230).generate(78);
-    let locked = dmux::lock(&design, &LockOptions::new(6, 4)).unwrap();
-    let trained = AttackSession::new(&locked.netlist, &locked.key_input_names(), fast_cfg(1))
-        .extract()
-        .unwrap()
-        .prepare(&NoProgress)
-        .unwrap()
-        .train(&NoProgress)
-        .unwrap();
-    let direct = trained.score(&NoProgress).unwrap();
-    let json = serde_json::to_string(&trained).unwrap();
+    let (direct, json) = checkpoint_fixture();
+    let json = json.as_str();
 
-    let mut legacy = serde_json::from_str::<Value>(&json).unwrap();
+    let mut legacy = serde_json::from_str::<Value>(json).unwrap();
     let rewritten = to_legacy_matrices(&mut legacy);
-    assert!(rewritten >= 3, "weights and both Adam moments: {rewritten}");
+    assert!(rewritten >= 3, "every weight tensor: {rewritten}");
     let legacy = serde_json::to_string(&legacy).unwrap();
     assert!(
         legacy.len() > json.len(),
@@ -184,4 +196,110 @@ fn legacy_array_checkpoint_loads_and_scores_identically() {
     );
     assert_eq!(rescored.recover_key(0.01), direct.recover_key(0.01));
     assert_eq!(serde_json::to_string(&restored).unwrap(), json);
+}
+
+/// Rewrites a checkpoint into the format written while the model
+/// carried its Adam moments and the design graph its propagation
+/// scales: `m` and `v` after every weight tensor `w`, `scales` after
+/// every CSR's `offsets` and `neighbors`. Returns how many tensors and
+/// graphs it rewrote.
+fn to_moments_and_scales_format(v: &mut Value) -> (usize, usize) {
+    match v {
+        Value::Map(entries) => {
+            let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+            if keys == ["w"] {
+                // Any matrix of the weights' shape stands for a moment;
+                // a reader must ignore it whatever it holds.
+                let w = entries[0].1.clone();
+                entries.push(("m".to_owned(), w.clone()));
+                entries.push(("v".to_owned(), w));
+                return (1, 0);
+            }
+            if keys == ["offsets", "neighbors"] {
+                let offsets = Vec::<u32>::from_value(&entries[0].1).unwrap();
+                let scales: Vec<f32> = offsets
+                    .windows(2)
+                    .map(|w| 1.0 / (1.0 + (w[1] - w[0]) as f32))
+                    .collect();
+                entries.push(("scales".to_owned(), scales.to_value()));
+                return (0, 1);
+            }
+            entries
+                .iter_mut()
+                .map(|(_, e)| to_moments_and_scales_format(e))
+                .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+        }
+        Value::Seq(items) => items
+            .iter_mut()
+            .map(to_moments_and_scales_format)
+            .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1)),
+        _ => (0, 0),
+    }
+}
+
+/// Checkpoints written with the Adam moments and the CSR scales still
+/// load, re-encode to exactly today's (weights-only, scale-free) text
+/// and score bit-identically.
+#[test]
+fn moments_and_scales_checkpoint_loads_and_scores_identically() {
+    let (direct, json) = checkpoint_fixture();
+    for key in ["\"m\":", "\"v\":", "\"scales\":"] {
+        assert!(!json.contains(key), "today's checkpoint writes no {key}");
+    }
+    let mut legacy = serde_json::from_str::<Value>(json).unwrap();
+    let (tensors, graphs) = to_moments_and_scales_format(&mut legacy);
+    assert_eq!(
+        (tensors, graphs),
+        (12, 1),
+        "every weight tensor, the design graph"
+    );
+    let legacy = serde_json::to_string(&legacy).unwrap();
+
+    let restored: Trained = serde_json::from_str(&legacy).unwrap();
+    assert_eq!(&serde_json::to_string(&restored).unwrap(), json);
+    let rescored = restored.score(&NoProgress).unwrap();
+    assert_eq!(
+        rescored.scores, direct.scores,
+        "scores must be bit-identical"
+    );
+    assert_eq!(rescored.recover_key(0.01), direct.recover_key(0.01));
+}
+
+/// The checkpoint with one top-level field replaced, decoded: the error
+/// text, or a panic when it still loads.
+fn tampered(field: &str, value: Value) -> String {
+    let mut v = serde_json::from_str::<Value>(&checkpoint_fixture().1).unwrap();
+    let Value::Map(entries) = &mut v else {
+        panic!("a checkpoint is a map")
+    };
+    entries.iter_mut().find(|(k, _)| k == field).unwrap().1 = value;
+    serde_json::from_str::<Trained>(&serde_json::to_string(&v).unwrap())
+        .expect_err("a tampered checkpoint must be refused")
+        .to_string()
+}
+
+/// A `max_label` that gives a feature width other than the model's
+/// input width is refused on load, naming the field — scoring with it
+/// would panic in the batched forward.
+#[test]
+fn tampered_max_label_is_refused() {
+    let restored: Trained = serde_json::from_str(&checkpoint_fixture().1).unwrap();
+    for max_label in [restored.max_label + 1, restored.max_label - 1, 50, u32::MAX] {
+        let err = tampered("max_label", max_label.to_value());
+        assert!(
+            err.contains(&format!("`max_label` is {max_label}")),
+            "{err}"
+        );
+    }
+}
+
+/// A `k` other than the model's SortPool size is refused on load,
+/// naming the field — scoring would otherwise ignore it.
+#[test]
+fn tampered_k_is_refused() {
+    let restored: Trained = serde_json::from_str(&checkpoint_fixture().1).unwrap();
+    for k in [0, restored.k + 1, 100_000] {
+        let err = tampered("k", k.to_value());
+        assert!(err.contains(&format!("`k` is {k}")), "{err}");
+    }
 }

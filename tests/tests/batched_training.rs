@@ -8,11 +8,12 @@
 
 use muxlink_gnn::matrix::seeded_rng;
 use muxlink_gnn::{
-    train, AdamConfig, ArenaSamples, BatchWorkspace, Dgcnn, DgcnnConfig, Gradients, GraphSample,
-    Minibatch, OneHotFeatures, TrainConfig, TrainReport,
+    train, AdamConfig, AdamState, ArenaSamples, BatchWorkspace, Dgcnn, DgcnnConfig, Gradients,
+    GraphSample, Matrix, Minibatch, OneHotFeatures, TrainConfig, TrainReport,
 };
 use muxlink_graph::dataset::{build_dataset, build_dataset_arena, DatasetConfig, LinkSample};
 use muxlink_graph::{extract, Csr};
+use muxlink_integration_tests::adam_oracle::OracleAdam;
 use muxlink_integration_tests::reference::{Reference, Workspace};
 use muxlink_integration_tests::{reference_train, to_graph_sample};
 use muxlink_locking::{dmux, LockOptions};
@@ -367,6 +368,75 @@ proptest! {
             let got: Vec<u64> = ws.losses.iter().map(|l| l.to_bits()).collect();
             let want: Vec<u64> = want_losses.iter().map(|l| l.to_bits()).collect();
             prop_assert_eq!(got, want);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Property test: the trainer-owned Adam state vs the per-tensor oracle.
+// ---------------------------------------------------------------------
+
+/// A weight or gradient entry from the edges of `f32`: ±0, subnormals,
+/// NaN, ±∞, magnitudes near 1e-18 (whose scaled squares are subnormal
+/// second moments), near the top of the range (whose squares overflow)
+/// and ordinary values.
+fn edge_f32(rng: &mut impl Rng) -> f32 {
+    let sign = if rng.gen() { 1.0 } else { -1.0 };
+    sign * match rng.gen_range(0u8..10) {
+        0 => 0.0,
+        1 => f32::from_bits(rng.gen_range(1u32..0x0080_0000)),
+        2 => f32::NAN,
+        3 => f32::INFINITY,
+        4 => rng.gen_range(1e-20f32..1e-17),
+        5 => rng.gen_range(1e18f32..3e38),
+        _ => rng.gen_range(0.0f32..4.0),
+    }
+}
+
+/// A tensor list shaped like `model`'s parameters, filled from
+/// [`edge_f32`].
+fn edge_tensors(model: &Dgcnn, rng: &mut impl Rng) -> Vec<Matrix> {
+    model
+        .snapshot()
+        .iter()
+        .map(|w| {
+            let data = (0..w.rows() * w.cols()).map(|_| edge_f32(rng)).collect();
+            Matrix::from_vec(w.rows(), w.cols(), data)
+        })
+        .collect()
+}
+
+fn weight_bits(model: &Dgcnn) -> Vec<u32> {
+    grad_bits(&Gradients::from_tensors(model.snapshot()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `AdamState::step` moves every weight to the bits of the
+    /// per-tensor oracle, step after step, from edge-case weights and
+    /// gradients (±0, subnormal weights and moments, NaN and ±∞) at
+    /// drawn step counts, gradient scales and learning rates.
+    #[test]
+    fn adam_state_matches_per_param_oracle_bitwise(data_seed in 0u64..1000, steps in 1usize..6) {
+        let mut rng = seeded_rng(data_seed);
+        let mut model = Dgcnn::new(tiny_cfg(WIDTH));
+        let weights = edge_tensors(&model, &mut rng);
+        model.restore(&weights);
+        let mut oracle_model = model.clone();
+        let mut adam = AdamState::new(&model);
+        let mut oracle = OracleAdam::new(&oracle_model);
+        let opt = AdamConfig {
+            lr: [1e-4f32, 0.01, 0.5][rng.gen_range(0usize..3)],
+            ..AdamConfig::default()
+        };
+        let t0 = rng.gen_range(0usize..2000);
+        for t in t0 + 1..=t0 + steps {
+            let grads = Gradients::from_tensors(edge_tensors(&model, &mut rng));
+            let scale = 1.0 / rng.gen_range(1u32..65) as f32;
+            adam.step(&mut model, &grads, &opt, t, scale);
+            oracle.step(&mut oracle_model, &grads, &opt, t, scale);
+            prop_assert_eq!(weight_bits(&model), weight_bits(&oracle_model));
         }
     }
 }
