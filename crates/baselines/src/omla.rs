@@ -147,6 +147,25 @@ pub fn omla_attack(
     key_names: &[String],
     cfg: &OmlaConfig,
 ) -> Result<Vec<KeyValue>, OmlaError> {
+    let mut out = vec![KeyValue::X; key_names.len()];
+    for (bit, p) in target_probabilities(locked, key_names, cfg)? {
+        let p = f64::from(p);
+        out[bit] = if (p - 0.5).abs() < cfg.margin {
+            KeyValue::X
+        } else {
+            KeyValue::from_bool(p > 0.5)
+        };
+    }
+    Ok(out)
+}
+
+/// Trains OMLA's DGCNN on self-referencing key gates and returns each
+/// target key gate's `(key bit, P(bit = 1))`, in key-gate order.
+fn target_probabilities(
+    locked: &Netlist,
+    key_names: &[String],
+    cfg: &OmlaConfig,
+) -> Result<Vec<(usize, f32)>, OmlaError> {
     // 0. Applicability: the *target* key inputs must drive XOR/XNOR key
     //    gates. MUX-locked designs fail here — before any re-locking —
     //    which is the paper's "not applicable to D-MUX/S5" observation.
@@ -226,16 +245,10 @@ pub fn omla_attack(
             (sample, *bit)
         })
         .unzip();
-    let mut out = vec![KeyValue::X; target_count];
-    for (p, bit) in model.predict_batch(&targets).into_iter().zip(bits) {
-        let p = f64::from(p);
-        out[bit] = if (p - 0.5).abs() < cfg.margin {
-            KeyValue::X
-        } else {
-            KeyValue::from_bool(p > 0.5)
-        };
-    }
-    Ok(out)
+    Ok(bits
+        .into_iter()
+        .zip(model.predict_batch(&targets))
+        .collect())
 }
 
 #[cfg(test)]
@@ -276,6 +289,38 @@ mod tests {
             "OMLA should break naive XOR locking: {correct}/{}",
             decided.len()
         );
+    }
+
+    /// Pins OMLA's per-target-gate probabilities bit for bit on
+    /// `omla_breaks_plain_xor_locking`'s design and config: the sample
+    /// store, the training loop and the batched scorer may change shape,
+    /// never these bits.
+    #[test]
+    fn omla_target_probability_bits_are_pinned() {
+        let design = SynthConfig::new("m", 16, 8, 400).generate(2);
+        let locked = xor::lock(&design, &LockOptions::new(16, 3)).unwrap();
+        let probs =
+            target_probabilities(&locked.netlist, &locked.key_input_names(), &quick_cfg()).unwrap();
+        let got: Vec<(usize, u32)> = probs.iter().map(|&(bit, p)| (bit, p.to_bits())).collect();
+        let want = [
+            (0, 0x3f7ffe10),
+            (1, 0x34e7f397),
+            (2, 0x3f7fdbf1),
+            (3, 0x3d273648),
+            (4, 0x357a3ad6),
+            (5, 0x3f7f9c89),
+            (6, 0x362595f0),
+            (7, 0x3509a829),
+            (8, 0x3f800000),
+            (9, 0x3a118e09),
+            (10, 0x3f7ffbd0),
+            (11, 0x36da46cb),
+            (12, 0x38e0bd5d),
+            (13, 0x353c00a2),
+            (14, 0x3f7fc553),
+            (15, 0x3f7e6f0e),
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]
