@@ -18,8 +18,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use muxlink_gnn::{Dgcnn, DgcnnConfig, GraphSample, TrainConfig};
-use muxlink_graph::features::{feature_cols, one_hot_features};
+use muxlink_gnn::{ArenaSamples, Dgcnn, DgcnnConfig, SampleArena, SampleHandle, TrainConfig};
+use muxlink_graph::features::feature_cols;
 use muxlink_graph::graph::{CircuitGraph, Link};
 use muxlink_graph::subgraph::node_subgraph;
 use muxlink_locking::{xor, KeyValue, LockOptions};
@@ -184,40 +184,35 @@ fn target_probabilities(
     all_names.extend(train_names.iter().cloned());
     let xg = xor_gate_graph(&relocked.netlist, &all_names)?;
 
-    // Split key-gate nodes into target (unknown) and training (known).
+    // Every key gate's subgraph goes into one arena; training (known)
+    // and target (unknown) gates are handle lists into it.
     let target_count = key_names.len();
-    let mut train_samples = Vec::new();
-    let mut max_label = 1u32;
-    let mut subgraphs = Vec::new();
+    let mut arena = SampleArena::new();
+    let mut train = Vec::new();
+    let mut targets = Vec::new();
     for &(node, bit) in &xg.key_gate_nodes {
         let sg = node_subgraph(&xg.graph, node, cfg.h, cfg.max_subgraph_nodes);
-        max_label = max_label.max(sg.max_label());
-        subgraphs.push((sg, bit));
-    }
-    for (sg, bit) in &subgraphs {
-        if *bit >= target_count {
-            train_samples.push(GraphSample {
-                adj: sg.adj.clone(),
-                features: one_hot_features(sg, max_label),
-                label: Some(relocked.key.bit(*bit - target_count)),
-            });
+        if bit >= target_count {
+            let label = relocked.key.bit(bit - target_count);
+            train.push(arena.push_subgraph(&sg, Some(label)));
+        } else {
+            targets.push((arena.push_subgraph(&sg, None), bit));
         }
     }
-    if train_samples.is_empty() {
+    if train.is_empty() {
         return Err(OmlaError::Relock("no training key gates placed".into()));
     }
+    let max_label = arena.max_label().max(1);
+    arena.build_layer0_plans(max_label);
 
     // 2. Train the DGCNN on the known gates (10% validation split).
-    let val_len = (train_samples.len() / 10)
-        .max(1)
-        .min(train_samples.len() - 1);
-    let val = train_samples.split_off(train_samples.len() - val_len);
+    let val_len = (train.len() / 10).max(1).min(train.len() - 1);
+    let val = train.split_off(train.len() - val_len);
     let mut model_cfg = DgcnnConfig::paper(feature_cols(max_label), 10);
-    let sizes: Vec<usize> = train_samples.iter().map(GraphSample::node_count).collect();
-    let mut sorted = sizes.clone();
-    sorted.sort_unstable();
-    if !sorted.is_empty() {
-        model_cfg.k = sorted[(sorted.len() * 6 / 10).min(sorted.len() - 1)].max(model_cfg.min_k());
+    let mut sizes: Vec<usize> = train.iter().map(|&h| arena.node_count(h)).collect();
+    sizes.sort_unstable();
+    if !sizes.is_empty() {
+        model_cfg.k = sizes[(sizes.len() * 6 / 10).min(sizes.len() - 1)].max(model_cfg.min_k());
     }
     model_cfg.seed = cfg.seed ^ 0x0BAD_C0DE;
     let mut model = Dgcnn::new(model_cfg);
@@ -230,25 +225,17 @@ fn target_probabilities(
         },
         seed: cfg.seed ^ 0x7EA,
     };
-    muxlink_gnn::train(&mut model, &train_samples, &val, &train_cfg);
+    muxlink_gnn::train(
+        &mut model,
+        &ArenaSamples::select(&arena, &train, max_label),
+        &ArenaSamples::select(&arena, &val, max_label),
+        &train_cfg,
+    );
 
     // 3. Classify the target key gates, scored in one batch.
-    let (targets, bits): (Vec<GraphSample>, Vec<usize>) = subgraphs
-        .iter()
-        .filter(|(_, bit)| *bit < target_count)
-        .map(|(sg, bit)| {
-            let sample = GraphSample {
-                adj: sg.adj.clone(),
-                features: one_hot_features(sg, max_label),
-                label: None,
-            };
-            (sample, *bit)
-        })
-        .unzip();
-    Ok(bits
-        .into_iter()
-        .zip(model.predict_batch(&targets))
-        .collect())
+    let (handles, bits): (Vec<SampleHandle>, Vec<usize>) = targets.into_iter().unzip();
+    let probs = model.predict_batch(&ArenaSamples::select(&arena, &handles, max_label));
+    Ok(bits.into_iter().zip(probs).collect())
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use muxlink_gnn::{
 };
 use muxlink_graph::dataset::DatasetConfig;
 use muxlink_graph::subgraph::enclosing_subgraph_ref;
-use muxlink_graph::{build_dataset, extract};
+use muxlink_graph::{build_dataset_arena, extract};
 use muxlink_integration_tests::reference::{Reference, Workspace};
 use muxlink_locking::{dmux, symmetric, LockOptions};
 use muxlink_netlist::sim::Simulator;
@@ -283,49 +283,8 @@ fn bench_dataset(c: &mut Criterion) {
     let mut group = c.benchmark_group("dataset");
     group.sample_size(10);
     group.bench_function("build_200_links_h2", |b| {
-        b.iter(|| build_dataset(&ex.graph, &targets, &cfg));
+        b.iter(|| build_dataset_arena(&ex.graph, &targets, &cfg));
     });
-    group.finish();
-}
-
-/// Dataset residency: the owned per-sample-`Vec` build vs the
-/// arena-pooled build (`build_dataset_arena`), plus the streamed
-/// scoring-shaped iteration (extract chunk → read → clear) whose peak
-/// resident sample bytes stay bounded by the chunk size. Timing lives
-/// here; the byte accounting is recorded by the `dataset_residency`
-/// binary (`cargo run -p muxlink-bench --bin dataset_residency`) and
-/// appended to the BENCH_*.json trajectory.
-fn bench_dataset_residency(c: &mut Criterion) {
-    let design = SynthConfig::new("k", 24, 12, 800).generate(8);
-    let locked = dmux::lock(&design, &LockOptions::new(16, 9)).unwrap();
-    let ex = extract(&locked.netlist, &locked.key_input_names()).unwrap();
-    let targets = ex.target_links();
-    let mut group = c.benchmark_group("dataset_residency");
-    group.sample_size(10);
-    for links in [200usize, 600] {
-        let cfg = DatasetConfig {
-            h: 2,
-            max_train_links: links,
-            val_fraction: 0.1,
-            max_subgraph_nodes: Some(64),
-            seed: 0,
-            chunk: 0,
-        };
-        group.bench_with_input(BenchmarkId::new("owned_build", links), &links, |b, _| {
-            b.iter(|| build_dataset(&ex.graph, &targets, &cfg));
-        });
-        group.bench_with_input(BenchmarkId::new("arena_build", links), &links, |b, _| {
-            b.iter(|| muxlink_graph::build_dataset_arena(&ex.graph, &targets, &cfg));
-        });
-        let chunked = DatasetConfig { chunk: 128, ..cfg };
-        group.bench_with_input(
-            BenchmarkId::new("arena_build_c128", links),
-            &links,
-            |b, _| {
-                b.iter(|| muxlink_graph::build_dataset_arena(&ex.graph, &targets, &chunked));
-            },
-        );
-    }
     group.finish();
 }
 
@@ -689,7 +648,6 @@ criterion_group!(
     bench_sim,
     bench_resynth,
     bench_dataset,
-    bench_dataset_residency,
     bench_batched_layer,
     bench_layer0_plan,
     bench_activation,

@@ -1,11 +1,16 @@
 //! Structural design fingerprints: the identity of a locked design.
 //!
-//! A [`DesignFingerprint`] digests exactly the structure
+//! A [`DesignFingerprint`] digests exactly what
 //! [`Trained::verify_design`](crate::Trained::verify_design) compares —
-//! the key-input names (in key-bit order) and the extracted key-MUX
-//! candidates (gate ids, key bits, sink and candidate-source nodes).
-//! Extraction is deterministic, so the same locked netlist always
-//! produces the same fingerprint, and the one digest is shared by
+//! the key-input names (in key-bit order) and the whole extracted
+//! design: every graph node's gate and gate type, the graph's CSR
+//! offsets and neighbours, and the key-MUX candidates (gate ids, key
+//! bits, sink and candidate-source nodes). The propagation scales are
+//! derived from the offsets, so they add nothing. Scoring reads the
+//! graph, so two netlists that differ anywhere in it — a gate type, a
+//! wire far from every key MUX — are different designs. Extraction is
+//! deterministic, so the same locked netlist always produces the same
+//! fingerprint, and the one digest is shared by
 //!
 //! * checkpoint verification ([`Trained::verify_design`]),
 //! * the attack service's checkpoint cache key (`muxlink serve`),
@@ -25,7 +30,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use muxlink_graph::MuxCandidate;
+use muxlink_graph::ExtractedDesign;
 use serde::{DeError, Deserialize, Serialize, Value};
 
 /// FNV-1a 64-bit offset basis.
@@ -40,8 +45,9 @@ const SALTS: [u64; 4] = [
     0xbb67_ae85_84ca_a73b,
 ];
 
-/// A 256-bit structural fingerprint of a locked design's key-MUX
-/// structure, rendered as 64 lower-case hex characters on the wire.
+/// A 256-bit structural fingerprint of a locked design — its key-input
+/// names and its whole extracted design — rendered as 64 lower-case hex
+/// characters on the wire.
 ///
 /// Two designs compare equal under
 /// [`Trained::verify_design`](crate::Trained::verify_design) exactly
@@ -76,20 +82,43 @@ impl Streams {
     fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
     }
+
+    fn u32(&mut self, v: u32) {
+        self.bytes(&v.to_le_bytes());
+    }
 }
 
 impl DesignFingerprint {
     /// Digests the structure checkpoint verification compares: the
-    /// key-input names in key-bit order plus every key-MUX candidate's
-    /// gate id, key bit, sink node and the two candidate source nodes.
+    /// key-input names in key-bit order; per graph node its gate id, gate
+    /// type, CSR row end offset and neighbour run; then every key-MUX
+    /// candidate's gate id, key bit, sink node and the two candidate
+    /// source nodes.
     #[must_use]
-    pub fn compute(key_input_names: &[String], muxes: &[MuxCandidate]) -> Self {
+    pub fn compute(key_input_names: &[String], design: &ExtractedDesign) -> Self {
         let mut s = Streams::new();
         s.u64(key_input_names.len() as u64);
         for name in key_input_names {
             s.u64(name.len() as u64);
             s.bytes(name.as_bytes());
         }
+        let graph = &design.graph;
+        let n = graph.node_count();
+        s.u64(n as u64);
+        let mut end = 0u32;
+        for i in 0..n {
+            let nbrs = graph.adj.neighbors(i);
+            end += nbrs.len() as u32;
+            s.u32(graph.gate_of_node[i].index() as u32);
+            s.bytes(&[graph.gate_types[i]
+                .encoding_index()
+                .map_or(u8::MAX, |t| t as u8)]);
+            s.u32(end);
+            for &j in nbrs {
+                s.u32(j);
+            }
+        }
+        let muxes = &design.muxes;
         s.u64(muxes.len() as u64);
         for m in muxes {
             s.u64(m.mux_gate.index() as u64);
@@ -118,7 +147,7 @@ impl DesignFingerprint {
         if design.muxes.is_empty() {
             return Err(crate::AttackError::NoKeyMuxes);
         }
-        Ok(Self::compute(key_input_names, &design.muxes))
+        Ok(Self::compute(key_input_names, &design))
     }
 
     /// The 64-character lower-case hex form (the wire encoding).
@@ -226,6 +255,7 @@ mod tests {
     use super::*;
     use muxlink_benchgen::synth::SynthConfig;
     use muxlink_locking::{dmux, LockOptions};
+    use muxlink_netlist::GateType;
 
     fn locked(seed: u64, gates: usize) -> muxlink_locking::LockedNetlist {
         let design = SynthConfig::new("fp", 14, 6, gates).generate(seed);
@@ -307,17 +337,54 @@ mod tests {
         let l = locked(35, 200);
         let names = l.key_input_names();
         let design = muxlink_graph::extract(&l.netlist, &names).unwrap();
-        let base = DesignFingerprint::compute(&names, &design.muxes);
+        let base = DesignFingerprint::compute(&names, &design);
         // Reordering the names changes the digest (key-bit order is
         // part of the identity).
         let mut reversed = names.clone();
         reversed.reverse();
-        assert_ne!(DesignFingerprint::compute(&reversed, &design.muxes), base);
+        assert_ne!(DesignFingerprint::compute(&reversed, &design), base);
         // Dropping one MUX changes the digest.
-        assert_ne!(DesignFingerprint::compute(&names, &design.muxes[1..]), base);
+        let mut fewer = design.clone();
+        fewer.muxes.remove(0);
+        assert_ne!(DesignFingerprint::compute(&names, &fewer), base);
         // Field-level sensitivity: nudging one source node flips it.
-        let mut tweaked = design.muxes.clone();
-        tweaked[0].src0 = tweaked[0].src0.wrapping_add(1);
+        let mut tweaked = design.clone();
+        tweaked.muxes[0].src0 = tweaked.muxes[0].src0.wrapping_add(1);
         assert_ne!(DesignFingerprint::compute(&names, &tweaked), base);
+    }
+
+    /// The graph scoring reads is part of the identity: one node's gate
+    /// type, one node's originating gate, or one dropped edge each
+    /// change the digest with the key-MUX structure untouched.
+    #[test]
+    fn the_whole_gate_graph_feeds_the_digest() {
+        let l = locked(37, 200);
+        let names = l.key_input_names();
+        let design = muxlink_graph::extract(&l.netlist, &names).unwrap();
+        let base = DesignFingerprint::compute(&names, &design);
+
+        let mut retyped = design.clone();
+        let ty = &mut retyped.graph.gate_types[0];
+        *ty = if *ty == GateType::And {
+            GateType::Or
+        } else {
+            GateType::And
+        };
+        assert_ne!(DesignFingerprint::compute(&names, &retyped), base);
+
+        let mut regated = design.clone();
+        regated.graph.gate_of_node.swap(0, 1);
+        assert_ne!(DesignFingerprint::compute(&names, &regated), base);
+
+        let mut lists = design.graph.adj.to_lists();
+        let (a, b) = (0..lists.len())
+            .find_map(|a| lists[a].first().map(|&b| (a, b as usize)))
+            .expect("the graph has an edge");
+        lists[a].retain(|&j| j as usize != b);
+        lists[b].retain(|&j| j as usize != a);
+        let mut rewired = design.clone();
+        rewired.graph.adj = muxlink_graph::Csr::from_lists(&lists);
+        assert_eq!(rewired.muxes, design.muxes);
+        assert_ne!(DesignFingerprint::compute(&names, &rewired), base);
     }
 }

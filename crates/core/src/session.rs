@@ -511,20 +511,20 @@ impl Trained {
     /// The structural [`DesignFingerprint`] of the design this
     /// checkpoint was trained on — the digest of exactly what
     /// [`Trained::verify_design`] compares (key-input names in key-bit
-    /// order plus the key-MUX structure). The attack service keys its
-    /// checkpoint cache by this value, and the wire protocol carries it
-    /// in hex form.
+    /// order plus the whole extracted design). The attack service keys
+    /// its checkpoint cache by this value, and the wire protocol carries
+    /// it in hex form.
     #[must_use]
     pub fn fingerprint(&self) -> DesignFingerprint {
-        DesignFingerprint::compute(&self.key_input_names, &self.design.muxes)
+        DesignFingerprint::compute(&self.key_input_names, &self.design)
     }
 
     /// Checks that this checkpoint was trained on `netlist`: the
     /// key-input names must match and re-extracting the netlist must
-    /// yield the identical key-MUX structure (gate ids, key bits, sink
-    /// and candidate-source nodes — the [`Trained::fingerprint`] of the
-    /// locked design; extraction is deterministic, so the same design
-    /// always matches).
+    /// yield the identical extracted design — the gate graph scoring
+    /// reads (gates, gate types, wiring) and the key-MUX structure, the
+    /// [`Trained::fingerprint`] of the locked design. Extraction is
+    /// deterministic, so the same design always matches.
     ///
     /// Use this before attributing a [`Trained::score`] result to a
     /// netlist that did not produce the checkpoint in-process: scoring
@@ -548,14 +548,14 @@ impl Trained {
         let design = extract(cleaned.as_ref().unwrap_or(netlist), key_input_names)?;
         // The digest and the structural comparison are pure functions of
         // the same inputs, so they agree everywhere except on a digest
-        // collision — keeping the structural check as a backstop makes
-        // acceptance behaviour bit-identical to the pre-fingerprint
-        // implementation while the digest stays the shared cache/wire
-        // identity.
-        let incoming = DesignFingerprint::compute(key_input_names, &design.muxes);
-        if incoming != self.fingerprint() || design.muxes != self.design.muxes {
+        // collision: the whole design is compared, in place, only once
+        // the digests match.
+        let incoming = DesignFingerprint::compute(key_input_names, &design);
+        if incoming != self.fingerprint() || design != self.design {
             return Err(AttackError::Checkpoint(
-                "checkpoint was trained on a different design (key-MUX structure differs)".into(),
+                "checkpoint was trained on a different design (its gate graph or key-MUX \
+                 structure differs)"
+                    .into(),
             ));
         }
         Ok(())

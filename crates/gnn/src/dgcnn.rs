@@ -15,7 +15,7 @@
 //! in [`crate::batch`], and their gradients are verified against finite
 //! differences in the test suite.
 
-use serde::{Deserialize, Serialize};
+use serde::{map_get, DeError, Deserialize, Serialize, Value};
 
 use crate::matrix::{seeded_rng, strided_gemm_into, Matrix};
 use crate::param::{Gradients, Param};
@@ -81,6 +81,54 @@ impl DgcnnConfig {
         self.k / 2
     }
 
+    /// The name and `(rows, cols)` of every weight tensor [`Dgcnn::new`]
+    /// builds for this config, in the canonical order of
+    /// [`Dgcnn::snapshot`] — or, for a config `Dgcnn::new` refuses or
+    /// whose shapes overflow, why none exists.
+    fn weight_shapes(&self) -> Result<Vec<(String, (usize, usize))>, String> {
+        let min_k = self.conv2_kernel.checked_mul(2);
+        if min_k.is_none_or(|m| self.k < m) {
+            return Err(format!(
+                "model `cfg.k` is {}, below the minimum 2·conv2_kernel for conv2_kernel {}",
+                self.k, self.conv2_kernel
+            ));
+        }
+        if self.input_dim == 0 || self.gc_channels.is_empty() {
+            return Err("model `cfg` has no input width or no graph-convolution layer".into());
+        }
+        let overflow = || format!("model `cfg` tensor sizes overflow: {self:?}");
+        let mut shapes = Vec::new();
+        let mut prev = self.input_dim;
+        for (i, &c) in self.gc_channels.iter().enumerate() {
+            shapes.push((format!("gc[{i}]"), (prev, c)));
+            prev = c;
+        }
+        let ccat = self
+            .gc_channels
+            .iter()
+            .try_fold(0usize, |a, &c| a.checked_add(c))
+            .ok_or_else(overflow)?;
+        let conv2_in = self
+            .conv2_kernel
+            .checked_mul(self.conv1_channels)
+            .ok_or_else(overflow)?;
+        let dense_in = self
+            .k3()
+            .checked_mul(self.conv2_channels)
+            .ok_or_else(overflow)?;
+        shapes.extend([
+            ("conv1_w".to_owned(), (self.conv1_channels, ccat)),
+            ("conv1_b".to_owned(), (1, self.conv1_channels)),
+            ("conv2_w".to_owned(), (self.conv2_channels, conv2_in)),
+            ("conv2_b".to_owned(), (1, self.conv2_channels)),
+            ("dense1_w".to_owned(), (dense_in, self.dense_dim)),
+            ("dense1_b".to_owned(), (1, self.dense_dim)),
+            ("dense2_w".to_owned(), (self.dense_dim, 2)),
+            ("dense2_b".to_owned(), (1, 2)),
+        ]);
+        Ok(shapes)
+    }
+
     pub(crate) fn k3(&self) -> usize {
         self.k2() + 1 - self.conv2_kernel
     }
@@ -91,7 +139,7 @@ impl DgcnnConfig {
 /// Serialisable (weights and architecture) so trained attack models
 /// can be checkpointed and reloaded. The optimiser state is not part of
 /// the model: training keeps it in a [`crate::AdamState`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Dgcnn {
     pub(crate) cfg: DgcnnConfig,
     pub(crate) gc: Vec<Param>,
@@ -103,6 +151,47 @@ pub struct Dgcnn {
     pub(crate) dense1_b: Param,
     pub(crate) dense2_w: Param,
     pub(crate) dense2_b: Param,
+}
+
+/// Reads the serialised fields, then checks every weight tensor against
+/// the shape [`Dgcnn::new`] builds for the stored `cfg` (which must
+/// itself be one `Dgcnn::new` accepts). A model whose config and
+/// weights disagree is refused with a [`DeError`] naming the tensor,
+/// never scored.
+impl Deserialize for Dgcnn {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let param = |key: &str| Param::from_value(map_get(v, key)?);
+        let model = Self {
+            cfg: DgcnnConfig::from_value(map_get(v, "cfg")?)?,
+            gc: Vec::from_value(map_get(v, "gc")?)?,
+            conv1_w: param("conv1_w")?,
+            conv1_b: param("conv1_b")?,
+            conv2_w: param("conv2_w")?,
+            conv2_b: param("conv2_b")?,
+            dense1_w: param("dense1_w")?,
+            dense1_b: param("dense1_b")?,
+            dense2_w: param("dense2_w")?,
+            dense2_b: param("dense2_b")?,
+        };
+        let shapes = model.cfg.weight_shapes().map_err(DeError)?;
+        if model.gc.len() != model.cfg.gc_channels.len() {
+            return Err(DeError(format!(
+                "model has {} graph-convolution tensors, but `cfg.gc_channels` gives {}",
+                model.gc.len(),
+                model.cfg.gc_channels.len()
+            )));
+        }
+        for (p, (name, (rows, cols))) in model.params().into_iter().zip(shapes) {
+            let got = (p.w.rows(), p.w.cols());
+            if got != (rows, cols) {
+                return Err(DeError(format!(
+                    "model tensor `{name}` has shape {}×{}, but `cfg` gives {rows}×{cols}",
+                    got.0, got.1
+                )));
+            }
+        }
+        Ok(model)
+    }
 }
 
 /// The two convolution weights transposed to `window × outputs`, the
@@ -543,6 +632,77 @@ mod tests {
         let restored: Dgcnn = serde_json::from_str(&json).unwrap();
         assert_eq!(model.predict_batch(&s[..]), restored.predict_batch(&s[..]));
         assert_eq!(model.parameter_count(), restored.parameter_count());
+    }
+
+    #[test]
+    fn weight_shapes_are_the_shapes_new_builds() {
+        for cfg in [
+            tiny_cfg(),
+            DgcnnConfig::paper(40, 30),
+            DgcnnConfig::paper(103, 47),
+        ] {
+            let model = Dgcnn::new(cfg.clone());
+            let built: Vec<(usize, usize)> = model
+                .params()
+                .iter()
+                .map(|p| (p.w.rows(), p.w.cols()))
+                .collect();
+            let shapes: Vec<(usize, usize)> = cfg
+                .weight_shapes()
+                .unwrap()
+                .into_iter()
+                .map(|(_, s)| s)
+                .collect();
+            assert_eq!(built, shapes);
+        }
+    }
+
+    /// A serialised model whose `cfg` was edited away from its weights
+    /// is refused on decode, naming the tensor or the field, and never
+    /// panics — even for values `Dgcnn::new` would refuse.
+    #[test]
+    fn decode_refuses_weights_that_do_not_fit_the_config() {
+        use serde::Value;
+        let model = Dgcnn::new(DgcnnConfig::paper(11, 12));
+        let json = serde_json::to_string(&model).unwrap();
+        let edited = |key: &str, value: u64| -> String {
+            let mut v = serde_json::from_str::<Value>(&json).unwrap();
+            let Value::Map(top) = &mut v else {
+                panic!("a model is a map")
+            };
+            let Value::Map(cfg) = &mut top.iter_mut().find(|(k, _)| k == "cfg").unwrap().1 else {
+                panic!("`cfg` is a map")
+            };
+            cfg.iter_mut().find(|(k, _)| k == key).unwrap().1 = value.to_value();
+            let text = serde_json::to_string(&v).unwrap();
+            serde_json::from_str::<Dgcnn>(&text)
+                .unwrap_err()
+                .to_string()
+        };
+        let err = edited("input_dim", 9);
+        assert!(
+            err.contains("`gc[0]` has shape 11×32, but `cfg` gives 9×32"),
+            "{err}"
+        );
+        let err = edited("k", 14);
+        assert!(err.contains("`dense1_w`"), "{err}");
+        let err = edited("dense_dim", 64);
+        assert!(err.contains("`dense1_w`"), "{err}");
+        for k in [0, 9] {
+            let err = edited("k", k);
+            assert!(err.contains(&format!("`cfg.k` is {k}")), "{err}");
+        }
+        let err = edited("conv2_kernel", i64::MAX as u64);
+        assert!(err.contains("`cfg.k`"), "{err}");
+        let err = edited("conv1_channels", i64::MAX as u64);
+        assert!(
+            err.contains("`conv1_w`") || err.contains("overflow"),
+            "{err}"
+        );
+        let err = edited("input_dim", 0);
+        assert!(err.contains("no input width"), "{err}");
+        // The untouched text still decodes.
+        assert!(serde_json::from_str::<Dgcnn>(&json).is_ok());
     }
 
     #[test]

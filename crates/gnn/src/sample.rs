@@ -12,15 +12,14 @@
 //! neighbours' rows in ascending neighbour order (the order [`Csr`]
 //! stores); [`propagate_back`] scatters in ascending node order. The
 //! summation order is a pure function of the graph, so outputs are
-//! bit-identical across runs, thread counts and buffer reuse. The
-//! adjacency-list reference implementations ([`propagate_ref`],
-//! [`propagate_back_ref`]) define this order; the property suite asserts
-//! exact equality between the CSR kernels and the references.
+//! bit-identical across runs, thread counts and buffer reuse. Adjacency-
+//! list reference implementations in the integration-test support crate
+//! define this order; the property suite asserts exact equality between
+//! the CSR kernels and the references.
 
 use muxlink_graph::{
     Csr, CsrView, Layer0PlanView, OneHotFeatures, OneHotView, SampleArena, SampleHandle,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::matrix::{axpy_rows_tiled, Matrix};
 
@@ -32,7 +31,7 @@ use crate::matrix::{axpy_rows_tiled, Matrix};
 /// in that compact form — 8 bytes per node instead of `4 · cols` — and
 /// the first graph-convolution layer consumes the sparse rows of `S·X`
 /// built from it (see [`plan_matmul_into`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GraphSample {
     /// CSR adjacency over local node indices (sorted neighbour runs).
     pub adj: Csr,
@@ -430,53 +429,6 @@ pub fn propagate_back_into<'a>(adj: impl Into<CsrView<'a>>, g: &Matrix, out: &mu
     }
 }
 
-/// Adjacency-list reference implementation of [`propagate`] — retained as
-/// the executable specification the CSR kernel is property-tested against
-/// (exact bitwise equality).
-#[must_use]
-pub fn propagate_ref(adj: &[Vec<u32>], h: &Matrix) -> Matrix {
-    let n = adj.len();
-    let c = h.cols();
-    assert_eq!(h.rows(), n);
-    let mut out = Matrix::zeros(n, c);
-    for (i, nbrs) in adj.iter().enumerate() {
-        let scale = 1.0 / (1.0 + nbrs.len() as f32);
-        let mut acc: Vec<f32> = h.row(i).to_vec();
-        for &j in nbrs {
-            for (a, &b) in acc.iter_mut().zip(h.row(j as usize)) {
-                *a += b;
-            }
-        }
-        for (o, a) in out.row_mut(i).iter_mut().zip(&acc) {
-            *o = a * scale;
-        }
-    }
-    out
-}
-
-/// Adjacency-list reference implementation of [`propagate_back`] (see
-/// [`propagate_ref`]).
-#[must_use]
-pub fn propagate_back_ref(adj: &[Vec<u32>], g: &Matrix) -> Matrix {
-    let n = adj.len();
-    let c = g.cols();
-    assert_eq!(g.rows(), n);
-    let mut out = Matrix::zeros(n, c);
-    for (i, nbrs) in adj.iter().enumerate() {
-        let scale = 1.0 / (1.0 + nbrs.len() as f32);
-        let grow: Vec<f32> = g.row(i).iter().map(|&x| x * scale).collect();
-        for (o, &v) in out.row_mut(i).iter_mut().zip(&grow) {
-            *o += v;
-        }
-        for &j in nbrs {
-            for (o, &v) in out.row_mut(j as usize).iter_mut().zip(&grow) {
-                *o += v;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use rand::Rng;
@@ -519,16 +471,6 @@ mod tests {
         let h = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let p = propagate(&adj, &h);
         assert_eq!(p, h);
-    }
-
-    #[test]
-    fn csr_kernels_match_reference_bitwise() {
-        let lists = vec![vec![1, 2, 4], vec![0, 3], vec![0], vec![1, 4], vec![0, 3]];
-        let adj = Csr::from_lists(&lists);
-        let mut rng = seeded_rng(11);
-        let h = Matrix::glorot(5, 7, &mut rng);
-        assert_eq!(propagate(&adj, &h), propagate_ref(&lists, &h));
-        assert_eq!(propagate_back(&adj, &h), propagate_back_ref(&lists, &h));
     }
 
     fn tiny_onehot() -> OneHotFeatures {
@@ -667,20 +609,6 @@ mod tests {
         assert_eq!((v.features.rows(), v.features.cols()), (4, 11));
         let d = dense(&s.features);
         assert_eq!((d.rows(), d.cols()), (4, 11));
-    }
-
-    #[test]
-    fn graph_sample_serde_round_trips() {
-        let s = GraphSample {
-            adj: Csr::from_lists(&[vec![1], vec![0, 2], vec![1]]),
-            features: OneHotFeatures::new(11, vec![0, 3, 7], vec![1, 0, 2]),
-            label: Some(true),
-        };
-        let json = serde_json::to_string(&s).unwrap();
-        let back: GraphSample = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.adj, s.adj);
-        assert_eq!(back.label, s.label);
-        assert_eq!(back.features, s.features);
     }
 
     #[test]

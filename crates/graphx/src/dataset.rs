@@ -1,59 +1,21 @@
 //! Step ③+④ batched: dataset generation for GNN training and validation.
 //!
 //! Each DRNL-labelled enclosing subgraph is independent of every other,
-//! so extraction fans out over the ambient rayon pool; link sampling,
-//! shuffling and the split stay sequential and seed-driven, making the
-//! dataset bit-identical for any thread count.
+//! so extraction fans out over the ambient rayon pool and writes straight
+//! into a [`SampleArena`]; link sampling, shuffling and the split stay
+//! sequential and seed-driven, making the dataset bit-identical for any
+//! thread count.
 
 use std::collections::HashSet;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::arena::{SampleArena, SampleHandle};
 use crate::graph::{CircuitGraph, Link};
 use crate::sampling::sample_links;
-use crate::subgraph::{enclosing_subgraph, Subgraph};
-
-/// One labelled training example: an enclosing subgraph and whether its
-/// target pair is an observed wire.
-#[derive(Debug, Clone)]
-pub struct LinkSample {
-    /// The sampled link.
-    pub link: Link,
-    /// True for observed (positive) links.
-    pub label: bool,
-    /// The enclosing subgraph around the link.
-    pub subgraph: Subgraph,
-}
-
-/// A train/validation split of link samples.
-#[derive(Debug, Clone)]
-pub struct Dataset {
-    /// Training samples (shuffled, balanced).
-    pub train: Vec<LinkSample>,
-    /// Validation samples (paper: 10 % of the sampled links).
-    pub val: Vec<LinkSample>,
-    /// Largest DRNL label over all samples — fixes the feature width.
-    pub max_label: u32,
-}
-
-impl Dataset {
-    /// Total number of samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.train.len() + self.val.len()
-    }
-
-    /// True when the dataset contains no samples.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// Dataset-generation parameters (paper defaults: `h = 3`,
 /// `max_train_links = 100_000`, 10 % validation).
@@ -90,56 +52,12 @@ impl Default for DatasetConfig {
     }
 }
 
-/// Builds a balanced, shuffled, split dataset of enclosing subgraphs from
-/// the observed/unobserved links of `graph`, never sampling any link in
-/// `targets`.
-#[must_use]
-pub fn build_dataset(graph: &CircuitGraph, targets: &[Link], cfg: &DatasetConfig) -> Dataset {
-    let exclude: HashSet<Link> = targets.iter().copied().collect();
-    let sampling = sample_links(graph, &exclude, cfg.max_train_links, cfg.seed);
-
-    // Fixed job list first (sequential, seed-driven), then parallel
-    // subgraph extraction; `collect` preserves job order.
-    let jobs: Vec<(Link, bool)> = sampling
-        .positives
-        .iter()
-        .map(|&l| (l, true))
-        .chain(sampling.negatives.iter().map(|&l| (l, false)))
-        .collect();
-    let mut samples: Vec<LinkSample> = jobs
-        .par_iter()
-        .map(|&(link, label)| LinkSample {
-            link,
-            label,
-            subgraph: enclosing_subgraph(graph, link, cfg.h, cfg.max_subgraph_nodes),
-        })
-        .collect();
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(0x9E37_79B9));
-    samples.shuffle(&mut rng);
-
-    let max_label = samples
-        .iter()
-        .map(|s| s.subgraph.max_label())
-        .max()
-        .unwrap_or(1);
-    let val_len = ((samples.len() as f64) * cfg.val_fraction).round() as usize;
-    let val = samples.split_off(samples.len().saturating_sub(val_len));
-    Dataset {
-        train: samples,
-        val,
-        max_label,
-    }
-}
-
-/// The arena-pooled twin of [`Dataset`]: every sample's adjacency and
-/// features live in one [`SampleArena`]; the train/validation split is a
-/// pair of shuffled handle lists.
+/// A balanced, shuffled, split link dataset: every sample's adjacency
+/// and features live in one [`SampleArena`]; the train/validation split
+/// is a pair of shuffled handle lists.
 ///
-/// Built by [`build_dataset_arena`], which is **bit-identical** to
-/// [`build_dataset`] sample for sample: the same links, the same
-/// extraction, the same shuffle permutation and split — only the storage
-/// differs (five shared slabs instead of three-plus heap allocations per
-/// sample). Serializable, like every stage artifact that carries it.
+/// Built by [`build_dataset_arena`]. Serializable, like every stage
+/// artifact that carries it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ArenaDataset {
     /// Pooled sample storage.
@@ -166,11 +84,16 @@ impl ArenaDataset {
     }
 }
 
-/// [`build_dataset`] into pooled arena storage: identical samples, split
-/// and `max_label` (property-tested bitwise), with candidate links
-/// streamed into the arena `cfg.chunk` at a time (0 = one pass) so the
-/// build's transient memory — per-range local arenas — stays bounded
-/// while the per-sample `Vec`s of the owned path disappear entirely.
+/// Builds a balanced, shuffled, split dataset of enclosing subgraphs from
+/// the observed/unobserved links of `graph`, never sampling any link in
+/// `targets`.
+///
+/// Candidate links are streamed into the arena `cfg.chunk` at a time
+/// (0 = one pass), so the build's transient memory — per-range local
+/// arenas — stays bounded. Handle `i` is job `i` of the fixed job list
+/// (sampled positives, then negatives); the shuffle permutes handles.
+/// The integration-test support crate keeps an owned per-sample build as
+/// the executable specification this one is pinned to bit for bit.
 #[must_use]
 pub fn build_dataset_arena(
     graph: &CircuitGraph,
@@ -180,9 +103,8 @@ pub fn build_dataset_arena(
     let exclude: HashSet<Link> = targets.iter().copied().collect();
     let sampling = sample_links(graph, &exclude, cfg.max_train_links, cfg.seed);
 
-    // The same fixed job list as `build_dataset`, streamed into the
-    // arena in bounded chunks (order preserved, so handle `i` is the
-    // owned path's sample `i`).
+    // Fixed job list first (sequential, seed-driven), streamed into the
+    // arena in bounded chunks (order preserved, so handle `i` is job `i`).
     let jobs: Vec<(Link, Option<bool>)> = sampling
         .positives
         .iter()
@@ -199,8 +121,7 @@ pub fn build_dataset_arena(
         arena.extend_extract(graph, part, cfg.h, cfg.max_subgraph_nodes);
     }
 
-    // Shuffle handles with the same RNG stream the owned path shuffles
-    // samples with — identical permutation, identical split.
+    // Shuffle handles, then split: the tail is the validation set.
     let mut handles: Vec<SampleHandle> = (0..arena.len()).map(|i| arena.nth_handle(i)).collect();
     let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(0x9E37_79B9));
     handles.shuffle(&mut rng);
@@ -224,23 +145,11 @@ pub fn build_dataset_arena(
     }
 }
 
-/// Extracts the (unlabelled) enclosing subgraphs for the attack-time target
-/// links, using the same `h`/cap as training.
-#[must_use]
-pub fn target_subgraphs(
-    graph: &CircuitGraph,
-    targets: &[Link],
-    cfg: &DatasetConfig,
-) -> Vec<Subgraph> {
-    targets
-        .par_iter()
-        .map(|&l| enclosing_subgraph(graph, l, cfg.h, cfg.max_subgraph_nodes))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::one_hot_features;
+    use crate::subgraph::{enclosing_subgraph, Subgraph};
     use muxlink_netlist::{GateId, GateType};
 
     fn ring(n: usize) -> CircuitGraph {
@@ -265,32 +174,46 @@ mod tests {
         }
     }
 
-    /// Asserts an arena-backed dataset carries exactly the owned
-    /// dataset's samples: same split sizes, same per-position adjacency,
-    /// features and labels, same `max_label`.
-    fn assert_matches_owned(owned: &Dataset, pooled: &ArenaDataset) {
-        assert_eq!(owned.max_label, pooled.max_label);
-        assert_eq!(owned.train.len(), pooled.train.len());
-        assert_eq!(owned.val.len(), pooled.val.len());
-        for (samples, handles) in [(&owned.train, &pooled.train), (&owned.val, &pooled.val)] {
-            for (s, &h) in samples.iter().zip(handles.iter()) {
-                assert_eq!(pooled.arena.label(h), Some(s.label));
-                assert_eq!(pooled.arena.adj(h).to_owned_csr(), s.subgraph.adj);
+    /// The link, class label and owned subgraph behind each handle of
+    /// `hs`. Handle `i` is job `i` of the build's job list (sampled
+    /// positives, then negatives), re-derived here from the same
+    /// sampling; every stored sample is checked against a fresh
+    /// extraction of its link, so the links returned are the ones the
+    /// samples were built from.
+    fn links_of(
+        g: &CircuitGraph,
+        targets: &[Link],
+        c: &DatasetConfig,
+        ds: &ArenaDataset,
+        hs: &[SampleHandle],
+    ) -> Vec<(Link, bool, Subgraph)> {
+        let exclude: HashSet<Link> = targets.iter().copied().collect();
+        let sampling = sample_links(g, &exclude, c.max_train_links, c.seed);
+        let jobs: Vec<(Link, bool)> = sampling
+            .positives
+            .iter()
+            .map(|&l| (l, true))
+            .chain(sampling.negatives.iter().map(|&l| (l, false)))
+            .collect();
+        assert_eq!(ds.len(), jobs.len());
+        hs.iter()
+            .map(|&h| {
+                let (link, label) = jobs[h.index()];
+                let sg = enclosing_subgraph(g, link, c.h, c.max_subgraph_nodes);
+                assert_eq!(ds.arena.label(h), Some(label));
+                assert_eq!(ds.arena.adj(h).to_owned_csr(), sg.adj);
                 assert_eq!(
-                    pooled.arena.one_hot(h, owned.max_label).to_owned_features(),
-                    crate::features::one_hot_features(&s.subgraph, owned.max_label)
+                    ds.arena.one_hot(h, ds.max_label).to_owned_features(),
+                    one_hot_features(&sg, ds.max_label)
                 );
-            }
-        }
+                (link, label, sg)
+            })
+            .collect()
     }
 
-    #[test]
-    fn arena_build_matches_owned_build_bitwise() {
-        let g = ring(100);
-        let targets = vec![Link::new(0, 3), Link::new(10, 40)];
-        let owned = build_dataset(&g, &targets, &cfg(80));
-        let pooled = build_dataset_arena(&g, &targets, &cfg(80));
-        assert_matches_owned(&owned, &pooled);
+    /// Every handle of `ds`, training split first.
+    fn all(ds: &ArenaDataset) -> Vec<SampleHandle> {
+        ds.train.iter().chain(&ds.val).copied().collect()
     }
 
     #[test]
@@ -338,21 +261,25 @@ mod tests {
     #[test]
     fn dataset_is_balanced_and_split() {
         let g = ring(100);
-        let ds = build_dataset(&g, &[], &cfg(80));
+        let ds = build_dataset_arena(&g, &[], &cfg(80));
         assert_eq!(ds.len(), 80);
         assert_eq!(ds.val.len(), 8);
-        let pos = ds.train.iter().chain(&ds.val).filter(|s| s.label).count();
+        let pos = all(&ds)
+            .into_iter()
+            .filter(|&h| ds.arena.label(h) == Some(true))
+            .count();
         assert_eq!(pos, 40);
     }
 
     #[test]
     fn positive_subgraphs_do_not_contain_their_link() {
         let g = ring(60);
-        let ds = build_dataset(&g, &[], &cfg(40));
-        for s in ds.train.iter().chain(&ds.val) {
-            let (lf, lg) = s.subgraph.target;
+        let ds = build_dataset_arena(&g, &[], &cfg(40));
+        let hs = all(&ds);
+        for (&h, (_, _, sg)) in hs.iter().zip(links_of(&g, &[], &cfg(40), &ds, &hs)) {
+            let (lf, lg) = sg.target;
             assert!(
-                !s.subgraph.adj.contains_edge(lf, lg),
+                !ds.arena.adj(h).to_owned_csr().contains_edge(lf, lg),
                 "target edge leaked into subgraph"
             );
         }
@@ -362,42 +289,33 @@ mod tests {
     fn targets_never_sampled() {
         let g = ring(50);
         let targets = vec![Link::new(0, 1), Link::new(10, 30)];
-        let ds = build_dataset(&g, &targets, &cfg(1000));
-        for s in ds.train.iter().chain(&ds.val) {
-            assert!(!targets.contains(&s.link));
+        let ds = build_dataset_arena(&g, &targets, &cfg(1000));
+        for (link, _, _) in links_of(&g, &targets, &cfg(1000), &ds, &all(&ds)) {
+            assert!(!targets.contains(&link));
         }
     }
 
     #[test]
     fn max_label_covers_all_samples() {
         let g = ring(80);
-        let ds = build_dataset(&g, &[], &cfg(60));
-        for s in ds.train.iter().chain(&ds.val) {
-            assert!(s.subgraph.max_label() <= ds.max_label);
-        }
-    }
-
-    #[test]
-    fn target_subgraphs_align_with_targets() {
-        let g = ring(40);
-        let targets = vec![Link::new(3, 17), Link::new(5, 6)];
-        let sgs = target_subgraphs(&g, &targets, &cfg(10));
-        assert_eq!(sgs.len(), 2);
-        for (sg, t) in sgs.iter().zip(&targets) {
-            let (lf, lg) = sg.target;
-            assert_eq!(sg.nodes[lf as usize], t.a);
-            assert_eq!(sg.nodes[lg as usize], t.b);
+        let ds = build_dataset_arena(&g, &[], &cfg(60));
+        for (_, _, sg) in links_of(&g, &[], &cfg(60), &ds, &all(&ds)) {
+            assert!(sg.max_label() <= ds.max_label);
         }
     }
 
     #[test]
     fn deterministic_dataset() {
         let g = ring(64);
-        let a = build_dataset(&g, &[], &cfg(50));
-        let b = build_dataset(&g, &[], &cfg(50));
-        let la: Vec<_> = a.train.iter().map(|s| (s.link, s.label)).collect();
-        let lb: Vec<_> = b.train.iter().map(|s| (s.link, s.label)).collect();
-        assert_eq!(la, lb);
+        let a = build_dataset_arena(&g, &[], &cfg(50));
+        let b = build_dataset_arena(&g, &[], &cfg(50));
+        let links = |ds: &ArenaDataset| -> Vec<(Link, bool)> {
+            links_of(&g, &[], &cfg(50), ds, &ds.train)
+                .into_iter()
+                .map(|(link, label, _)| (link, label))
+                .collect()
+        };
+        assert_eq!(links(&a), links(&b));
     }
 
     /// One full sample-by-sample comparison between a 1-thread and a
@@ -406,47 +324,34 @@ mod tests {
     #[test]
     fn parallel_build_matches_sequential() {
         let g = ring(120);
+        let targets = [Link::new(0, 3)];
         let run = |threads: usize| {
             rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .expect("pool")
-                .install(|| build_dataset(&g, &[Link::new(0, 3)], &cfg(90)))
+                .install(|| build_dataset_arena(&g, &targets, &cfg(90)))
         };
         let seq = run(1);
         let par = run(4);
         assert_eq!(seq.max_label, par.max_label);
         for (a, b) in [(&seq.train, &par.train), (&seq.val, &par.val)] {
             assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(x.link, y.link);
-                assert_eq!(x.label, y.label);
-                assert_eq!(x.subgraph.nodes, y.subgraph.nodes);
-                assert_eq!(x.subgraph.adj, y.subgraph.adj);
-                assert_eq!(x.subgraph.labels, y.subgraph.labels);
+            let xs = links_of(&g, &targets, &cfg(90), &seq, a);
+            let ys = links_of(&g, &targets, &cfg(90), &par, b);
+            for ((x, y), (&ha, &hb)) in xs.iter().zip(&ys).zip(a.iter().zip(b.iter())) {
+                assert_eq!(x.0, y.0);
+                assert_eq!(x.1, y.1);
+                assert_eq!(x.2.nodes, y.2.nodes);
+                assert_eq!(
+                    seq.arena.adj(ha).to_owned_csr(),
+                    par.arena.adj(hb).to_owned_csr()
+                );
+                assert_eq!(
+                    seq.arena.one_hot(ha, seq.max_label).to_owned_features(),
+                    par.arena.one_hot(hb, par.max_label).to_owned_features()
+                );
             }
-        }
-    }
-
-    #[test]
-    fn parallel_target_subgraphs_match_sequential() {
-        let g = ring(60);
-        let targets: Vec<Link> = (0..20).map(|i| Link::new(i, (i + 7) % 60)).collect();
-        let run = |threads: usize| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool")
-                .install(|| target_subgraphs(&g, &targets, &cfg(10)))
-        };
-        let seq = run(1);
-        let par = run(4);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.nodes, b.nodes);
-            assert_eq!(a.adj, b.adj);
-            assert_eq!(a.labels, b.labels);
-            assert_eq!(a.target, b.target);
         }
     }
 }

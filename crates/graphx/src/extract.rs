@@ -102,7 +102,7 @@ impl MuxCandidate {
 ///
 /// Deserialising checks the graph (see [`CircuitGraph`]) and that every
 /// MUX's sink and sources are nodes of it.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExtractedDesign {
     /// The undirected gate graph (key MUXes removed, target links absent).
     pub graph: CircuitGraph,

@@ -122,8 +122,7 @@ impl OneHotFeatures {
     }
 
     /// Expands into the equivalent dense [`FeatureMatrix`] — the single
-    /// source of truth for the dense layout
-    /// ([`node_feature_matrix`] is exactly this expansion).
+    /// source of truth for the dense layout.
     #[must_use]
     pub fn to_dense(&self) -> FeatureMatrix {
         let cols = self.cols;
@@ -239,14 +238,6 @@ pub fn one_hot_features(sg: &Subgraph, max_label: u32) -> OneHotFeatures {
     }
 }
 
-/// Builds the dense node information matrix X for one subgraph — the
-/// expansion of [`one_hot_features`] (kept for dense consumers and as the
-/// executable spec the sparse GNN path is tested against).
-#[must_use]
-pub fn node_feature_matrix(sg: &Subgraph, max_label: u32) -> FeatureMatrix {
-    one_hot_features(sg, max_label).to_dense()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,7 +257,7 @@ mod tests {
     #[test]
     fn one_hot_rows_sum_to_two() {
         let sg = tiny_subgraph();
-        let m = node_feature_matrix(&sg, sg.max_label());
+        let m = one_hot_features(&sg, sg.max_label()).to_dense();
         for r in 0..m.rows {
             let s: f32 = (0..m.cols).map(|c| m.get(r, c)).sum();
             assert_eq!(s, 2.0, "gate one-hot + label one-hot");
@@ -276,7 +267,7 @@ mod tests {
     #[test]
     fn gate_type_bit_set_correctly() {
         let sg = tiny_subgraph();
-        let m = node_feature_matrix(&sg, sg.max_label());
+        let m = one_hot_features(&sg, sg.max_label()).to_dense();
         for (i, ty) in sg.gate_types.iter().enumerate() {
             assert_eq!(m.get(i, ty.encoding_index().unwrap()), 1.0);
         }
@@ -286,7 +277,7 @@ mod tests {
     fn label_overflow_clamped() {
         let sg = tiny_subgraph();
         // Force a tiny label budget; everything must clamp, not panic.
-        let m = node_feature_matrix(&sg, 0);
+        let m = one_hot_features(&sg, 0).to_dense();
         assert_eq!(m.cols, feature_cols(0));
         for r in 0..m.rows {
             assert_eq!(m.get(r, GATE_TYPE_COUNT), 1.0);
@@ -303,7 +294,7 @@ mod tests {
     fn one_hot_matches_dense_exactly() {
         let sg = tiny_subgraph();
         let oh = one_hot_features(&sg, sg.max_label());
-        let dense = node_feature_matrix(&sg, sg.max_label());
+        let dense = one_hot_features(&sg, sg.max_label()).to_dense();
         assert_eq!(oh.rows(), dense.rows);
         assert_eq!(oh.cols, dense.cols);
         assert_eq!(oh.to_dense(), dense);
@@ -320,7 +311,7 @@ mod tests {
         let oh = one_hot_features(&sg, 0);
         assert_eq!(oh.cols, feature_cols(0));
         assert!(oh.label.iter().all(|&l| l == 0));
-        assert_eq!(oh.to_dense(), node_feature_matrix(&sg, 0));
+        assert_eq!(oh.to_dense(), one_hot_features(&sg, 0).to_dense());
     }
 
     #[test]

@@ -33,7 +33,7 @@ impl Link {
 ///
 /// Deserialising checks the adjacency (see [`Csr`]) and that both
 /// per-node vectors have one plain encoded gate per node.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CircuitGraph {
     /// For each node, the originating gate in the locked netlist.
     pub gate_of_node: Vec<GateId>,

@@ -13,16 +13,15 @@
 //! 2. [`subgraph::enclosing_subgraph`] — induce the h-hop neighbourhood of
 //!    a node pair.
 //! 3. [`drnl`] — double-radius node labeling (Zhang & Chen, NeurIPS'18).
-//! 4. [`features::node_feature_matrix`] — 8-bit gate-type one-hot ⊕ DRNL
-//!    one-hot.
-//! 5. [`dataset::build_dataset`] — balanced observed/unobserved link
-//!    samples with a validation split (paper: ≤ 100 000 links, 10 % val).
+//! 4. [`features::one_hot_features`] — 8-bit gate-type one-hot ⊕ DRNL
+//!    one-hot, stored two-hot.
+//! 5. [`dataset::build_dataset_arena`] — balanced observed/unobserved
+//!    link samples with a validation split (paper: ≤ 100 000 links,
+//!    10 % val).
 //!
-//! The production storage for steps ③–⑤ is the pooled
-//! [`arena::SampleArena`] ([`dataset::build_dataset_arena`]): whole
+//! Every sample store is the pooled [`arena::SampleArena`]: whole
 //! datasets in a handful of flat slabs, samples addressed by handles and
-//! read through borrowed views — bit-identical to the owned per-sample
-//! types, which are retained as the executable reference.
+//! read through borrowed views.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +42,7 @@ pub mod subgraph;
 pub use arena::{Layer0PlanView, Layer0Plans, SampleArena, SampleHandle};
 pub use batch::BlockDiagBatch;
 pub use csr::{Csr, CsrBuilder, CsrView};
-pub use dataset::{build_dataset, build_dataset_arena, ArenaDataset, Dataset, LinkSample};
+pub use dataset::{build_dataset_arena, ArenaDataset};
 pub use extract::{extract, ExtractError, ExtractedDesign, MuxCandidate};
 pub use features::{one_hot_features, OneHotFeatures, OneHotView};
 pub use graph::{CircuitGraph, Link};

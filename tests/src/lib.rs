@@ -5,10 +5,14 @@
 //! (the per-sample training loop), [`to_graph_sample`] (owned samples
 //! from enclosing subgraphs), and [`NoPlans`] / [`MixedPlans`] (stores
 //! without cached layer-0 plans, or with them for every other sample),
-//! [`extract_oracle`] (the hashed netlist-to-graph extractor) and
-//! [`adam_oracle`] (Adam with per-tensor moments).
+//! [`extract_oracle`] (the hashed netlist-to-graph extractor),
+//! [`adam_oracle`] (Adam with per-tensor moments), [`dataset_oracle`]
+//! (the owned per-sample dataset build) and the adjacency-list
+//! propagation references ([`reference::propagate_ref`],
+//! [`reference::propagate_back_ref`]).
 
 pub mod adam_oracle;
+pub mod dataset_oracle;
 pub mod extract_oracle;
 pub mod reference;
 
@@ -233,6 +237,64 @@ pub fn reference_train<S: SampleStore + ?Sized, V: SampleStore + ?Sized>(
             best_val_accuracy: f64::NAN,
         },
     }
+}
+
+/// `bench` with its first `AND` gate turned into an `OR` gate: one
+/// graph node's gate type changes, every wire and every key MUX stays.
+#[must_use]
+pub fn first_and_to_or(bench: &str) -> String {
+    assert!(bench.contains("= AND("), "the design has an AND gate");
+    bench.replacen("= AND(", "= OR(", 1)
+}
+
+/// `bench` with one gate input moved from a gate-driven net to a
+/// non-key primary input, at a gate that neither drives nor reads any
+/// net a MUX touches: a rewiring outside every key-MUX cone. One graph
+/// edge disappears; the key-MUX candidates stay.
+#[must_use]
+pub fn rewire_outside_mux_cones(bench: &str) -> String {
+    let gate = |line: &str| -> Option<(String, String, Vec<String>)> {
+        let (out, rhs) = line.split_once(" = ")?;
+        let (ty, args) = rhs.strip_suffix(')')?.split_once('(')?;
+        let ins = args.split(',').map(|a| a.trim().to_owned()).collect();
+        Some((out.trim().to_owned(), ty.to_owned(), ins))
+    };
+    let pis: Vec<&str> = bench
+        .lines()
+        .filter_map(|l| l.strip_prefix("INPUT(")?.strip_suffix(')'))
+        .collect();
+    let pi = *pis
+        .iter()
+        .find(|n| !n.starts_with("keyinput"))
+        .expect("the design has a non-key primary input");
+    let mut mux_nets = std::collections::HashSet::new();
+    for (out, ty, ins) in bench.lines().filter_map(gate) {
+        if ty == "MUX" {
+            mux_nets.insert(out);
+            mux_nets.extend(ins);
+        }
+    }
+    let lines: Vec<&str> = bench.lines().collect();
+    let at = lines
+        .iter()
+        .position(|l| {
+            gate(l).is_some_and(|(out, ty, ins)| {
+                ty != "MUX"
+                    && ins.len() >= 2
+                    && !mux_nets.contains(&out)
+                    && ins
+                        .iter()
+                        .all(|i| !mux_nets.contains(i) && !pis.contains(&i.as_str()))
+                    && ins[1..].iter().all(|i| *i != ins[0])
+            })
+        })
+        .expect("some gate lies outside every MUX cone");
+    let (out, ty, mut ins) = gate(lines[at]).unwrap();
+    ins[0] = pi.to_owned();
+    let rewired = format!("{out} = {ty}({})", ins.join(", "));
+    let mut text: Vec<String> = lines.iter().map(|l| (*l).to_owned()).collect();
+    text[at] = rewired;
+    text.join("\n") + "\n"
 }
 
 /// Converts an enclosing subgraph into an owned GNN input sample with

@@ -630,3 +630,52 @@ pub fn reference_evaluate<S: SampleStore + ?Sized>(model: &Dgcnn, samples: &S) -
         (loss / count as f64, correct as f64 / count as f64)
     }
 }
+
+/// Adjacency-list reference implementation of
+/// [`propagate`](muxlink_gnn::sample::propagate): the executable
+/// specification of the CSR kernel's summation order, property-tested
+/// against it for exact bitwise equality.
+#[must_use]
+pub fn propagate_ref(adj: &[Vec<u32>], h: &Matrix) -> Matrix {
+    let n = adj.len();
+    let c = h.cols();
+    assert_eq!(h.rows(), n);
+    let mut out = Matrix::zeros(n, c);
+    for (i, nbrs) in adj.iter().enumerate() {
+        let scale = 1.0 / (1.0 + nbrs.len() as f32);
+        let mut acc: Vec<f32> = h.row(i).to_vec();
+        for &j in nbrs {
+            for (a, &b) in acc.iter_mut().zip(h.row(j as usize)) {
+                *a += b;
+            }
+        }
+        for (o, a) in out.row_mut(i).iter_mut().zip(&acc) {
+            *o = a * scale;
+        }
+    }
+    out
+}
+
+/// Adjacency-list reference implementation of
+/// [`propagate_back`](muxlink_gnn::sample::propagate_back) (see
+/// [`propagate_ref`]).
+#[must_use]
+pub fn propagate_back_ref(adj: &[Vec<u32>], g: &Matrix) -> Matrix {
+    let n = adj.len();
+    let c = g.cols();
+    assert_eq!(g.rows(), n);
+    let mut out = Matrix::zeros(n, c);
+    for (i, nbrs) in adj.iter().enumerate() {
+        let scale = 1.0 / (1.0 + nbrs.len() as f32);
+        let grow: Vec<f32> = g.row(i).iter().map(|&x| x * scale).collect();
+        for (o, &v) in out.row_mut(i).iter_mut().zip(&grow) {
+            *o += v;
+        }
+        for &j in nbrs {
+            for (o, &v) in out.row_mut(j as usize).iter_mut().zip(&grow) {
+                *o += v;
+            }
+        }
+    }
+    out
+}

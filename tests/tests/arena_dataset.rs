@@ -6,12 +6,15 @@
 
 use muxlink_core::{AttackSession, MuxLinkConfig, NoProgress, Prepared, Trained};
 use muxlink_gnn::{train, ArenaSamples, Dgcnn, DgcnnConfig, GraphSample, TrainConfig};
-use muxlink_graph::dataset::{
-    build_dataset, build_dataset_arena, target_subgraphs, DatasetConfig, LinkSample,
+use muxlink_graph::dataset::{build_dataset_arena, ArenaDataset, DatasetConfig};
+use muxlink_graph::graph::{CircuitGraph, Link};
+use muxlink_graph::{extract, one_hot_features};
+use muxlink_integration_tests::dataset_oracle::{
+    build_dataset, target_subgraphs, Dataset, LinkSample,
 };
-use muxlink_graph::extract;
 use muxlink_integration_tests::to_graph_sample;
 use muxlink_locking::{dmux, LockOptions};
+use muxlink_netlist::{GateId, GateType};
 use proptest::{proptest, ProptestConfig};
 
 fn pool(threads: usize) -> rayon::ThreadPool {
@@ -19,6 +22,87 @@ fn pool(threads: usize) -> rayon::ThreadPool {
         .num_threads(threads)
         .build()
         .expect("pool")
+}
+
+/// Ring of `n` NOR gates.
+fn ring(n: usize) -> CircuitGraph {
+    let edges: Vec<Link> = (0..n)
+        .map(|i| Link::new(i as u32, ((i + 1) % n) as u32))
+        .collect();
+    CircuitGraph::from_edges(
+        (0..n).map(GateId::from_index).collect(),
+        vec![GateType::Nor; n],
+        &edges,
+    )
+}
+
+fn ring_cfg(max_links: usize) -> DatasetConfig {
+    DatasetConfig {
+        h: 2,
+        max_train_links: max_links,
+        val_fraction: 0.10,
+        max_subgraph_nodes: None,
+        seed: 5,
+        chunk: 0,
+    }
+}
+
+/// Asserts an arena-backed dataset carries exactly the owned
+/// dataset's samples: same split sizes, same per-position adjacency,
+/// features and labels, same `max_label`.
+fn assert_matches_owned(owned: &Dataset, pooled: &ArenaDataset) {
+    assert_eq!(owned.max_label, pooled.max_label);
+    assert_eq!(owned.train.len(), pooled.train.len());
+    assert_eq!(owned.val.len(), pooled.val.len());
+    for (samples, handles) in [(&owned.train, &pooled.train), (&owned.val, &pooled.val)] {
+        for (s, &h) in samples.iter().zip(handles.iter()) {
+            assert_eq!(pooled.arena.label(h), Some(s.label));
+            assert_eq!(pooled.arena.adj(h).to_owned_csr(), s.subgraph.adj);
+            assert_eq!(
+                pooled.arena.one_hot(h, owned.max_label).to_owned_features(),
+                one_hot_features(&s.subgraph, owned.max_label)
+            );
+        }
+    }
+}
+
+#[test]
+fn arena_build_matches_owned_build_bitwise() {
+    let g = ring(100);
+    let targets = vec![Link::new(0, 3), Link::new(10, 40)];
+    let owned = build_dataset(&g, &targets, &ring_cfg(80));
+    let pooled = build_dataset_arena(&g, &targets, &ring_cfg(80));
+    assert_matches_owned(&owned, &pooled);
+}
+
+#[test]
+fn target_subgraphs_align_with_targets() {
+    let g = ring(40);
+    let targets = vec![Link::new(3, 17), Link::new(5, 6)];
+    let sgs = target_subgraphs(&g, &targets, &ring_cfg(10));
+    assert_eq!(sgs.len(), 2);
+    for (sg, t) in sgs.iter().zip(&targets) {
+        let (lf, lg) = sg.target;
+        assert_eq!(sg.nodes[lf as usize], t.a);
+        assert_eq!(sg.nodes[lg as usize], t.b);
+    }
+}
+
+#[test]
+fn parallel_target_subgraphs_match_sequential() {
+    let g = ring(60);
+    let targets: Vec<Link> = (0..20).map(|i| Link::new(i, (i + 7) % 60)).collect();
+    let run =
+        |threads: usize| pool(threads).install(|| target_subgraphs(&g, &targets, &ring_cfg(10)));
+    let seq = run(1);
+    let par = run(4);
+    assert_eq!(seq.len(), par.len());
+    for (a, b) in seq.iter().zip(&par) {
+        assert_eq!(a.nodes, b.nodes);
+        assert_eq!(a.adj, b.adj);
+        assert_eq!(a.labels, b.labels);
+        assert_eq!(a.target, b.target);
+    }
 }
 
 fn owned_graph_samples(samples: &[LinkSample], max_label: u32) -> Vec<GraphSample> {

@@ -303,3 +303,103 @@ fn tampered_k_is_refused() {
         assert!(err.contains(&format!("`k` is {k}")), "{err}");
     }
 }
+
+/// A checkpoint edited consistently on both sides of the `max_label`
+/// check — `max_label` 50 and `model.cfg.input_dim` 59, its feature
+/// width — is refused on load because the model's first weight tensor
+/// keeps its trained shape; scoring it would read only part of `W_0`.
+#[test]
+fn consistent_max_label_and_input_width_edit_is_refused() {
+    let restored: Trained = serde_json::from_str(&checkpoint_fixture().1).unwrap();
+    let trained_dim = restored.model.config().input_dim;
+    assert_ne!(restored.max_label, 50, "the edit must change the width");
+    let mut v = serde_json::from_str::<Value>(&checkpoint_fixture().1).unwrap();
+    let Value::Map(top) = &mut v else {
+        panic!("a checkpoint is a map")
+    };
+    for (key, value) in top.iter_mut() {
+        match key.as_str() {
+            "max_label" => *value = 50u32.to_value(),
+            "model" => {
+                let Value::Map(model) = value else {
+                    panic!("`model` is a map")
+                };
+                let Value::Map(cfg) = &mut model.iter_mut().find(|(k, _)| k == "cfg").unwrap().1
+                else {
+                    panic!("`model.cfg` is a map")
+                };
+                cfg.iter_mut().find(|(k, _)| k == "input_dim").unwrap().1 = 59usize.to_value();
+            }
+            _ => {}
+        }
+    }
+    let err = serde_json::from_str::<Trained>(&serde_json::to_string(&v).unwrap())
+        .expect_err("a consistently edited checkpoint must be refused")
+        .to_string();
+    assert!(
+        err.contains(&format!(
+            "`gc[0]` has shape {trained_dim}×32, but `cfg` gives 59×32"
+        )),
+        "{err}"
+    );
+}
+
+/// Design identity covers the whole extracted design: a checkpoint is
+/// refused for a netlist whose only difference is one gate type or one
+/// wire outside every key-MUX cone (the key-MUX structure is identical,
+/// so a MUX-only check would accept it and score the wrong graph), and
+/// still verifies for a `rename_wires` rewrite of its own netlist.
+#[test]
+fn verify_design_refuses_gate_type_and_rewiring_changes() {
+    use muxlink_core::{AttackError, DesignFingerprint};
+    use muxlink_integration_tests::{first_and_to_or, rewire_outside_mux_cones};
+    use muxlink_netlist::bench_format;
+    use muxlink_netlist::passes::{Pass, RenameWires};
+
+    let design = muxlink_benchgen::synth::SynthConfig::new("ident", 14, 6, 200).generate(41);
+    let locked = dmux::lock(&design, &LockOptions::new(6, 3)).unwrap();
+    let names = locked.key_input_names();
+    // Trained on the netlist as its `.bench` text reads back, so that the
+    // edited texts below differ from it in the edit alone.
+    let bench = bench_format::write(&locked.netlist).unwrap();
+    let netlist = bench_format::parse("ident", &bench).unwrap();
+    let mut cfg = fast_cfg(1);
+    cfg.epochs = 2;
+    let trained = AttackSession::new(&netlist, &names, cfg)
+        .extract()
+        .unwrap()
+        .prepare(&NoProgress)
+        .unwrap()
+        .train(&NoProgress)
+        .unwrap();
+    let origin = DesignFingerprint::of_netlist(&netlist, &names).unwrap();
+    assert_eq!(trained.fingerprint(), origin);
+
+    let mut renamed = netlist.clone();
+    RenameWires::new(9).run(&mut renamed).unwrap();
+    assert_ne!(bench_format::write(&renamed).unwrap(), bench);
+    trained
+        .verify_design(&renamed, &names)
+        .expect("a renamed netlist is the same design");
+    assert_eq!(
+        DesignFingerprint::of_netlist(&renamed, &names).unwrap(),
+        origin
+    );
+
+    for (what, text) in [
+        ("gate type", first_and_to_or(&bench)),
+        ("rewiring", rewire_outside_mux_cones(&bench)),
+    ] {
+        let changed = bench_format::parse("changed", &text).unwrap();
+        let ex = muxlink_graph::extract(&changed, &names).unwrap();
+        assert_eq!(ex.muxes, trained.design.muxes, "{what}: MUXes untouched");
+        assert_ne!(ex.graph, trained.design.graph, "{what}: the graph differs");
+        assert_ne!(
+            DesignFingerprint::of_netlist(&changed, &names).unwrap(),
+            origin,
+            "{what}"
+        );
+        let err = trained.verify_design(&changed, &names).unwrap_err();
+        assert!(matches!(err, AttackError::Checkpoint(_)), "{what}: {err}");
+    }
+}

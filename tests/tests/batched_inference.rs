@@ -13,8 +13,9 @@ use muxlink_gnn::matrix::seeded_rng;
 use muxlink_gnn::{
     evaluate, ArenaSamples, Dgcnn, DgcnnConfig, GraphSample, SampleArena, SampleStore,
 };
-use muxlink_graph::dataset::{build_dataset, Dataset, DatasetConfig};
+use muxlink_graph::dataset::DatasetConfig;
 use muxlink_graph::extract;
+use muxlink_integration_tests::dataset_oracle::{build_dataset, Dataset};
 use muxlink_integration_tests::{
     reference_evaluate, reference_predict, to_graph_sample, MixedPlans, NoPlans,
 };

@@ -11,9 +11,10 @@ use muxlink_gnn::{
     train, AdamConfig, AdamState, ArenaSamples, BatchWorkspace, Dgcnn, DgcnnConfig, Gradients,
     GraphSample, Matrix, Minibatch, OneHotFeatures, TrainConfig, TrainReport,
 };
-use muxlink_graph::dataset::{build_dataset, build_dataset_arena, DatasetConfig, LinkSample};
+use muxlink_graph::dataset::{build_dataset_arena, DatasetConfig};
 use muxlink_graph::{extract, Csr};
 use muxlink_integration_tests::adam_oracle::OracleAdam;
+use muxlink_integration_tests::dataset_oracle::{build_dataset, LinkSample};
 use muxlink_integration_tests::reference::{Reference, Workspace};
 use muxlink_integration_tests::{reference_train, to_graph_sample};
 use muxlink_locking::{dmux, LockOptions};

@@ -5,11 +5,9 @@
 //! adjacency lists losslessly.
 
 use muxlink_gnn::matrix::seeded_rng;
-use muxlink_gnn::sample::{
-    propagate, propagate_back, propagate_back_into, propagate_back_ref, propagate_into,
-    propagate_ref,
-};
+use muxlink_gnn::sample::{propagate, propagate_back, propagate_back_into, propagate_into};
 use muxlink_gnn::{Csr, Matrix};
+use muxlink_integration_tests::reference::{propagate_back_ref, propagate_ref};
 use proptest::prelude::*;
 
 /// Random undirected graph as normalised (sorted, deduplicated)
@@ -85,4 +83,14 @@ proptest! {
         propagate_back_into(&csr, &h, &mut buf);
         prop_assert_eq!(&buf, &bwd);
     }
+}
+
+#[test]
+fn csr_kernels_match_reference_bitwise() {
+    let lists = vec![vec![1, 2, 4], vec![0, 3], vec![0], vec![1, 4], vec![0, 3]];
+    let adj = Csr::from_lists(&lists);
+    let mut rng = seeded_rng(11);
+    let h = Matrix::glorot(5, 7, &mut rng);
+    assert_eq!(propagate(&adj, &h), propagate_ref(&lists, &h));
+    assert_eq!(propagate_back(&adj, &h), propagate_back_ref(&lists, &h));
 }

@@ -70,8 +70,9 @@ fn muxlink_attack_is_thread_count_invariant_on_symmetric() {
 #[test]
 fn workspace_scoring_is_bit_identical_across_reuse_and_threads() {
     use muxlink_gnn::{Dgcnn, DgcnnConfig, GraphSample};
-    use muxlink_graph::dataset::{target_subgraphs, DatasetConfig};
+    use muxlink_graph::dataset::DatasetConfig;
     use muxlink_graph::extract;
+    use muxlink_integration_tests::dataset_oracle::target_subgraphs;
     use muxlink_integration_tests::{reference_predict, to_graph_sample};
 
     // Real enclosing subgraphs from a locked design (varied sizes), not

@@ -366,3 +366,55 @@ fn oversized_request_line_is_refused_and_the_daemon_keeps_serving() {
     daemon.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The cache is keyed by the whole design: a netlist differing from a
+/// cached one only in one gate type, or in one wire outside every
+/// key-MUX cone, misses and trains; a `rename_wires` rewrite of the
+/// cached netlist hits.
+#[test]
+fn gate_type_change_and_rewiring_miss_the_cache_and_renaming_hits() {
+    use muxlink_integration_tests::{first_and_to_or, rewire_outside_mux_cones};
+    use muxlink_netlist::passes::{Pass, RenameWires};
+
+    let dir = temp_dir("identity");
+    let socket = dir.join("muxlink.sock");
+    let daemon = start_daemon(&socket, None);
+    let mut conn = connect(&socket);
+    let mut submit = |bench: &str| {
+        expect_result(
+            conn.round_trip(&Request::Submit(fast_submit(bench)), |_| {})
+                .unwrap(),
+        )
+    };
+
+    let bench = locked_bench(31, 140, 4);
+    let cold = submit(&bench);
+    assert!(!cold.cache_hit, "first submit must train");
+
+    let mut renamed = bench_format::parse("renamed", &bench).unwrap();
+    RenameWires::new(5).run(&mut renamed).unwrap();
+    let renamed = bench_format::write(&renamed).unwrap();
+    assert_ne!(renamed, bench);
+    let hit = submit(&renamed);
+    assert!(hit.cache_hit, "a renamed netlist is the same design");
+    assert_eq!(hit.key, cold.key);
+    assert_eq!(hit.scores, cold.scores);
+
+    for (what, text) in [
+        ("gate type", first_and_to_or(&bench)),
+        ("rewiring", rewire_outside_mux_cones(&bench)),
+    ] {
+        let changed = submit(&text);
+        assert!(!changed.cache_hit, "{what}: another design must train");
+        assert_ne!(changed.key, cold.key, "{what}");
+    }
+
+    let bye = conn.round_trip(&Request::Shutdown, |_| {}).unwrap();
+    assert!(matches!(bye, Response::Bye));
+    let summary = daemon.join().expect("daemon thread exits cleanly");
+    assert_eq!(
+        summary.trainings, 3,
+        "the origin and the two changed designs"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
