@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use muxlink_gnn::{ArenaSamples, Dgcnn, DgcnnConfig, SampleArena, SampleHandle, TrainConfig};
+use muxlink_gnn::{ArenaSamples, Dgcnn, DgcnnConfig, SampleArena, TrainConfig};
 use muxlink_graph::features::feature_cols;
 use muxlink_graph::graph::{CircuitGraph, Link};
 use muxlink_graph::subgraph::node_subgraph;
@@ -188,15 +188,15 @@ fn target_probabilities(
     // and target (unknown) gates are handle lists into it.
     let target_count = key_names.len();
     let mut arena = SampleArena::new();
-    let mut train = Vec::new();
-    let mut targets = Vec::new();
+    let (mut train, mut targets, mut target_bits) = (Vec::new(), Vec::new(), Vec::new());
     for &(node, bit) in &xg.key_gate_nodes {
         let sg = node_subgraph(&xg.graph, node, cfg.h, cfg.max_subgraph_nodes);
         if bit >= target_count {
             let label = relocked.key.bit(bit - target_count);
             train.push(arena.push_subgraph(&sg, Some(label)));
         } else {
-            targets.push((arena.push_subgraph(&sg, None), bit));
+            targets.push(arena.push_subgraph(&sg, None));
+            target_bits.push(bit);
         }
     }
     if train.is_empty() {
@@ -233,9 +233,8 @@ fn target_probabilities(
     );
 
     // 3. Classify the target key gates, scored in one batch.
-    let (handles, bits): (Vec<SampleHandle>, Vec<usize>) = targets.into_iter().unzip();
-    let probs = model.predict_batch(&ArenaSamples::select(&arena, &handles, max_label));
-    Ok(bits.into_iter().zip(probs).collect())
+    let probs = model.predict_batch(&ArenaSamples::select(&arena, &targets, max_label));
+    Ok(target_bits.into_iter().zip(probs).collect())
 }
 
 #[cfg(test)]

@@ -18,8 +18,9 @@
 //!
 //! so the three can never drift apart.
 //!
-//! The digest is 256 bits of FNV-1a-64 over a canonical byte encoding,
-//! run as four independently-salted streams. That is collision-resistant
+//! The digest is 256 bits of FNV-1a-64 over a canonical encoding (bytes
+//! for the names and MUX fields, whole 32-bit words for the graph), run
+//! as four independently-salted streams. That is collision-resistant
 //! enough for cache keying and drift detection of honest inputs; it is
 //! **not** a cryptographic commitment, which is why
 //! [`Trained::verify_design`] keeps the full structural comparison as a
@@ -83,8 +84,13 @@ impl Streams {
         self.bytes(&v.to_le_bytes());
     }
 
-    fn u32(&mut self, v: u32) {
-        self.bytes(&v.to_le_bytes());
+    /// One FNV-1a step for a whole 32-bit word: the graph is long runs
+    /// of `u32`s, and a byte-wise feed would take four dependent steps
+    /// for each.
+    fn word(&mut self, v: u32) {
+        for h in &mut self.0 {
+            *h = (*h ^ u64::from(v)).wrapping_mul(FNV_PRIME);
+        }
     }
 }
 
@@ -109,13 +115,15 @@ impl DesignFingerprint {
         for i in 0..n {
             let nbrs = graph.adj.neighbors(i);
             end += nbrs.len() as u32;
-            s.u32(graph.gate_of_node[i].index() as u32);
-            s.bytes(&[graph.gate_types[i]
-                .encoding_index()
-                .map_or(u8::MAX, |t| t as u8)]);
-            s.u32(end);
+            s.word(graph.gate_of_node[i].index() as u32);
+            s.word(
+                graph.gate_types[i]
+                    .encoding_index()
+                    .map_or(u32::MAX, |t| t as u32),
+            );
+            s.word(end);
             for &j in nbrs {
-                s.u32(j);
+                s.word(j);
             }
         }
         let muxes = &design.muxes;
@@ -351,18 +359,9 @@ mod tests {
         let mut tweaked = design.clone();
         tweaked.muxes[0].src0 = tweaked.muxes[0].src0.wrapping_add(1);
         assert_ne!(DesignFingerprint::compute(&names, &tweaked), base);
-    }
-
-    /// The graph scoring reads is part of the identity: one node's gate
-    /// type, one node's originating gate, or one dropped edge each
-    /// change the digest with the key-MUX structure untouched.
-    #[test]
-    fn the_whole_gate_graph_feeds_the_digest() {
-        let l = locked(37, 200);
-        let names = l.key_input_names();
-        let design = muxlink_graph::extract(&l.netlist, &names).unwrap();
-        let base = DesignFingerprint::compute(&names, &design);
-
+        // The graph scoring reads is part of the identity: one node's
+        // gate type, one node's originating gate, or one dropped edge
+        // each change the digest with the key-MUX structure untouched.
         let mut retyped = design.clone();
         let ty = &mut retyped.graph.gate_types[0];
         *ty = if *ty == GateType::And {
@@ -371,11 +370,9 @@ mod tests {
             GateType::And
         };
         assert_ne!(DesignFingerprint::compute(&names, &retyped), base);
-
         let mut regated = design.clone();
         regated.graph.gate_of_node.swap(0, 1);
         assert_ne!(DesignFingerprint::compute(&names, &regated), base);
-
         let mut lists = design.graph.adj.to_lists();
         let (a, b) = (0..lists.len())
             .find_map(|a| lists[a].first().map(|&b| (a, b as usize)))
@@ -384,7 +381,6 @@ mod tests {
         lists[b].retain(|&j| j as usize != a);
         let mut rewired = design.clone();
         rewired.graph.adj = muxlink_graph::Csr::from_lists(&lists);
-        assert_eq!(rewired.muxes, design.muxes);
         assert_ne!(DesignFingerprint::compute(&names, &rewired), base);
     }
 }

@@ -85,7 +85,7 @@ impl DgcnnConfig {
     /// builds for this config, in the canonical order of
     /// [`Dgcnn::snapshot`] — or, for a config `Dgcnn::new` refuses or
     /// whose shapes overflow, why none exists.
-    fn weight_shapes(&self) -> Result<Vec<(String, (usize, usize))>, String> {
+    fn weight_shapes(&self) -> Result<Vec<(String, usize, usize)>, String> {
         let min_k = self.conv2_kernel.checked_mul(2);
         if min_k.is_none_or(|m| self.k < m) {
             return Err(format!(
@@ -100,7 +100,7 @@ impl DgcnnConfig {
         let mut shapes = Vec::new();
         let mut prev = self.input_dim;
         for (i, &c) in self.gc_channels.iter().enumerate() {
-            shapes.push((format!("gc[{i}]"), (prev, c)));
+            shapes.push((format!("gc[{i}]"), prev, c));
             prev = c;
         }
         let ccat = self
@@ -117,14 +117,14 @@ impl DgcnnConfig {
             .checked_mul(self.conv2_channels)
             .ok_or_else(overflow)?;
         shapes.extend([
-            ("conv1_w".to_owned(), (self.conv1_channels, ccat)),
-            ("conv1_b".to_owned(), (1, self.conv1_channels)),
-            ("conv2_w".to_owned(), (self.conv2_channels, conv2_in)),
-            ("conv2_b".to_owned(), (1, self.conv2_channels)),
-            ("dense1_w".to_owned(), (dense_in, self.dense_dim)),
-            ("dense1_b".to_owned(), (1, self.dense_dim)),
-            ("dense2_w".to_owned(), (self.dense_dim, 2)),
-            ("dense2_b".to_owned(), (1, 2)),
+            ("conv1_w".to_owned(), self.conv1_channels, ccat),
+            ("conv1_b".to_owned(), 1, self.conv1_channels),
+            ("conv2_w".to_owned(), self.conv2_channels, conv2_in),
+            ("conv2_b".to_owned(), 1, self.conv2_channels),
+            ("dense1_w".to_owned(), dense_in, self.dense_dim),
+            ("dense1_b".to_owned(), 1, self.dense_dim),
+            ("dense2_w".to_owned(), self.dense_dim, 2),
+            ("dense2_b".to_owned(), 1, 2),
         ]);
         Ok(shapes)
     }
@@ -181,7 +181,7 @@ impl Deserialize for Dgcnn {
                 model.cfg.gc_channels.len()
             )));
         }
-        for (p, (name, (rows, cols))) in model.params().into_iter().zip(shapes) {
+        for (p, (name, rows, cols)) in model.params().into_iter().zip(shapes) {
             let got = (p.w.rows(), p.w.cols());
             if got != (rows, cols) {
                 return Err(DeError(format!(
@@ -651,7 +651,7 @@ mod tests {
                 .weight_shapes()
                 .unwrap()
                 .into_iter()
-                .map(|(_, s)| s)
+                .map(|(_, rows, cols)| (rows, cols))
                 .collect();
             assert_eq!(built, shapes);
         }

@@ -21,10 +21,11 @@
 //! * [`Dgcnn`] — the full model (graph convolutions, SortPooling, 1-D
 //!   convolutions, dense head) with hand-written backprop.
 //! * [`SampleStore`] + [`SampleView`] — the storage abstraction: the
-//!   trainer, evaluator and batch scorer read samples as borrowed views,
-//!   so owned [`GraphSample`]s and arena-pooled samples
-//!   ([`ArenaSamples`] over a [`SampleArena`]) run the same kernels on
-//!   the same values, bit for bit.
+//!   trainer, evaluator and batch scorer read samples as borrowed views.
+//!   Production stores are arena-pooled ([`ArenaSamples`] over a
+//!   [`SampleArena`]); hand-made [`GraphSample`]s — unit tests, the
+//!   crate example — run the same kernels on the same values, bit for
+//!   bit.
 //! * [`Minibatch`] + [`Dgcnn::batch_train_step`] — the block-diagonal
 //!   batched forward and backward: one kernel per layer per minibatch,
 //!   layer 0 over the sparse rows of `S·X` (a store's cached layer-0

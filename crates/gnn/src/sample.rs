@@ -92,8 +92,8 @@ impl<'a> From<&'a GraphSample> for SampleView<'a> {
 }
 
 /// Read-only indexed collection of samples the trainer, evaluator and
-/// batch scorer iterate: a slice/`Vec` of owned [`GraphSample`]s or an
-/// arena-backed [`ArenaSamples`]. Implementations must be cheap to
+/// batch scorer iterate: an arena-backed [`ArenaSamples`] or a
+/// slice/`Vec` of hand-made [`GraphSample`]s. Implementations must be cheap to
 /// `view` — it is called inside the per-sample hot loop.
 pub trait SampleStore: Sync {
     /// Number of samples.

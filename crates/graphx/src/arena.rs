@@ -26,8 +26,7 @@
 //! * **Reset is O(1) amortised.** [`SampleArena::clear`] keeps slab
 //!   capacity, so a scoring loop can stream an unbounded candidate-link
 //!   list through one arena in fixed-size chunks: peak resident sample
-//!   bytes are bounded by the chunk size, not the dataset size (the
-//!   `dataset_residency` bench records this).
+//!   bytes are bounded by the chunk size, not the dataset size.
 //!
 //! # Label storage
 //!
@@ -37,7 +36,7 @@
 //! read ([`OneHotView::columns`]), exactly like
 //! [`one_hot_features`](crate::features::one_hot_features) clamps at
 //! construction — so the same slab serves any budget and the emitted
-//! column indices are identical to the owned path's.
+//! column indices are identical to an owned sample's.
 //!
 //! # Layer-0 plan slabs
 //!
@@ -481,8 +480,7 @@ impl SampleArena {
     }
 
     /// Bytes of sample data currently resident (length-based, excluding
-    /// unused slab capacity) — the quantity the `dataset_residency`
-    /// bench tracks across streaming chunks.
+    /// unused slab capacity).
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         (self.offsets.len() + self.neighbors.len() + self.gate.len() + self.labels.len()) * 4

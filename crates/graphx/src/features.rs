@@ -13,7 +13,6 @@
 //! is the single source of truth for the dense layout).
 
 use muxlink_netlist::GATE_TYPE_COUNT;
-use serde::{Deserialize, Serialize};
 
 use crate::subgraph::Subgraph;
 
@@ -57,7 +56,7 @@ pub fn feature_cols(max_label: u32) -> usize {
 /// indices costs 8 bytes per node, independent of the dataset's feature
 /// width — versus `4 · cols` bytes per dense row — and lets the first GNN
 /// layer compute `X·W` as a two-row gather instead of a dense matmul.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OneHotFeatures {
     /// Width of the equivalent dense matrix (`8 + max_label + 1`).
     pub cols: usize,
