@@ -292,7 +292,7 @@ fn attack(cmd: &Command) -> Result<String, CliError> {
                 // Scoring runs on the checkpoint's embedded design, so
                 // the supplied netlist must be the design it was trained
                 // on (names alone are always keyinput0..N — compare the
-                // key-MUX structure too).
+                // whole extracted design too).
                 t.verify_design(&locked, &names)
                     .map_err(|e| CliError::Domain(format!("{model_path}: {e}")))?;
                 t

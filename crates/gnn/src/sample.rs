@@ -12,10 +12,10 @@
 //! neighbours' rows in ascending neighbour order (the order [`Csr`]
 //! stores); [`propagate_back`] scatters in ascending node order. The
 //! summation order is a pure function of the graph, so outputs are
-//! bit-identical across runs, thread counts and buffer reuse. Adjacency-
-//! list reference implementations in the integration-test support crate
-//! define this order; the property suite asserts exact equality between
-//! the CSR kernels and the references.
+//! bit-identical across runs, thread counts and buffer reuse. The
+//! integration-test support crate keeps adjacency-list reference
+//! implementations that define this order; the property suite asserts
+//! exact equality between the CSR kernels and the references.
 
 use muxlink_graph::{
     Csr, CsrView, Layer0PlanView, OneHotFeatures, OneHotView, SampleArena, SampleHandle,
@@ -93,8 +93,8 @@ impl<'a> From<&'a GraphSample> for SampleView<'a> {
 
 /// Read-only indexed collection of samples the trainer, evaluator and
 /// batch scorer iterate: an arena-backed [`ArenaSamples`] or a
-/// slice/`Vec` of hand-made [`GraphSample`]s. Implementations must be cheap to
-/// `view` — it is called inside the per-sample hot loop.
+/// slice/`Vec` of hand-made [`GraphSample`]s. Implementations must be
+/// cheap to `view` — it is called inside the per-sample hot loop.
 pub trait SampleStore: Sync {
     /// Number of samples.
     fn len(&self) -> usize;

@@ -274,7 +274,7 @@ pub fn rewire_outside_mux_cones(bench: &str) -> String {
             mux_nets.extend(ins);
         }
     }
-    let lines: Vec<&str> = bench.lines().collect();
+    let mut lines: Vec<String> = bench.lines().map(str::to_owned).collect();
     let at = lines
         .iter()
         .position(|l| {
@@ -289,12 +289,10 @@ pub fn rewire_outside_mux_cones(bench: &str) -> String {
             })
         })
         .expect("some gate lies outside every MUX cone");
-    let (out, ty, mut ins) = gate(lines[at]).unwrap();
+    let (out, ty, mut ins) = gate(&lines[at]).unwrap();
     ins[0] = pi.to_owned();
-    let rewired = format!("{out} = {ty}({})", ins.join(", "));
-    let mut text: Vec<String> = lines.iter().map(|l| (*l).to_owned()).collect();
-    text[at] = rewired;
-    text.join("\n") + "\n"
+    lines[at] = format!("{out} = {ty}({})", ins.join(", "));
+    lines.join("\n") + "\n"
 }
 
 /// Converts an enclosing subgraph into an owned GNN input sample with
