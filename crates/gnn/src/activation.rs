@@ -13,11 +13,15 @@
 //! activations) goes through a branch-free lane kernel: both `expm1f`
 //! reconstructions such a value can reach are evaluated for every
 //! element and the element's own result is selected by bit mask, so the
-//! loop over a slice vectorises (four lanes per SSE2 instruction on the
-//! default x86-64 target). Each lane performs the scalar port's
-//! operations on its branch (one exception, shown exact, is noted at
-//! `tanh_near_lane`), so the kernel is bit-identical to [`tanhf`]. Any
-//! other chunk goes through the scalar port.
+//! loop over a slice vectorises: four lanes per instruction in the
+//! baseline x86-64 instance, eight in the AVX2 instance picked at run
+//! time where the CPU has it (the crate's `isa` module). Each lane
+//! performs the scalar port's operations on its branch (one exception,
+//! shown exact, is noted at `tanh_near_lane`), so the kernel is
+//! bit-identical to [`tanhf`] in either instance. Any other chunk goes
+//! through the scalar port.
+
+use crate::isa::kernel;
 
 const LN2_HI: f32 = f32::from_bits(0x3f31_7180);
 const LN2_LO: f32 = f32::from_bits(0x3717_f7d1);
@@ -234,19 +238,22 @@ fn is_near(chunk: &[f32]) -> bool {
         < NEAR
 }
 
-/// Applies [`tanhf`] to a run of chunks that are all near (the lane
-/// kernel) or all not (the scalar port). Not inlined, so the lane loop
-/// keeps a run-time trip count and the compiler vectorises it instead of
-/// unrolling it.
-#[inline(never)]
-fn tanh_run(near: bool, xs: &mut [f32]) {
-    if near {
-        for v in xs {
-            *v = tanh_near_lane(*v);
-        }
-    } else {
-        for v in xs {
-            *v = tanhf(*v);
+kernel! {
+    /// Applies [`tanhf`] to a run of chunks that are all near (the lane
+    /// kernel) or all not (the scalar port), in AVX2 where the CPU has it
+    /// (see [`crate::isa`]). Not inlined, so the lane loop keeps a
+    /// run-time trip count and the compiler vectorises it instead of
+    /// unrolling it.
+    #[inline(never)]
+    fn tanh_run(near: bool, xs: &mut [f32]) {
+        if near {
+            for v in xs {
+                *v = tanh_near_lane(*v);
+            }
+        } else {
+            for v in xs {
+                *v = tanhf(*v);
+            }
         }
     }
 }
@@ -260,6 +267,13 @@ fn tanh_run(near: bool, xs: &mut [f32]) {
 /// through a vectorised branch-free lane kernel; every other run goes
 /// through the scalar port.
 pub fn tanh_slice(xs: &mut [f32]) {
+    tanh_slice_by(xs, tanh_run);
+}
+
+/// [`tanh_slice`] with the run kernel `run_kernel`: [`tanh_run()`] in
+/// production, one of its two instances in the ISA oracles.
+#[inline(always)]
+fn tanh_slice_by(xs: &mut [f32], run_kernel: impl Fn(bool, &mut [f32])) {
     let whole = xs.len() - xs.len() % LANES;
     let (mut rest, tail) = xs.split_at_mut(whole);
     while !rest.is_empty() {
@@ -269,14 +283,14 @@ pub fn tanh_slice(xs: &mut [f32]) {
             .take_while(|c| is_near(c) == near)
             .count()
             * LANES;
-        let (run, after) = rest.split_at_mut(run);
-        tanh_run(near, run);
+        let (chunks, after) = rest.split_at_mut(run);
+        run_kernel(near, chunks);
         rest = after;
     }
     if !tail.is_empty() {
         let mut pad = [0.0; LANES];
         pad[..tail.len()].copy_from_slice(tail);
-        tanh_run(is_near(&pad), &mut pad);
+        run_kernel(is_near(&pad), &mut pad);
         tail.copy_from_slice(&pad[..tail.len()]);
     }
 }
@@ -286,6 +300,8 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+    use crate::isa::tests::avx2_ran;
+    use crate::matrix::tests::SPECIAL_BITS;
 
     /// `tanhf` input → output bit pairs, one or more per branch: ±0,
     /// subnormals, |x| < 2⁻⁵⁵, then through `expm1f(∓2|x|)` with k = 0,
@@ -521,24 +537,72 @@ mod tests {
     }
 
     /// The lane kernel against the scalar port, which the golden tables
-    /// and the grid checksum pin: a host-independent check.
+    /// and the grid checksum pin: a host-independent check, run on both
+    /// instances of the run kernel (the AVX2 one where the CPU has it).
     #[test]
-    #[ignore = "exhaustive 2^32 sweep (~1 min in release on 2 threads)"]
+    #[ignore = "exhaustive 2^32 sweep of both instances (~1 min in release on 2 threads)"]
     fn tanh_slice_matches_scalar_port_on_every_f32() {
+        // An empty run only asks whether the AVX2 instance can run.
+        let avx2 = avx2_ran(tanh_run::avx2(true, &mut []));
         // A block holds neighbouring bit patterns, so every value below
         // 0.52 sits in a chunk that takes the lane kernel.
         let bad = sweep_all_bits(|xs| {
             let mut ys = xs.to_vec();
-            tanh_slice(&mut ys);
+            let mut zs = xs.to_vec();
+            tanh_slice_by(&mut ys, tanh_run::baseline);
+            if avx2 {
+                tanh_slice_by(&mut zs, |near, run| assert!(tanh_run::avx2(near, run)));
+            } else {
+                zs.copy_from_slice(&ys);
+            }
             xs.iter()
-                .zip(&ys)
-                .filter(|&(&x, &y)| !same(y, tanhf(x)))
+                .zip(ys.iter().zip(&zs))
+                .filter(|&(&x, (&y, &z))| !same(y, tanhf(x)) || !same(z, tanhf(x)))
                 .count()
         });
         assert_eq!(
             bad, 0,
-            "inputs where tanh_slice and the scalar port disagree"
+            "inputs where an instance of tanh_slice and the scalar port disagree"
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// ISA oracle: the AVX2 instance of the run kernel against the
+        /// baseline one, both branches, on runs of every length 0..=40
+        /// (tails of the 4- and 8-lane loops) drawn from ±0, subnormals,
+        /// NaN payloads, ±∞ and working-range values. The lane branch
+        /// gets values past its domain too: the instances must agree
+        /// whatever they are fed.
+        #[test]
+        fn tanh_run_avx2_instance_matches_baseline_bitwise(
+            (raw, near) in (
+                proptest::collection::vec((proptest::num::u64::ANY, 0u32..5), 0..41),
+                proptest::bool::ANY,
+            ),
+        ) {
+            let xs: Vec<f32> = raw
+                .iter()
+                .map(|&(bits, kind)| match kind {
+                    4 => f32::from_bits(SPECIAL_BITS[bits as usize % SPECIAL_BITS.len()]),
+                    _ => input(bits, kind),
+                })
+                .collect();
+            let mut want = xs.clone();
+            tanh_run::baseline(near, &mut want);
+            let mut got = xs.clone();
+            if !avx2_ran(tanh_run::avx2(near, &mut got)) {
+                return;
+            }
+            for ((&x, &y), &z) in xs.iter().zip(&want).zip(&got) {
+                prop_assert!(
+                    same(y, z),
+                    "near {}: {:#010x} -> {:#010x} baseline, {:#010x} avx2",
+                    near, x.to_bits(), y.to_bits(), z.to_bits()
+                );
+            }
+        }
     }
 
     /// The port against the host's `tanhf`: holds on hosts whose libm is

@@ -10,7 +10,7 @@
 //! [`BlockDiagBatch`] (see `muxlink_graph::batch`) plus one layer-0
 //! plan (the sparse rows of `S·X`, see [`Layer0Plans`]) and stacked
 //! activation matrices, and runs **one** kernel per layer per batch:
-//! the first graph convolution via [`plan_matmul_into`], the others via
+//! the first graph convolution via [`plan_matmul_into()`], the others via
 //! the fused [`propagate_matmul_into`], the dense head as whole-batch
 //! GEMMs, and the gradient reductions either as single stacked products
 //! (one-row-per-sample tensors) or as segmented per-sample subtotals
@@ -41,7 +41,7 @@
 //! * Bias gradients that the per-sample path `copy_from`s
 //!   (`dense1_b`, `dense2_b`) reduce copy-first-then-add — preserving
 //!   even `-0.0` payloads a fresh accumulation would lose.
-//! * Input gradients `d·Wᵀ` run [`strided_gemm_into`]: on `Wᵀ`,
+//! * Input gradients `d·Wᵀ` run [`strided_gemm_into()`]: on `Wᵀ`,
 //!   transposed once per step, for the GC layers ≥ 1 and dense2, and as
 //!   the transpose of `W·dᵀ` for dense1. Either way each output is one
 //!   accumulator summed from `0.0` over ascending `k`, the per-sample
@@ -204,6 +204,8 @@ pub struct BatchWorkspace {
     /// Global node of each pooled row (`u32::MAX` = pad).
     pool_src: Vec<u32>,
     pooled: Matrix,
+    /// The training step's transposed conv weights (inference shares one
+    /// set per call instead).
     conv_kernels: ConvKernels,
     conv1_out: Matrix,
     pool_idx: Vec<u8>,
@@ -275,14 +277,16 @@ impl BatchWorkspace {
 impl Dgcnn {
     /// The batched forward through the softmax: class probabilities
     /// `[no-link, link]` of sample `s` land in row `s` of `ws.probs`.
-    /// A training batch draws each sample's dropout mask from its seed;
-    /// an inference batch multiplies by ones.
+    /// `ck` holds this model's transposed conv weights
+    /// ([`Dgcnn::conv_kernels_into`]). A training batch draws each
+    /// sample's dropout mask from its seed; an inference batch multiplies
+    /// by ones.
     ///
     /// # Panics
     ///
     /// Panics when the batch is empty or its feature width differs from
     /// the model's input width.
-    pub(crate) fn batch_forward(&self, mb: &Minibatch, ws: &mut BatchWorkspace) {
+    pub(crate) fn batch_forward(&self, mb: &Minibatch, ck: &ConvKernels, ws: &mut BatchWorkspace) {
         let nb = mb.sample_count();
         assert!(nb > 0, "empty minibatch");
         let adj = mb.block.adj();
@@ -324,8 +328,7 @@ impl Dgcnn {
         );
 
         // Conv1 (per-row linear): one GEMM over all B·k pooled rows.
-        self.conv_kernels_into(&mut ws.conv_kernels);
-        self.conv1_forward(&ws.conv_kernels, &ws.pooled, &mut ws.conv1_out);
+        self.conv1_forward(ck, &ws.pooled, &mut ws.conv1_out);
 
         // MaxPool1d(2, 2) per sample segment: rows `2t`, `2t + 1` of the
         // sample's `k` conv1 rows (an odd last row is dropped) into row
@@ -360,7 +363,7 @@ impl Dgcnn {
             .chunks_exact(k2 * c1)
             .zip(ws.conv2_out.data_mut().chunks_exact_mut(k3 * c2))
         {
-            self.conv2_forward(&ws.conv_kernels, pool_seg, out_seg);
+            self.conv2_forward(ck, pool_seg, out_seg);
         }
 
         // Flatten (pure reshape: row s = sample s's conv2 rows) →
@@ -440,7 +443,12 @@ impl Dgcnn {
             cfg.concat_width(),
         );
         let t_start = Instant::now();
-        self.batch_forward(mb, ws);
+        // The conv weights are transposed once per step; the buffer is
+        // lent out of the workspace for the forward's duration.
+        let mut ck = std::mem::take(&mut ws.conv_kernels);
+        self.conv_kernels_into(&mut ck);
+        self.batch_forward(mb, &ck, ws);
+        ws.conv_kernels = ck;
         ws.losses.clear();
         for (s, &label) in mb.labels.iter().enumerate() {
             let p = ws.probs.get(s, usize::from(label)).max(1e-12);
@@ -632,8 +640,9 @@ impl Dgcnn {
     /// Batched inference over the samples at `indices`: the dropout-free
     /// forward over consecutive chunks of [`INFERENCE_CHUNK`] samples on
     /// the ambient rayon pool (one minibatch and workspace per worker),
-    /// each sample's class probabilities mapped through `f`. Output
-    /// order is `indices` order, and the bits do not depend on the
+    /// each sample's class probabilities mapped through `f`. The conv
+    /// weights are transposed once per call and shared by every chunk.
+    /// Output order is `indices` order, and the bits do not depend on the
     /// thread count.
     ///
     /// # Panics
@@ -645,6 +654,8 @@ impl Dgcnn {
         T: Send,
         F: Fn(usize, [f32; 2]) -> T + Sync,
     {
+        let mut ck = ConvKernels::default();
+        self.conv_kernels_into(&mut ck);
         let chunks: Vec<&[usize]> = indices.chunks(INFERENCE_CHUNK).collect();
         let per_chunk: Vec<Vec<T>> = chunks
             .par_iter()
@@ -652,7 +663,7 @@ impl Dgcnn {
                 || (Minibatch::new(), BatchWorkspace::new()),
                 |(mb, ws), chunk| {
                     mb.assemble_inference(samples, chunk);
-                    self.batch_forward(mb, ws);
+                    self.batch_forward(mb, &ck, ws);
                     chunk
                         .iter()
                         .zip(ws.probs.data().chunks_exact(2))
@@ -672,7 +683,7 @@ impl Dgcnn {
 /// per-sample scorer this forward replaced.
 const INFERENCE_CHUNK: usize = 8;
 
-/// `out = a·bᵀ`, given `bt` = `bᵀ`: one [`strided_gemm_into`] window
+/// `out = a·bᵀ`, given `bt` = `bᵀ`: one [`strided_gemm_into()`] window
 /// per row of `a`. Each output is summed from `0.0` over ascending `k` —
 /// bit-identical to the dot-product loop over the rows of `b`.
 fn mul_transposed_into(a: &Matrix, bt: &Matrix, out: &mut Matrix) {

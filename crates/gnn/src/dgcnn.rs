@@ -195,8 +195,8 @@ impl Deserialize for Dgcnn {
 }
 
 /// The two convolution weights transposed to `window × outputs`, the
-/// operand layout of [`strided_gemm_into`]. Built once per batched
-/// forward and shared by every sample in it.
+/// operand layout of [`strided_gemm_into()`]. Built once per training
+/// step, and once per inference call shared by every chunk of it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ConvKernels {
     conv1_wt: Matrix,
@@ -735,13 +735,15 @@ mod tests {
 
     fn assert_reuse_is_bit_identical(model: &Dgcnn, sample: fn(u64) -> GraphSample) {
         let (mut mb, mut ws) = (Minibatch::new(), BatchWorkspace::new());
+        let mut ck = ConvKernels::default();
+        model.conv_kernels_into(&mut ck);
         // Inference: stream batches of different sizes through the
         // reused buffers; each must match a fresh-buffer pass.
         for seeds in [&[1u64, 2, 9][..], &[5], &[1, 7, 3, 2, 4]] {
             let samples: Vec<GraphSample> = seeds.iter().map(|&s| sample(s)).collect();
             let idx: Vec<usize> = (0..samples.len()).collect();
             mb.assemble_inference(&samples[..], &idx);
-            model.batch_forward(&mb, &mut ws);
+            model.batch_forward(&mb, &ck, &mut ws);
             let reused: Vec<u32> = ws.probs.data().iter().map(|p| p.to_bits()).collect();
             let fresh: Vec<u32> = infer_probs(model, &samples)
                 .iter()
@@ -819,7 +821,9 @@ mod tests {
         let mut mb = Minibatch::new();
         mb.assemble_inference(std::slice::from_ref(&s), &[0]);
         let mut ws = BatchWorkspace::new();
-        model.batch_forward(&mb, &mut ws);
+        let mut ck = ConvKernels::default();
+        model.conv_kernels_into(&mut ck);
+        model.batch_forward(&mb, &ck, &mut ws);
         assert!(
             ws.dense1_out().data().iter().any(|&v| v > 0.0),
             "the dense layer is dead"

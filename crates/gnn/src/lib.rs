@@ -57,12 +57,13 @@
 //! assert!((0.0..=1.0).contains(&p[0]));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod activation;
 pub mod batch;
 pub mod dgcnn;
+mod isa;
 pub mod matrix;
 pub mod param;
 pub mod sample;

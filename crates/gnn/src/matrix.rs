@@ -2,13 +2,17 @@
 //!
 //! The enclosing subgraphs the MuxLink GNN consumes are small (tens to a
 //! few hundred nodes), so simple row-major dense math is both fast enough
-//! and easy to verify. No BLAS, no unsafe.
+//! and easy to verify. No BLAS, no intrinsics: the hot kernels are plain
+//! loops, compiled once for the build target and once with AVX2 (the
+//! crate's `isa` module).
 
 use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{map_get, DeError, Deserialize, Serialize, Value};
+
+use crate::isa::kernel;
 
 /// A row-major dense matrix of `f32`.
 ///
@@ -256,7 +260,7 @@ impl Matrix {
 
     /// Reshapes in place *without* clearing: existing entries keep stale
     /// values. Only for buffers whose every entry the caller overwrites
-    /// before reading (row copies, [`strided_gemm_into`]-style full
+    /// before reading (row copies, [`strided_gemm_into()`]-style full
     /// writes) — skipping the zeroing keeps fully-overwritten hot-loop
     /// buffers free of redundant memset traffic.
     pub fn resize_for_overwrite(&mut self, rows: usize, cols: usize) {
@@ -291,51 +295,15 @@ impl Matrix {
         out
     }
 
-    /// [`Matrix::matmul`] into a reusable output buffer.
+    /// [`Matrix::matmul`] into a reusable output buffer. Runs in AVX2
+    /// where the CPU has it (the crate's `isa` module), with the same
+    /// bits.
     ///
     /// # Panics
     ///
     /// Panics when inner dimensions disagree.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, rhs.rows, "matmul shape mismatch");
-        out.resize(self.rows, rhs.cols);
-        let lc = self.cols.max(1);
-        let rc = rhs.cols.max(1);
-        // Register tiling over *output rows*: four independent output
-        // rows per pass share one streamed read of `rhs`, cutting the
-        // streamed-operand traffic 4× and giving the machine four
-        // independent accumulation chains per `rhs` row. Every output
-        // element still owns a single accumulator summing `a·b` in
-        // ascending-k order, so each element is bit-identical to the
-        // one-row-at-a-time loop (the ILP-restructuring clause of the
-        // numerics policy).
-        let mut lq = self.data.chunks_exact(4 * lc);
-        let mut oq = out.data.chunks_exact_mut(4 * rc);
-        for (ls, os) in (&mut lq).zip(&mut oq) {
-            let (l0, rest) = ls.split_at(lc);
-            let (l1, rest) = rest.split_at(lc);
-            let (l2, l3) = rest.split_at(lc);
-            let (o0, rest) = os.split_at_mut(rc);
-            let (o1, rest) = rest.split_at_mut(rc);
-            let (o2, o3) = rest.split_at_mut(rc);
-            for ((((rrow, &a0), &a1), &a2), &a3) in
-                rhs.data.chunks_exact(rc).zip(l0).zip(l1).zip(l2).zip(l3)
-            {
-                axpy_skip_zero(o0, rrow, a0);
-                axpy_skip_zero(o1, rrow, a1);
-                axpy_skip_zero(o2, rrow, a2);
-                axpy_skip_zero(o3, rrow, a3);
-            }
-        }
-        for (lrow, orow) in lq
-            .remainder()
-            .chunks_exact(lc)
-            .zip(oq.into_remainder().chunks_exact_mut(rc))
-        {
-            for (&a, rrow) in lrow.iter().zip(rhs.data.chunks_exact(rc)) {
-                axpy_skip_zero(orow, rrow, a);
-            }
-        }
+        matmul_kernel(self, rhs, out);
     }
 
     /// `selfᵀ × rhs` without materialising the transpose.
@@ -598,65 +566,120 @@ impl Matrix {
     }
 }
 
-/// Strided windowed GEMM, vectorised across outputs: the forward of a
-/// 1-D convolution whose input windows are contiguous runs of `input`.
-///
-/// With `cout = wt.cols()` and `len = wt.rows()`, output step `t` reads
-/// the window `input[t·stride .. t·stride + len]` and writes
-/// `out[t·cout .. (t+1)·cout]`: each output `o` starts at `init[o]` (or
-/// `0.0` when `init` is `None`) and adds `window[j] · wt[j][o]` for
-/// ascending `j`. That is exactly the per-output dot-product loop over
-/// the untransposed weight row, so every element is bit-identical to
-/// it; only the loop order differs. `wt` is the transposed weight
-/// (`len × cout`), and the independent accumulators run across the
-/// contiguous outputs of one weight row (and two steps at a time,
-/// sharing each weight load), never along the reduction. No product is
-/// skipped: `0 · inf` must stay NaN and `−0 + 0` must become `+0`.
-///
-/// # Panics
-///
-/// Panics when `out.len()` is not a multiple of `cout`, `init` has the
-/// wrong length, or the last window runs past the end of `input`.
-pub fn strided_gemm_into(
-    input: &[f32],
-    stride: usize,
-    wt: &Matrix,
-    init: Option<&[f32]>,
-    out: &mut [f32],
-) {
-    let (len, cout) = (wt.rows, wt.cols);
-    if cout == 0 {
-        return;
-    }
-    assert_eq!(out.len() % cout, 0, "output is not whole steps");
-    let steps = out.len() / cout;
-    if let Some(init) = init {
-        assert_eq!(init.len(), cout, "init length mismatch");
-    }
-    if steps > 0 {
-        assert!(
-            (steps - 1) * stride + len <= input.len(),
-            "window past input end"
-        );
-    }
-    let window = |t: usize| &input[t * stride..t * stride + len];
-    let mut pairs = out.chunks_exact_mut(2 * cout);
-    for (tp, os) in (&mut pairs).enumerate() {
-        let (o0, o1) = os.split_at_mut(cout);
-        gemm_steps([window(2 * tp), window(2 * tp + 1)], wt, init, [o0, o1]);
-    }
-    let rest = pairs.into_remainder();
-    if !rest.is_empty() {
-        gemm_steps([window(steps - 1)], wt, init, [rest]);
+kernel! {
+    /// The body of [`Matrix::matmul_into`], in AVX2 where the CPU has it
+    /// (see [`crate::isa`]).
+    fn matmul_kernel(lhs: &Matrix, rhs: &Matrix, out: &mut Matrix) {
+        assert_eq!(lhs.cols, rhs.rows, "matmul shape mismatch");
+        out.resize(lhs.rows, rhs.cols);
+        let lc = lhs.cols.max(1);
+        let rc = rhs.cols.max(1);
+        // Register tiling over *output rows*: four independent output
+        // rows per pass share one streamed read of `rhs`, cutting the
+        // streamed-operand traffic 4× and giving the machine four
+        // independent accumulation chains per `rhs` row. Every output
+        // element still owns a single accumulator summing `a·b` in
+        // ascending-k order, so each element is bit-identical to the
+        // one-row-at-a-time loop (the ILP-restructuring clause of the
+        // numerics policy).
+        let mut lq = lhs.data.chunks_exact(4 * lc);
+        let mut oq = out.data.chunks_exact_mut(4 * rc);
+        for (ls, os) in (&mut lq).zip(&mut oq) {
+            let (l0, rest) = ls.split_at(lc);
+            let (l1, rest) = rest.split_at(lc);
+            let (l2, l3) = rest.split_at(lc);
+            let (o0, rest) = os.split_at_mut(rc);
+            let (o1, rest) = rest.split_at_mut(rc);
+            let (o2, o3) = rest.split_at_mut(rc);
+            for ((((rrow, &a0), &a1), &a2), &a3) in
+                rhs.data.chunks_exact(rc).zip(l0).zip(l1).zip(l2).zip(l3)
+            {
+                axpy_skip_zero(o0, rrow, a0);
+                axpy_skip_zero(o1, rrow, a1);
+                axpy_skip_zero(o2, rrow, a2);
+                axpy_skip_zero(o3, rrow, a3);
+            }
+        }
+        for (lrow, orow) in lq
+            .remainder()
+            .chunks_exact(lc)
+            .zip(oq.into_remainder().chunks_exact_mut(rc))
+        {
+            for (&a, rrow) in lrow.iter().zip(rhs.data.chunks_exact(rc)) {
+                axpy_skip_zero(orow, rrow, a);
+            }
+        }
     }
 }
 
-/// Output width of one register tile of [`strided_gemm_into`], the
+kernel! {
+    /// Strided windowed GEMM, vectorised across outputs: the forward of a
+    /// 1-D convolution whose input windows are contiguous runs of `input`.
+    ///
+    /// With `cout = wt.cols()` and `len = wt.rows()`, output step `t` reads
+    /// the window `input[t·stride .. t·stride + len]` and writes
+    /// `out[t·cout .. (t+1)·cout]`: each output `o` starts at `init[o]` (or
+    /// `0.0` when `init` is `None`) and adds `window[j] · wt[j][o]` for
+    /// ascending `j`. That is exactly the per-output dot-product loop over
+    /// the untransposed weight row, so every element is bit-identical to
+    /// it; only the loop order differs. `wt` is the transposed weight
+    /// (`len × cout`), and the independent accumulators run across the
+    /// contiguous outputs of one weight row (and two steps at a time,
+    /// sharing each weight load), never along the reduction. No product is
+    /// skipped: `0 · inf` must stay NaN and `−0 + 0` must become `+0`.
+    /// Runs in AVX2 where the CPU has it (the crate's `isa` module), with
+    /// the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out.len()` is not a multiple of `cout`, `init` has the
+    /// wrong length, or the last window runs past the end of `input`.
+    pub fn strided_gemm_into(
+        input: &[f32],
+        stride: usize,
+        wt: &Matrix,
+        init: Option<&[f32]>,
+        out: &mut [f32],
+    ) {
+        let (len, cout) = (wt.rows, wt.cols);
+        if cout == 0 {
+            return;
+        }
+        assert_eq!(out.len() % cout, 0, "output is not whole steps");
+        let steps = out.len() / cout;
+        if let Some(init) = init {
+            assert_eq!(init.len(), cout, "init length mismatch");
+        }
+        if steps > 0 {
+            assert!(
+                (steps - 1) * stride + len <= input.len(),
+                "window past input end"
+            );
+        }
+        let window = |t: usize| &input[t * stride..t * stride + len];
+        let mut pairs = out.chunks_exact_mut(2 * cout);
+        for (tp, os) in (&mut pairs).enumerate() {
+            let (o0, o1) = os.split_at_mut(cout);
+            gemm_steps([window(2 * tp), window(2 * tp + 1)], wt, init, [o0, o1]);
+        }
+        let rest = pairs.into_remainder();
+        if !rest.is_empty() {
+            gemm_steps([window(steps - 1)], wt, init, [rest]);
+        }
+    }
+}
+
+/// Output width of one register tile of [`strided_gemm_into()`], the
 /// tiled `t_matmul` and [`axpy_rows_tiled`]: sixteen `f32` accumulators,
-/// four SSE2 registers.
+/// four 128-bit registers in the baseline x86-64 instance, two 256-bit
+/// ones in the AVX2 instance.
 const GEMM_LANES: usize = 16;
 
-/// `T` output steps of [`strided_gemm_into`]: full `GEMM_LANES`-wide
+/// The wide tile of [`axpy_rows_tiled`]: thirty-two `f32` accumulators,
+/// four independent add chains even in 256-bit registers.
+const WIDE_LANES: usize = 2 * GEMM_LANES;
+
+/// `T` output steps of [`strided_gemm_into()`]: full `GEMM_LANES`-wide
 /// output tiles, then the leftover outputs one at a time.
 #[inline(always)]
 fn gemm_steps<const T: usize>(
@@ -707,11 +730,14 @@ fn gemm_tile<const T: usize, const L: usize>(
 /// Register-tiled axpy over the rows of a strided operand: `orow[j] +=
 /// a · src[k·stride + j]` for each `(k, a)` term in the order given. Each
 /// element sums the same products in the same order as a loop that adds
-/// every term to a memory row, but the accumulators of [`GEMM_LANES`]
-/// outputs at a time stay in registers across the whole term sweep (the
-/// leftover outputs go one at a time). With `SKIP_ZERO`, a zero
-/// multiplier skips its term: one scalar branch for the whole tile, as
-/// the untiled loop skipped the whole row.
+/// every term to a memory row, but the accumulators of a tile of outputs
+/// stay in registers across the whole term sweep: [`WIDE_LANES`] outputs
+/// at a time while they last, then one [`GEMM_LANES`] tile if it fits,
+/// then the leftover outputs one at a time. (A 16-lane tile is two
+/// 256-bit add chains, too few to hide the add latency; the 32-wide GC
+/// layers take one 32-lane tile.) With `SKIP_ZERO`, a zero multiplier
+/// skips its term: one scalar branch for the whole tile, as the untiled
+/// loop skipped the whole row.
 #[inline(always)]
 pub(crate) fn axpy_rows_tiled<const SKIP_ZERO: bool>(
     terms: impl Iterator<Item = (usize, f32)> + Clone,
@@ -720,11 +746,16 @@ pub(crate) fn axpy_rows_tiled<const SKIP_ZERO: bool>(
     orow: &mut [f32],
 ) {
     let width = orow.len();
-    let tiled = width - width % GEMM_LANES;
-    for j0 in (0..tiled).step_by(GEMM_LANES) {
-        axpy_rows_tile::<SKIP_ZERO, GEMM_LANES>(terms.clone(), src, stride, j0, orow);
+    let wide = width - width % WIDE_LANES;
+    for j0 in (0..wide).step_by(WIDE_LANES) {
+        axpy_rows_tile::<SKIP_ZERO, WIDE_LANES>(terms.clone(), src, stride, j0, orow);
     }
-    for j0 in tiled..width {
+    let mut j0 = wide;
+    if width - j0 >= GEMM_LANES {
+        axpy_rows_tile::<SKIP_ZERO, GEMM_LANES>(terms.clone(), src, stride, j0, orow);
+        j0 += GEMM_LANES;
+    }
+    for j0 in j0..width {
         axpy_rows_tile::<SKIP_ZERO, 1>(terms.clone(), src, stride, j0, orow);
     }
 }
@@ -764,9 +795,10 @@ pub(crate) mod tests {
     use proptest::prelude::*;
 
     use super::*;
+    use crate::isa::tests::{avx2_ran, oracle_matrix};
 
     /// The `self × rhsᵀ` kernel production ran before every such product
-    /// moved to [`strided_gemm_into`] on a transposed weight, kept as
+    /// moved to [`strided_gemm_into()`] on a transposed weight, kept as
     /// that kernel's oracle: each output is one dot summed from `0.0`
     /// over ascending `k`, in a 2-row × 8-dot register tile.
     impl Matrix {
@@ -932,7 +964,8 @@ pub(crate) mod tests {
 
     /// Bit patterns decimal JSON floats cannot carry: NaN payloads (quiet
     /// and signalling, both signs), ±0, the extreme subnormals and ±inf.
-    const SPECIAL_BITS: &[u32] = &[
+    /// The ISA oracles mix them into their inputs too.
+    pub(crate) const SPECIAL_BITS: &[u32] = &[
         0x7fc0_0000,
         0x7fc0_0001,
         0xffa0_0000,
@@ -1555,6 +1588,66 @@ pub(crate) mod tests {
             l.t_matmul_streaming(&r, lo..hi, &mut want);
             prop_assert!(same_bits(&got, &want), "{rows} {lc} {lo}..{hi}");
             prop_assert!(same_bits(&got, &naive_t_matmul_rows(&l, &r, lo..hi)), "{rows} {lc} {lo}..{hi}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// ISA oracle: `matmul_into`'s AVX2 instance against its baseline
+        /// one, into dirty wrongly-shaped buffers. Row counts cover the
+        /// 4-row pass and its remainder, output widths the tails of every
+        /// vector width up to past the dense head's 128.
+        #[test]
+        fn matmul_avx2_instance_matches_baseline_bitwise(
+            ((m, k, n), seed) in (
+                (0usize..10, 0usize..12, 0usize..140),
+                proptest::num::u64::ANY,
+            ),
+        ) {
+            let mut rng = seeded_rng(seed);
+            let l = oracle_matrix(m, k, &mut rng);
+            let r = oracle_matrix(k, n, &mut rng);
+            let mut want = Matrix::from_vec(1, 2, vec![7.0, 7.0]);
+            matmul_kernel::baseline(&l, &r, &mut want);
+            let mut got = Matrix::from_vec(1, 2, vec![7.0, 7.0]);
+            if !avx2_ran(matmul_kernel::avx2(&l, &r, &mut got)) {
+                return;
+            }
+            prop_assert!(same_bits(&got, &want), "{m}x{k}x{n}");
+        }
+
+        /// ISA oracle: `strided_gemm_into`'s AVX2 instance against its
+        /// baseline one: step counts across the 2-step pairing, output
+        /// widths across the 16-lane tile and its one-at-a-time tail,
+        /// strides shorter and longer than the window, with and without
+        /// an `init` row.
+        #[test]
+        fn strided_gemm_avx2_instance_matches_baseline_bitwise(
+            ((steps, len, cout), (with_init, seed)) in (
+                (0usize..9, 1usize..20, 0usize..70),
+                (proptest::bool::ANY, proptest::num::u64::ANY),
+            ),
+        ) {
+            let mut rng = seeded_rng(seed);
+            let stride = rng.gen_range(1..len + 3);
+            let need = steps.saturating_sub(1) * stride + len;
+            let input = oracle_matrix(1, need + rng.gen_range(0..3usize), &mut rng);
+            let wt = oracle_matrix(len, cout, &mut rng);
+            let init = oracle_matrix(1, cout, &mut rng);
+            let init = with_init.then_some(init.data());
+            let mut want = vec![7.0f32; steps * cout];
+            strided_gemm_into::baseline(input.data(), stride, &wt, init, &mut want);
+            let mut got = vec![7.0f32; steps * cout];
+            let ran = strided_gemm_into::avx2(input.data(), stride, &wt, init, &mut got);
+            if !avx2_ran(ran) {
+                return;
+            }
+            let (got, want) = (
+                Matrix::from_vec(steps, cout, got),
+                Matrix::from_vec(steps, cout, want),
+            );
+            prop_assert!(same_bits(&got, &want), "{steps} steps of {len} by {stride}, {cout} outs");
         }
     }
 

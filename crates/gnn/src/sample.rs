@@ -21,6 +21,7 @@ use muxlink_graph::{
     Csr, CsrView, Layer0PlanView, OneHotFeatures, OneHotView, SampleArena, SampleHandle,
 };
 
+use crate::isa::kernel;
 use crate::matrix::{axpy_rows_tiled, Matrix};
 
 /// One graph-classification example: flat CSR adjacency plus node
@@ -30,7 +31,7 @@ use crate::matrix::{axpy_rows_tiled, Matrix};
 /// gate-type bit, one DRNL-label bit per row), so features are carried
 /// in that compact form — 8 bytes per node instead of `4 · cols` — and
 /// the first graph-convolution layer consumes the sparse rows of `S·X`
-/// built from it (see [`plan_matmul_into`]).
+/// built from it (see [`plan_matmul_into()`]).
 #[derive(Debug, Clone)]
 pub struct GraphSample {
     /// CSR adjacency over local node indices (sorted neighbour runs).
@@ -245,28 +246,31 @@ fn axpy_rows(acc: &mut [f32], src: &[f32], a: f32) {
     }
 }
 
-/// **Bit-exact** first layer forward: `out = (S·X)·W` from the sparse
-/// rows of `S·X` in a [`Layer0PlanView`] — without materialising the
-/// `n × F` matrix `S·X`.
-///
-/// A plan row holds the nonzero entries of row `i` of `S·X`, each the
-/// exact `count · scaleᵢ` (integer-valued `f32` counts are exact), with
-/// the columns ascending — the order [`Matrix::matmul_into`]'s skip-zero
-/// loop visits them. Accumulating `value · W[column]` over the row thus
-/// reproduces the dense `propagate` + `matmul` bit-for-bit, while
-/// skipping all `O(n·F)` work.
-///
-/// # Panics
-///
-/// Panics when a plan column exceeds `w`'s rows (plan built under a
-/// different label budget than `w` was shaped for).
-pub fn plan_matmul_into(plan: Layer0PlanView<'_>, w: &Matrix, out: &mut Matrix) {
-    let n = plan.node_count();
-    out.resize(n, w.cols());
-    for i in 0..n {
-        let (cols, vals) = plan.row(i);
-        let terms = cols.iter().zip(vals).map(|(&c, &a)| (c as usize, a));
-        axpy_rows_tiled::<false>(terms, w.data(), w.cols(), out.row_mut(i));
+kernel! {
+    /// **Bit-exact** first layer forward: `out = (S·X)·W` from the sparse
+    /// rows of `S·X` in a [`Layer0PlanView`] — without materialising the
+    /// `n × F` matrix `S·X`.
+    ///
+    /// A plan row holds the nonzero entries of row `i` of `S·X`, each the
+    /// exact `count · scaleᵢ` (integer-valued `f32` counts are exact), with
+    /// the columns ascending — the order [`Matrix::matmul_into`]'s skip-zero
+    /// loop visits them. Accumulating `value · W[column]` over the row thus
+    /// reproduces the dense `propagate` + `matmul` bit-for-bit, while
+    /// skipping all `O(n·F)` work. Runs in AVX2 where the CPU has it (the
+    /// crate's `isa` module), with the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a plan column exceeds `w`'s rows (plan built under a
+    /// different label budget than `w` was shaped for).
+    pub fn plan_matmul_into(plan: Layer0PlanView<'_>, w: &Matrix, out: &mut Matrix) {
+        let n = plan.node_count();
+        out.resize(n, w.cols());
+        for i in 0..n {
+            let (cols, vals) = plan.row(i);
+            let terms = cols.iter().zip(vals).map(|(&c, &a)| (c as usize, a));
+            axpy_rows_tiled::<false>(terms, w.data(), w.cols(), out.row_mut(i));
+        }
     }
 }
 
@@ -275,7 +279,7 @@ pub fn plan_matmul_into(plan: Layer0PlanView<'_>, w: &Matrix, out: &mut Matrix) 
 /// plan. Rows are visited ascending and each row's columns ascending,
 /// [`Matrix::t_matmul_into`]'s order over the dense `S·X`, so the result
 /// is bitwise identical to it for the same reasons as
-/// [`plan_matmul_into`]. Over one sample's row segment of a
+/// [`plan_matmul_into()`]. Over one sample's row segment of a
 /// block-diagonal batch this is that sample's standalone `dW₀` — the
 /// segmented reduction the batched trainer folds in sample order.
 /// `feature_width` is the dense feature column count (the plan itself
@@ -357,7 +361,8 @@ pub fn propagate_into<'a>(adj: impl Into<CsrView<'a>>, h: &Matrix, out: &mut Mat
 /// are therefore bitwise identical to the unfused `propagate_into` +
 /// `matmul_into` pair — `prop` is still written because the backward
 /// pass needs `(S·H)ᵀ` — while the propagated row is consumed straight
-/// from cache instead of after a full second sweep.
+/// from cache instead of after a full second sweep. Runs in AVX2 where
+/// the CPU has it (the crate's `isa` module), with the same bits.
 ///
 /// # Panics
 ///
@@ -369,27 +374,40 @@ pub fn propagate_matmul_into<'a>(
     prop: &mut Matrix,
     out: &mut Matrix,
 ) {
-    let adj = adj.into();
-    let n = adj.node_count();
-    let c = h.cols();
-    assert_eq!(h.rows(), n);
-    assert_eq!(w.rows(), c, "weight row count mismatch");
-    prop.resize_for_overwrite(n, c);
-    out.resize(n, w.cols());
-    for i in 0..n {
-        let prow = prop.row_mut(i);
-        prow.copy_from_slice(h.row(i));
-        for &j in adj.neighbors(i) {
-            for (o, &b) in prow.iter_mut().zip(h.row(j as usize)) {
-                *o += b;
+    propagate_matmul_kernel(adj.into(), h, w, prop, out);
+}
+
+kernel! {
+    /// The body of [`propagate_matmul_into`], in AVX2 where the CPU has it
+    /// (see [`crate::isa`]).
+    fn propagate_matmul_kernel(
+        adj: CsrView<'_>,
+        h: &Matrix,
+        w: &Matrix,
+        prop: &mut Matrix,
+        out: &mut Matrix,
+    ) {
+        let n = adj.node_count();
+        let c = h.cols();
+        assert_eq!(h.rows(), n);
+        assert_eq!(w.rows(), c, "weight row count mismatch");
+        prop.resize_for_overwrite(n, c);
+        out.resize(n, w.cols());
+        for i in 0..n {
+            let prow = prop.row_mut(i);
+            prow.copy_from_slice(h.row(i));
+            for &j in adj.neighbors(i) {
+                for (o, &b) in prow.iter_mut().zip(h.row(j as usize)) {
+                    *o += b;
+                }
             }
+            let scale = adj.scale(i);
+            for o in prow.iter_mut() {
+                *o *= scale;
+            }
+            let terms = prow.iter().copied().enumerate();
+            axpy_rows_tiled::<true>(terms, w.data(), w.cols(), out.row_mut(i));
         }
-        let scale = adj.scale(i);
-        for o in prow.iter_mut() {
-            *o *= scale;
-        }
-        let terms = prow.iter().copied().enumerate();
-        axpy_rows_tiled::<true>(terms, w.data(), w.cols(), out.row_mut(i));
     }
 }
 
@@ -431,10 +449,13 @@ pub fn propagate_back_into<'a>(adj: impl Into<CsrView<'a>>, g: &Matrix, out: &mu
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
     use rand::Rng;
 
     use super::*;
+    use crate::isa::tests::{avx2_ran, oracle_matrix};
     use crate::matrix::seeded_rng;
+    use crate::matrix::tests::same_bits;
     use muxlink_graph::Layer0Plans;
 
     fn path_adj() -> Csr {
@@ -715,6 +736,82 @@ mod tests {
             let plan = Layer0PlanView::from_raw_parts(&offsets, &pcols, &vals);
             plan_matmul_into(plan, &w, &mut out);
             proptest::prop_assert!(same_bits(&out, &plan_matmul_oracle(plan, &w)), "{n} {c} {cols}");
+        }
+    }
+
+    /// A random graph of `n` nodes: each node's neighbours a random
+    /// subset of the others, ascending.
+    fn random_adj(n: usize, rng: &mut rand::rngs::StdRng) -> Csr {
+        let lists: Vec<Vec<u32>> = (0..n)
+            .map(|i| {
+                (0..n as u32)
+                    .filter(|&j| j as usize != i && rng.gen_range(0..3) == 0)
+                    .collect()
+            })
+            .collect();
+        Csr::from_lists(&lists)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// ISA oracle: `plan_matmul_into`'s AVX2 instance against its
+        /// baseline one on hand-made plans whose values, like the weight
+        /// entries, include ±0, subnormals, NaN payloads and ±∞; output
+        /// widths across the 32- and 16-lane tiles and the one-at-a-time
+        /// tail.
+        #[test]
+        fn plan_matmul_avx2_instance_matches_baseline_bitwise(
+            ((n, f, width), seed) in (
+                (0usize..12, 1usize..20, 0usize..90),
+                proptest::num::u64::ANY,
+            ),
+        ) {
+            let mut rng = seeded_rng(seed);
+            let mut offsets = vec![0u32];
+            let mut cols = Vec::new();
+            for _ in 0..n {
+                cols.extend((0..f as u32).filter(|_| rng.gen_range(0..3) == 0));
+                offsets.push(cols.len() as u32);
+            }
+            let vals = oracle_matrix(1, cols.len(), &mut rng);
+            let plan = Layer0PlanView::from_raw_parts(&offsets, &cols, vals.data());
+            let w = oracle_matrix(f, width, &mut rng);
+            let mut want = Matrix::from_vec(1, 2, vec![7.0, 7.0]);
+            plan_matmul_into::baseline(plan, &w, &mut want);
+            let mut got = Matrix::from_vec(1, 2, vec![7.0, 7.0]);
+            if !avx2_ran(plan_matmul_into::avx2(plan, &w, &mut got)) {
+                return;
+            }
+            prop_assert!(same_bits(&got, &want), "{n} rows, {f} features, width {width}");
+        }
+
+        /// ISA oracle: the fused propagate + GEMM's AVX2 instance against
+        /// its baseline one, both outputs: random graphs, inputs and
+        /// weights with zeros of either sign (the skip-zero branch),
+        /// subnormals, NaN payloads and ±∞, channel counts and output
+        /// widths across every tile and tail.
+        #[test]
+        fn propagate_matmul_avx2_instance_matches_baseline_bitwise(
+            ((n, c, width), seed) in (
+                (0usize..12, 0usize..40, 0usize..90),
+                proptest::num::u64::ANY,
+            ),
+        ) {
+            let mut rng = seeded_rng(seed);
+            let adj = random_adj(n, &mut rng);
+            let h = oracle_matrix(n, c, &mut rng);
+            let w = oracle_matrix(c, width, &mut rng);
+            let dirty = || Matrix::from_vec(1, 2, vec![7.0, 7.0]);
+            let (mut prop_want, mut want) = (dirty(), dirty());
+            propagate_matmul_kernel::baseline(adj.view(), &h, &w, &mut prop_want, &mut want);
+            let (mut prop_got, mut got) = (dirty(), dirty());
+            let ran = propagate_matmul_kernel::avx2(adj.view(), &h, &w, &mut prop_got, &mut got);
+            if !avx2_ran(ran) {
+                return;
+            }
+            prop_assert!(same_bits(&prop_got, &prop_want), "S·H, {n} nodes, {c} channels");
+            prop_assert!(same_bits(&got, &want), "(S·H)·W, {n} nodes, {c} channels, {width} wide");
         }
     }
 }

@@ -233,6 +233,7 @@ impl Layer0Plans {
     }
 
     /// Bytes of plan data currently held (length-based).
+    #[cfg(test)]
     fn resident_bytes(&self) -> usize {
         (self.offsets.len() + self.cols.len() + self.vals.len()) * 4
     }
@@ -481,8 +482,8 @@ impl SampleArena {
 
     /// Bytes of sample data currently resident (length-based, excluding
     /// unused slab capacity).
-    #[must_use]
-    pub fn resident_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn resident_bytes(&self) -> usize {
         (self.offsets.len() + self.neighbors.len() + self.gate.len() + self.labels.len()) * 4
             + self.scales.len() * 4
             + self.recs.len() * std::mem::size_of::<SampleRec>()
