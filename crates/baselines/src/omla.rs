@@ -10,7 +10,7 @@
 //! model learns exactly the local structures this design family produces.
 //!
 //! The reproduction reuses the workspace's graph substrate
-//! (key-gate-centric [`muxlink_graph::subgraph::node_subgraph`]) and the
+//! (key-gate-centric [`SampleArena::extract_node_sample`]) and the
 //! same DGCNN as MuxLink. Crucially — and this is the paper's point — the
 //! attack *cannot* touch D-MUX/S5 designs: they contain no XOR/XNOR key
 //! gates, so [`omla_attack`] returns [`OmlaError::NoXorKeyGates`].
@@ -21,7 +21,6 @@ use std::fmt;
 use muxlink_gnn::{ArenaSamples, Dgcnn, DgcnnConfig, SampleArena, TrainConfig};
 use muxlink_graph::features::feature_cols;
 use muxlink_graph::graph::{CircuitGraph, Link};
-use muxlink_graph::subgraph::node_subgraph;
 use muxlink_locking::{xor, KeyValue, LockOptions};
 use muxlink_netlist::{GateId, GateType, Netlist};
 use serde::{Deserialize, Serialize};
@@ -190,12 +189,12 @@ fn target_probabilities(
     let mut arena = SampleArena::new();
     let (mut train, mut targets, mut target_bits) = (Vec::new(), Vec::new(), Vec::new());
     for &(node, bit) in &xg.key_gate_nodes {
-        let sg = node_subgraph(&xg.graph, node, cfg.h, cfg.max_subgraph_nodes);
+        let (h, cap) = (cfg.h, cfg.max_subgraph_nodes);
         if bit >= target_count {
             let label = relocked.key.bit(bit - target_count);
-            train.push(arena.push_subgraph(&sg, Some(label)));
+            train.push(arena.extract_node_sample(&xg.graph, node, h, cap, Some(label)));
         } else {
-            targets.push(arena.push_subgraph(&sg, None));
+            targets.push(arena.extract_node_sample(&xg.graph, node, h, cap, None));
             target_bits.push(bit);
         }
     }

@@ -14,9 +14,9 @@ use muxlink_gnn::{
     BatchWorkspace, Csr, Dgcnn, DgcnnConfig, Layer0Plans, Matrix, Minibatch, OneHotFeatures,
 };
 use muxlink_graph::dataset::DatasetConfig;
-use muxlink_graph::subgraph::enclosing_subgraph_ref;
-use muxlink_graph::{build_dataset_arena, extract};
+use muxlink_graph::{build_dataset_arena, extract, SampleArena};
 use muxlink_integration_tests::reference::{Reference, Workspace};
+use muxlink_integration_tests::subgraph_oracle::enclosing_subgraph_ref;
 use muxlink_locking::{dmux, symmetric, LockOptions};
 use muxlink_netlist::sim::Simulator;
 
@@ -59,20 +59,6 @@ fn built_plan(adj: &Csr, x: &OneHotFeatures) -> Layer0Plans {
     let mut plans = Layer0Plans::new();
     plans.push_sample(adj.view(), x.view());
     plans
-}
-
-fn bench_subgraph(c: &mut Criterion) {
-    let design = SynthConfig::new("k", 32, 16, 1500).generate(1);
-    let locked = dmux::lock(&design, &LockOptions::new(32, 2)).unwrap();
-    let ex = extract(&locked.netlist, &locked.key_input_names()).unwrap();
-    let link = ex.muxes[0].link0();
-    let mut group = c.benchmark_group("subgraph_extraction");
-    for h in [1usize, 2, 3, 4] {
-        group.bench_with_input(BenchmarkId::from_parameter(h), &h, |b, &h| {
-            b.iter(|| muxlink_graph::enclosing_subgraph(&ex.graph, link, h, None));
-        });
-    }
-    group.finish();
 }
 
 fn bench_gnn(c: &mut Criterion) {
@@ -190,20 +176,25 @@ fn bench_sparse_layer0(c: &mut Criterion) {
     group.finish();
 }
 
-/// Enclosing-subgraph extraction: the retained hash-based reference vs.
-/// the epoch-stamped hash-free production path (bit-identical outputs).
+/// Enclosing-subgraph extraction (Fig. 10's dominant cost): the
+/// `HashMap` link oracle vs. the production path, which writes the
+/// sample straight into a cleared arena (bit-identical content).
 fn bench_subgraph_extract(c: &mut Criterion) {
     let design = SynthConfig::new("k", 32, 16, 1500).generate(1);
     let locked = dmux::lock(&design, &LockOptions::new(32, 2)).unwrap();
     let ex = extract(&locked.netlist, &locked.key_input_names()).unwrap();
     let link = ex.muxes[0].link0();
     let mut group = c.benchmark_group("subgraph_extract");
-    for h in [2usize, 3] {
+    let mut arena = SampleArena::new();
+    for h in [1usize, 2, 3, 4] {
         group.bench_with_input(BenchmarkId::new("hash", h), &h, |b, &h| {
             b.iter(|| enclosing_subgraph_ref(&ex.graph, link, h, None));
         });
-        group.bench_with_input(BenchmarkId::new("stamped", h), &h, |b, &h| {
-            b.iter(|| muxlink_graph::enclosing_subgraph(&ex.graph, link, h, None));
+        group.bench_with_input(BenchmarkId::new("arena", h), &h, |b, &h| {
+            b.iter(|| {
+                arena.clear();
+                arena.extract_sample(&ex.graph, link, h, None, None)
+            });
         });
     }
     group.finish();
@@ -638,7 +629,6 @@ fn bench_quick_profile_constant(_c: &mut Criterion) {
 
 criterion_group!(
     kernels,
-    bench_subgraph,
     bench_gnn,
     bench_propagate,
     bench_sparse_layer0,

@@ -186,13 +186,6 @@ impl MuxLinkConfig {
         self
     }
 
-    /// Returns a copy with a different minibatch size.
-    #[must_use]
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size;
-        self
-    }
-
     /// Returns a copy with netlist canonicalization toggled.
     #[must_use]
     pub fn with_canonicalize(mut self, canonicalize: bool) -> Self {

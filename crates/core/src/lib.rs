@@ -21,10 +21,11 @@
 //!
 //! Two entry surfaces expose the pipeline:
 //!
-//! * the **staged session API** ([`AttackSession`]) — typed, serializable
-//!   stage artifacts (`Extracted → Prepared → Trained → ScoredDesign`),
-//!   model checkpointing, a [`Progress`] observer with cooperative
-//!   cancellation, and the [`run_suite`] multi-design driver;
+//! * the **staged session API** ([`AttackSession`]) — typed stage
+//!   artifacts (`Extracted → Prepared → Trained → ScoredDesign`), model
+//!   checkpointing (`Trained` and `ScoredDesign` are serializable), a
+//!   [`Progress`] observer with cooperative cancellation, and the
+//!   [`run_suite`] multi-design driver;
 //! * the **one-shot wrappers** ([`score_design`] / [`attack`]) — the
 //!   whole chain in one call, bit-identical to the staged path.
 //!

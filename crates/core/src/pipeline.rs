@@ -24,7 +24,8 @@ use crate::{AttackError, MuxLinkConfig};
 
 /// A trained-and-scored design: everything the cheap post-processing stage
 /// needs, decoupled so threshold sweeps (Fig. 9) reuse one model.
-/// Serializable, like every stage artifact of the session API.
+/// Serializable, like the [`Trained`](crate::Trained) checkpoint it is
+/// scored from.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScoredDesign {
     /// The extracted graph and MUX candidates.

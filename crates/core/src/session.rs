@@ -1,4 +1,4 @@
-//! The staged attack-session API: typed, serializable pipeline stages.
+//! The staged attack-session API: typed pipeline stages.
 //!
 //! [`crate::score_design`]/[`crate::attack`] run the whole MuxLink
 //! pipeline in one call. An [`AttackSession`] exposes the same pipeline
@@ -9,10 +9,12 @@
 //!        ──train()──▶ Trained ──score()──▶ ScoredDesign ──recover_key(th)──▶ key
 //! ```
 //!
-//! Every artifact is serde-serializable, so any stage can be
-//! checkpointed and restored: save a [`Trained`] model after the
-//! expensive training stage, then re-score or threshold-sweep later —
-//! in another process — without retraining. A [`Progress`] observer
+//! The trained model is the checkpoint: [`Trained`] (and the
+//! [`ScoredDesign`] it scores to) is serde-serializable, so save it after
+//! the expensive training stage, then re-score or threshold-sweep later
+//! — in another process — without retraining. [`Extracted`] and
+//! [`Prepared`] live in one process only: they are cheap to rebuild and
+//! hold nothing a later process needs. A [`Progress`] observer
 //! receives stage transitions and per-epoch statistics and can cancel
 //! cooperatively at batch boundaries.
 //!
@@ -23,8 +25,8 @@
 //! points are thin wrappers over a session). Every stage seeds its own
 //! RNG streams from [`MuxLinkConfig::seed`] and reduces parallel work in
 //! a fixed order, so splitting the pipeline at any stage boundary —
-//! including through a serialize/deserialize round trip — cannot change
-//! a single bit of the scores or the recovered key.
+//! including through a checkpoint round trip of [`Trained`] — cannot
+//! change a single bit of the scores or the recovered key.
 //!
 //! # Example
 //!
@@ -258,7 +260,7 @@ impl<'n> AttackSession<'n> {
 
 /// Stage artifact: the extracted gate graph and MUX candidates, plus the
 /// configuration the rest of the pipeline will run with.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Extracted {
     /// The attack configuration this session runs with.
     pub cfg: MuxLinkConfig,
@@ -335,7 +337,7 @@ impl Extracted {
 /// Stage artifact: the labelled training/validation dataset — pooled in
 /// one [`SampleArena`](muxlink_graph::SampleArena), samples addressed by
 /// handles — and the chosen SortPool size, ready for (re-)training.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Prepared {
     /// The attack configuration this session runs with.
     pub cfg: MuxLinkConfig,
@@ -379,9 +381,8 @@ impl Prepared {
             mut timings,
         } = self;
         let max_label = dataset.max_label;
-        // Cached layer-0 plans are derived state the arena's serde
-        // deliberately skips, so a checkpoint-restored `Prepared` arrives
-        // without them: (re)build here — a no-op when the dataset build
+        // Cached layer-0 plans are derived state: (re)build them for a
+        // hand-assembled `Prepared` — a no-op when the dataset build
         // already cached them under this budget.
         dataset.arena.build_layer0_plans(max_label);
         let input_dim = muxlink_graph::features::feature_cols(max_label);

@@ -554,11 +554,6 @@ impl Matrix {
         }
     }
 
-    /// Resets all entries to zero (reusing the allocation).
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|a| *a = 0.0);
-    }
-
     /// Frobenius norm.
     #[must_use]
     pub fn norm(&self) -> f32 {

@@ -15,14 +15,14 @@
 //! Two properties make the arena the streaming substrate for
 //! million-link datasets:
 //!
-//! * **Extraction writes directly into the slabs.**
-//!   [`SampleArena::extract_sample`] runs the same hash-free,
-//!   epoch-stamped extraction as
-//!   [`enclosing_subgraph`](crate::subgraph::enclosing_subgraph)
-//!   (shared member collection, shared BFS scratch) but emits the CSR
-//!   rows, propagation scales, gate columns and DRNL labels straight
-//!   into the arena — zero per-sample allocation once the slabs have
-//!   grown.
+//! * **Extraction writes directly into the slabs.** The arena is the
+//!   only code that turns a graph neighbourhood into a sample.
+//!   [`SampleArena::extract_sample`] (around a link, DRNL-labelled) and
+//!   [`SampleArena::extract_node_sample`] (around one node,
+//!   distance-labelled) collect their members on hash-free,
+//!   epoch-stamped scratch and share one slab writer that emits the CSR
+//!   rows, propagation scales, gate columns and labels straight into the
+//!   arena — zero per-sample allocation once the slabs have grown.
 //! * **Reset is O(1) amortised.** [`SampleArena::clear`] keeps slab
 //!   capacity, so a scoring loop can stream an unbounded candidate-link
 //!   list through one arena in fixed-size chunks: peak resident sample
@@ -33,10 +33,8 @@
 //! DRNL labels land in the slab **raw** (unclamped): the dataset-wide
 //! label budget (`max_label`) is only known after every sample has been
 //! extracted, and at scoring time it comes from training. Views clamp on
-//! read ([`OneHotView::columns`]), exactly like
-//! [`one_hot_features`](crate::features::one_hot_features) clamps at
-//! construction — so the same slab serves any budget and the emitted
-//! column indices are identical to an owned sample's.
+//! read ([`OneHotView::columns`]) into the last label bucket, so the same
+//! slab serves any budget.
 //!
 //! # Layer-0 plan slabs
 //!
@@ -49,29 +47,28 @@
 //! builds the rows of a sample whose store caches none with the same
 //! function, so a cached and a freshly built plan carry the same bits.
 //! The plans are *derived* state: any sample mutation invalidates
-//! them, and serde skips them (checkpoints stay in the pre-plan
-//! format; plans are rebuilt on demand after deserialisation).
+//! them.
 //!
 //! # Determinism contract
 //!
 //! A sample's slab content is a pure function of `(graph, link, h,
-//! max_nodes)` — the same normalised neighbour runs, scales and labels
-//! the owned extraction produces, property-tested bit-identical
-//! (`arena` unit tests and `tests/tests/arena_dataset.rs`). Parallel
-//! fills ([`SampleArena::extend_extract`]) split the job list into
-//! fixed sub-ranges, extract each into a thread-local arena and append
-//! the results in job order, so the final slab layout is independent of
-//! the thread count.
+//! max_nodes)` (or `center` for a node sample) — the same normalised
+//! neighbour runs, scales and labels as the hash-map extraction oracles
+//! in the integration-test crate, property-tested bit-identical
+//! (`tests/tests/sparse_features.rs`, `tests/tests/arena_dataset.rs`).
+//! Parallel fills ([`SampleArena::extend_extract`]) split the job list
+//! into fixed sub-ranges, extract each into a thread-local arena and
+//! append the results in job order, so the final slab layout is
+//! independent of the thread count.
 
 use rayon::prelude::*;
-use serde::{map_get, DeError, Deserialize, Serialize, Value};
 
 use crate::csr::CsrView;
 use crate::drnl;
 use crate::features::{feature_cols, OneHotView};
 use crate::graph::{CircuitGraph, Link};
 use crate::scratch::ExtractScratch;
-use crate::subgraph::{self, Subgraph};
+use crate::subgraph;
 
 /// Address of one sample inside a [`SampleArena`] (8-byte samples-side
 /// cost; the adjacency and features live in the arena slabs).
@@ -82,7 +79,7 @@ use crate::subgraph::{self, Subgraph};
 /// to whatever sample now occupies its index (the streaming pattern —
 /// clear + refill per chunk — would otherwise make that an easy,
 /// undetectable aliasing bug).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SampleHandle {
     idx: u32,
     gen: u32,
@@ -323,7 +320,7 @@ fn to_u32(n: usize) -> u32 {
 }
 
 /// Per-sample record: where the sample's runs start inside the slabs.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct SampleRec {
     /// Start of the `node_count + 1` relative row offsets in `offsets`.
     off_start: u32,
@@ -337,9 +334,19 @@ struct SampleRec {
     label: Option<bool>,
 }
 
+/// How [`SampleArena::push_members`] labels a sample's nodes, by their
+/// local indices.
+#[derive(Debug, Clone, Copy)]
+enum Labelling {
+    /// DRNL against the two targets of a link sample.
+    Drnl(u32, u32),
+    /// `1 + distance` from the centre of a node sample.
+    Distance(u32),
+}
+
 /// Pooled storage for the adjacency and two-hot features of many
-/// enclosing-subgraph samples ([`Subgraph`]-shaped) — see the
-/// [module docs](self) for layout, streaming and determinism.
+/// enclosing-subgraph samples — see the [module docs](self) for layout,
+/// streaming and determinism.
 #[derive(Debug, Clone, Default)]
 pub struct SampleArena {
     /// Concatenated per-sample row offsets (`node_count + 1` entries per
@@ -363,48 +370,10 @@ pub struct SampleArena {
     generation: u32,
     /// Layer-0 plans of every node of every sample in push order.
     /// Derived state — rebuilt by [`SampleArena::build_layer0_plans`],
-    /// never serialised, dropped by any mutation.
+    /// dropped by any mutation.
     plans: Layer0Plans,
     /// The label budget the plans were built under; `None` = no plans.
     plan_budget: Option<u32>,
-}
-
-// The arena's persistent form is exactly the eight sample slabs/fields
-// it has carried since the arena PR — the layer-0 plan slabs are derived
-// state, rebuilt on demand from the sample slabs, so serialising them
-// would only bloat checkpoints and break bidirectional compatibility
-// with pre-plan readers. Hand-written because the vendored derive has no
-// `skip` attribute and requires every field on read.
-impl Serialize for SampleArena {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("offsets".to_owned(), self.offsets.to_value()),
-            ("neighbors".to_owned(), self.neighbors.to_value()),
-            ("scales".to_owned(), self.scales.to_value()),
-            ("gate".to_owned(), self.gate.to_value()),
-            ("labels".to_owned(), self.labels.to_value()),
-            ("recs".to_owned(), self.recs.to_value()),
-            ("max_label".to_owned(), self.max_label.to_value()),
-            ("generation".to_owned(), self.generation.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for SampleArena {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            offsets: Deserialize::from_value(map_get(v, "offsets")?)?,
-            neighbors: Deserialize::from_value(map_get(v, "neighbors")?)?,
-            scales: Deserialize::from_value(map_get(v, "scales")?)?,
-            gate: Deserialize::from_value(map_get(v, "gate")?)?,
-            labels: Deserialize::from_value(map_get(v, "labels")?)?,
-            recs: Deserialize::from_value(map_get(v, "recs")?)?,
-            max_label: Deserialize::from_value(map_get(v, "max_label")?)?,
-            generation: Deserialize::from_value(map_get(v, "generation")?)?,
-            plans: Layer0Plans::new(),
-            plan_budget: None,
-        })
-    }
 }
 
 impl SampleArena {
@@ -554,16 +523,16 @@ impl SampleArena {
     }
 
     /// Extracts the enclosing subgraph of `link` **directly into the
-    /// slabs** — same membership, node order, normalised adjacency,
-    /// scales and labels as
-    /// [`enclosing_subgraph`](crate::subgraph::enclosing_subgraph)
-    /// (shared member collection and BFS scratch), but with zero
-    /// per-sample allocation once the slabs have grown.
+    /// slabs**. Per the paper, the members are the nodes within `h` hops
+    /// of either end — targets first, then by distance, truncated to
+    /// `max_nodes` (the two targets always survive) — the direct target
+    /// edge is dropped (the GNN must never see the answer), and every
+    /// node carries its DRNL label. Nothing is allocated per sample
+    /// once the slabs have grown.
     ///
     /// # Panics
     ///
-    /// Panics when a graph node carries a non-encodable gate type (as
-    /// the owned feature path does).
+    /// Panics when a graph node carries a non-encodable gate type.
     pub fn extract_sample(
         &mut self,
         graph: &CircuitGraph,
@@ -573,23 +542,56 @@ impl SampleArena {
         label: Option<bool>,
     ) -> SampleHandle {
         subgraph::with_extract_scratch(|scr| {
-            self.extract_sample_scratch(scr, graph, link, h, max_nodes, label)
+            let (lf, lg) = subgraph::collect_link_members(scr, graph, link, h, max_nodes);
+            self.push_members(scr, graph, link, Labelling::Drnl(lf, lg), label)
         })
     }
 
-    /// [`SampleArena::extract_sample`] over explicit scratch.
-    fn extract_sample_scratch(
+    /// Extracts the h-hop neighbourhood of the single node `center`
+    /// **directly into the slabs** (key-gate-centric extraction, as used
+    /// by OMLA-style attacks on XOR locking): members in (distance,
+    /// index) order, truncated to `max_nodes` (the centre always
+    /// survives), no edge dropped, each node labelled `1 + distance`
+    /// from the centre within the sample (the centre is 1, an
+    /// unreachable node 0).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a graph node carries a non-encodable gate type.
+    pub fn extract_node_sample(
         &mut self,
-        scr: &mut ExtractScratch,
         graph: &CircuitGraph,
-        link: Link,
+        center: u32,
         h: usize,
         max_nodes: Option<usize>,
         label: Option<bool>,
     ) -> SampleHandle {
+        subgraph::with_extract_scratch(|scr| {
+            let lc = subgraph::collect_node_members(scr, graph, center, h, max_nodes);
+            self.push_members(
+                scr,
+                graph,
+                subgraph::NO_LINK,
+                Labelling::Distance(lc),
+                label,
+            )
+        })
+    }
+
+    /// The one slab writer behind both extractors: appends the sample
+    /// whose members `scr.members` (relabelled by `scr.local_of`) were
+    /// just collected — CSR rows without the edge `dropped`, the
+    /// `1/(1 + deg)` scales, gate columns and labels — and records it.
+    fn push_members(
+        &mut self,
+        scr: &mut ExtractScratch,
+        graph: &CircuitGraph,
+        dropped: Link,
+        labelling: Labelling,
+        label: Option<bool>,
+    ) -> SampleHandle {
         self.invalidate_plans();
-        let (lf, lg) = subgraph::collect_link_members(scr, graph, link, h, max_nodes);
-        let (f, g) = (link.a, link.b);
+        let (f, g) = (dropped.a, dropped.b);
         let ExtractScratch {
             dist_f,
             dist_g,
@@ -624,10 +626,9 @@ impl SampleArena {
                 .map(|w| 1.0 / (1.0 + (w[1] - w[0]) as f32)),
         );
 
-        // Features: gate columns now, DRNL labels straight into the slab
-        // via a view over the rows just written (the distance maps are
-        // free again after member collection, exactly as in the owned
-        // path).
+        // Features: gate columns now, labels straight into the slab via a
+        // view over the rows just written (the distance maps are free
+        // again after member collection).
         self.gate.extend(members.iter().map(|&j| {
             graph.gate_types[j as usize]
                 .encoding_index()
@@ -639,7 +640,17 @@ impl SampleArena {
             &self.neighbors[nbr_start..],
             &self.scales[node_start..],
         );
-        drnl::compute_labels_stamped_into(adj, lf, lg, dist_f, dist_g, queue, &mut self.labels);
+        match labelling {
+            Labelling::Drnl(lf, lg) => {
+                drnl::drnl_labels_into(adj, lf, lg, dist_f, dist_g, queue, &mut self.labels);
+            }
+            Labelling::Distance(lc) => {
+                drnl::distances_without(adj, lc, u32::MAX, dist_f, queue);
+                self.labels.extend(
+                    (0..adj.node_count() as u32).map(|j| dist_f.get(j).map_or(0, |d| d + 1)),
+                );
+            }
+        }
         let new_max = self.labels[label_start..].iter().copied().max();
         self.max_label = self.max_label.max(new_max.unwrap_or(0));
 
@@ -649,40 +660,6 @@ impl SampleArena {
             node_start: node_start as u32,
             nbr_start: nbr_start as u32,
             node_count: members.len() as u32,
-            label,
-        });
-        self.nth_handle(self.recs.len() - 1)
-    }
-
-    /// Copies an already-extracted [`Subgraph`] into the slabs (labels
-    /// stored raw, adjacency verbatim — the subgraph's CSR is already
-    /// normalised). Returns the new handle.
-    pub fn push_subgraph(&mut self, sg: &Subgraph, label: Option<bool>) -> SampleHandle {
-        self.invalidate_plans();
-        let n = sg.node_count();
-        let off_start = self.offsets.len();
-        let node_start = self.scales.len();
-        let nbr_start = self.neighbors.len();
-        self.offsets.push(0);
-        for i in 0..n {
-            self.neighbors.extend_from_slice(sg.adj.neighbors(i));
-            self.offsets.push((self.neighbors.len() - nbr_start) as u32);
-        }
-        self.scales.extend((0..n).map(|i| sg.adj.scale(i)));
-        self.gate.extend(sg.gate_types.iter().map(|ty| {
-            ty.encoding_index()
-                .expect("graph nodes are plain encoded gates") as u32
-        }));
-        self.labels.extend_from_slice(&sg.labels);
-        self.max_label = self
-            .max_label
-            .max(sg.labels.iter().copied().max().unwrap_or(0));
-        self.assert_addressable();
-        self.recs.push(SampleRec {
-            off_start: off_start as u32,
-            node_start: node_start as u32,
-            nbr_start: nbr_start as u32,
-            node_count: n as u32,
             label,
         });
         self.nth_handle(self.recs.len() - 1)
@@ -813,30 +790,6 @@ impl SampleArena {
     }
 }
 
-/// Checks a stored sample against the owned extraction path (test/debug
-/// helper): extracts the same link through
-/// [`enclosing_subgraph`](crate::subgraph::enclosing_subgraph) +
-/// [`one_hot_features`] and asserts slab content equality under the
-/// given label budget.
-#[cfg(test)]
-fn assert_sample_matches_owned(
-    arena: &SampleArena,
-    handle: SampleHandle,
-    graph: &CircuitGraph,
-    link: Link,
-    h: usize,
-    max_nodes: Option<usize>,
-    max_label: u32,
-) {
-    let sg = subgraph::enclosing_subgraph(graph, link, h, max_nodes);
-    let owned = crate::features::one_hot_features(&sg, max_label);
-    let adj = arena.adj(handle);
-    assert_eq!(adj.to_owned_csr(), sg.adj, "adjacency diverged");
-    let oh = arena.one_hot(handle, max_label);
-    assert_eq!(oh.to_owned_features(), owned, "features diverged");
-    assert_eq!(arena.node_count(handle), sg.node_count());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -854,43 +807,6 @@ mod tests {
             vec![GateType::Nor; n],
             &edges,
         )
-    }
-
-    #[test]
-    fn direct_extraction_matches_owned_path_bitwise() {
-        let g = ring(40);
-        let mut arena = SampleArena::new();
-        let links = [Link::new(0, 5), Link::new(3, 21), Link::new(7, 8)];
-        for round in 0..2 {
-            arena.clear();
-            for (i, &link) in links.iter().enumerate() {
-                for hops in 1..=3 {
-                    for cap in [None, Some(6)] {
-                        let hd = arena.extract_sample(&g, link, hops, cap, Some(i % 2 == 0));
-                        let max_label = arena.max_label().max(1);
-                        assert_sample_matches_owned(&arena, hd, &g, link, hops, cap, max_label);
-                        assert_eq!(arena.label(hd), Some(i % 2 == 0), "round {round}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn push_subgraph_matches_direct_extraction() {
-        let g = ring(30);
-        let link = Link::new(2, 17);
-        let mut direct = SampleArena::new();
-        let hd = direct.extract_sample(&g, link, 2, None, None);
-        let mut copied = SampleArena::new();
-        let sg = subgraph::enclosing_subgraph(&g, link, 2, None);
-        let hc = copied.push_subgraph(&sg, None);
-        assert_eq!(direct.adj(hd).to_owned_csr(), copied.adj(hc).to_owned_csr());
-        assert_eq!(
-            direct.one_hot(hd, 5).to_owned_features(),
-            copied.one_hot(hc, 5).to_owned_features()
-        );
-        assert_eq!(direct.max_label(), copied.max_label());
     }
 
     #[test]
@@ -987,27 +903,6 @@ mod tests {
         let _ = arena.adj(h);
     }
 
-    #[test]
-    fn serde_round_trips_samples() {
-        let g = ring(20);
-        let mut arena = SampleArena::new();
-        arena.extract_sample(&g, Link::new(1, 11), 2, None, Some(true));
-        arena.extract_sample(&g, Link::new(4, 9), 2, Some(5), None);
-        let json = serde_json::to_string(&arena).unwrap();
-        let back: SampleArena = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.len(), arena.len());
-        assert_eq!(back.max_label(), arena.max_label());
-        for i in 0..arena.len() {
-            let (a, b) = (arena.nth_handle(i), back.nth_handle(i));
-            assert_eq!(arena.adj(a).to_owned_csr(), back.adj(b).to_owned_csr());
-            assert_eq!(
-                arena.one_hot(a, 8).to_owned_features(),
-                back.one_hot(b, 8).to_owned_features()
-            );
-            assert_eq!(arena.label(a), back.label(b));
-        }
-    }
-
     /// In-test reference for one plan row: the dense row of `S·X`
     /// derived naively from the sample views, with the histogram's
     /// exact `(count as f32) * scale` arithmetic.
@@ -1086,52 +981,5 @@ mod tests {
         assert!(arena.layer0_plan(arena.nth_handle(1), budget).is_some());
         arena.clear();
         assert_eq!(arena.resident_bytes(), 0, "plan slabs cleared too");
-    }
-
-    #[test]
-    fn serde_skips_plans_and_rebuilds_after_round_trip() {
-        let g = ring(24);
-        let mut arena = SampleArena::new();
-        arena.extract_sample(&g, Link::new(1, 8), 2, None, Some(true));
-        let json_before_plans = serde_json::to_string(&arena).unwrap();
-        let budget = arena.max_label();
-        arena.build_layer0_plans(budget);
-        // Plans never reach the persistent form: the serialised bytes
-        // are the pre-plan format either way.
-        assert_eq!(serde_json::to_string(&arena).unwrap(), json_before_plans);
-        let mut back: SampleArena = serde_json::from_str(&json_before_plans).unwrap();
-        let hb = back.nth_handle(0);
-        assert!(
-            back.layer0_plan(hb, budget).is_none(),
-            "plans not persisted"
-        );
-        back.build_layer0_plans(budget);
-        let ha = arena.nth_handle(0);
-        let (pa, pb) = (
-            arena.layer0_plan(ha, budget).unwrap(),
-            back.layer0_plan(hb, budget).unwrap(),
-        );
-        assert_eq!(pa.node_count(), pb.node_count());
-        for i in 0..pa.node_count() {
-            let ((ca, va), (cb, vb)) = (pa.row(i), pb.row(i));
-            assert_eq!(ca, cb);
-            assert_eq!(
-                va.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                vb.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
-    fn clamping_view_matches_owned_clamped_features() {
-        let g = ring(40);
-        let mut arena = SampleArena::new();
-        let link = Link::new(0, 19);
-        let hd = arena.extract_sample(&g, link, 3, None, None);
-        // A budget far below the raw labels: the view must clamp exactly
-        // like `one_hot_features` does.
-        for budget in [0u32, 1, 2] {
-            assert_sample_matches_owned(&arena, hd, &g, link, 3, None, budget);
-        }
     }
 }

@@ -7,7 +7,7 @@
 
 use std::collections::VecDeque;
 
-use crate::csr::{Csr, CsrView};
+use crate::csr::CsrView;
 use crate::scratch::StampedMap;
 
 /// Distance value for "no path".
@@ -34,51 +34,10 @@ pub fn drnl_label(df: u32, dg: u32) -> u32 {
 
 /// BFS distances from `source` over a CSR adjacency, with the node
 /// `removed` treated as absent (the "double radius" convention: distances
-/// to one target are measured with the other target removed).
-#[must_use]
-pub fn bfs_without(adj: &Csr, source: u32, removed: u32) -> Vec<u32> {
-    let mut dist = vec![UNREACHABLE; adj.node_count()];
-    if source == removed {
-        return dist;
-    }
-    let mut q = VecDeque::new();
-    dist[source as usize] = 0;
-    q.push_back(source);
-    while let Some(u) = q.pop_front() {
-        for &v in adj.neighbors(u as usize) {
-            if v == removed || dist[v as usize] != UNREACHABLE {
-                continue;
-            }
-            dist[v as usize] = dist[u as usize] + 1;
-            q.push_back(v);
-        }
-    }
-    dist
-}
-
-/// Computes DRNL labels for every node of a subgraph whose targets are the
-/// local nodes `f` and `g`. Targets are labelled 1.
-#[must_use]
-pub fn compute_labels(adj: &Csr, f: u32, g: u32) -> Vec<u32> {
-    let df = bfs_without(adj, f, g);
-    let dg = bfs_without(adj, g, f);
-    (0..adj.node_count() as u32)
-        .map(|j| {
-            if j == f || j == g {
-                1
-            } else {
-                drnl_label(df[j as usize], dg[j as usize])
-            }
-        })
-        .collect()
-}
-
-/// [`bfs_without`] over an epoch-stamped scratch map: the same traversal
-/// (and therefore the same distances), but no per-call allocation — an
-/// unreached node is simply absent from `dist`. Used by the hash-free
-/// extraction path, over owned subgraphs and arena slabs alike (hence
-/// the borrowed [`CsrView`]).
-pub(crate) fn bfs_without_stamped(
+/// to one target are measured with the other target removed), into an
+/// epoch-stamped scratch map — an unreached node is simply absent from
+/// `dist`, and nothing is allocated per call.
+pub(crate) fn distances_without(
     adj: CsrView<'_>,
     source: u32,
     removed: u32,
@@ -104,26 +63,11 @@ pub(crate) fn bfs_without_stamped(
     }
 }
 
-/// [`compute_labels`] over epoch-stamped scratch (the extraction hot
-/// path): identical labels, no per-call allocation beyond the returned
-/// vector.
-pub(crate) fn compute_labels_stamped(
-    adj: CsrView<'_>,
-    f: u32,
-    g: u32,
-    df: &mut StampedMap,
-    dg: &mut StampedMap,
-    queue: &mut VecDeque<u32>,
-) -> Vec<u32> {
-    let mut out = Vec::with_capacity(adj.node_count());
-    compute_labels_stamped_into(adj, f, g, df, dg, queue, &mut out);
-    out
-}
-
-/// [`compute_labels_stamped`] appending into a caller-owned vector — the
+/// Appends the DRNL label of every node of a subgraph whose targets are
+/// the local nodes `f` and `g` (targets are labelled 1) to `out` — the
 /// sample arena labels straight into its slab this way, with no
 /// intermediate allocation at all.
-pub(crate) fn compute_labels_stamped_into(
+pub(crate) fn drnl_labels_into(
     adj: CsrView<'_>,
     f: u32,
     g: u32,
@@ -132,8 +76,8 @@ pub(crate) fn compute_labels_stamped_into(
     queue: &mut VecDeque<u32>,
     out: &mut Vec<u32>,
 ) {
-    bfs_without_stamped(adj, f, g, df, queue);
-    bfs_without_stamped(adj, g, f, dg, queue);
+    distances_without(adj, f, g, df, queue);
+    distances_without(adj, g, f, dg, queue);
     out.extend((0..adj.node_count() as u32).map(|j| {
         if j == f || j == g {
             1
@@ -179,37 +123,5 @@ mod tests {
     fn unreachable_gets_zero() {
         assert_eq!(drnl_label(UNREACHABLE, 3), 0);
         assert_eq!(drnl_label(2, UNREACHABLE), 0);
-    }
-
-    #[test]
-    fn bfs_respects_removed_node() {
-        // Path 0-1-2-3; removing node 1 disconnects 0 from the rest.
-        let adj = Csr::from_lists(&[vec![1], vec![0, 2], vec![1, 3], vec![2]]);
-        let d = bfs_without(&adj, 0, 1);
-        assert_eq!(d[0], 0);
-        assert_eq!(d[2], UNREACHABLE);
-        assert_eq!(d[3], UNREACHABLE);
-        let d_full = bfs_without(&adj, 0, u32::MAX);
-        assert_eq!(d_full[3], 3);
-    }
-
-    #[test]
-    fn compute_labels_on_path() {
-        // f=0, g=3 on a path 0-1-2-3: node 1 has df=1 (g removed), dg=2
-        // (f removed)... but removing f disconnects 1 from g? No: 1-2-3
-        // remains. df(1)=1, dg(1)=2 -> label 1+1+1=3 (d=3).
-        let adj = Csr::from_lists(&[vec![1], vec![0, 2], vec![1, 3], vec![2]]);
-        let labels = compute_labels(&adj, 0, 3);
-        assert_eq!(labels[0], 1);
-        assert_eq!(labels[3], 1);
-        assert_eq!(labels[1], drnl_label(1, 2));
-        assert_eq!(labels[2], drnl_label(2, 1));
-    }
-
-    #[test]
-    fn isolated_node_gets_zero() {
-        let adj = Csr::from_lists(&[vec![1], vec![0], vec![]]);
-        let labels = compute_labels(&adj, 0, 1);
-        assert_eq!(labels[2], 0);
     }
 }

@@ -292,22 +292,6 @@ struct Readers {
     last_gate: usize,
 }
 
-/// Convenience wrapper: extracts from a `muxlink-locking`-style locked
-/// design given the key-input names in key-bit order.
-///
-/// (Takes the pieces rather than the `LockedNetlist` type to keep this
-/// crate independent of the locking crate.)
-///
-/// # Errors
-///
-/// As for [`extract`].
-pub fn extract_with_names(
-    netlist: &Netlist,
-    key_input_names: &[String],
-) -> Result<ExtractedDesign, ExtractError> {
-    extract(netlist, key_input_names)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

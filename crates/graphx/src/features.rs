@@ -10,11 +10,12 @@
 //! and one label bit per row. [`OneHotFeatures`] is the first-class sparse
 //! representation — 8 bytes per node instead of `4 · cols` — and the
 //! dense [`FeatureMatrix`] is derived from it ([`OneHotFeatures::to_dense`]
-//! is the single source of truth for the dense layout).
+//! is the single source of truth for the dense layout). Extraction writes
+//! the two columns of every node straight into a
+//! [`SampleArena`](crate::arena::SampleArena), labels raw;
+//! [`OneHotView`] reads them under a dataset's label budget.
 
 use muxlink_netlist::GATE_TYPE_COUNT;
-
-use crate::subgraph::Subgraph;
 
 /// Row-major dense feature matrix (`rows × cols`) of `f32`.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,10 +147,10 @@ impl OneHotFeatures {
 ///
 /// The label slice may hold **raw** (unclamped) DRNL labels — the arena
 /// stores them that way so one slab serves any label budget —
-/// so [`OneHotView::columns`] clamps into the last label bucket exactly
-/// like [`one_hot_features`] does at construction time. For a view over
-/// an owned `OneHotFeatures` (already clamped) the clamp is a no-op, so
-/// both storage paths yield identical column indices.
+/// so [`OneHotView::columns`] clamps labels beyond the budget into the
+/// last label bucket. For a view over an owned `OneHotFeatures` (already
+/// clamped) the clamp is a no-op, so both storage paths yield identical
+/// column indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OneHotView<'a> {
     cols: usize,
@@ -214,103 +215,14 @@ impl<'a> From<&'a OneHotFeatures> for OneHotView<'a> {
     }
 }
 
-/// Builds the sparse two-hot node information matrix for one subgraph.
-///
-/// Labels exceeding `max_label` (possible at attack time when a candidate
-/// subgraph is deeper than anything seen in training) are clamped into the
-/// last label bucket.
-#[must_use]
-pub fn one_hot_features(sg: &Subgraph, max_label: u32) -> OneHotFeatures {
-    let gate = sg
-        .gate_types
-        .iter()
-        .map(|ty| {
-            ty.encoding_index()
-                .expect("graph nodes are plain encoded gates") as u32
-        })
-        .collect();
-    let label = sg.labels.iter().map(|&l| l.min(max_label)).collect();
-    OneHotFeatures {
-        cols: feature_cols(max_label),
-        gate,
-        label,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{CircuitGraph, Link};
-    use crate::subgraph::enclosing_subgraph;
-    use muxlink_netlist::{GateId, GateType};
-
-    fn tiny_subgraph() -> Subgraph {
-        let g = CircuitGraph::from_edges(
-            (0..3).map(GateId::from_index).collect(),
-            vec![GateType::And, GateType::Xor, GateType::Not],
-            &[Link::new(0, 1), Link::new(1, 2)],
-        );
-        enclosing_subgraph(&g, Link::new(0, 2), 2, None)
-    }
-
-    #[test]
-    fn one_hot_rows_sum_to_two() {
-        let sg = tiny_subgraph();
-        let m = one_hot_features(&sg, sg.max_label()).to_dense();
-        for r in 0..m.rows {
-            let s: f32 = (0..m.cols).map(|c| m.get(r, c)).sum();
-            assert_eq!(s, 2.0, "gate one-hot + label one-hot");
-        }
-    }
-
-    #[test]
-    fn gate_type_bit_set_correctly() {
-        let sg = tiny_subgraph();
-        let m = one_hot_features(&sg, sg.max_label()).to_dense();
-        for (i, ty) in sg.gate_types.iter().enumerate() {
-            assert_eq!(m.get(i, ty.encoding_index().unwrap()), 1.0);
-        }
-    }
-
-    #[test]
-    fn label_overflow_clamped() {
-        let sg = tiny_subgraph();
-        // Force a tiny label budget; everything must clamp, not panic.
-        let m = one_hot_features(&sg, 0).to_dense();
-        assert_eq!(m.cols, feature_cols(0));
-        for r in 0..m.rows {
-            assert_eq!(m.get(r, GATE_TYPE_COUNT), 1.0);
-        }
-    }
 
     #[test]
     fn dimensions_follow_max_label() {
         assert_eq!(feature_cols(0), 9);
         assert_eq!(feature_cols(7), 16);
-    }
-
-    #[test]
-    fn one_hot_matches_dense_exactly() {
-        let sg = tiny_subgraph();
-        let oh = one_hot_features(&sg, sg.max_label());
-        let dense = one_hot_features(&sg, sg.max_label()).to_dense();
-        assert_eq!(oh.rows(), dense.rows);
-        assert_eq!(oh.cols, dense.cols);
-        assert_eq!(oh.to_dense(), dense);
-        for i in 0..oh.rows() {
-            let (g, l) = oh.columns(i);
-            assert_eq!(dense.get(i, g), 1.0);
-            assert_eq!(dense.get(i, l), 1.0);
-        }
-    }
-
-    #[test]
-    fn one_hot_clamps_labels_like_dense() {
-        let sg = tiny_subgraph();
-        let oh = one_hot_features(&sg, 0);
-        assert_eq!(oh.cols, feature_cols(0));
-        assert!(oh.label.iter().all(|&l| l == 0));
-        assert_eq!(oh.to_dense(), one_hot_features(&sg, 0).to_dense());
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! [`crate::subgraph`]); buffers grow to the largest graph seen and are
 //! reused for every subsequent extraction. Results are a pure function of
 //! the inputs — the scratch never leaks state between extractions — so
-//! output stays bit-identical to the hash-based reference implementation
-//! ([`crate::subgraph::enclosing_subgraph_ref`], property-tested).
+//! output stays bit-identical to the hash-map extraction oracles of the
+//! integration-test crate (property-tested).
 
 use std::collections::VecDeque;
 
@@ -88,7 +88,8 @@ pub(crate) struct ExtractScratch {
     /// Nodes reached by the second BFS, in visit order.
     pub(crate) visited_g: Vec<u32>,
     /// Member nodes of the subgraph under extraction, in local-index
-    /// order (filled by `subgraph::collect_link_members`).
+    /// order (filled by `subgraph::collect_link_members` or
+    /// `subgraph::collect_node_members`).
     pub(crate) members: Vec<u32>,
 }
 

@@ -1,26 +1,30 @@
-//! Step ③: h-hop enclosing subgraph extraction around a (candidate) link.
+//! Step ③: membership of h-hop enclosing subgraphs.
 //!
-//! Extraction is the inner loop of dataset generation and scoring, so the
-//! production path ([`enclosing_subgraph`], [`node_subgraph`]) runs on
-//! per-worker epoch-stamped dense scratch
-//! (`ExtractScratch` in the crate-internal `scratch` module): no hash
-//! lookups and no per-call
-//! allocation beyond the returned [`Subgraph`] itself. The original
-//! `HashMap`-based implementation is retained as
-//! [`enclosing_subgraph_ref`] — the executable specification the fast
-//! path is property-tested against (outputs bit-identical, including node
-//! order).
+//! Extraction is the inner loop of dataset generation and scoring. This
+//! module decides *which* graph nodes a sample holds and in what order;
+//! [`SampleArena::extract_sample`](crate::arena::SampleArena::extract_sample)
+//! (around a link) and
+//! [`SampleArena::extract_node_sample`](crate::arena::SampleArena::extract_node_sample)
+//! (around one node) then write the rows straight into the arena slabs.
+//! Both run on per-worker epoch-stamped dense scratch (`ExtractScratch`
+//! in the crate-internal `scratch` module): no hash lookups and no
+//! per-call allocation. The `HashMap`-based extractors this replaced are
+//! the executable specifications in the integration-test crate
+//! (`tests/src/subgraph_oracle.rs`), which the property suite pins the
+//! arena samples to bit for bit.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 
-use muxlink_netlist::GateType;
-use serde::{Deserialize, Serialize};
-
-use crate::csr::{Csr, CsrBuilder};
-use crate::drnl;
 use crate::graph::{CircuitGraph, Link};
 use crate::scratch::{ExtractScratch, StampedMap};
+
+/// A link no graph has: as the skipped edge of a BFS, or the dropped
+/// edge of a sample, it skips and drops nothing.
+pub(crate) const NO_LINK: Link = Link {
+    a: u32::MAX,
+    b: u32::MAX,
+};
 
 thread_local! {
     /// One scratch bundle per worker thread; buffers grow to the largest
@@ -34,70 +38,11 @@ pub(crate) fn with_extract_scratch<R>(f: impl FnOnce(&mut ExtractScratch) -> R) 
     EXTRACT_SCRATCH.with(|scr| f(&mut scr.borrow_mut()))
 }
 
-/// An enclosing subgraph around a target node pair, ready for GNN
-/// consumption: local adjacency, DRNL labels and per-node gate types.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Subgraph {
-    /// Original graph node index per local node.
-    pub nodes: Vec<u32>,
-    /// Local CSR adjacency (indices into `nodes`), target edge removed.
-    pub adj: Csr,
-    /// DRNL label per local node (targets are 1).
-    pub labels: Vec<u32>,
-    /// Gate type per local node.
-    pub gate_types: Vec<GateType>,
-    /// Local indices of the target pair `(f, g)`.
-    pub target: (u32, u32),
-}
-
-impl Subgraph {
-    /// Number of nodes in the subgraph.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of undirected edges in the subgraph.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.adj.edge_count()
-    }
-
-    /// Largest DRNL label present.
-    #[must_use]
-    pub fn max_label(&self) -> u32 {
-        self.labels.iter().copied().max().unwrap_or(0)
-    }
-}
-
-/// Extracts the h-hop enclosing subgraph of `link` from `graph`.
-///
-/// Per the paper, the subgraph is induced on
-/// `{ j | d(j,f) ≤ h or d(j,g) ≤ h }`, and the direct link between the
-/// target nodes — if observed — is removed before labeling (the GNN must
-/// never see the answer). When `max_nodes` is set and the neighbourhood is
-/// larger, the nodes nearest to the targets are kept (deterministic
-/// BFS-order truncation; the two targets always survive).
-#[must_use]
-pub fn enclosing_subgraph(
-    graph: &CircuitGraph,
-    link: Link,
-    h: usize,
-    max_nodes: Option<usize>,
-) -> Subgraph {
-    EXTRACT_SCRATCH
-        .with(|scr| enclosing_subgraph_scratch(&mut scr.borrow_mut(), graph, link, h, max_nodes))
-}
-
 /// Fills `scr.members` with the member nodes of the enclosing subgraph
 /// of `link` — the union of the two bounded BFS neighbourhoods, targets
 /// first, then min-distance (BFS-like) order, truncated to `max_nodes` —
 /// and rebuilds `scr.local_of` as the global→local relabelling. Returns
 /// the local indices of the two targets.
-///
-/// Shared by the owned-[`Subgraph`] path below and the arena's
-/// direct-to-slab extraction ([`crate::arena::SampleArena`]); both
-/// therefore agree on membership and node order by construction.
 pub(crate) fn collect_link_members(
     scr: &mut ExtractScratch,
     graph: &CircuitGraph,
@@ -122,7 +67,7 @@ pub(crate) fn collect_link_members(
     // targets first, then by min-distance (BFS-like order) for
     // deterministic truncation. The sort key is a total order over node
     // indices, so starting from visit order instead of ascending index
-    // order yields the same members vector as the reference.
+    // order yields the same members vector as the hash-map oracle.
     members.clear();
     members.extend_from_slice(visited_f);
     members.extend(visited_g.iter().copied().filter(|&j| !dist_f.contains(j)));
@@ -140,21 +85,56 @@ pub(crate) fn collect_link_members(
         members.truncate(cap.max(2));
     }
 
-    local_of.begin(graph.node_count());
-    for (i, &j) in members.iter().enumerate() {
-        local_of.insert(j, i as u32);
-    }
+    index_members(local_of, members, graph.node_count());
     let lf = local_of.get(f).expect("target f is always a member");
     let lg = local_of.get(g).expect("target g is always a member");
     (lf, lg)
 }
 
-/// The local-adjacency emission rule shared by both storage paths: maps
-/// member `j`'s global neighbour `nb` to its local index, dropping the
-/// direct target edge `(f, g)` in both directions (the GNN must never
-/// see the answer). One implementation on purpose — the owned
-/// [`Subgraph`] emission and the arena's direct slab writes must agree
-/// bit for bit.
+/// Fills `scr.members` with the member nodes of the h-hop neighbourhood
+/// of the single node `center` (key-gate-centric extraction, as used by
+/// OMLA-style attacks on XOR locking) in (distance, index) order,
+/// truncated to `max_nodes` (the centre always survives), and rebuilds
+/// `scr.local_of`. Returns the centre's local index.
+pub(crate) fn collect_node_members(
+    scr: &mut ExtractScratch,
+    graph: &CircuitGraph,
+    center: u32,
+    h: usize,
+    max_nodes: Option<usize>,
+) -> u32 {
+    let ExtractScratch {
+        dist_f,
+        local_of,
+        queue,
+        visited_f,
+        members,
+        ..
+    } = scr;
+    bounded_bfs_stamped(graph, center, h, NO_LINK, dist_f, queue, visited_f);
+    members.clear();
+    members.extend_from_slice(visited_f);
+    members.sort_unstable_by_key(|&j| (dist_f.get(j).expect("visited"), j));
+    if let Some(cap) = max_nodes {
+        members.truncate(cap.max(1));
+    }
+    index_members(local_of, members, graph.node_count());
+    local_of.get(center).expect("centre is always a member")
+}
+
+/// Rebuilds `local_of` (over the `n` graph nodes) as the global→local
+/// relabelling of `members`, in member order.
+fn index_members(local_of: &mut StampedMap, members: &[u32], n: usize) {
+    local_of.begin(n);
+    for (i, &j) in members.iter().enumerate() {
+        local_of.insert(j, i as u32);
+    }
+}
+
+/// The local-adjacency emission rule: maps member `j`'s global
+/// neighbour `nb` to its local index, dropping the edge `(f, g)` in both
+/// directions — the direct target edge of a link sample (the GNN must
+/// never see the answer), [`NO_LINK`] for a node sample.
 #[inline]
 pub(crate) fn local_neighbor(
     local_of: &StampedMap,
@@ -171,219 +151,10 @@ pub(crate) fn local_neighbor(
     }
 }
 
-/// [`enclosing_subgraph`] body over explicit scratch (hash-free path).
-fn enclosing_subgraph_scratch(
-    scr: &mut ExtractScratch,
-    graph: &CircuitGraph,
-    link: Link,
-    h: usize,
-    max_nodes: Option<usize>,
-) -> Subgraph {
-    let (f, g) = (link.a, link.b);
-    let (lf, lg) = collect_link_members(scr, graph, link, h, max_nodes);
-    let ExtractScratch {
-        dist_f,
-        dist_g,
-        local_of,
-        queue,
-        members,
-        ..
-    } = scr;
-
-    // Emit the local adjacency straight into flat CSR storage: one
-    // normalised neighbour run per member, no per-node allocation.
-    let mut builder = CsrBuilder::with_capacity(members.len(), members.len() * 4);
-    for &j in members.iter() {
-        builder.push_node(
-            graph
-                .adj
-                .neighbors(j as usize)
-                .iter()
-                .filter_map(|&nb| local_neighbor(local_of, f, g, j, nb)),
-        );
-    }
-    let adj = builder.finish();
-
-    // The global-distance maps are no longer needed; reuse them for the
-    // two local DRNL BFS passes.
-    let labels = drnl::compute_labels_stamped(adj.view(), lf, lg, dist_f, dist_g, queue);
-    let gate_types = members
-        .iter()
-        .map(|&j| graph.gate_types[j as usize])
-        .collect();
-    Subgraph {
-        nodes: members.clone(),
-        adj,
-        labels,
-        gate_types,
-        target: (lf, lg),
-    }
-}
-
-/// Reference implementation of [`enclosing_subgraph`]: the original
-/// per-call `HashMap` relabelling and allocating BFS. Retained as the
-/// executable specification — the property suite asserts the hash-free
-/// path produces **bit-identical** output (same node order, adjacency,
-/// labels) — and as the baseline of the `subgraph_extract` benchmark
-/// group.
-#[must_use]
-pub fn enclosing_subgraph_ref(
-    graph: &CircuitGraph,
-    link: Link,
-    h: usize,
-    max_nodes: Option<usize>,
-) -> Subgraph {
-    let (f, g) = (link.a, link.b);
-    let dist_f = bounded_bfs(graph, f, h, link);
-    let dist_g = bounded_bfs(graph, g, h, link);
-
-    // Collect member nodes, targets first, then by min-distance (BFS-like
-    // order) for deterministic truncation.
-    let mut members: Vec<u32> = (0..graph.node_count() as u32)
-        .filter(|&j| dist_f[j as usize] <= h || dist_g[j as usize] <= h)
-        .collect();
-    members.sort_by_key(|&j| {
-        let key = if j == f || j == g {
-            0
-        } else {
-            1 + dist_f[j as usize].min(dist_g[j as usize])
-        };
-        (key, j)
-    });
-    if let Some(cap) = max_nodes {
-        members.truncate(cap.max(2));
-    }
-
-    let mut local_of: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-    for (i, &j) in members.iter().enumerate() {
-        local_of.insert(j, i as u32);
-    }
-    let lf = local_of[&f];
-    let lg = local_of[&g];
-
-    let mut builder = CsrBuilder::with_capacity(members.len(), members.len() * 4);
-    for &j in &members {
-        builder.push_node(graph.adj.neighbors(j as usize).iter().filter_map(|&nb| {
-            let is_target_edge = (j == f && nb == g) || (j == g && nb == f);
-            if is_target_edge {
-                None
-            } else {
-                local_of.get(&nb).copied()
-            }
-        }));
-    }
-    let adj = builder.finish();
-
-    let labels = drnl::compute_labels(&adj, lf, lg);
-    let gate_types = members
-        .iter()
-        .map(|&j| graph.gate_types[j as usize])
-        .collect();
-    Subgraph {
-        nodes: members,
-        adj,
-        labels,
-        gate_types,
-        target: (lf, lg),
-    }
-}
-
-/// Extracts the h-hop neighbourhood subgraph around a *single* node
-/// (key-gate-centric extraction, as used by OMLA-style attacks on XOR
-/// locking). Both target slots point at the centre; labels are
-/// `1 + distance` from the centre (centre = 1), zero never occurs.
-#[must_use]
-pub fn node_subgraph(
-    graph: &CircuitGraph,
-    center: u32,
-    h: usize,
-    max_nodes: Option<usize>,
-) -> Subgraph {
-    EXTRACT_SCRATCH.with(|scr| {
-        let scr = &mut *scr.borrow_mut();
-        let ExtractScratch {
-            dist_f,
-            local_of,
-            queue,
-            visited_f,
-            ..
-        } = scr;
-        let no_skip = Link::new(u32::MAX, u32::MAX);
-        bounded_bfs_stamped(graph, center, h, no_skip, dist_f, queue, visited_f);
-        // (node_subgraph keeps its own member collection: single-centre
-        // membership differs from the link case `collect_link_members`
-        // serves.)
-        let mut members: Vec<u32> = visited_f.clone();
-        members.sort_unstable_by_key(|&j| (dist_f.get(j).expect("visited"), j));
-        if let Some(cap) = max_nodes {
-            members.truncate(cap.max(1));
-        }
-        local_of.begin(graph.node_count());
-        for (i, &j) in members.iter().enumerate() {
-            local_of.insert(j, i as u32);
-        }
-        let lc = local_of.get(center).expect("centre is always a member");
-        let mut builder = CsrBuilder::with_capacity(members.len(), members.len() * 4);
-        for &j in &members {
-            builder.push_node(
-                graph
-                    .adj
-                    .neighbors(j as usize)
-                    .iter()
-                    .filter_map(|&nb| local_of.get(nb)),
-            );
-        }
-        let adj = builder.finish();
-        // Distance labels within the subgraph (centre = 1); the global
-        // distance map is free again, reuse it for the local BFS.
-        drnl::bfs_without_stamped(adj.view(), lc, u32::MAX, dist_f, queue);
-        let labels = (0..adj.node_count() as u32)
-            .map(|j| dist_f.get(j).map_or(0, |d| d + 1))
-            .collect();
-        let gate_types = members
-            .iter()
-            .map(|&j| graph.gate_types[j as usize])
-            .collect();
-        Subgraph {
-            nodes: members,
-            adj,
-            labels,
-            gate_types,
-            target: (lc, lc),
-        }
-    })
-}
-
-/// BFS distances from `source` capped at `h`, never traversing the target
-/// edge itself. Unvisited nodes get `usize::MAX`. (Allocating reference;
-/// the production path is [`bounded_bfs_stamped`].)
-fn bounded_bfs(graph: &CircuitGraph, source: u32, h: usize, skip: Link) -> Vec<usize> {
-    let mut dist = vec![usize::MAX; graph.node_count()];
-    let mut q = VecDeque::new();
-    dist[source as usize] = 0;
-    q.push_back(source);
-    while let Some(u) = q.pop_front() {
-        if dist[u as usize] == h {
-            continue;
-        }
-        for &v in graph.adj.neighbors(u as usize) {
-            let is_target_edge = Link::new(u, v) == skip;
-            if is_target_edge || dist[v as usize] != usize::MAX {
-                continue;
-            }
-            dist[v as usize] = dist[u as usize] + 1;
-            q.push_back(v);
-        }
-    }
-    dist
-}
-
-/// [`bounded_bfs`] over epoch-stamped scratch: identical traversal order
-/// (same queue discipline over the same sorted neighbour runs), but
-/// distances land in a reusable [`StampedMap`] and the visited nodes —
-/// exactly the nodes at distance ≤ `h` — are recorded in `visited` in
-/// visit order. No allocation once the scratch has grown to the graph
-/// size.
+/// BFS distances from `source` capped at `h`, never traversing the edge
+/// `skip`, into a reusable [`StampedMap`]; the visited nodes — exactly
+/// the nodes at distance ≤ `h` — are recorded in `visited` in visit
+/// order. No allocation once the scratch has grown to the graph size.
 fn bounded_bfs_stamped(
     graph: &CircuitGraph,
     source: u32,
@@ -412,155 +183,6 @@ fn bounded_bfs_stamped(
             dist.insert(v, (du + 1) as u32);
             visited.push(v);
             queue.push_back(v);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use muxlink_netlist::GateId;
-
-    /// Chain 0-1-2-3-4-5 plus a branch 2-6.
-    fn chain_graph() -> CircuitGraph {
-        let n = 7;
-        CircuitGraph::from_edges(
-            (0..n).map(GateId::from_index).collect(),
-            vec![GateType::And; n],
-            &[
-                Link::new(0, 1),
-                Link::new(1, 2),
-                Link::new(2, 3),
-                Link::new(3, 4),
-                Link::new(4, 5),
-                Link::new(2, 6),
-            ],
-        )
-    }
-
-    #[test]
-    fn one_hop_subgraph_contains_neighbours_only() {
-        let g = chain_graph();
-        let sg = enclosing_subgraph(&g, Link::new(2, 3), 1, None);
-        // 1 hop around {2,3}: nodes 1,2,3,4,6.
-        let mut nodes = sg.nodes.clone();
-        nodes.sort_unstable();
-        assert_eq!(nodes, vec![1, 2, 3, 4, 6]);
-    }
-
-    #[test]
-    fn target_edge_removed_but_targets_present() {
-        let g = chain_graph();
-        let sg = enclosing_subgraph(&g, Link::new(2, 3), 2, None);
-        let (lf, lg) = sg.target;
-        assert!(!sg.adj.contains_edge(lf, lg));
-        assert_eq!(sg.labels[lf as usize], 1);
-        assert_eq!(sg.labels[lg as usize], 1);
-    }
-
-    #[test]
-    fn larger_h_grows_subgraph() {
-        let g = chain_graph();
-        let s1 = enclosing_subgraph(&g, Link::new(2, 3), 1, None);
-        let s2 = enclosing_subgraph(&g, Link::new(2, 3), 2, None);
-        let s3 = enclosing_subgraph(&g, Link::new(2, 3), 3, None);
-        assert!(s1.node_count() <= s2.node_count());
-        assert!(s2.node_count() <= s3.node_count());
-        assert_eq!(s3.node_count(), 7);
-    }
-
-    #[test]
-    fn nonexistent_link_subgraph_keeps_real_structure() {
-        // Candidate link (0, 6): not an edge; subgraph must still include
-        // both neighbourhoods.
-        let g = chain_graph();
-        let sg = enclosing_subgraph(&g, Link::new(0, 6), 1, None);
-        let mut nodes = sg.nodes.clone();
-        nodes.sort_unstable();
-        assert_eq!(nodes, vec![0, 1, 2, 6]);
-    }
-
-    #[test]
-    fn truncation_keeps_targets_and_nearest() {
-        let g = chain_graph();
-        let sg = enclosing_subgraph(&g, Link::new(2, 3), 3, Some(4));
-        assert_eq!(sg.node_count(), 4);
-        assert!(sg.nodes.contains(&2));
-        assert!(sg.nodes.contains(&3));
-        // The retained non-targets are at distance 1.
-        for (i, &orig) in sg.nodes.iter().enumerate() {
-            if orig != 2 && orig != 3 {
-                assert!(sg.labels[i] <= drnl::drnl_label(1, 2).max(drnl::drnl_label(1, 1)));
-            }
-        }
-    }
-
-    #[test]
-    fn labels_via_subgraph_distances() {
-        let g = chain_graph();
-        let sg = enclosing_subgraph(&g, Link::new(1, 3), 2, None);
-        // Node 2 sits between the targets: df=1, dg=1 -> label 2.
-        let pos2 = sg.nodes.iter().position(|&n| n == 2).unwrap();
-        assert_eq!(sg.labels[pos2], drnl::drnl_label(1, 1));
-    }
-
-    #[test]
-    fn node_subgraph_distances_and_membership() {
-        let g = chain_graph();
-        let sg = node_subgraph(&g, 2, 1, None);
-        let mut nodes = sg.nodes.clone();
-        nodes.sort_unstable();
-        assert_eq!(nodes, vec![1, 2, 3, 6]);
-        let (lc, _) = sg.target;
-        assert_eq!(sg.nodes[lc as usize], 2);
-        assert_eq!(sg.labels[lc as usize], 1);
-        for (i, &orig) in sg.nodes.iter().enumerate() {
-            if orig != 2 {
-                assert_eq!(sg.labels[i], 2, "1-hop neighbours get label 2");
-            }
-        }
-    }
-
-    #[test]
-    fn node_subgraph_caps_deterministically() {
-        let g = chain_graph();
-        let a = node_subgraph(&g, 2, 3, Some(3));
-        let b = node_subgraph(&g, 2, 3, Some(3));
-        assert_eq!(a.nodes, b.nodes);
-        assert_eq!(a.node_count(), 3);
-        assert!(a.nodes.contains(&2));
-    }
-
-    #[test]
-    fn deterministic_output() {
-        let g = chain_graph();
-        let a = enclosing_subgraph(&g, Link::new(2, 3), 2, None);
-        let b = enclosing_subgraph(&g, Link::new(2, 3), 2, None);
-        assert_eq!(a.nodes, b.nodes);
-        assert_eq!(a.adj, b.adj);
-        assert_eq!(a.labels, b.labels);
-    }
-
-    /// The hash-free path must be bit-identical to the retained hash
-    /// reference — node order included — across links, hop counts and
-    /// caps, and across repeated reuse of the thread-local scratch.
-    #[test]
-    fn stamped_extraction_matches_hash_reference() {
-        let g = chain_graph();
-        for _round in 0..3 {
-            for link in [Link::new(2, 3), Link::new(0, 6), Link::new(1, 3)] {
-                for h in 1..=3 {
-                    for cap in [None, Some(3), Some(4)] {
-                        let a = enclosing_subgraph(&g, link, h, cap);
-                        let b = enclosing_subgraph_ref(&g, link, h, cap);
-                        assert_eq!(a.nodes, b.nodes, "{link:?} h={h} cap={cap:?}");
-                        assert_eq!(a.adj, b.adj);
-                        assert_eq!(a.labels, b.labels);
-                        assert_eq!(a.gate_types, b.gate_types);
-                        assert_eq!(a.target, b.target);
-                    }
-                }
-            }
         }
     }
 }

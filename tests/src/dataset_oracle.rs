@@ -10,11 +10,12 @@ use std::collections::HashSet;
 use muxlink_graph::dataset::DatasetConfig;
 use muxlink_graph::graph::{CircuitGraph, Link};
 use muxlink_graph::sampling::sample_links;
-use muxlink_graph::subgraph::{enclosing_subgraph, Subgraph};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
+
+use crate::subgraph_oracle::{enclosing_subgraph_ref, Subgraph};
 
 /// One labelled training example: an enclosing subgraph and whether its
 /// target pair is an observed wire.
@@ -62,7 +63,7 @@ pub fn build_dataset(graph: &CircuitGraph, targets: &[Link], cfg: &DatasetConfig
         .map(|&(link, label)| LinkSample {
             link,
             label,
-            subgraph: enclosing_subgraph(graph, link, cfg.h, cfg.max_subgraph_nodes),
+            subgraph: enclosing_subgraph_ref(graph, link, cfg.h, cfg.max_subgraph_nodes),
         })
         .collect();
     let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(0x9E37_79B9));
@@ -92,6 +93,6 @@ pub fn target_subgraphs(
 ) -> Vec<Subgraph> {
     targets
         .par_iter()
-        .map(|&l| enclosing_subgraph(graph, l, cfg.h, cfg.max_subgraph_nodes))
+        .map(|&l| enclosing_subgraph_ref(graph, l, cfg.h, cfg.max_subgraph_nodes))
         .collect()
 }

@@ -7,14 +7,39 @@
 //! without cached layer-0 plans, or with them for every other sample),
 //! [`extract_oracle`] (the hashed netlist-to-graph extractor),
 //! [`adam_oracle`] (Adam with per-tensor moments), [`dataset_oracle`]
-//! (the owned per-sample dataset build) and the adjacency-list
-//! propagation references ([`reference::propagate_ref`],
-//! [`reference::propagate_back_ref`]).
+//! (the owned per-sample dataset build), [`subgraph_oracle`] (the
+//! `HashMap` link and node subgraph extractors every arena sample is
+//! pinned to) and the adjacency-list propagation references
+//! ([`reference::propagate_ref`], [`reference::propagate_back_ref`]).
 
 pub mod adam_oracle;
 pub mod dataset_oracle;
 pub mod extract_oracle;
 pub mod reference;
+pub mod subgraph_oracle;
+
+// Unit tests that check `muxlink-graph` against the extraction oracles
+// above, under the module paths they had in that crate.
+#[cfg(test)]
+mod arena {
+    mod tests;
+}
+#[cfg(test)]
+mod batch {
+    mod tests;
+}
+#[cfg(test)]
+mod drnl {
+    mod tests;
+}
+#[cfg(test)]
+mod features {
+    mod tests;
+}
+#[cfg(test)]
+mod subgraph {
+    mod tests;
+}
 
 pub use reference::{reference_evaluate, reference_predict};
 
@@ -24,14 +49,13 @@ use muxlink_gnn::{
     Dgcnn, EpochStats, Gradients, GraphSample, Layer0PlanView, Matrix, SampleStore, SampleView,
     TrainConfig, TrainReport,
 };
-use muxlink_graph::features::one_hot_features;
-use muxlink_graph::Subgraph;
 use muxlink_netlist::sim::{exhaustive_equiv, random_patterns, Simulator};
 use muxlink_netlist::{Netlist, NetlistError};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rayon::prelude::*;
 use reference::{Reference, Workspace};
+use subgraph_oracle::{one_hot_features, Subgraph};
 
 /// A mid-sized reconvergent test design, deterministic in `seed`.
 pub fn test_design(gates: usize, seed: u64) -> Netlist {
@@ -355,8 +379,8 @@ impl<S: SampleStore + ?Sized> SampleStore for MixedPlans<'_, S> {
 mod tests {
     use super::*;
     use muxlink_graph::graph::{CircuitGraph, Link};
-    use muxlink_graph::subgraph::enclosing_subgraph;
     use muxlink_netlist::{GateId, GateType};
+    use subgraph_oracle::enclosing_subgraph_ref;
 
     #[test]
     fn sample_has_matching_shapes() {
@@ -365,7 +389,7 @@ mod tests {
             vec![GateType::Nand; 4],
             &[Link::new(0, 1), Link::new(1, 2), Link::new(2, 3)],
         );
-        let sg = enclosing_subgraph(&g, Link::new(1, 2), 2, None);
+        let sg = enclosing_subgraph_ref(&g, Link::new(1, 2), 2, None);
         let s = to_graph_sample(&sg, sg.max_label(), Some(true));
         assert_eq!(s.node_count(), s.features.rows());
         assert_eq!(s.label, Some(true));

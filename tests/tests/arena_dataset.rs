@@ -4,14 +4,15 @@
 //! end-to-end scoring — at 1 and 4 worker threads and for any chunk
 //! size.
 
-use muxlink_core::{AttackSession, MuxLinkConfig, NoProgress, Prepared, Trained};
+use muxlink_core::{AttackSession, MuxLinkConfig, NoProgress, Trained};
 use muxlink_gnn::{train, ArenaSamples, Dgcnn, DgcnnConfig, GraphSample, TrainConfig};
 use muxlink_graph::dataset::{build_dataset_arena, ArenaDataset, DatasetConfig};
+use muxlink_graph::extract;
 use muxlink_graph::graph::{CircuitGraph, Link};
-use muxlink_graph::{extract, one_hot_features};
 use muxlink_integration_tests::dataset_oracle::{
     build_dataset, target_subgraphs, Dataset, LinkSample,
 };
+use muxlink_integration_tests::subgraph_oracle::one_hot_features;
 use muxlink_integration_tests::to_graph_sample;
 use muxlink_locking::{dmux, LockOptions};
 use muxlink_netlist::{GateId, GateType};
@@ -211,40 +212,6 @@ fn predict_batch_through_arena_views_matches_owned() {
         });
         assert_eq!(reference, via_arena, "threads {threads}");
     }
-}
-
-/// The `Prepared` stage artifact now carries the arena dataset; a serde
-/// round trip must train and score to identical bits.
-#[test]
-fn prepared_artifact_round_trips_to_identical_scores() {
-    let design = muxlink_benchgen::synth::SynthConfig::new("prep", 14, 6, 200).generate(13);
-    let locked = dmux::lock(&design, &LockOptions::new(6, 3)).unwrap();
-    let names = locked.key_input_names();
-    let mut cfg = MuxLinkConfig::quick();
-    cfg.max_train_links = 250;
-    cfg.epochs = 4;
-    let prepared = AttackSession::new(&locked.netlist, &names, cfg)
-        .extract()
-        .unwrap()
-        .prepare(&NoProgress)
-        .unwrap();
-    let json = serde_json::to_string(&prepared).unwrap();
-    let restored: Prepared = serde_json::from_str(&json).unwrap();
-    let direct = prepared
-        .train(&NoProgress)
-        .unwrap()
-        .score(&NoProgress)
-        .unwrap();
-    let reloaded = restored
-        .train(&NoProgress)
-        .unwrap()
-        .score(&NoProgress)
-        .unwrap();
-    assert_eq!(
-        direct.scores, reloaded.scores,
-        "scores must be bit-identical"
-    );
-    assert_eq!(direct.train_report, reloaded.train_report);
 }
 
 /// The owned-`Vec` scorer the streamed arena scorer is pinned to: every

@@ -14,7 +14,7 @@ use muxlink_gnn::{
     evaluate, ArenaSamples, Dgcnn, DgcnnConfig, GraphSample, SampleArena, SampleStore,
 };
 use muxlink_graph::dataset::DatasetConfig;
-use muxlink_graph::extract;
+use muxlink_graph::{extract, CircuitGraph};
 use muxlink_integration_tests::dataset_oracle::{build_dataset, Dataset};
 use muxlink_integration_tests::{
     reference_evaluate, reference_predict, to_graph_sample, MixedPlans, NoPlans,
@@ -33,23 +33,29 @@ fn pool(threads: usize) -> rayon::ThreadPool {
         .expect("pool")
 }
 
+/// Hop count of the shared dataset's subgraphs.
+const HOPS: usize = 2;
+/// Node cap of the shared dataset's subgraphs.
+const CAP: Option<usize> = Some(40);
+
 /// Real enclosing subgraphs (capped at 40 nodes) from a locked synthetic
-/// design, shared by every case.
-fn dataset() -> &'static Dataset {
-    static DS: OnceLock<Dataset> = OnceLock::new();
+/// design, shared by every case, with the graph they came from.
+fn dataset() -> &'static (CircuitGraph, Dataset) {
+    static DS: OnceLock<(CircuitGraph, Dataset)> = OnceLock::new();
     DS.get_or_init(|| {
         let design = muxlink_benchgen::synth::SynthConfig::new("bi", 14, 6, 220).generate(11);
         let locked = dmux::lock(&design, &LockOptions::new(6, 3)).unwrap();
         let ex = extract(&locked.netlist, &locked.key_input_names()).unwrap();
         let ds_cfg = DatasetConfig {
-            h: 2,
+            h: HOPS,
             max_train_links: 80,
             val_fraction: 0.1,
-            max_subgraph_nodes: Some(40),
+            max_subgraph_nodes: CAP,
             seed: 4,
             chunk: 16,
         };
-        build_dataset(&ex.graph, &ex.target_links(), &ds_cfg)
+        let ds = build_dataset(&ex.graph, &ex.target_links(), &ds_cfg);
+        (ex.graph, ds)
     })
 }
 
@@ -99,7 +105,7 @@ proptest! {
         count_idx in 0usize..COUNTS.len(),
         seed in proptest::num::u64::ANY,
     ) {
-        let ds = dataset();
+        let (graph, ds) = dataset();
         let pool_samples: Vec<_> = ds.train.iter().chain(&ds.val).collect();
         let mut rng = seeded_rng(seed);
         let count = COUNTS[count_idx];
@@ -110,7 +116,7 @@ proptest! {
                     0 => None,
                     _ => Some(rng.gen::<bool>()),
                 };
-                (&s.subgraph, label)
+                (s, label)
             })
             .collect();
 
@@ -128,11 +134,11 @@ proptest! {
 
         let owned: Vec<GraphSample> = drawn
             .iter()
-            .map(|&(sg, label)| to_graph_sample(sg, ds.max_label, label))
+            .map(|&(s, label)| to_graph_sample(&s.subgraph, ds.max_label, label))
             .collect();
         let mut arena = SampleArena::new();
-        for &(sg, label) in &drawn {
-            arena.push_subgraph(sg, label);
+        for &(s, label) in &drawn {
+            arena.extract_sample(graph, s.link, HOPS, CAP, label);
         }
         arena.build_layer0_plans(ds.max_label);
         let arena_store = ArenaSamples::all(&arena, ds.max_label);

@@ -2,9 +2,11 @@
 
 use std::collections::HashMap;
 
-use muxlink_graph::drnl::{bfs_without, compute_labels, drnl_label, UNREACHABLE};
+use muxlink_graph::drnl::{drnl_label, UNREACHABLE};
 use muxlink_graph::graph::{CircuitGraph, Link};
-use muxlink_graph::subgraph::enclosing_subgraph;
+use muxlink_integration_tests::subgraph_oracle::{
+    bfs_without, compute_labels, enclosing_subgraph_ref,
+};
 use muxlink_locking::{Key, KeyValue};
 use muxlink_netlist::{bench_format, GateId, GateType};
 use proptest::prelude::*;
@@ -73,7 +75,7 @@ proptest! {
     fn subgraph_invariants(g in arb_graph(), h in 1usize..4) {
         let n = g.node_count() as u32;
         let link = Link::new(0, n - 1);
-        let sg = enclosing_subgraph(&g, link, h, None);
+        let sg = enclosing_subgraph_ref(&g, link, h, None);
         // Targets present and labelled 1.
         let (lf, lg) = sg.target;
         prop_assert_eq!(sg.nodes[lf as usize], link.a);

@@ -6,8 +6,9 @@
 //! dense `(S·X)·W₀` of the per-sample reference model (which expands
 //! the two-hot features to a dense `X`) **bit for bit**. Everything
 //! structural is exact too: the one-hot ↔ dense round trip, and the
-//! hash-free subgraph extraction versus the retained `HashMap`
-//! reference (bit-identical, node order included).
+//! arena's hash-free link and node samples versus the `HashMap`
+//! extraction oracles (adjacency, scales, gate columns and raw labels
+//! bit-identical).
 
 use muxlink_gnn::matrix::seeded_rng;
 use muxlink_gnn::{
@@ -15,9 +16,11 @@ use muxlink_gnn::{
 };
 use muxlink_graph::features::feature_cols;
 use muxlink_graph::graph::{CircuitGraph, Link};
-use muxlink_graph::subgraph::{enclosing_subgraph, enclosing_subgraph_ref};
-use muxlink_graph::Csr;
+use muxlink_graph::{Csr, SampleArena};
 use muxlink_integration_tests::reference::Reference;
+use muxlink_integration_tests::subgraph_oracle::{
+    enclosing_subgraph_ref, node_subgraph, SampleBits,
+};
 use muxlink_netlist::{GateId, GateType, GATE_TYPE_COUNT};
 use proptest::prelude::*;
 
@@ -53,7 +56,8 @@ fn seeded_onehot(n: usize, labels: u32, seed: u64) -> OneHotFeatures {
     OneHotFeatures::new(feature_cols(labels - 1), gate, label)
 }
 
-/// Random circuit graph (all-AND gates) from random undirected pairs.
+/// Random circuit graph from random undirected pairs, gate types
+/// cycling through every encoded type.
 fn arb_circuit() -> impl Strategy<Value = CircuitGraph> {
     (4usize..40).prop_flat_map(|n| {
         proptest::collection::vec((0..n as u32, 0..n as u32), n..n * 3).prop_map(move |pairs| {
@@ -64,7 +68,9 @@ fn arb_circuit() -> impl Strategy<Value = CircuitGraph> {
                 .collect();
             CircuitGraph::from_edges(
                 (0..n).map(GateId::from_index).collect(),
-                vec![GateType::And; n],
+                (0..n)
+                    .map(|i| GateType::ENCODED[i % GATE_TYPE_COUNT])
+                    .collect(),
                 &links,
             )
         })
@@ -156,10 +162,10 @@ proptest! {
         prop_assert_eq!(gs, gd);
     }
 
-    /// Hash-free epoch-stamped extraction is bit-identical to the
-    /// retained `HashMap` reference — node order, adjacency, DRNL labels,
-    /// gate types and target indices — for random graphs, links, hop
-    /// counts and caps.
+    /// The arena's hash-free link samples are bit-identical to the
+    /// `HashMap` link oracle — node count, adjacency, scale bits, gate
+    /// columns, raw DRNL labels and `max_label` — for random graphs,
+    /// links, hop counts and caps.
     #[test]
     fn stamped_extraction_equals_hash_reference(
         graph in arb_circuit(),
@@ -176,13 +182,36 @@ proptest! {
         let (a, b) = (a % n, b % n);
         let b = if a == b { (b + 1) % n } else { b };
         let link = Link::new(a, b);
-        let fast = enclosing_subgraph(&graph, link, h, cap);
+        let mut arena = SampleArena::new();
+        let fast = arena.extract_sample(&graph, link, h, cap, None);
         let slow = enclosing_subgraph_ref(&graph, link, h, cap);
-        prop_assert_eq!(fast.nodes, slow.nodes);
-        prop_assert_eq!(fast.adj, slow.adj);
-        prop_assert_eq!(fast.labels, slow.labels);
-        prop_assert_eq!(fast.gate_types, slow.gate_types);
-        prop_assert_eq!(fast.target, slow.target);
+        prop_assert_eq!(SampleBits::of_arena(&arena, fast), SampleBits::of_oracle(&slow));
+        prop_assert_eq!(arena.max_label(), slow.max_label());
+    }
+
+    /// The arena's node samples are bit-identical to the `HashMap` node
+    /// oracle — node count, adjacency, scale bits, gate columns, raw
+    /// distance labels and `max_label` — for random graphs, every
+    /// centre, h ∈ 0..=3 and caps none, 1, 2 and small.
+    #[test]
+    fn extract_node_sample_matches_node_subgraph_oracle(
+        graph in arb_circuit(),
+        h in 0usize..4,
+        cap_raw in 0usize..8,
+    ) {
+        // 0 encodes "no cap"; 1, 2 and the rest are caps.
+        let cap = (cap_raw > 0).then_some(cap_raw);
+        // One arena over every centre: each sample's runs and the running
+        // `max_label` must hold while the slabs fill.
+        let mut arena = SampleArena::new();
+        let mut max_label = 0;
+        for center in 0..graph.node_count() as u32 {
+            let fast = arena.extract_node_sample(&graph, center, h, cap, None);
+            let slow = node_subgraph(&graph, center, h, cap);
+            prop_assert_eq!(SampleBits::of_arena(&arena, fast), SampleBits::of_oracle(&slow));
+            max_label = max_label.max(slow.max_label());
+            prop_assert_eq!(arena.max_label(), max_label);
+        }
     }
 }
 
