@@ -23,10 +23,9 @@ use muxlink_graph::features::feature_cols;
 use muxlink_graph::graph::{CircuitGraph, Link};
 use muxlink_locking::{xor, KeyValue, LockOptions};
 use muxlink_netlist::{GateId, GateType, Netlist};
-use serde::{Deserialize, Serialize};
 
 /// OMLA configuration (CPU-friendly defaults).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OmlaConfig {
     /// Enclosing-subgraph hop count.
     pub h: usize,

@@ -2,19 +2,18 @@
 //!
 //! Each cofactor is produced by [`muxlink_netlist::opt::resynthesize`],
 //! which since the pass-framework refactor is a thin pinned recipe over
-//! [`muxlink_netlist::passes`] (the combined `resynth_fold` sweep plus
-//! dead-logic stripping). The recipe is bit-compatible with the historical
-//! monolithic sweep, so the feature deltas these attacks consume are
-//! unchanged.
+//! the fold sweep of [`muxlink_netlist::passes`] (every rule family in
+//! one sweep, plus dead-logic stripping). The recipe is bit-compatible
+//! with the historical monolithic sweep, so the feature deltas these
+//! attacks consume are unchanged.
 
 use std::collections::HashMap;
 
 use muxlink_netlist::stats::NetlistStats;
 use muxlink_netlist::{Netlist, NetlistError};
-use serde::{Deserialize, Serialize};
 
 /// The features of both cofactors of one key bit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KeyBitFeatures {
     /// Key-input net name.
     pub key_input: String,
@@ -34,8 +33,9 @@ impl KeyBitFeatures {
 
     /// L1 magnitude of the delta (0 ⇒ the bit leaks nothing through
     /// constant propagation).
+    #[cfg(test)]
     #[must_use]
-    pub fn delta_magnitude(&self) -> f64 {
+    pub(crate) fn delta_magnitude(&self) -> f64 {
         self.delta().iter().map(|d| d.abs()).sum()
     }
 }

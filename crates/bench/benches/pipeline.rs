@@ -6,8 +6,15 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use muxlink_attack_baselines::{saam_attack, scope_attack, ScopeConfig};
 use muxlink_benchgen::synth::SynthConfig;
-use muxlink_core::{attack, MuxLinkConfig};
-use muxlink_locking::{dmux, naive_mux, symmetric, LockOptions};
+use muxlink_core::{AttackSession, MuxLinkConfig, NoProgress};
+use muxlink_locking::{dmux, naive_mux, symmetric, KeyValue, LockOptions, LockedNetlist};
+
+fn attack(locked: &LockedNetlist, cfg: &MuxLinkConfig) -> Vec<KeyValue> {
+    AttackSession::new(&locked.netlist, &locked.key_input_names(), cfg.clone())
+        .run(&NoProgress)
+        .unwrap()
+        .recover_key(cfg.th)
+}
 
 fn bench_muxlink_attack(c: &mut Criterion) {
     let design = SynthConfig::new("p", 16, 8, 250).generate(1);
@@ -20,10 +27,10 @@ fn bench_muxlink_attack(c: &mut Criterion) {
     let mut group = c.benchmark_group("muxlink_end_to_end");
     group.sample_size(10);
     group.bench_function("dmux_250_gates_k8", |b| {
-        b.iter(|| attack(&dmux_locked.netlist, &dmux_locked.key_input_names(), &cfg).unwrap());
+        b.iter(|| attack(&dmux_locked, &cfg));
     });
     group.bench_function("symmetric_250_gates_k8", |b| {
-        b.iter(|| attack(&sym_locked.netlist, &sym_locked.key_input_names(), &cfg).unwrap());
+        b.iter(|| attack(&sym_locked, &cfg));
     });
     group.finish();
 }

@@ -8,7 +8,7 @@
 use muxlink_bench::runner::Scheme;
 use muxlink_bench::{maybe_write_json, pct_or_na, HarnessOptions, Table};
 use muxlink_core::metrics::score_key;
-use muxlink_core::{score_design, score_design_with_heuristic};
+use muxlink_core::{score_design_with_heuristic, AttackSession, NoProgress};
 use muxlink_graph::heuristics::Heuristic;
 use rayon::prelude::*;
 use serde::Serialize;
@@ -42,7 +42,9 @@ fn main() {
 
             let mut per_scorer = Vec::new();
             let t0 = std::time::Instant::now();
-            if let Ok(scored) = score_design(&locked.netlist, &names, &cfg) {
+            if let Ok(scored) =
+                AttackSession::new(&locked.netlist, &names, cfg.clone()).run(&NoProgress)
+            {
                 let m = score_key(&scored.recover_key(cfg.th), &locked.key);
                 per_scorer.push(("DGCNN".to_owned(), m, t0.elapsed().as_secs_f64()));
             }

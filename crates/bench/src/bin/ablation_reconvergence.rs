@@ -15,7 +15,7 @@
 use muxlink_bench::runner::Scheme;
 use muxlink_bench::{maybe_write_json, pct_or_na, HarnessOptions, Table};
 use muxlink_core::metrics::score_key;
-use muxlink_core::score_design;
+use muxlink_core::{AttackSession, NoProgress};
 use rayon::prelude::*;
 use serde::Serialize;
 
@@ -45,7 +45,9 @@ fn main() {
             let locked = Scheme::DMux
                 .lock_fitting(&design, key, seed ^ 0xACE)
                 .expect("synthetic benchmarks lock");
-            match score_design(&locked.netlist, &locked.key_input_names(), &cfg) {
+            match AttackSession::new(&locked.netlist, &locked.key_input_names(), cfg.clone())
+                .run(&NoProgress)
+            {
                 Ok(scored) => {
                     let m = score_key(&scored.recover_key(cfg.th), &locked.key);
                     Some(ReconvRow {

@@ -19,20 +19,17 @@
 //! The expensive steps (1–3) are separated from the cheap ones (4–5) so
 //! threshold sweeps (paper Fig. 9) re-use one trained model.
 //!
-//! Two entry surfaces expose the pipeline:
-//!
-//! * the **staged session API** ([`AttackSession`]) — typed stage
-//!   artifacts (`Extracted → Prepared → Trained → ScoredDesign`), model
-//!   checkpointing (`Trained` and `ScoredDesign` are serializable), a
-//!   [`Progress`] observer with cooperative cancellation, and the
-//!   [`run_suite`] multi-design driver;
-//! * the **one-shot wrappers** ([`score_design`] / [`attack`]) — the
-//!   whole chain in one call, bit-identical to the staged path.
+//! One driver runs the pipeline: the **staged session API**
+//! ([`AttackSession`]) — typed stage artifacts (`Extracted → Prepared →
+//! Trained → ScoredDesign`), model checkpointing (`Trained` and
+//! `ScoredDesign` are serializable), a [`Progress`] observer with
+//! cooperative cancellation, and the [`run_suite`] multi-design driver.
+//! [`AttackSession::run`] chains every stage in one call.
 //!
 //! # Example
 //!
 //! ```no_run
-//! use muxlink_core::{MuxLinkConfig, attack};
+//! use muxlink_core::{AttackSession, MuxLinkConfig, NoProgress};
 //! use muxlink_locking::{dmux, LockOptions};
 //!
 //! let design = muxlink_benchgen::SyntheticSuite::iscas85()
@@ -40,13 +37,12 @@
 //!     .profiles[0]
 //!     .generate(1);
 //! let locked = dmux::lock(&design, &LockOptions::new(32, 7)).unwrap();
-//! let outcome = attack(
-//!     &locked.netlist,
-//!     &locked.key_input_names(),
-//!     &MuxLinkConfig::quick(),
-//! )
-//! .unwrap();
-//! let m = muxlink_core::metrics::score_key(&outcome.guess, &locked.key);
+//! let cfg = MuxLinkConfig::quick();
+//! let scored = AttackSession::new(&locked.netlist, &locked.key_input_names(), cfg.clone())
+//!     .run(&NoProgress)
+//!     .unwrap();
+//! let guess = scored.recover_key(cfg.th);
+//! let m = muxlink_core::metrics::score_key(&guess, &locked.key);
 //! println!("AC={:.1}% PC={:.1}% KPA={:.1}%", m.accuracy_pct(), m.precision_pct(), m.kpa_pct().unwrap_or(f64::NAN));
 //! ```
 
@@ -69,12 +65,9 @@ pub mod suite;
 pub use config::MuxLinkConfig;
 pub use error::AttackError;
 pub use fingerprint::{key_input_names, DesignFingerprint};
-pub use pipeline::{
-    attack, score_design, score_design_with_heuristic, AttackOutcome, ScoredDesign,
-};
-pub use postprocess::{recover_key, LocalityKind};
+pub use pipeline::{score_design_with_heuristic, ScoredDesign};
+pub use postprocess::recover_key;
 pub use progress::{CancelFlag, NoProgress, Progress, Stage};
-pub use report::AttackReport;
 pub use session::{AttackSession, Extracted, Prepared, Trained};
 pub use suite::{run_suite, SuiteJob, SuiteOptions, SuiteRecord};
 // Training statistics flow through `Progress::epoch_finished`; re-export

@@ -1,12 +1,9 @@
-//! The one-shot MuxLink pipeline entry points: extract → self-supervise
-//! → score → post-process in a single call.
+//! The scored-design artefact: what [`crate::AttackSession::run`] and
+//! its final stage produce, and what Algorithm 1 post-processes.
 //!
-//! Since the staged API redesign, [`score_design`] and [`attack`] are
-//! thin wrappers over [`crate::AttackSession`] — the
-//! session is the primary surface (stage checkpoints, progress
-//! observation, cancellation, suite runs); these functions remain for
-//! callers that want the whole pipeline as one expression. Both paths
-//! are bit-identical for any thread count.
+//! [`score_design_with_heuristic`] fills the same artefact from a fixed
+//! link-prediction heuristic instead of the GNN (the learned-vs-fixed
+//! ablation).
 
 use std::time::Instant;
 
@@ -17,10 +14,8 @@ use muxlink_netlist::Netlist;
 use serde::{Deserialize, Serialize};
 
 use crate::postprocess::{recover_key, MuxScores};
-use crate::progress::NoProgress;
 use crate::report::Timings;
-use crate::session::AttackSession;
-use crate::{AttackError, MuxLinkConfig};
+use crate::AttackError;
 
 /// A trained-and-scored design: everything the cheap post-processing stage
 /// needs, decoupled so threshold sweeps (Fig. 9) reuse one model.
@@ -42,35 +37,6 @@ pub struct ScoredDesign {
     pub timings: Timings,
 }
 
-/// Result of a full attack: the recovered key plus the scored design for
-/// further analysis.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AttackOutcome {
-    /// One value per key bit (`X` = no decision).
-    pub guess: Vec<KeyValue>,
-    /// The reusable scored design.
-    pub scored: ScoredDesign,
-}
-
-/// Runs the expensive stages: graph extraction, dataset generation, DGCNN
-/// training and target-link scoring — the full
-/// [`crate::AttackSession`] chain in one call.
-///
-/// # Errors
-///
-/// [`AttackError::Extract`] for malformed locked designs,
-/// [`AttackError::NoKeyMuxes`] when there is nothing to attack,
-/// [`AttackError::EmptyDataset`] when no training links could be
-/// sampled, and [`AttackError::ThreadPool`] when a dedicated pool of
-/// `cfg.threads` workers could not be built.
-pub fn score_design(
-    netlist: &Netlist,
-    key_input_names: &[String],
-    cfg: &MuxLinkConfig,
-) -> Result<ScoredDesign, AttackError> {
-    AttackSession::new(netlist, key_input_names, cfg.clone()).run(&NoProgress)
-}
-
 impl ScoredDesign {
     /// Post-processes the stored likelihoods at threshold `th` — cheap and
     /// re-runnable (Fig. 9 sweeps thresholds without retraining).
@@ -89,7 +55,8 @@ impl ScoredDesign {
 ///
 /// # Errors
 ///
-/// As for [`score_design`] minus the dataset/training failure modes.
+/// [`AttackError::Extract`] for malformed locked designs and
+/// [`AttackError::NoKeyMuxes`] when there is nothing to attack.
 pub fn score_design_with_heuristic(
     netlist: &Netlist,
     key_input_names: &[String],
@@ -130,25 +97,11 @@ pub fn score_design_with_heuristic(
     })
 }
 
-/// Full attack at the configured threshold.
-///
-/// # Errors
-///
-/// As for [`score_design`].
-pub fn attack(
-    netlist: &Netlist,
-    key_input_names: &[String],
-    cfg: &MuxLinkConfig,
-) -> Result<AttackOutcome, AttackError> {
-    let scored = score_design(netlist, key_input_names, cfg)?;
-    let guess = scored.recover_key(cfg.th);
-    Ok(AttackOutcome { guess, scored })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::score_key;
+    use crate::{AttackSession, MuxLinkConfig, NoProgress};
     use muxlink_benchgen::synth::SynthConfig;
     use muxlink_locking::{dmux, symmetric, LockOptions};
 
@@ -156,13 +109,23 @@ mod tests {
         MuxLinkConfig::quick()
     }
 
+    fn run(
+        netlist: &Netlist,
+        names: &[String],
+        cfg: &MuxLinkConfig,
+    ) -> Result<ScoredDesign, AttackError> {
+        AttackSession::new(netlist, names, cfg.clone()).run(&NoProgress)
+    }
+
     #[test]
     fn attack_runs_end_to_end_on_dmux() {
         let design = SynthConfig::new("d", 16, 8, 260).generate(11);
         let locked = dmux::lock(&design, &LockOptions::new(8, 3)).unwrap();
-        let out = attack(&locked.netlist, &locked.key_input_names(), &quick()).unwrap();
-        assert_eq!(out.guess.len(), 8);
-        let m = score_key(&out.guess, &locked.key);
+        let guess = run(&locked.netlist, &locked.key_input_names(), &quick())
+            .unwrap()
+            .recover_key(quick().th);
+        assert_eq!(guess.len(), 8);
+        let m = score_key(&guess, &locked.key);
         // With the quick profile we still expect far-better-than-random
         // behaviour on a small design.
         assert!(m.precision() > 0.5, "precision {}", m.precision());
@@ -172,15 +135,17 @@ mod tests {
     fn attack_runs_end_to_end_on_symmetric() {
         let design = SynthConfig::new("d", 16, 8, 260).generate(12);
         let locked = symmetric::lock(&design, &LockOptions::new(8, 3)).unwrap();
-        let out = attack(&locked.netlist, &locked.key_input_names(), &quick()).unwrap();
-        assert_eq!(out.guess.len(), 8);
+        let guess = run(&locked.netlist, &locked.key_input_names(), &quick())
+            .unwrap()
+            .recover_key(quick().th);
+        assert_eq!(guess.len(), 8);
     }
 
     #[test]
     fn scored_design_rethresholds_without_retraining() {
         let design = SynthConfig::new("d", 16, 8, 220).generate(13);
         let locked = dmux::lock(&design, &LockOptions::new(6, 5)).unwrap();
-        let scored = score_design(&locked.netlist, &locked.key_input_names(), &quick()).unwrap();
+        let scored = run(&locked.netlist, &locked.key_input_names(), &quick()).unwrap();
         let loose = scored.recover_key(0.0);
         let strict = scored.recover_key(1.0);
         let x_loose = loose.iter().filter(|v| **v == KeyValue::X).count();
@@ -196,10 +161,10 @@ mod tests {
     fn deterministic_given_seed() {
         let design = SynthConfig::new("d", 14, 6, 180).generate(14);
         let locked = dmux::lock(&design, &LockOptions::new(4, 7)).unwrap();
-        let a = attack(&locked.netlist, &locked.key_input_names(), &quick()).unwrap();
-        let b = attack(&locked.netlist, &locked.key_input_names(), &quick()).unwrap();
-        assert_eq!(a.guess, b.guess);
-        assert_eq!(a.scored.scores, b.scored.scores);
+        let a = run(&locked.netlist, &locked.key_input_names(), &quick()).unwrap();
+        let b = run(&locked.netlist, &locked.key_input_names(), &quick()).unwrap();
+        assert_eq!(a.recover_key(quick().th), b.recover_key(quick().th));
+        assert_eq!(a.scores, b.scores);
     }
 
     #[test]
@@ -207,23 +172,21 @@ mod tests {
         let design = SynthConfig::new("d", 14, 6, 200).generate(18);
         let locked = dmux::lock(&design, &LockOptions::new(6, 3)).unwrap();
         let names = locked.key_input_names();
-        let a = attack(&locked.netlist, &names, &quick().with_threads(1)).unwrap();
-        let b = attack(&locked.netlist, &names, &quick().with_threads(4)).unwrap();
-        assert_eq!(a.guess, b.guess, "key guess must not depend on threads");
+        let a = run(&locked.netlist, &names, &quick().with_threads(1)).unwrap();
+        let b = run(&locked.netlist, &names, &quick().with_threads(4)).unwrap();
         assert_eq!(
-            a.scored.scores, b.scored.scores,
-            "scores must be bit-identical"
+            a.recover_key(quick().th),
+            b.recover_key(quick().th),
+            "key guess must not depend on threads"
         );
+        assert_eq!(a.scores, b.scores, "scores must be bit-identical");
         assert_eq!(
-            a.scored.train_report, b.scored.train_report,
+            a.train_report, b.train_report,
             "training history must be bit-identical"
         );
-        assert_eq!(a.scored.timings.threads.train, 1);
-        assert_eq!(b.scored.timings.threads.train, 4);
-        assert_eq!(
-            b.scored.timings.threads.extract, 1,
-            "extraction is sequential"
-        );
+        assert_eq!(a.timings.threads.train, 1);
+        assert_eq!(b.timings.threads.train, 4);
+        assert_eq!(b.timings.threads.extract, 1, "extraction is sequential");
     }
 
     #[test]
@@ -250,7 +213,7 @@ mod tests {
     #[test]
     fn unlocked_design_is_rejected() {
         let design = SynthConfig::new("d", 10, 4, 100).generate(15);
-        let err = attack(&design, &[], &quick()).unwrap_err();
+        let err = run(&design, &[], &quick()).unwrap_err();
         assert!(matches!(err, AttackError::NoKeyMuxes));
     }
 
@@ -258,7 +221,7 @@ mod tests {
     fn timings_are_populated() {
         let design = SynthConfig::new("d", 12, 6, 150).generate(16);
         let locked = dmux::lock(&design, &LockOptions::new(4, 2)).unwrap();
-        let scored = score_design(&locked.netlist, &locked.key_input_names(), &quick()).unwrap();
+        let scored = run(&locked.netlist, &locked.key_input_names(), &quick()).unwrap();
         assert!(scored.timings.total() > std::time::Duration::ZERO);
         assert!(scored.k >= 10);
     }

@@ -9,18 +9,6 @@
 
 use muxlink_graph::{ExtractedDesign, MuxCandidate};
 use muxlink_locking::KeyValue;
-use serde::{Deserialize, Serialize};
-
-/// How a group of MUXes was interpreted during post-processing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LocalityKind {
-    /// Two MUXes sharing a data-wire pair, two key bits (S1/S5).
-    PairedTwoKeys,
-    /// Two MUXes sharing a data-wire pair and one key bit (S4).
-    PairedSharedKey,
-    /// A single MUX with its own key bit (S2/S3/naive).
-    Single,
-}
 
 /// Per-MUX likelihood scores: `(l0, l1)` for the links selected by key
 /// values 0 and 1 respectively.
@@ -75,24 +63,6 @@ pub fn recover_key(
         }
     }
     key
-}
-
-/// Classifies the locality structure of each group (used for reporting).
-#[must_use]
-pub fn classify_localities(extracted: &ExtractedDesign) -> Vec<LocalityKind> {
-    group_localities(&extracted.muxes)
-        .into_iter()
-        .map(|g| match g {
-            Grouped::Pair(i, j) => {
-                if extracted.muxes[i].key_bit == extracted.muxes[j].key_bit {
-                    LocalityKind::PairedSharedKey
-                } else {
-                    LocalityKind::PairedTwoKeys
-                }
-            }
-            Grouped::Single(_) => LocalityKind::Single,
-        })
-        .collect()
 }
 
 enum Grouped {
@@ -261,23 +231,6 @@ mod tests {
         let d = design(vec![mux(0, 5, 1, 2), mux(0, 6, 2, 1)]);
         let key = recover_key(&d, &vec![(0.9, 0.1), (0.8, 0.3)], 1, 0.01);
         assert_eq!(key, vec![KeyValue::Zero]);
-    }
-
-    #[test]
-    fn classification_distinguishes_kinds() {
-        let d = design(vec![
-            mux(0, 5, 1, 2),
-            mux(1, 6, 2, 1), // pair with different bits → S1/S5 style
-            mux(2, 7, 3, 4), // single
-        ]);
-        let kinds = classify_localities(&d);
-        assert!(kinds.contains(&LocalityKind::PairedTwoKeys));
-        assert!(kinds.contains(&LocalityKind::Single));
-        let d2 = design(vec![mux(0, 5, 1, 2), mux(0, 6, 2, 1)]);
-        assert_eq!(
-            classify_localities(&d2),
-            vec![LocalityKind::PairedSharedKey]
-        );
     }
 
     #[test]

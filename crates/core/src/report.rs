@@ -1,13 +1,9 @@
-//! Human-readable attack reporting.
+//! Per-stage timing records of an attack run.
 
-use std::fmt;
 use std::time::Duration;
 
 use muxlink_gnn::TrainPhases;
-use muxlink_locking::KeyValue;
 use serde::{map_get, DeError, Deserialize, Serialize, Value};
-
-use crate::metrics::KeyMetrics;
 
 /// Worker-thread counts used by each pipeline stage (1 = sequential).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -81,112 +77,9 @@ impl Timings {
     }
 }
 
-/// A complete attack report: key metrics, timing, model quality.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AttackReport {
-    /// Name of the attacked design.
-    pub design: String,
-    /// Locking scheme label (for presentation only).
-    pub scheme: String,
-    /// Key size.
-    pub key_size: usize,
-    /// Deciphered key string (`0`/`1`/`X`).
-    pub key_string: String,
-    /// Scoring metrics.
-    pub metrics: KeyMetrics,
-    /// Validation accuracy of the selected GNN.
-    pub val_accuracy: f64,
-    /// Stage timings.
-    pub timings: Timings,
-}
-
-impl AttackReport {
-    /// Assembles a report from attack artefacts.
-    #[must_use]
-    pub fn new(
-        design: impl Into<String>,
-        scheme: impl Into<String>,
-        guess: &[KeyValue],
-        metrics: KeyMetrics,
-        val_accuracy: f64,
-        timings: Timings,
-    ) -> Self {
-        Self {
-            design: design.into(),
-            scheme: scheme.into(),
-            key_size: guess.len(),
-            key_string: guess.iter().map(ToString::to_string).collect(),
-            metrics,
-            val_accuracy,
-            timings,
-        }
-    }
-}
-
-impl fmt::Display for AttackReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "MuxLink on {} [{}], K={}",
-            self.design, self.scheme, self.key_size
-        )?;
-        writeln!(f, "  key: {}", self.key_string)?;
-        let kpa = self
-            .metrics
-            .kpa_pct()
-            .map_or_else(|| "n/a".to_owned(), |v| format!("{v:.2}%"));
-        writeln!(
-            f,
-            "  AC {:.2}%  PC {:.2}%  KPA {}  (correct {}, X {}, total {})",
-            self.metrics.accuracy_pct(),
-            self.metrics.precision_pct(),
-            kpa,
-            self.metrics.correct,
-            self.metrics.x_count,
-            self.metrics.total
-        )?;
-        writeln!(f, "  GNN val accuracy {:.2}%", self.val_accuracy * 100.0)?;
-        writeln!(
-            f,
-            "  time: extract {:?}, dataset {:?}×{}t, train {:?}×{}t, score {:?}×{}t (total {:?})",
-            self.timings.extract,
-            self.timings.dataset,
-            self.timings.threads.dataset.max(1),
-            self.timings.train,
-            self.timings.threads.train.max(1),
-            self.timings.score,
-            self.timings.threads.score.max(1),
-            self.timings.total()
-        )?;
-        let p = &self.timings.train_phases;
-        write!(
-            f,
-            "  train phases: assembly {:?}, forward {:?}, backward {:?}, optimizer {:?}",
-            p.assembly, p.forward, p.backward, p.optimizer
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn report_renders_all_sections() {
-        let metrics = KeyMetrics {
-            correct: 3,
-            x_count: 1,
-            total: 4,
-        };
-        let guess = vec![KeyValue::One, KeyValue::Zero, KeyValue::X, KeyValue::One];
-        let r = AttackReport::new("c17", "D-MUX", &guess, metrics, 0.95, Timings::default());
-        let text = r.to_string();
-        assert!(text.contains("c17"));
-        assert!(text.contains("10X1"));
-        assert!(text.contains("AC 75.00%"));
-        assert!(text.contains("PC 100.00%"));
-        assert!(text.contains("KPA 100.00%"));
-    }
 
     #[test]
     fn timings_total_adds_up() {

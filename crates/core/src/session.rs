@@ -1,8 +1,8 @@
 //! The staged attack-session API: typed pipeline stages.
 //!
-//! [`crate::score_design`]/[`crate::attack`] run the whole MuxLink
-//! pipeline in one call. An [`AttackSession`] exposes the same pipeline
-//! as **explicit, resumable transitions between owned stage artifacts**:
+//! An [`AttackSession`] is the one driver of the MuxLink pipeline. It
+//! runs it as **explicit, resumable transitions between owned stage
+//! artifacts**, or all of them in one call with [`AttackSession::run`]:
 //!
 //! ```text
 //! AttackSession ──extract()──▶ Extracted ──prepare()──▶ Prepared
@@ -20,9 +20,8 @@
 //!
 //! # Determinism contract
 //!
-//! The staged path is **bit-identical** to the one-shot
-//! [`crate::score_design`] for any thread count (the one-shot entry
-//! points are thin wrappers over a session). Every stage seeds its own
+//! Calling the stages one by one is **bit-identical** to
+//! [`AttackSession::run`] for any thread count. Every stage seeds its own
 //! RNG streams from [`MuxLinkConfig::seed`] and reduces parallel work in
 //! a fixed order, so splitting the pipeline at any stage boundary —
 //! including through a checkpoint round trip of [`Trained`] — cannot
@@ -220,7 +219,7 @@ impl<'n> AttackSession<'n> {
     }
 
     /// Runs the full chain `extract → prepare → train → score` under one
-    /// observer — exactly what [`crate::score_design`] wraps.
+    /// observer.
     ///
     /// With `cfg.threads != 0` one dedicated pool serves the whole
     /// chain (stage methods called individually each build their own);
@@ -601,7 +600,6 @@ impl Trained {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::score_design;
     use crate::progress::{CancelFlag, NoProgress};
     use muxlink_benchgen::synth::SynthConfig;
     use muxlink_locking::{dmux, LockOptions};
@@ -616,7 +614,9 @@ mod tests {
         let locked = locked_design();
         let names = locked.key_input_names();
         let cfg = MuxLinkConfig::quick();
-        let one_shot = score_design(&locked.netlist, &names, &cfg).unwrap();
+        let one_shot = AttackSession::new(&locked.netlist, &names, cfg.clone())
+            .run(&NoProgress)
+            .unwrap();
         let staged = AttackSession::new(&locked.netlist, &names, cfg.clone())
             .extract()
             .unwrap()
@@ -655,7 +655,9 @@ mod tests {
         let observed = AttackSession::new(&locked.netlist, &names, cfg.clone())
             .run(&spy)
             .unwrap();
-        let silent = score_design(&locked.netlist, &names, &cfg).unwrap();
+        let silent = AttackSession::new(&locked.netlist, &names, cfg.clone())
+            .run(&NoProgress)
+            .unwrap();
         assert_eq!(
             spy.stages.load(Ordering::SeqCst),
             4,

@@ -347,8 +347,9 @@ impl Dgcnn {
     }
 
     /// Total number of scalar parameters.
+    #[cfg(test)]
     #[must_use]
-    pub fn parameter_count(&self) -> usize {
+    pub(crate) fn parameter_count(&self) -> usize {
         self.params().iter().map(|p| p.w.rows() * p.w.cols()).sum()
     }
 

@@ -529,19 +529,21 @@ impl Matrix {
         }
     }
 
-    /// Element-wise (Hadamard) product.
+    /// Element-wise (Hadamard) product; the allocating reference of
+    /// [`Matrix::hadamard_into`].
     ///
     /// # Panics
     ///
     /// Panics on shape mismatch.
+    #[cfg(test)]
     #[must_use]
-    pub fn hadamard(&self, rhs: &Matrix) -> Matrix {
+    pub(crate) fn hadamard(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
         self.hadamard_into(rhs, &mut out);
         out
     }
 
-    /// [`Matrix::hadamard`] into a reusable output buffer.
+    /// Element-wise (Hadamard) product into a reusable output buffer.
     ///
     /// # Panics
     ///

@@ -129,7 +129,7 @@ fn adam_update(
 /// Gradients for every parameter of a model, in the model's canonical
 /// parameter order. Produced by the backward pass; per-sample gradient
 /// objects reduce over a minibatch with [`Gradients::merge`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gradients {
     tensors: Vec<Matrix>,
 }
@@ -207,7 +207,7 @@ impl Gradients {
 }
 
 /// Adam hyper-parameters (paper: initial learning rate 1e-4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdamConfig {
     /// Learning rate.
     pub lr: f32,

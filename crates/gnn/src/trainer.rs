@@ -31,7 +31,7 @@ use crate::param::{AdamConfig, AdamState};
 use crate::sample::SampleStore;
 
 /// Training-loop hyper-parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Number of passes over the training set (paper: 100).
     pub epochs: usize,

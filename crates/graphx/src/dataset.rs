@@ -11,7 +11,6 @@ use std::collections::HashSet;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::arena::{SampleArena, SampleHandle};
 use crate::graph::{CircuitGraph, Link};
@@ -19,7 +18,7 @@ use crate::sampling::sample_links;
 
 /// Dataset-generation parameters (paper defaults: `h = 3`,
 /// `max_train_links = 100_000`, 10 % validation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetConfig {
     /// Enclosing-subgraph hop count.
     pub h: usize,

@@ -153,16 +153,6 @@ impl CircuitGraph {
             adj: adj.finish(),
         }
     }
-
-    /// Average node degree.
-    #[must_use]
-    pub fn average_degree(&self) -> f64 {
-        if self.adj.is_empty() {
-            0.0
-        } else {
-            2.0 * self.edge_count() as f64 / self.node_count() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -232,11 +222,5 @@ mod tests {
             );
             assert_eq!(g.adj, Csr::from_lists(&lists));
         }
-    }
-
-    #[test]
-    fn average_degree() {
-        let g = path3();
-        assert!((g.average_degree() - 4.0 / 3.0).abs() < 1e-12);
     }
 }

@@ -158,48 +158,49 @@ fn distance_skipping_edge(graph: &CircuitGraph, a: u32, b: u32) -> Option<usize>
     }
 }
 
-/// Area under the ROC curve of `scores` against boolean labels — the
-/// standard link-prediction quality metric (0.5 = random, 1.0 = perfect).
-///
-/// # Panics
-///
-/// Panics when the slices differ in length.
-#[must_use]
-pub fn auc(scores: &[f64], labels: &[bool]) -> f64 {
-    assert_eq!(scores.len(), labels.len());
-    let mut pairs: Vec<(f64, bool)> = scores.iter().copied().zip(labels.iter().copied()).collect();
-    pairs.sort_by(|x, y| x.0.partial_cmp(&y.0).unwrap_or(std::cmp::Ordering::Equal));
-    // Rank-sum (Mann–Whitney) with tie handling by average rank.
-    let n = pairs.len();
-    let mut rank_sum_pos = 0.0f64;
-    let (mut pos, mut neg) = (0usize, 0usize);
-    let mut i = 0;
-    while i < n {
-        let mut j = i;
-        while j + 1 < n && pairs[j + 1].0 == pairs[i].0 {
-            j += 1;
-        }
-        let avg_rank = (i + j) as f64 / 2.0 + 1.0;
-        for p in pairs.iter().take(j + 1).skip(i) {
-            if p.1 {
-                rank_sum_pos += avg_rank;
-                pos += 1;
-            } else {
-                neg += 1;
-            }
-        }
-        i = j + 1;
-    }
-    if pos == 0 || neg == 0 {
-        return 0.5;
-    }
-    (rank_sum_pos - (pos * (pos + 1)) as f64 / 2.0) / (pos as f64 * neg as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use muxlink_netlist::{GateId, GateType};
+
+    /// Area under the ROC curve of `scores` against boolean labels — the
+    /// standard link-prediction quality metric (0.5 = random, 1.0 = perfect).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the slices differ in length.
+    #[must_use]
+    fn auc(scores: &[f64], labels: &[bool]) -> f64 {
+        assert_eq!(scores.len(), labels.len());
+        let mut pairs: Vec<(f64, bool)> =
+            scores.iter().copied().zip(labels.iter().copied()).collect();
+        pairs.sort_by(|x, y| x.0.partial_cmp(&y.0).unwrap_or(std::cmp::Ordering::Equal));
+        // Rank-sum (Mann–Whitney) with tie handling by average rank.
+        let n = pairs.len();
+        let mut rank_sum_pos = 0.0f64;
+        let (mut pos, mut neg) = (0usize, 0usize);
+        let mut i = 0;
+        while i < n {
+            let mut j = i;
+            while j + 1 < n && pairs[j + 1].0 == pairs[i].0 {
+                j += 1;
+            }
+            let avg_rank = (i + j) as f64 / 2.0 + 1.0;
+            for p in pairs.iter().take(j + 1).skip(i) {
+                if p.1 {
+                    rank_sum_pos += avg_rank;
+                    pos += 1;
+                } else {
+                    neg += 1;
+                }
+            }
+            i = j + 1;
+        }
+        if pos == 0 || neg == 0 {
+            return 0.5;
+        }
+        (rank_sum_pos - (pos * (pos + 1)) as f64 / 2.0) / (pos as f64 * neg as f64)
+    }
 
     /// Two triangles sharing node 2, plus a pendant node 5.
     fn graph() -> CircuitGraph {

@@ -1,4 +1,4 @@
-//! Fan-in and fan-out cone extraction.
+//! Live logic and immediate fan-out.
 //!
 //! The D-MUX/S5 locking strategies reason about the *output nodes* of a gate
 //! (its immediate fan-out) while the MuxLink analysis observes that the
@@ -8,45 +8,6 @@
 use std::collections::HashSet;
 
 use crate::{GateId, NetId, Netlist};
-
-/// The set of gates in the transitive fan-in cone of `net` (the gates whose
-/// outputs can influence the net), including the net's own driver.
-#[must_use]
-pub fn fanin_cone(netlist: &Netlist, net: NetId) -> HashSet<GateId> {
-    let mut cone = HashSet::new();
-    let mut stack = Vec::new();
-    if let Some(drv) = netlist.net(net).driver() {
-        stack.push(drv);
-    }
-    while let Some(g) = stack.pop() {
-        if !cone.insert(g) {
-            continue;
-        }
-        for &inp in netlist.gate(g).inputs() {
-            if let Some(drv) = netlist.net(inp).driver() {
-                stack.push(drv);
-            }
-        }
-    }
-    cone
-}
-
-/// The set of gates in the transitive fan-out cone of `net` (gates whose
-/// value the net can influence).
-#[must_use]
-pub fn fanout_cone(netlist: &Netlist, net: NetId) -> HashSet<GateId> {
-    let fanout = netlist.fanout_map();
-    let mut cone = HashSet::new();
-    let mut stack: Vec<GateId> = fanout[net.index()].clone();
-    while let Some(g) = stack.pop() {
-        if !cone.insert(g) {
-            continue;
-        }
-        let out = netlist.gate(g).output();
-        stack.extend(fanout[out.index()].iter().copied());
-    }
-    cone
-}
 
 /// Gates whose fan-in cones are needed to compute the primary outputs; all
 /// other gates are dead logic.
@@ -102,27 +63,6 @@ mod tests {
         let _ = dead;
         n.mark_output(m).unwrap();
         n
-    }
-
-    #[test]
-    fn fanin_collects_both_branches() {
-        let n = diamond();
-        let m = n.find_net("m").unwrap();
-        let cone = fanin_cone(&n, m);
-        assert_eq!(cone.len(), 3); // l, r, m drivers
-    }
-
-    #[test]
-    fn fanout_collects_downstream() {
-        let n = diamond();
-        let a = n.find_net("a").unwrap();
-        let cone = fanout_cone(&n, a);
-        // a feeds l and r, which feed m.
-        assert_eq!(cone.len(), 3);
-        let b = n.find_net("b").unwrap();
-        let cone_b = fanout_cone(&n, b);
-        // b feeds r (→ m) and the dead inverter.
-        assert_eq!(cone_b.len(), 3);
     }
 
     #[test]

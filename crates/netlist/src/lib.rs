@@ -9,13 +9,15 @@
 //! * a parser and writer for the BENCH format used by the logic-locking
 //!   community ([`bench_format`]),
 //! * structural traversal: topological order, combinational-loop detection,
-//!   depth, fan-in/fan-out cones ([`traversal`], [`cones`]),
+//!   depth, reachability, live logic and immediate fan-out ([`traversal`],
+//!   [`cones`]),
 //! * a bit-parallel logic simulator and Hamming-distance estimation
 //!   ([`sim`]),
 //! * a resynthesis pass framework — constant folding, buffer collapsing,
 //!   MUX simplification, dead-logic elimination, plus seeded perturbation
-//!   passes — run to fixpoint by a [`passes::Pipeline`] ([`passes`]), with
-//!   the legacy single-call entry point kept in [`opt`],
+//!   passes — run to fixpoint by a [`passes::Pipeline`] ([`passes`]) — and
+//!   the combined single-sweep resynthesis recipe of the SWEEP/SCOPE
+//!   baselines ([`opt::resynthesize`]),
 //! * design-feature extraction (area/power/depth proxies) ([`stats`]).
 //!
 //! # Example

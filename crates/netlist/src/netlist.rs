@@ -156,11 +156,6 @@ impl Netlist {
         &self.name
     }
 
-    /// Renames the design.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// Number of nets (wires), including primary inputs.
     #[must_use]
     pub fn net_count(&self) -> usize {
@@ -209,11 +204,6 @@ impl Netlist {
     #[must_use]
     pub fn gate(&self, id: GateId) -> &Gate {
         &self.gates[id.index()]
-    }
-
-    /// Iterates over all gate ids in insertion order.
-    pub fn gate_ids(&self) -> impl ExactSizeIterator<Item = GateId> + '_ {
-        (0..self.gates.len() as u32).map(GateId)
     }
 
     /// Iterates over all net ids in insertion order.
@@ -360,19 +350,6 @@ impl Netlist {
         } else {
             Ok(false)
         }
-    }
-
-    /// Replaces a primary-output occurrence of `old` with `new`. Returns
-    /// `true` when a substitution happened.
-    pub fn rewire_output(&mut self, old: NetId, new: NetId) -> bool {
-        let mut hit = false;
-        for o in &mut self.outputs {
-            if *o == old {
-                *o = new;
-                hit = true;
-            }
-        }
-        hit
     }
 
     /// Overwrites a gate in place (same output net, new function/inputs).

@@ -9,12 +9,14 @@
 //!
 //! The fold sweep itself lives in [`crate::passes`], decomposed into named
 //! passes ([`crate::passes::ConstantFold`], … ) that a
-//! [`crate::passes::Pipeline`] can run to fixpoint; [`resynthesize`] is the
-//! historical single-call recipe kept bit-compatible for the baselines.
+//! [`crate::passes::Pipeline`] can run to fixpoint; [`resynthesize`] runs
+//! all of them as one combined sweep and is the only entry point to that
+//! recipe, kept bit-compatible with the historical monolith for the
+//! baselines.
 
 use std::collections::HashMap;
 
-use crate::{GateType, NetId, Netlist, NetlistError};
+use crate::{NetId, Netlist, NetlistError};
 
 /// Rebuilds `netlist` with the given primary inputs fixed to constants
 /// (by name), propagating constants, folding trivial gates, collapsing
@@ -26,9 +28,9 @@ use crate::{GateType, NetId, Netlist, NetlistError};
 /// Primary outputs keep their names — an output that collapses to a
 /// constant is driven by a `CONST0`/`CONST1` cell.
 ///
-/// Equivalent to one [`crate::passes::ResynthFold`] sweep followed by
-/// [`strip_dead`] — the `Pipeline::resynthesis` recipe — and pinned
-/// bit-compatible with the pre-pass-framework monolith.
+/// One combined fold sweep (every rule family of [`crate::passes`]'
+/// folding passes) followed by [`strip_dead`], pinned bit-compatible with
+/// the pre-pass-framework monolith.
 ///
 /// # Errors
 ///
@@ -40,66 +42,6 @@ pub fn resynthesize(
 ) -> Result<Netlist, NetlistError> {
     let swept = crate::passes::sweep_full_for_resynth(netlist, constants)?;
     Ok(strip_dead(&swept))
-}
-
-/// Structural hash-consing: merges gates computing the same function over
-/// the same (canonicalised) inputs, in one topological sweep — the
-/// common-subexpression-elimination step of a synthesis flow. Symmetric
-/// gate types compare with sorted inputs; MUX inputs stay ordered.
-///
-/// # Errors
-///
-/// Propagates loop errors from the topological sort.
-pub fn dedup_structural(netlist: &Netlist) -> Result<Netlist, NetlistError> {
-    let order = crate::traversal::topological_order(netlist)?;
-    let mut out = Netlist::new(netlist.name().to_owned());
-    // Old net -> new net (after merging).
-    let mut map: Vec<Option<NetId>> = vec![None; netlist.net_count()];
-    for &pi in netlist.inputs() {
-        map[pi.index()] = Some(out.add_input(netlist.net(pi).name().to_owned())?);
-    }
-    let mut seen: HashMap<(GateType, Vec<NetId>), NetId> = HashMap::new();
-    for gid in order {
-        let gate = netlist.gate(gid);
-        let mut ins: Vec<NetId> = gate
-            .inputs()
-            .iter()
-            .map(|n| map[n.index()].expect("topological order"))
-            .collect();
-        let symmetric = !matches!(gate.ty(), GateType::Mux);
-        let mut key_ins = ins.clone();
-        if symmetric {
-            key_ins.sort_unstable();
-            ins = key_ins.clone();
-        }
-        let key = (gate.ty(), key_ins);
-        let new_net = if let Some(&existing) = seen.get(&key) {
-            existing
-        } else {
-            let id = out.add_gate(
-                netlist.net(gate.output()).name().to_owned(),
-                gate.ty(),
-                &ins,
-            )?;
-            seen.insert(key, id);
-            id
-        };
-        map[gate.output().index()] = Some(new_net);
-    }
-    for &po in netlist.outputs() {
-        let target = map[po.index()].expect("outputs driven");
-        // Preserve the output name: alias through a buffer when the
-        // surviving twin carries a different name.
-        let id = if out.net(target).name() == netlist.net(po).name() || netlist.net(po).is_input() {
-            target
-        } else if let Some(existing) = out.find_net(netlist.net(po).name()) {
-            existing
-        } else {
-            out.add_gate(netlist.net(po).name().to_owned(), GateType::Buf, &[target])?
-        };
-        out.mark_output(id)?;
-    }
-    Ok(strip_dead(&out))
 }
 
 /// Removes every gate that does not (transitively) feed a primary output.
@@ -145,6 +87,7 @@ mod tests {
     use super::*;
     use crate::bench_format::parse;
     use crate::sim::exhaustive_equiv;
+    use crate::GateType;
 
     fn fix(name: &str, v: bool) -> HashMap<String, bool> {
         let mut m = HashMap::new();
@@ -268,61 +211,6 @@ mod tests {
         let y = r.find_net("y").unwrap();
         assert_eq!(r.gate(r.net(y).driver().unwrap()).ty(), GateType::Const1);
         assert!(r.validate().is_ok());
-    }
-
-    #[test]
-    fn dedup_merges_identical_gates() {
-        let n = parse(
-            "t",
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\n\
-             t1 = AND(a, b)\nt2 = AND(b, a)\nt3 = AND(a, b)\n\
-             y = XOR(t1, t2, t3)\n",
-        )
-        .unwrap();
-        let d = dedup_structural(&n).unwrap();
-        // The three ANDs collapse into one; XOR(t,t,t) stays an XOR over
-        // one repeated operand? No — its inputs all map to the same net,
-        // which the netlist layer permits; simulation semantics preserved.
-        let ands = d
-            .gate_type_histogram()
-            .get(&GateType::And)
-            .copied()
-            .unwrap_or(0);
-        assert_eq!(ands, 1, "commutative duplicates must merge");
-        assert!(exhaustive_equiv(&n, &d).unwrap());
-    }
-
-    #[test]
-    fn dedup_respects_mux_input_order() {
-        let n = parse(
-            "t",
-            "INPUT(s)\nINPUT(a)\nINPUT(b)\nOUTPUT(y)\nOUTPUT(z)\n\
-             m1 = MUX(s, a, b)\nm2 = MUX(s, b, a)\n\
-             y = BUFF(m1)\nz = BUFF(m2)\n",
-        )
-        .unwrap();
-        let d = dedup_structural(&n).unwrap();
-        let muxes = d
-            .gate_type_histogram()
-            .get(&GateType::Mux)
-            .copied()
-            .unwrap_or(0);
-        assert_eq!(muxes, 2, "MUXes with swapped data inputs differ");
-        assert!(exhaustive_equiv(&n, &d).unwrap());
-    }
-
-    #[test]
-    fn dedup_preserves_output_names_of_merged_twins() {
-        let n = parse(
-            "t",
-            "INPUT(a)\nINPUT(b)\nOUTPUT(y1)\nOUTPUT(y2)\n\
-             y1 = NOR(a, b)\ny2 = NOR(b, a)\n",
-        )
-        .unwrap();
-        let d = dedup_structural(&n).unwrap();
-        assert!(d.find_net("y1").is_some());
-        assert!(d.find_net("y2").is_some());
-        assert!(exhaustive_equiv(&n, &d).unwrap());
     }
 
     #[test]

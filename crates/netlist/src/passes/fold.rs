@@ -1,11 +1,11 @@
 //! The fold-sweep engine behind [`ConstantFold`], [`CollapseBuffers`],
-//! [`SimplifyMuxes`] and [`ResynthFold`].
+//! [`SimplifyMuxes`] and [`crate::opt::resynthesize`].
 //!
 //! One topological sweep rebuilds the netlist while propagating symbolic
 //! values; a [`Rules`] set selects which rewrite families fire. With every
 //! family enabled (plus tied constants) the sweep is a line-for-line port
 //! of the historical `opt.rs::resynthesize` monolith, which keeps
-//! [`ResynthFold`] bit-compatible with it; with a single family enabled it
+//! `resynthesize` bit-compatible with it; with a single family enabled it
 //! becomes one small named pass.
 
 use std::collections::HashMap;
@@ -66,7 +66,6 @@ impl Pass for ConstantFold {
                 algebraic: true,
                 ..Rules::default()
             },
-            &HashMap::new(),
         )
     }
 }
@@ -90,7 +89,6 @@ impl Pass for CollapseBuffers {
                 buffers: true,
                 ..Rules::default()
             },
-            &HashMap::new(),
         )
     }
 }
@@ -113,50 +111,17 @@ impl Pass for SimplifyMuxes {
                 muxes: true,
                 ..Rules::default()
             },
-            &HashMap::new(),
         )
     }
 }
 
-/// `resynth_fold`: the combined sweep of the historical `resynthesize`
-/// monolith — every rule family plus primary inputs tied to constants (by
-/// name). Not a fixpoint pass: the tied inputs leave the interface, so a
-/// second application would reject its own output.
-#[derive(Debug, Clone, Default)]
-pub struct ResynthFold {
-    constants: HashMap<String, bool>,
-}
-
-impl ResynthFold {
-    /// A full fold sweep with `constants` tied (empty map = tie nothing).
-    #[must_use]
-    pub fn new(constants: HashMap<String, bool>) -> Self {
-        Self { constants }
-    }
-}
-
-impl Pass for ResynthFold {
-    fn name(&self) -> &'static str {
-        "resynth_fold"
-    }
-
-    fn fixpoint(&self) -> bool {
-        self.constants.is_empty()
-    }
-
-    fn run(&self, netlist: &mut Netlist) -> Result<PassReport, NetlistError> {
-        sweep_pass(netlist, self.name(), Rules::ALL, &self.constants)
-    }
-}
-
-/// Shared pass wrapper around [`sweep`].
+/// Shared pass wrapper around [`sweep`] (no inputs tied).
 fn sweep_pass(
     netlist: &mut Netlist,
     name: &'static str,
     rules: Rules,
-    constants: &HashMap<String, bool>,
 ) -> Result<PassReport, NetlistError> {
-    let (rebuilt, events) = sweep(netlist, rules, constants)?;
+    let (rebuilt, events) = sweep(netlist, rules, &HashMap::new())?;
     Ok(PassReport {
         name,
         rewrites: finish(netlist, rebuilt, events),
@@ -178,8 +143,8 @@ struct Sweep<'r> {
     const_cells: [Option<NetId>; 2],
 }
 
-/// Runs one rule-gated fold sweep, returning the rebuilt netlist and the
-/// advisory rewrite-event count.
+/// The combined sweep of [`crate::opt::resynthesize`]: every rule family
+/// plus primary inputs tied to constants (by name).
 pub(crate) fn sweep_full_for_resynth(
     netlist: &Netlist,
     constants: &HashMap<String, bool>,
@@ -187,6 +152,8 @@ pub(crate) fn sweep_full_for_resynth(
     Ok(sweep(netlist, Rules::ALL, constants)?.0)
 }
 
+/// Runs one rule-gated fold sweep, returning the rebuilt netlist and the
+/// advisory rewrite-event count.
 fn sweep(
     netlist: &Netlist,
     rules: Rules,
@@ -479,7 +446,7 @@ impl Sweep<'_> {
     /// `simplify_muxes` sees through `CONST` cells without the general
     /// `constants` rule. Under [`Rules::ALL`] constant cells never survive
     /// into the rebuild, making the upgrade the identity — which keeps
-    /// [`ResynthFold`] bit-compatible with the monolith.
+    /// `resynthesize` bit-compatible with the monolith.
     fn fold_mux(&mut self, ins: &[Value], name: &str) -> Result<Value, NetlistError> {
         let upgrade = |sw: &Self, v: Value| match v {
             Value::Signal(id) => sw.driver_const(id).map_or(v, Value::Const),
@@ -751,16 +718,5 @@ mod tests {
         let r = SimplifyMuxes.run(&mut m).unwrap();
         assert_eq!(r.rewrites, 0);
         assert_eq!(m, n);
-    }
-
-    #[test]
-    fn resynth_fold_rejects_unknown_constant_names() {
-        let mut n = parse("t", "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n").unwrap();
-        let mut c = HashMap::new();
-        c.insert("nope".to_owned(), true);
-        assert!(matches!(
-            ResynthFold::new(c).run(&mut n),
-            Err(NetlistError::UnknownNet(_))
-        ));
     }
 }

@@ -1,10 +1,11 @@
 //! Composable netlist rewrite passes and the fixpoint [`Pipeline`].
 //!
-//! [`crate::opt::resynthesize`] used to be one monolithic sweep; this
-//! module decomposes it into small named passes — in the style of an HDL
-//! compiler's pass pipeline — and adds two *structure-perturbing* passes
-//! the monolith never had ([`RemapGates`], [`RenameWires`]). The pipeline
-//! serves two masters:
+//! The fold sweep behind [`crate::opt::resynthesize`] (one combined
+//! sweep, the recipe the SWEEP/SCOPE baselines call) is decomposed here
+//! into small named passes — in the style of an HDL compiler's pass
+//! pipeline — next to two *structure-perturbing* passes the recipe never
+//! had ([`RemapGates`], [`RenameWires`]). The pipeline serves two
+//! masters:
 //!
 //! * **Attack preprocessing** — canonicalize a netlist before structural
 //!   extraction ([`Pipeline::cleanup`]).
@@ -35,7 +36,6 @@ mod fold;
 mod remap;
 mod rename;
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use crate::{Netlist, NetlistError};
@@ -43,7 +43,7 @@ use crate::{Netlist, NetlistError};
 pub use assign::AssignConstants;
 pub use dead::DeadLogicElim;
 pub(crate) use fold::sweep_full_for_resynth;
-pub use fold::{CollapseBuffers, ConstantFold, ResynthFold, SimplifyMuxes};
+pub use fold::{CollapseBuffers, ConstantFold, SimplifyMuxes};
 pub use remap::RemapGates;
 pub use rename::RenameWires;
 
@@ -148,18 +148,6 @@ impl Pipeline {
             .with(CollapseBuffers)
             .with(SimplifyMuxes)
             .with(DeadLogicElim)
-    }
-
-    /// The historical [`crate::opt::resynthesize`] recipe: one combined
-    /// fold sweep (with `constants` tied) plus dead-logic elimination,
-    /// **single iteration** — pinned bit-compatible with the pre-pass
-    /// monolith on every existing call site (SWEEP, SCOPE, fig2).
-    #[must_use]
-    pub fn resynthesis(constants: &HashMap<String, bool>) -> Self {
-        Self::new()
-            .with(ResynthFold::new(constants.clone()))
-            .with(DeadLogicElim)
-            .max_iterations(1)
     }
 
     /// Appends a pass (builder style).

@@ -77,18 +77,6 @@ impl NetlistStats {
         }
         v
     }
-
-    /// Element-wise difference `self − other` of the two feature vectors —
-    /// the core signal SWEEP/SCOPE look at between the key=0 and key=1
-    /// resynthesised circuits.
-    #[must_use]
-    pub fn feature_delta(&self, other: &Self) -> Vec<f64> {
-        self.feature_vector()
-            .iter()
-            .zip(other.feature_vector())
-            .map(|(a, b)| a - b)
-            .collect()
-    }
 }
 
 /// Number of entries in [`NetlistStats::feature_vector`].
@@ -121,27 +109,5 @@ mod tests {
         let n = parse("s", "INPUT(a)\nOUTPUT(y)\ny = BUFF(a)\n").unwrap();
         let s = NetlistStats::compute(&n).unwrap();
         assert_eq!(s.feature_vector().len(), FEATURE_LEN);
-    }
-
-    #[test]
-    fn delta_of_identical_is_zero() {
-        let n = parse("s", "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = XOR(a, b)\n").unwrap();
-        let s = NetlistStats::compute(&n).unwrap();
-        assert!(s.feature_delta(&s).iter().all(|&d| d == 0.0));
-    }
-
-    #[test]
-    fn delta_detects_size_difference() {
-        let small = parse("s", "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n").unwrap();
-        let big = parse(
-            "b",
-            "INPUT(a)\nOUTPUT(y)\nt1 = NOT(a)\nt2 = NOT(t1)\nt3 = NOT(t2)\ny = NOT(t3)\n",
-        )
-        .unwrap();
-        let ds = NetlistStats::compute(&small).unwrap();
-        let db = NetlistStats::compute(&big).unwrap();
-        let delta = db.feature_delta(&ds);
-        assert!(delta[0] > 0.0); // more gates
-        assert!(delta[3] > 0.0); // deeper
     }
 }

@@ -114,52 +114,6 @@ pub fn reaches(netlist: &Netlist, from: NetId, to: NetId) -> bool {
     false
 }
 
-/// Breadth-first distances (in gate hops over the *undirected* wire graph)
-/// from a source gate to every other gate, capped at `max_hops`.
-///
-/// Distances beyond the cap are reported as `usize::MAX`. This is the
-/// primitive behind enclosing-subgraph extraction.
-#[must_use]
-pub fn undirected_gate_distances(netlist: &Netlist, source: GateId, max_hops: usize) -> Vec<usize> {
-    let adj = undirected_gate_adjacency(netlist);
-    let mut dist = vec![usize::MAX; netlist.gate_count()];
-    let mut q = VecDeque::new();
-    dist[source.index()] = 0;
-    q.push_back(source.index());
-    while let Some(g) = q.pop_front() {
-        if dist[g] == max_hops {
-            continue;
-        }
-        for &nb in &adj[g] {
-            if dist[nb] == usize::MAX {
-                dist[nb] = dist[g] + 1;
-                q.push_back(nb);
-            }
-        }
-    }
-    dist
-}
-
-/// Undirected gate-adjacency lists: gates are adjacent when a wire connects
-/// one's output to the other's input.
-#[must_use]
-pub fn undirected_gate_adjacency(netlist: &Netlist) -> Vec<Vec<usize>> {
-    let mut adj = vec![Vec::new(); netlist.gate_count()];
-    for (gid, gate) in netlist.gates() {
-        for &inp in gate.inputs() {
-            if let Some(drv) = netlist.net(inp).driver() {
-                adj[gid.index()].push(drv.index());
-                adj[drv.index()].push(gid.index());
-            }
-        }
-    }
-    for list in &mut adj {
-        list.sort_unstable();
-        list.dedup();
-    }
-    adj
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,17 +187,5 @@ mod tests {
         assert!(!reaches(&n, x3, a));
         assert!(!reaches(&n, x2, a));
         assert!(reaches(&n, a, a));
-    }
-
-    #[test]
-    fn undirected_distances_cap() {
-        let n = chain();
-        let g_x1 = n.net(n.find_net("x1").unwrap()).driver().unwrap();
-        let d = undirected_gate_distances(&n, g_x1, 1);
-        let g_x2 = n.net(n.find_net("x2").unwrap()).driver().unwrap();
-        let g_x3 = n.net(n.find_net("x3").unwrap()).driver().unwrap();
-        assert_eq!(d[g_x1.index()], 0);
-        assert_eq!(d[g_x2.index()], 1);
-        assert_eq!(d[g_x3.index()], usize::MAX); // beyond the 1-hop cap
     }
 }

@@ -126,12 +126,6 @@ impl Solver {
         v
     }
 
-    /// Number of allocated variables.
-    #[must_use]
-    pub fn num_vars(&self) -> usize {
-        self.assign.len()
-    }
-
     /// Total conflicts encountered (diagnostics).
     #[must_use]
     pub fn conflicts(&self) -> u64 {

@@ -122,10 +122,10 @@ pub fn serve(opts: &ServeOptions) -> io::Result<ServeSummary> {
 
     let tcp_handle = tcp_listener.map(|listener| {
         let shared = Arc::clone(&shared);
-        std::thread::spawn(move || accept_tcp(&listener, &shared))
+        std::thread::spawn(move || accept_loop(listener.incoming(), TcpStream::try_clone, &shared))
     });
 
-    accept_unix(&unix_listener, &shared);
+    accept_loop(unix_listener.incoming(), UnixStream::try_clone, &shared);
     // Drain: the accept loops have exited; finish every queued and
     // running job, then stop the workers.
     for h in workers {
@@ -145,30 +145,22 @@ pub fn serve(opts: &ServeOptions) -> io::Result<ServeSummary> {
     })
 }
 
-fn accept_unix(listener: &UnixListener, shared: &Arc<Shared>) {
-    for stream in listener.incoming() {
+/// One accept loop for either listener: serves each connection on its
+/// own thread, reading from a `try_clone` of the stream and writing to
+/// the stream, until the engine starts draining.
+fn accept_loop<S: Read + Write + Send + 'static>(
+    incoming: impl Iterator<Item = io::Result<S>>,
+    try_clone: fn(&S) -> io::Result<S>,
+    shared: &Arc<Shared>,
+) {
+    for stream in incoming {
         if shared.engine.is_draining() {
             break;
         }
         let Ok(stream) = stream else { continue };
         let shared = Arc::clone(shared);
         std::thread::spawn(move || {
-            if let Ok(reader) = stream.try_clone() {
-                handle_connection(&shared, BufReader::new(reader), stream);
-            }
-        });
-    }
-}
-
-fn accept_tcp(listener: &TcpListener, shared: &Arc<Shared>) {
-    for stream in listener.incoming() {
-        if shared.engine.is_draining() {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let shared = Arc::clone(shared);
-        std::thread::spawn(move || {
-            if let Ok(reader) = stream.try_clone() {
+            if let Ok(reader) = try_clone(&stream) {
                 handle_connection(&shared, BufReader::new(reader), stream);
             }
         });

@@ -7,7 +7,7 @@
 //! ```
 
 use muxlink_core::metrics::{hamming_with_guess, score_key};
-use muxlink_core::{attack, MuxLinkConfig};
+use muxlink_core::{AttackSession, MuxLinkConfig, NoProgress};
 use muxlink_locking::{dmux, symmetric, KeyValue, LockOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,9 +32,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ] {
         println!("\n=== {scheme} ===");
-        let outcome = attack(&locked.netlist, &locked.key_input_names(), &cfg)?;
-        let m = score_key(&outcome.guess, &locked.key);
-        let guessed: String = outcome.guess.iter().map(ToString::to_string).collect();
+        let guess = AttackSession::new(&locked.netlist, &locked.key_input_names(), cfg.clone())
+            .run(&NoProgress)?
+            .recover_key(cfg.th);
+        let m = score_key(&guess, &locked.key);
+        let guessed: String = guess.iter().map(ToString::to_string).collect();
         println!("  true key:  {}", locked.key);
         println!("  recovered: {guessed}");
         println!(
@@ -45,10 +47,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .map_or_else(|| "n/a".to_owned(), |v| format!("{v:.1}%"))
         );
 
-        let hd = hamming_with_guess(&design, &locked, &outcome.guess, 10_000, 8, 1)?;
+        let hd = hamming_with_guess(&design, &locked, &guess, 10_000, 8, 1)?;
         println!("  output HD of the reconstruction: {hd:.2}% (attacker goal: 0%)");
 
-        let x = outcome.guess.iter().filter(|v| **v == KeyValue::X).count();
+        let x = guess.iter().filter(|v| **v == KeyValue::X).count();
         if x > 0 {
             println!("  ({x} undecided bits averaged over their assignments)");
         }

@@ -8,7 +8,7 @@
 //! ```
 
 use muxlink_core::metrics::{hamming_with_guess, score_key};
-use muxlink_core::{recover::resolve_x_with, score_design, MuxLinkConfig};
+use muxlink_core::{recover::resolve_x_with, AttackSession, MuxLinkConfig, NoProgress};
 use muxlink_locking::{dmux, KeyValue, LockOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -21,7 +21,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let cfg = MuxLinkConfig::quick().with_seed(11);
-    let scored = score_design(&locked.netlist, &locked.key_input_names(), &cfg)?;
+    let scored =
+        AttackSession::new(&locked.netlist, &locked.key_input_names(), cfg).run(&NoProgress)?;
 
     println!("   th   AC%     PC%     decided");
     for i in 0..=10 {

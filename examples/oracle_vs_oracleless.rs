@@ -10,7 +10,7 @@
 //! ```
 
 use muxlink_core::metrics::score_key;
-use muxlink_core::{attack, MuxLinkConfig};
+use muxlink_core::{AttackSession, MuxLinkConfig, NoProgress};
 use muxlink_locking::{dmux, KeyValue, LockOptions};
 use muxlink_sat::{sat_attack, SatAttackConfig};
 
@@ -40,18 +40,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Oracle-less: the attacker is inside the fab, GDSII only.
     let t = std::time::Instant::now();
-    let out = attack(
-        &locked.netlist,
-        &locked.key_input_names(),
-        &MuxLinkConfig::quick().with_seed(4),
-    )?;
-    let m = score_key(&out.guess, &locked.key);
-    let decided = out.guess.iter().filter(|v| **v != KeyValue::X).count();
+    let cfg = MuxLinkConfig::quick().with_seed(4);
+    let guess = AttackSession::new(&locked.netlist, &locked.key_input_names(), cfg.clone())
+        .run(&NoProgress)?
+        .recover_key(cfg.th);
+    let m = score_key(&guess, &locked.key);
+    let decided = guess.iter().filter(|v| **v != KeyValue::X).count();
     println!(
         "MuxLink (oracle-less):      AC {:.1}%  PC {:.1}%  ({decided}/{} decided, {:.2?})",
         m.accuracy_pct(),
         m.precision_pct(),
-        out.guess.len(),
+        guess.len(),
         t.elapsed()
     );
     println!(

@@ -5,7 +5,7 @@
 //! cargo run --release -p muxlink-examples --example quickstart
 //! ```
 
-use muxlink_core::{attack, metrics::score_key, AttackReport, MuxLinkConfig};
+use muxlink_core::{metrics::score_key, AttackSession, MuxLinkConfig, NoProgress};
 use muxlink_locking::{dmux, LockOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,18 +32,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    names. MuxLink trains a DGCNN on the design's own wires and
     //    predicts the true MUX connections.
     let cfg = MuxLinkConfig::quick(); // CPU-friendly; ::paper() for full scale
-    let outcome = attack(&locked.netlist, &locked.key_input_names(), &cfg)?;
+    let scored = AttackSession::new(&locked.netlist, &locked.key_input_names(), cfg.clone())
+        .run(&NoProgress)?;
+    let guess = scored.recover_key(cfg.th);
 
     // 4. Score against the ground truth the defender kept.
-    let metrics = score_key(&outcome.guess, &locked.key);
-    let report = AttackReport::new(
-        "demo",
-        "D-MUX",
-        &outcome.guess,
-        metrics,
-        outcome.scored.train_report.best_val_accuracy,
-        outcome.scored.timings,
+    let m = score_key(&guess, &locked.key);
+    let key: String = guess.iter().map(ToString::to_string).collect();
+    println!("recovered key: {key}");
+    println!(
+        "AC {:.2}%  PC {:.2}%  KPA {}  (correct {}, X {}, total {})",
+        m.accuracy_pct(),
+        m.precision_pct(),
+        m.kpa_pct()
+            .map_or_else(|| "n/a".to_owned(), |v| format!("{v:.2}%")),
+        m.correct,
+        m.x_count,
+        m.total
     );
-    println!("{report}");
+    println!(
+        "GNN val accuracy {:.2}%, pipeline time {:.2?}",
+        scored.train_report.best_val_accuracy * 100.0,
+        scored.timings.total()
+    );
     Ok(())
 }

@@ -1,12 +1,12 @@
 //! Cross-crate contract of the staged attack-session API: the chain
 //! `extract → prepare → train → score → recover` must be **bitwise
-//! identical** to the one-shot `score_design`, at any thread count, and
+//! identical** to `AttackSession::run`, at any thread count, and
 //! a serialized `Trained` checkpoint must reload to identical scores and
 //! an identical recovered key.
 
 use std::sync::OnceLock;
 
-use muxlink_core::{score_design, AttackSession, MuxLinkConfig, NoProgress, ScoredDesign, Trained};
+use muxlink_core::{AttackSession, MuxLinkConfig, NoProgress, ScoredDesign, Trained};
 use muxlink_locking::{dmux, symmetric, LockOptions};
 use proptest::{proptest, ProptestConfig};
 use serde::{Deserialize, Serialize, Value};
@@ -39,7 +39,7 @@ fn staged(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Staged session == one-shot `score_design`, bit for bit, at 1 and
+    /// Staged session == one-call `AttackSession::run`, bit for bit, at 1 and
     /// 4 worker threads, across random designs, schemes and seeds.
     #[test]
     fn staged_session_is_bitwise_identical_to_one_shot(
@@ -65,12 +65,9 @@ proptest! {
             }
         };
         let locked = lock(key_size);
-        let one_shot = score_design(
-            &locked.netlist,
-            &locked.key_input_names(),
-            &fast_cfg(1),
-        )
-        .expect("one-shot attack");
+        let one_shot = AttackSession::new(&locked.netlist, &locked.key_input_names(), fast_cfg(1))
+            .run(&NoProgress)
+            .expect("one-call attack");
 
         for threads in [1usize, 4] {
             let s = staged(&locked, &fast_cfg(threads));

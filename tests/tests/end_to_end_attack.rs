@@ -3,9 +3,17 @@
 
 use muxlink_attack_baselines::{saam_attack, scope_attack, ScopeConfig};
 use muxlink_core::metrics::{hamming_with_guess, score_key};
-use muxlink_core::{attack, MuxLinkConfig};
+use muxlink_core::{AttackSession, MuxLinkConfig, NoProgress};
 use muxlink_integration_tests::test_design;
-use muxlink_locking::{dmux, symmetric, KeyValue, LockOptions};
+use muxlink_locking::{dmux, symmetric, KeyValue, LockOptions, LockedNetlist};
+
+/// Runs the whole MuxLink pipeline and recovers the key at `cfg.th`.
+fn muxlink_guess(locked: &LockedNetlist, cfg: &MuxLinkConfig) -> Vec<KeyValue> {
+    AttackSession::new(&locked.netlist, &locked.key_input_names(), cfg.clone())
+        .run(&NoProgress)
+        .unwrap()
+        .recover_key(cfg.th)
+}
 
 #[test]
 fn muxlink_beats_the_classical_attacks_on_dmux() {
@@ -31,8 +39,8 @@ fn muxlink_beats_the_classical_attacks_on_dmux() {
 
     // MuxLink.
     let cfg = MuxLinkConfig::quick().with_seed(4);
-    let out = attack(&locked.netlist, &locked.key_input_names(), &cfg).unwrap();
-    let mux_m = score_key(&out.guess, &locked.key);
+    let guess = muxlink_guess(&locked, &cfg);
+    let mux_m = score_key(&guess, &locked.key);
     let mux_kpa = mux_m.kpa().unwrap_or(0.0);
 
     assert!(
@@ -50,8 +58,8 @@ fn muxlink_breaks_symmetric_locking_too() {
     let design = test_design(500, 5);
     let locked = symmetric::lock(&design, &LockOptions::new(16, 2)).unwrap();
     let cfg = MuxLinkConfig::quick().with_seed(8);
-    let out = attack(&locked.netlist, &locked.key_input_names(), &cfg).unwrap();
-    let m = score_key(&out.guess, &locked.key);
+    let guess = muxlink_guess(&locked, &cfg);
+    let m = score_key(&guess, &locked.key);
     assert!(
         m.kpa().unwrap_or(0.0) > 0.6,
         "KPA on S5 should beat random, got {:?}",
@@ -66,8 +74,8 @@ fn recovered_design_is_close_to_original() {
     let design = test_design(400, 7);
     let locked = dmux::lock(&design, &LockOptions::new(12, 1)).unwrap();
     let cfg = MuxLinkConfig::quick().with_seed(2);
-    let out = attack(&locked.netlist, &locked.key_input_names(), &cfg).unwrap();
-    let hd = hamming_with_guess(&design, &locked, &out.guess, 4096, 8, 0).unwrap();
+    let guess = muxlink_guess(&locked, &cfg);
+    let hd = hamming_with_guess(&design, &locked, &guess, 4096, 8, 0).unwrap();
 
     let inverted: Vec<KeyValue> = locked
         .key
@@ -91,8 +99,8 @@ fn attack_scales_with_benchmark_size() {
     for gates in [250usize, 700] {
         let design = test_design(gates, 11);
         let locked = dmux::lock(&design, &LockOptions::new(12, 3)).unwrap();
-        let out = attack(&locked.netlist, &locked.key_input_names(), &cfg).unwrap();
-        let m = score_key(&out.guess, &locked.key);
+        let guess = muxlink_guess(&locked, &cfg);
+        let m = score_key(&guess, &locked.key);
         kpas.push(m.kpa().unwrap_or(0.0));
     }
     assert!(

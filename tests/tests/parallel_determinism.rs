@@ -2,7 +2,7 @@
 //! full MuxLink attack must produce bit-identical training histories,
 //! scores and recovered keys for any worker-thread count.
 
-use muxlink_core::{score_design, MuxLinkConfig};
+use muxlink_core::{AttackSession, MuxLinkConfig, NoProgress};
 use muxlink_locking::{dmux, symmetric, LockOptions};
 
 fn run(
@@ -10,8 +10,9 @@ fn run(
     threads: usize,
 ) -> (muxlink_core::ScoredDesign, Vec<muxlink_locking::KeyValue>) {
     let cfg = MuxLinkConfig::quick().with_threads(threads);
-    let scored =
-        score_design(&locked.netlist, &locked.key_input_names(), &cfg).expect("attack should run");
+    let scored = AttackSession::new(&locked.netlist, &locked.key_input_names(), cfg.clone())
+        .run(&NoProgress)
+        .expect("attack should run");
     let key = scored.recover_key(cfg.th);
     (scored, key)
 }
