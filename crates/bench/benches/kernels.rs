@@ -9,9 +9,12 @@ use muxlink_benchgen::synth::SynthConfig;
 use muxlink_core::MuxLinkConfig;
 use muxlink_gnn::activation::tanh_slice;
 use muxlink_gnn::matrix::strided_gemm_into;
-use muxlink_gnn::sample::{plan_matmul_into, plan_t_matmul_rows_into, propagate_into, GraphSample};
+use muxlink_gnn::sample::{
+    plan_matmul_into, plan_t_matmul_rows_into, propagate_back_into, propagate_into, GraphSample,
+};
 use muxlink_gnn::{
-    BatchWorkspace, Csr, Dgcnn, DgcnnConfig, Layer0Plans, Matrix, Minibatch, OneHotFeatures,
+    AdamConfig, AdamState, BatchWorkspace, Csr, Dgcnn, DgcnnConfig, Gradients, Layer0Plans, Matrix,
+    Minibatch, OneHotFeatures,
 };
 use muxlink_graph::dataset::DatasetConfig;
 use muxlink_graph::{build_dataset_arena, extract, SampleArena};
@@ -469,6 +472,18 @@ fn bench_conv_forward(c: &mut Criterion) {
 /// * `sortpool` — SortPooling of a 32-sample batch at fig7's shapes:
 ///   k = 53, 40–60 nodes per sample, layers of 32, 32, 32 and 1 channels
 ///   (97 concatenated).
+/// * `dense1_dw` — dense1's weight gradient `flatᵀ·dd1` at fig7's head:
+///   (32 × 704)ᵀ · (32 × 128), half of `flat` zeroed (conv2's ReLU).
+/// * `conv1_dw` — conv1's weight gradient at fig7's shapes, as segmented
+///   per-sample subtotals: 32 samples of `dconv1` (53 × 16, three entries
+///   in four zero: the max-pool routing and conv1's ReLU) against the
+///   pooled rows (53 × 97).
+/// * `gc0_dw` — the first GC layer's weight gradient from the `S·X`
+///   plan, per sample, over the 32-sample batch of 30-node subgraphs
+///   (24 feature columns, 32 channels).
+/// * `propagate_back` — `Sᵀ·G` over the same batch, 32 channels.
+/// * `adam` — one Adam step of every weight of the paper's model at
+///   k = 53 (~120 k weights).
 ///
 /// CI runs this group with `--test`.
 fn bench_train_step(c: &mut Criterion) {
@@ -531,6 +546,36 @@ fn bench_train_step(c: &mut Criterion) {
         .collect();
     let (mut perm, mut pooled, mut pool_src) = (Vec::new(), Matrix::default(), Vec::new());
 
+    let mut flat = Matrix::glorot(BATCH, FLAT, &mut rng);
+    for v in flat.data_mut() {
+        *v = v.max(0.0);
+    }
+    let mut dconv1 = Matrix::glorot(BATCH * K, C1, &mut rng);
+    let route = Matrix::glorot(BATCH * K, C1, &mut rng);
+    for (v, &r) in dconv1.data_mut().iter_mut().zip(route.data()) {
+        if *v < 0.0 || r < 0.0 {
+            *v = 0.0;
+        }
+    }
+    let pooled_in = Matrix::glorot(BATCH * K, 3 * CH + 1, &mut rng);
+
+    const F: usize = 24;
+    let mut plans = Layer0Plans::new();
+    for s in 0..BATCH {
+        plans.push_sample(block.view(), onehot_features(NODES, F, s).view());
+    }
+
+    let mut model = Dgcnn::new(DgcnnConfig::paper(F, K));
+    let adam_grads = Gradients::from_tensors(
+        model
+            .snapshot()
+            .iter()
+            .map(|w| Matrix::glorot(w.rows(), w.cols(), &mut rng))
+            .collect(),
+    );
+    let mut adam = AdamState::new(&model);
+    let opt = AdamConfig::default();
+
     let mut group = c.benchmark_group("train_step");
     group.sample_size(200);
     let mut next = 0;
@@ -578,6 +623,33 @@ fn bench_train_step(c: &mut Criterion) {
     });
     group.bench_function("sortpool", |b| {
         b.iter(|| sort_pool_into(&layers, &starts, K, &mut perm, &mut pooled, &mut pool_src));
+    });
+    group.bench_function("dense1_dw", |b| {
+        b.iter(|| flat.t_matmul_into(&dd1, &mut gw));
+    });
+    group.bench_function("conv1_dw", |b| {
+        b.iter(|| {
+            for s in 0..BATCH {
+                dconv1.t_matmul_rows_into(&pooled_in, s * K..(s + 1) * K, &mut gw);
+            }
+        });
+    });
+    group.bench_function("gc0_dw", |b| {
+        b.iter(|| {
+            for s in 0..BATCH {
+                plan_t_matmul_rows_into(plans.view(), &dz, s * NODES..(s + 1) * NODES, F, &mut gw);
+            }
+        });
+    });
+    group.bench_function("propagate_back", |b| {
+        b.iter(|| propagate_back_into(&adj, &dz, &mut out));
+    });
+    let mut t = 0;
+    group.bench_function("adam", |b| {
+        b.iter(|| {
+            t += 1;
+            adam.step(&mut model, &adam_grads, &opt, t, 1.0 / BATCH as f32);
+        });
     });
     group.finish();
 }

@@ -21,8 +21,8 @@
 //!
 //! One driver runs the pipeline: the **staged session API**
 //! ([`AttackSession`]) — typed stage artifacts (`Extracted → Prepared →
-//! Trained → ScoredDesign`), model checkpointing (`Trained` and
-//! `ScoredDesign` are serializable), a [`Progress`] observer with
+//! Trained → ScoredDesign`), model checkpointing (`Trained` is
+//! serializable), a [`Progress`] observer with
 //! cooperative cancellation, and the [`run_suite`] multi-design driver.
 //! [`AttackSession::run`] chains every stage in one call.
 //!

@@ -11,17 +11,16 @@ use muxlink_gnn::TrainReport;
 use muxlink_graph::{extract, ExtractedDesign};
 use muxlink_locking::KeyValue;
 use muxlink_netlist::Netlist;
-use serde::{Deserialize, Serialize};
 
 use crate::postprocess::{recover_key, MuxScores};
 use crate::report::Timings;
 use crate::AttackError;
 
 /// A trained-and-scored design: everything the cheap post-processing stage
-/// needs, decoupled so threshold sweeps (Fig. 9) reuse one model.
-/// Serializable, like the [`Trained`](crate::Trained) checkpoint it is
-/// scored from.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// needs, decoupled so threshold sweeps (Fig. 9) reuse one model. It lives
+/// in one process: the [`Trained`](crate::Trained) checkpoint it is scored
+/// from is what a later process loads.
+#[derive(Debug, Clone)]
 pub struct ScoredDesign {
     /// The extracted graph and MUX candidates.
     pub extracted: ExtractedDesign,

@@ -9,12 +9,12 @@
 //!        ──train()──▶ Trained ──score()──▶ ScoredDesign ──recover_key(th)──▶ key
 //! ```
 //!
-//! The trained model is the checkpoint: [`Trained`] (and the
-//! [`ScoredDesign`] it scores to) is serde-serializable, so save it after
-//! the expensive training stage, then re-score or threshold-sweep later
-//! — in another process — without retraining. [`Extracted`] and
-//! [`Prepared`] live in one process only: they are cheap to rebuild and
-//! hold nothing a later process needs. A [`Progress`] observer
+//! The trained model is the checkpoint: [`Trained`] is
+//! serde-serializable, so save it after the expensive training stage,
+//! then re-score or threshold-sweep later — in another process — without
+//! retraining. [`Extracted`], [`Prepared`] and the [`ScoredDesign`] a
+//! `Trained` scores to live in one process only: they are cheap to
+//! rebuild and hold nothing a later process needs. A [`Progress`] observer
 //! receives stage transitions and per-epoch statistics and can cancel
 //! cooperatively at batch boundaries.
 //!

@@ -72,7 +72,10 @@ use muxlink_graph::{BlockDiagBatch, Layer0PlanView, Layer0Plans};
 
 use crate::activation::tanh_slice;
 use crate::dgcnn::{ConvKernels, Dgcnn};
-use crate::matrix::{axpy_rows_tiled, seeded_rng, strided_gemm_into, Matrix};
+use crate::isa::kernel;
+use crate::matrix::{
+    axpy_rows_tiled, nonzero_terms, seeded_rng, strided_gemm_into, Matrix, TERM_BLOCK,
+};
 use crate::param::Gradients;
 use crate::sample::{
     plan_matmul_into, plan_t_matmul_rows_into, propagate_back_into, propagate_matmul_into,
@@ -575,8 +578,8 @@ impl Dgcnn {
             fold_subtotal(s, &ws.seg, &mut gt[conv1_w_g]);
             ws.seg_b.resize(1, c1);
             for t in s * k..(s + 1) * k {
-                for o in 0..c1 {
-                    ws.seg_b.data_mut()[o] += ws.dconv1.get(t, o);
+                for (b, &g) in ws.seg_b.data_mut().iter_mut().zip(ws.dconv1.row(t)) {
+                    *b += g;
                 }
             }
             fold_subtotal(s, &ws.seg_b, &mut gt[conv1_b_g]);
@@ -744,101 +747,89 @@ pub fn sort_pool_into(
     }
 }
 
-/// Conv2 weight and bias gradients of one sample, accumulated into `gw`
-/// (`c2 × kk·c1`) and `gb` (`c2`): for each output `o`, over ascending
-/// `t`, `gb[o] += g` and `gw[o] += g · window_t`, where `g =
-/// dconv2[t][o]` (zero skipped) and `window_t = pool[t·c1 .. t·c1 +
-/// kk·c1]` is the contiguous run of the `kk` pooled rows conv2 read.
-/// Each element sums the same products in the same order as the
-/// per-sample loop; the weight row stays in register tiles across the
-/// `t` sweep.
-///
-/// # Panics
-///
-/// Panics when `dconv2` does not hold whole `c2`-wide steps or a window
-/// runs past the end of `pool`.
-pub fn conv2_weight_grads(
-    dconv2: &[f32],
-    pool: &[f32],
-    c1: usize,
-    gw: &mut Matrix,
-    gb: &mut [f32],
-) {
-    let c2 = gw.rows();
-    let k3 = dconv2.len().checked_div(c2).unwrap_or(0);
-    let mut buf = [(0, 0.0); TERM_BLOCK];
-    for (o, b) in gb.iter_mut().enumerate() {
-        for t0 in (0..k3).step_by(TERM_BLOCK) {
-            let steps = t0..k3.min(t0 + TERM_BLOCK);
-            let grads = nonzero_terms(steps.map(|t| (t, dconv2[t * c2 + o])), &mut buf);
-            for &(_, g) in grads {
-                *b += g;
+kernel! {
+    /// Conv2 weight and bias gradients of one sample, accumulated into `gw`
+    /// (`c2 × kk·c1`) and `gb` (`c2`): for each output `o`, over ascending
+    /// `t`, `gb[o] += g` and `gw[o] += g · window_t`, where `g =
+    /// dconv2[t][o]` (zero skipped) and `window_t = pool[t·c1 .. t·c1 +
+    /// kk·c1]` is the contiguous run of the `kk` pooled rows conv2 read.
+    /// Each element sums the same products in the same order as the
+    /// per-sample loop; the weight row stays in register tiles across the
+    /// `t` sweep. Runs in AVX2 where the CPU has it (the crate's `isa`
+    /// module), with the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `dconv2` does not hold whole `c2`-wide steps or a window
+    /// runs past the end of `pool`.
+    pub fn conv2_weight_grads(
+        dconv2: &[f32],
+        pool: &[f32],
+        c1: usize,
+        gw: &mut Matrix,
+        gb: &mut [f32],
+    ) {
+        let c2 = gw.rows();
+        let k3 = dconv2.len().checked_div(c2).unwrap_or(0);
+        let mut buf = [(0, 0.0); TERM_BLOCK];
+        for (o, b) in gb.iter_mut().enumerate() {
+            for t0 in (0..k3).step_by(TERM_BLOCK) {
+                let steps = t0..k3.min(t0 + TERM_BLOCK);
+                let grads = nonzero_terms(steps.map(|t| (t, dconv2[t * c2 + o])), &mut buf);
+                for &(_, g) in grads {
+                    *b += g;
+                }
+                axpy_rows_tiled::<false>(grads.iter().copied(), pool, c1, gw.row_mut(o));
             }
-            axpy_rows_tiled::<false>(grads.iter().copied(), pool, c1, gw.row_mut(o));
         }
     }
 }
 
-/// Terms per [`nonzero_terms`] block.
-const TERM_BLOCK: usize = 64;
-
-/// The terms with a nonzero multiplier, in order: the skip-zero test of
-/// the loops the conv2 kernels replaced, made once per term and without
-/// a branch. ReLU zeroes a data-dependent half of conv2's gradients, so
-/// a skip branch inside each register tile mispredicts about half the
-/// time and is repeated by every tile; after compaction the tiles run
-/// branch-free. At most [`TERM_BLOCK`] terms per call.
-fn nonzero_terms(
-    terms: impl Iterator<Item = (usize, f32)>,
-    buf: &mut [(usize, f32); TERM_BLOCK],
-) -> &[(usize, f32)] {
-    let mut kept = 0;
-    for (k, a) in terms {
-        buf[kept] = (k, a);
-        kept += usize::from(a != 0.0);
-    }
-    &buf[..kept]
-}
-
-/// Half a register file of `f32` lanes: the row width of one
-/// [`conv2_input_grads`] tile, so `CONV2_TILE_ROWS` rows of it fit the
-/// sixteen SSE2 registers with room for the operands.
-const CONV2_TILE_LANES: usize = 8;
+/// The row width of one [`conv2_input_grads`] tile, in `f32` lanes: all
+/// sixteen of the paper's conv1 channels, so `CONV2_TILE_ROWS` rows are
+/// ten 256-bit accumulators in the AVX2 instance, with room for the
+/// operands. Measured against 8 lanes (the half row that fit SSE2's
+/// sixteen 128-bit registers), the wider tile ran conv2's backward
+/// faster in AVX2.
+const CONV2_TILE_LANES: usize = 16;
 
 /// Destination rows per [`conv2_input_grads`] tile (the paper's conv2
 /// kernel width, 5).
 const CONV2_TILE_ROWS: usize = 5;
 
-/// Conv2 input gradient of one sample, accumulated into `dpool` (`k2 ×
-/// c1`): `dpool[t + dt] += g · w[o][dt·c1 ..]` for every step `t`
-/// ascending, output `o` ascending (zero `g` skipped) and kernel offset
-/// `dt`. Row `r` thus sums its products in (t asc, o asc) order, as the
-/// per-sample loop did. For one `t`, the `kk` destination rows are held
-/// in a register tile of `CONV2_TILE_ROWS` × `CONV2_TILE_LANES`
-/// lanes across the whole `o` loop, instead of being reloaded and
-/// stored per output.
-///
-/// # Panics
-///
-/// Panics when `w` is not `c2 × kk·c1` or a destination row runs past
-/// the end of `dpool`.
-pub fn conv2_input_grads(dconv2: &[f32], w: &Matrix, c1: usize, dpool: &mut [f32]) {
-    let c2 = w.rows();
-    if c2 == 0 || c1 == 0 {
-        return;
-    }
-    let kk = w.cols() / c1;
-    let tiled = c1 - c1 % CONV2_TILE_LANES;
-    let mut buf = [(0, 0.0); TERM_BLOCK];
-    for (t, gs) in dconv2.chunks_exact(c2).enumerate() {
-        for (b, block) in gs.chunks(TERM_BLOCK).enumerate() {
-            let outputs = block.iter().enumerate();
-            let grads = nonzero_terms(outputs.map(|(j, &g)| (b * TERM_BLOCK + j, g)), &mut buf);
-            for c0 in (0..tiled).step_by(CONV2_TILE_LANES) {
-                dpool_lanes::<CONV2_TILE_LANES>(grads, w, c1, kk, t, c0, dpool);
-            }
-            for c0 in tiled..c1 {
-                dpool_lanes::<1>(grads, w, c1, kk, t, c0, dpool);
+kernel! {
+    /// Conv2 input gradient of one sample, accumulated into `dpool` (`k2 ×
+    /// c1`): `dpool[t + dt] += g · w[o][dt·c1 ..]` for every step `t`
+    /// ascending, output `o` ascending (zero `g` skipped) and kernel offset
+    /// `dt`. Row `r` thus sums its products in (t asc, o asc) order, as the
+    /// per-sample loop did. For one `t`, the `kk` destination rows are held
+    /// in a register tile of `CONV2_TILE_ROWS` × `CONV2_TILE_LANES`
+    /// lanes across the whole `o` loop, instead of being reloaded and
+    /// stored per output. Runs in AVX2 where the CPU has it (the crate's
+    /// `isa` module), with the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `w` is not `c2 × kk·c1` or a destination row runs past
+    /// the end of `dpool`.
+    pub fn conv2_input_grads(dconv2: &[f32], w: &Matrix, c1: usize, dpool: &mut [f32]) {
+        let c2 = w.rows();
+        if c2 == 0 || c1 == 0 {
+            return;
+        }
+        let kk = w.cols() / c1;
+        let tiled = c1 - c1 % CONV2_TILE_LANES;
+        let mut buf = [(0, 0.0); TERM_BLOCK];
+        for (t, gs) in dconv2.chunks_exact(c2).enumerate() {
+            for (b, block) in gs.chunks(TERM_BLOCK).enumerate() {
+                let outputs = block.iter().enumerate();
+                let grads = nonzero_terms(outputs.map(|(j, &g)| (b * TERM_BLOCK + j, g)), &mut buf);
+                for c0 in (0..tiled).step_by(CONV2_TILE_LANES) {
+                    dpool_lanes::<CONV2_TILE_LANES>(grads, w, c1, kk, t, c0, dpool);
+                }
+                for c0 in tiled..c1 {
+                    dpool_lanes::<1>(grads, w, c1, kk, t, c0, dpool);
+                }
             }
         }
     }
@@ -1101,7 +1092,7 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
         /// Both conv2 backward kernels against the per-sample loop:
-        /// `c1` that is not a multiple of the 8-lane half row, kernel
+        /// `c1` that is not a multiple of the 16-lane row, kernel
         /// widths other than the paper's 5 (including more than one
         /// 5-row tile group), step and output counts past one 64-term
         /// block, zero and −0.0 gradients, NaN and ±∞ in
@@ -1138,6 +1129,61 @@ mod tests {
             proptest::prop_assert!(same_bits(&gw, &gw_want), "dW {c1} {kk} {k3} {c2}");
             proptest::prop_assert!(same_bits(&gb, &gb_want), "db {c1} {kk} {k3} {c2}");
             proptest::prop_assert!(same_bits(&dpool, &dpool_want), "dpool {c1} {kk} {k3} {c2}");
+        }
+
+        /// ISA oracle: `conv2_weight_grads`' AVX2 instance against its
+        /// baseline one, on the oracle inputs (zeros of either sign,
+        /// subnormals, NaN payloads, ±∞) and dirty starting accumulators:
+        /// `c1` across the 32- and 16-lane tiles and their tails, steps
+        /// past one 64-term block.
+        #[test]
+        fn conv2_weight_grads_avx2_instance_matches_baseline_bitwise(
+            ((c1, kk, k3), (c2, seed)) in (
+                (1usize..40, 1usize..8, 1usize..70),
+                (1usize..40, proptest::num::u64::ANY),
+            ),
+        ) {
+            use crate::isa::tests::{avx2_ran, oracle_matrix};
+            use crate::matrix::tests::same_bits;
+            let mut rng = seeded_rng(seed);
+            let dconv2 = oracle_matrix(k3, c2, &mut rng);
+            let pool = oracle_matrix(k3 + kk - 1, c1, &mut rng);
+            let (gw0, gb0) = (oracle_matrix(c2, kk * c1, &mut rng), oracle_matrix(1, c2, &mut rng));
+            let (mut gw_want, mut gb_want) = (gw0.clone(), gb0.clone());
+            conv2_weight_grads::baseline(dconv2.data(), pool.data(), c1, &mut gw_want, gb_want.data_mut());
+            let (mut gw, mut gb) = (gw0, gb0);
+            if !avx2_ran(conv2_weight_grads::avx2(dconv2.data(), pool.data(), c1, &mut gw, gb.data_mut())) {
+                return;
+            }
+            proptest::prop_assert!(same_bits(&gw, &gw_want), "dW {c1} {kk} {k3} {c2}");
+            proptest::prop_assert!(same_bits(&gb, &gb_want), "db {c1} {kk} {k3} {c2}");
+        }
+
+        /// ISA oracle: `conv2_input_grads`' AVX2 instance against its
+        /// baseline one, on the oracle inputs and a dirty starting
+        /// `dpool`: `c1` across the lane tile and its one-at-a-time tail,
+        /// kernel widths across more than one row group, outputs past one
+        /// 64-term block.
+        #[test]
+        fn conv2_input_grads_avx2_instance_matches_baseline_bitwise(
+            ((c1, kk, k3), (c2, seed)) in (
+                (1usize..40, 1usize..12, 1usize..20),
+                (1usize..80, proptest::num::u64::ANY),
+            ),
+        ) {
+            use crate::isa::tests::{avx2_ran, oracle_matrix};
+            use crate::matrix::tests::same_bits;
+            let mut rng = seeded_rng(seed);
+            let dconv2 = oracle_matrix(k3, c2, &mut rng);
+            let w = oracle_matrix(c2, kk * c1, &mut rng);
+            let dpool0 = oracle_matrix(k3 + kk - 1, c1, &mut rng);
+            let mut want = dpool0.clone();
+            conv2_input_grads::baseline(dconv2.data(), &w, c1, want.data_mut());
+            let mut got = dpool0;
+            if !avx2_ran(conv2_input_grads::avx2(dconv2.data(), &w, c1, got.data_mut())) {
+                return;
+            }
+            proptest::prop_assert!(same_bits(&got, &want), "dpool {c1} {kk} {k3} {c2}");
         }
     }
 

@@ -15,6 +15,21 @@
 //! The instances are pinned to each other bitwise by one proptest per
 //! kernel, on ±0, subnormals, NaN payloads, ±∞ and tail widths.
 //!
+//! The dispatched kernels:
+//!
+//! * forward: `tanh_slice`'s run kernel, `propagate_matmul_into` (GC
+//!   1–3), `plan_matmul_into` (GC 0), `strided_gemm_into` (conv1, conv2,
+//!   and the backward's input gradients of the GC and dense layers) and
+//!   `Matrix::matmul_into` (dense1, dense2, conv1's input gradient);
+//! * backward: `Matrix::t_matmul_into` / `t_matmul_rows_into` (the weight
+//!   gradients of GC 1–3, conv1, dense1 and dense2), `conv2_weight_grads`,
+//!   `conv2_input_grads` and `propagate_back_into`;
+//! * the optimiser: Adam's element-wise update.
+//!
+//! `plan_t_matmul_rows_into` (GC 0's weight gradient) stays baseline
+//! only: its AVX2 instance measured about three times slower at fig7's
+//! shapes.
+//!
 //! This module holds the crate's only `unsafe`: calling a
 //! `#[target_feature]` function, right after the feature check.
 

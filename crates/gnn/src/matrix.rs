@@ -30,12 +30,10 @@ pub struct Matrix {
     data: Vec<f32>,
 }
 
-/// Shared inner loop of the three streaming GEMM kernels:
+/// Inner loop of the streaming GEMM kernel [`Matrix::matmul_into`] (and of
+/// the streaming `t_matmul` body the tests keep as an oracle):
 /// `out[j] += a * b[j]`, skipping the whole row when the multiplier is
-/// zero (common after ReLU). One definition so the skip-zero and
-/// per-element ordering semantics of [`Matrix::matmul_into`],
-/// [`Matrix::t_matmul_into`] and [`Matrix::t_matmul_rows_into`] cannot
-/// drift apart.
+/// zero (common after ReLU).
 #[inline(always)]
 fn axpy_skip_zero(out: &mut [f32], b: &[f32], a: f32) {
     if a == 0.0 {
@@ -318,67 +316,44 @@ impl Matrix {
         out
     }
 
-    /// [`Matrix::t_matmul`] into a reusable output buffer.
+    /// [`Matrix::t_matmul`] into a reusable output buffer. Runs in AVX2
+    /// where the CPU has it (the crate's `isa` module), with the same
+    /// bits.
     ///
     /// # Panics
     ///
     /// Panics when row counts disagree.
     pub fn t_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, rhs.rows, "t_matmul shape mismatch");
-        self.t_matmul_body(rhs, 0..self.rows, out);
+        t_matmul_kernel(self, rhs, 0, self.rows, out);
     }
 
-    /// Shared body of [`Matrix::t_matmul_into`] and
-    /// [`Matrix::t_matmul_rows_into`]: `out = self[rows]ᵀ × rhs[rows]`.
-    ///
-    /// `rhs` one column wide (the last GC layer's weight gradient) takes
-    /// the branch-free [`Matrix::t_matmul_1wide`]; one or two whole
-    /// [`GEMM_LANES`]-wide tiles keep their accumulators in registers
-    /// ([`Matrix::t_matmul_tiled`]); every other width streams
-    /// ([`Matrix::t_matmul_streaming`]). Each output element keeps one
-    /// accumulator summing its products in ascending input-row order, so
-    /// every element is bit-identical to the untiled loop.
-    fn t_matmul_body(&self, rhs: &Matrix, rows: std::ops::Range<usize>, out: &mut Matrix) {
-        if rhs.cols == 1 {
-            self.t_matmul_1wide(rhs, rows, out);
-        } else if rhs.cols.is_multiple_of(GEMM_LANES) && (1..=2).contains(&(rhs.cols / GEMM_LANES))
-        {
-            self.t_matmul_tiled(rhs, rows, out);
-        } else {
-            self.t_matmul_streaming(rhs, rows, out);
-        }
-    }
-
-    /// [`Matrix::t_matmul_body`] for any `rhs` width: four output rows
-    /// (columns of `self`) are kept hot per pass while the `self`/`rhs`
-    /// row pairs stream through once per pass — the one-column-at-a-time
-    /// loop instead re-streamed the whole output for every input row.
-    fn t_matmul_streaming(&self, rhs: &Matrix, rows: std::ops::Range<usize>, out: &mut Matrix) {
+    /// [`t_matmul_kernel`] for any other `rhs` width (dense1's 128,
+    /// conv1's 97, dense2's 2): per output row (column `c` of `self`), the
+    /// nonzero multipliers `self[i][c]` of up to [`TERM_BLOCK`] rows at a
+    /// time are compacted first ([`nonzero_terms`]), then
+    /// [`axpy_rows_tiled`] adds their `rhs` rows with the output row's
+    /// accumulators held in register tiles. The multipliers are ReLU'd
+    /// activations (dense1) or max-pool-routed gradients (conv1), zero in
+    /// a data-dependent half to three quarters of the rows, so the
+    /// branch-free compaction replaces a mispredicted skip branch per
+    /// multiplier, and each output element is loaded and stored once per
+    /// block instead of once per product.
+    #[inline(always)]
+    fn t_matmul_compact(&self, rhs: &Matrix, rows: std::ops::Range<usize>, out: &mut Matrix) {
         out.resize(self.cols, rhs.cols);
-        let rc = rhs.cols.max(1);
-        let mut oq = out.data.chunks_exact_mut(4 * rc);
-        let mut c = 0;
-        for os in &mut oq {
-            let (o0, rest) = os.split_at_mut(rc);
-            let (o1, rest) = rest.split_at_mut(rc);
-            let (o2, o3) = rest.split_at_mut(rc);
-            for i in rows.clone() {
-                let (lrow, rrow) = (self.row(i), rhs.row(i));
-                axpy_skip_zero(o0, rrow, lrow[c]);
-                axpy_skip_zero(o1, rrow, lrow[c + 1]);
-                axpy_skip_zero(o2, rrow, lrow[c + 2]);
-                axpy_skip_zero(o3, rrow, lrow[c + 3]);
-            }
-            c += 4;
-        }
-        for (j, orow) in oq.into_remainder().chunks_exact_mut(rc).enumerate() {
-            for i in rows.clone() {
-                axpy_skip_zero(orow, rhs.row(i), self.row(i)[c + j]);
+        let (lc, rc) = (self.cols, rhs.cols);
+        let mut buf = [(0, 0.0); TERM_BLOCK];
+        for (c, orow) in out.data.chunks_exact_mut(rc.max(1)).enumerate() {
+            for i0 in rows.clone().step_by(TERM_BLOCK) {
+                let block = i0..rows.end.min(i0 + TERM_BLOCK);
+                let terms = nonzero_terms(block.map(|i| (i, self.data[i * lc + c])), &mut buf);
+                axpy_rows_tiled::<false>(terms.iter().copied(), &rhs.data, rc, orow);
             }
         }
     }
 
-    /// [`Matrix::t_matmul_body`] for a one-column `rhs`: output `c` is
+    /// [`t_matmul_kernel`] for a one-column `rhs`: output `c` is
     /// `Σᵢ self[i][c] · rhs[i]`, the accumulators of [`GEMM_LANES`]
     /// outputs at a time held in registers across the row sweep. The
     /// skip-zero branch becomes a masked add — `acc += if x != 0 { x·r }
@@ -388,6 +363,7 @@ impl Matrix {
     /// give `+0`), so adding `+0` leaves it unchanged, and a zero
     /// multiplier's `0·NaN` or `0·∞` is masked out just as the skip
     /// dropped it.
+    #[inline(always)]
     fn t_matmul_1wide(&self, rhs: &Matrix, rows: std::ops::Range<usize>, out: &mut Matrix) {
         let lc = self.cols;
         out.resize_for_overwrite(lc, 1);
@@ -423,55 +399,55 @@ impl Matrix {
         out[c0..c0 + L].copy_from_slice(&acc);
     }
 
-    /// [`Matrix::t_matmul_body`] for `rhs.cols` of 16 or 32: a
-    /// 2-output-row × 16-lane tile of register accumulators sweeps the
-    /// rows in ascending order, one skip-zero branch per multiplier, tile
-    /// row and lane tile. Every output element is written exactly once,
-    /// from an accumulator that started at `0.0`.
+    /// [`t_matmul_kernel`] for `rhs.cols` of 16 or 32: a
+    /// [`T_MATMUL_TILE_ROWS`]-output-row × 16-lane tile of register
+    /// accumulators sweeps the rows in ascending order, one skip-zero
+    /// branch per multiplier, tile row and lane tile. Every output element
+    /// is written exactly once, from an accumulator that started at `0.0`.
+    /// The last `self.cols % 4` output rows take [`axpy_rows_tiled`] one
+    /// row at a time, in the same order.
     ///
-    /// Wider `rhs` keeps the streaming body: each lane tile repeats the
-    /// multiplier's branch, and on the dense head's weight gradient
-    /// (`rhs.cols` = 128, eight tiles, half the multipliers zeroed by the
-    /// ReLU) the repeated, unpredictable branches made the tile 1.5–3×
-    /// slower than the streaming body.
+    /// The GC layers' multipliers are `tanh` activations, almost never
+    /// zero, so the branches predict well. Wider `rhs` takes the
+    /// compacting body: each lane tile would repeat the multiplier's
+    /// branch, and on the dense head's weight gradient (`rhs.cols` = 128,
+    /// eight tiles, half the multipliers zeroed by the ReLU) the repeated,
+    /// unpredictable branches made the tile 1.5–3× slower.
+    #[inline(always)]
     fn t_matmul_tiled(&self, rhs: &Matrix, rows: std::ops::Range<usize>, out: &mut Matrix) {
         const L: usize = GEMM_LANES;
-        let rc = rhs.cols;
-        out.resize_for_overwrite(self.cols, rc);
-        let lane = |i: usize, j0: usize| -> &[f32; L] {
-            rhs.data[i * rc + j0..i * rc + j0 + L]
-                .try_into()
-                .expect("tile width")
-        };
-        let mut pairs = out.data.chunks_exact_mut(2 * rc);
-        for (cp, os) in (&mut pairs).enumerate() {
-            let (c0, c1) = (2 * cp, 2 * cp + 1);
-            let (o0, o1) = os.split_at_mut(rc);
+        const R: usize = T_MATMUL_TILE_ROWS;
+        let (lc, rc) = (self.cols, rhs.cols);
+        out.resize_for_overwrite(lc, rc);
+        let mut tiles = out.data.chunks_exact_mut(R * rc);
+        for (ct, os) in (&mut tiles).enumerate() {
+            let c0 = R * ct;
             for j0 in (0..rc).step_by(L) {
-                let (mut s0, mut s1) = ([0.0f32; L], [0.0f32; L]);
+                let mut acc = [[0.0f32; L]; R];
                 for i in rows.clone() {
-                    let (a0, a1) = (self.data[i * self.cols + c0], self.data[i * self.cols + c1]);
-                    let r = lane(i, j0);
-                    if a0 != 0.0 {
-                        for (s, &b) in s0.iter_mut().zip(r) {
-                            *s += a0 * b;
-                        }
-                    }
-                    if a1 != 0.0 {
-                        for (s, &b) in s1.iter_mut().zip(r) {
-                            *s += a1 * b;
+                    let a: &[f32; R] = self.data[i * lc + c0..i * lc + c0 + R]
+                        .try_into()
+                        .expect("tile rows");
+                    let r: &[f32; L] = rhs.data[i * rc + j0..i * rc + j0 + L]
+                        .try_into()
+                        .expect("tile width");
+                    for (s, &a) in acc.iter_mut().zip(a) {
+                        if a != 0.0 {
+                            for (s, &b) in s.iter_mut().zip(r) {
+                                *s += a * b;
+                            }
                         }
                     }
                 }
-                o0[j0..j0 + L].copy_from_slice(&s0);
-                o1[j0..j0 + L].copy_from_slice(&s1);
+                for (orow, s) in os.chunks_exact_mut(rc).zip(&acc) {
+                    orow[j0..j0 + L].copy_from_slice(s);
+                }
             }
         }
-        let orow = pairs.into_remainder();
-        if !orow.is_empty() {
-            let c = self.cols - 1;
-            orow.fill(0.0);
-            let terms = rows.map(|i| (i, self.data[i * self.cols + c]));
+        let rest = tiles.into_remainder();
+        rest.fill(0.0);
+        for (c, orow) in (lc - lc % R..).zip(rest.chunks_exact_mut(rc)) {
+            let terms = rows.clone().map(|i| (i, self.data[i * lc + c]));
             axpy_rows_tiled::<true>(terms, &rhs.data, rc, orow);
         }
     }
@@ -489,7 +465,7 @@ impl Matrix {
     pub fn t_matmul_rows_into(&self, rhs: &Matrix, rows: std::ops::Range<usize>, out: &mut Matrix) {
         assert_eq!(self.rows, rhs.rows, "t_matmul shape mismatch");
         assert!(rows.end <= self.rows, "row range out of bounds");
-        self.t_matmul_body(rhs, rows, out);
+        t_matmul_kernel(self, rhs, rows.start, rows.end, out);
     }
 
     /// Transposed copy.
@@ -610,6 +586,33 @@ kernel! {
 }
 
 kernel! {
+    /// The body of [`Matrix::t_matmul_into`] and
+    /// [`Matrix::t_matmul_rows_into`], `out = lhs[start..end]ᵀ ×
+    /// rhs[start..end]`, in AVX2 where the CPU has it (see
+    /// [`crate::isa`]).
+    ///
+    /// `rhs` one column wide (the last GC layer's weight gradient) takes
+    /// the branch-free [`Matrix::t_matmul_1wide`]; one or two whole
+    /// [`GEMM_LANES`]-wide tiles (GC 1–2) keep their accumulators in
+    /// registers ([`Matrix::t_matmul_tiled`]); every other width compacts
+    /// its multipliers first ([`Matrix::t_matmul_compact`]). Each output
+    /// element sums its products with nonzero multipliers in ascending
+    /// input-row order, starting from `0.0`, so every element is
+    /// bit-identical to the untiled skip-zero loop.
+    fn t_matmul_kernel(lhs: &Matrix, rhs: &Matrix, start: usize, end: usize, out: &mut Matrix) {
+        let rows = start..end;
+        if rhs.cols == 1 {
+            lhs.t_matmul_1wide(rhs, rows, out);
+        } else if rhs.cols.is_multiple_of(GEMM_LANES) && (1..=2).contains(&(rhs.cols / GEMM_LANES))
+        {
+            lhs.t_matmul_tiled(rhs, rows, out);
+        } else {
+            lhs.t_matmul_compact(rhs, rows, out);
+        }
+    }
+}
+
+kernel! {
     /// Strided windowed GEMM, vectorised across outputs: the forward of a
     /// 1-D convolution whose input windows are contiguous runs of `input`.
     ///
@@ -671,6 +674,12 @@ kernel! {
 /// four 128-bit registers in the baseline x86-64 instance, two 256-bit
 /// ones in the AVX2 instance.
 const GEMM_LANES: usize = 16;
+
+/// Output rows of one [`Matrix::t_matmul_tiled`] tile. Four rows of
+/// [`GEMM_LANES`] lanes are eight independent 256-bit add chains in the
+/// AVX2 instance; two rows left four, and the GC layers' weight gradient
+/// stayed latency-bound with them.
+const T_MATMUL_TILE_ROWS: usize = 4;
 
 /// The wide tile of [`axpy_rows_tiled`]: thirty-two `f32` accumulators,
 /// four independent add chains even in 256-bit registers.
@@ -781,6 +790,29 @@ fn axpy_rows_tile<const SKIP_ZERO: bool, const L: usize>(
     orow[j0..j0 + L].copy_from_slice(&acc);
 }
 
+/// Terms per [`nonzero_terms`] block.
+pub(crate) const TERM_BLOCK: usize = 64;
+
+/// The terms with a nonzero multiplier, in order: the skip-zero test of
+/// the loops the conv2 kernels and the wide `t_matmul` replaced, made once
+/// per term and without a branch. ReLU zeroes a data-dependent half of
+/// conv2's gradients, so a skip branch inside each register tile
+/// mispredicts about half the time and is repeated by every tile; after
+/// compaction the tiles run branch-free. At most [`TERM_BLOCK`] terms per
+/// call.
+#[inline(always)]
+pub(crate) fn nonzero_terms(
+    terms: impl Iterator<Item = (usize, f32)>,
+    buf: &mut [(usize, f32); TERM_BLOCK],
+) -> &[(usize, f32)] {
+    let mut kept = 0;
+    for (k, a) in terms {
+        buf[kept] = (k, a);
+        kept += usize::from(a != 0.0);
+    }
+    &buf[..kept]
+}
+
 /// Convenience RNG constructor used across the crate.
 #[must_use]
 pub fn seeded_rng(seed: u64) -> StdRng {
@@ -793,6 +825,43 @@ pub(crate) mod tests {
 
     use super::*;
     use crate::isa::tests::{avx2_ran, oracle_matrix};
+
+    /// The body `t_matmul` ran for every width other than 1, 16 and 32
+    /// before the compacting body replaced it, kept as an oracle: four
+    /// output rows (columns of `self`) are kept hot per pass while the
+    /// `self`/`rhs` row pairs stream through once per pass, every product
+    /// added to memory with a skip-zero branch per multiplier.
+    impl Matrix {
+        pub(crate) fn t_matmul_streaming(
+            &self,
+            rhs: &Matrix,
+            rows: std::ops::Range<usize>,
+            out: &mut Matrix,
+        ) {
+            out.resize(self.cols, rhs.cols);
+            let rc = rhs.cols.max(1);
+            let mut oq = out.data.chunks_exact_mut(4 * rc);
+            let mut c = 0;
+            for os in &mut oq {
+                let (o0, rest) = os.split_at_mut(rc);
+                let (o1, rest) = rest.split_at_mut(rc);
+                let (o2, o3) = rest.split_at_mut(rc);
+                for i in rows.clone() {
+                    let (lrow, rrow) = (self.row(i), rhs.row(i));
+                    axpy_skip_zero(o0, rrow, lrow[c]);
+                    axpy_skip_zero(o1, rrow, lrow[c + 1]);
+                    axpy_skip_zero(o2, rrow, lrow[c + 2]);
+                    axpy_skip_zero(o3, rrow, lrow[c + 3]);
+                }
+                c += 4;
+            }
+            for (j, orow) in oq.into_remainder().chunks_exact_mut(rc).enumerate() {
+                for i in rows.clone() {
+                    axpy_skip_zero(orow, rhs.row(i), self.row(i)[c + j]);
+                }
+            }
+        }
+    }
 
     /// The `self × rhsᵀ` kernel production ran before every such product
     /// moved to [`strided_gemm_into()`] on a transposed weight, kept as
@@ -1506,14 +1575,16 @@ pub(crate) mod tests {
             prop_assert!(same_bits(&got, &conv1_oracle(&pooled, &w1, &bias[..c1])), "conv1 {k} {ccat} {c1}");
         }
 
-        /// The 2-row × 16-lane `t_matmul` tile against the untiled loop:
-        /// `rhs.cols` of 16 or 32 (tiled) or anything else (the 4-row body),
-        /// odd `self.cols` (the single-row remainder), sub-ranges of rows,
-        /// and zeros, −0.0, NaN and ±∞ on both sides.
+        /// The 4-row × 16-lane `t_matmul` tile and the compacting body
+        /// against the untiled loop: `rhs.cols` of 16 or 32 (tiled) or
+        /// anything else (compacted), `self.cols` past a multiple of 4 (the
+        /// rows left to `axpy_rows_tiled`), row counts past one 64-row
+        /// compaction block, sub-ranges of rows, and zeros, −0.0, NaN and
+        /// ±∞ on both sides.
         #[test]
         fn t_matmul_tiles_match_untiled_oracle_bitwise(
             ((rows, lc, tiles), (ragged, seed)) in (
-                (0usize..24, 0usize..9, 1usize..4),
+                (0usize..150, 0usize..9, 1usize..4),
                 (0usize..40, proptest::num::u64::ANY),
             ),
         ) {
@@ -1645,6 +1716,34 @@ pub(crate) mod tests {
                 Matrix::from_vec(steps, cout, want),
             );
             prop_assert!(same_bits(&got, &want), "{steps} steps of {len} by {stride}, {cout} outs");
+        }
+
+        /// ISA oracle: the `t_matmul` kernel's AVX2 instance against its
+        /// baseline one, into dirty wrongly-shaped buffers: `rhs` widths
+        /// of every body (1-wide, one and two 16-lane tiles, and the
+        /// compacted 97 and 128), `self.cols` with every remainder of the
+        /// 4-row tile, row counts past one 64-row compaction block, and
+        /// row sub-ranges.
+        #[test]
+        fn t_matmul_avx2_instance_matches_baseline_bitwise(
+            ((rows, quads, rem), (width, seed)) in (
+                (0usize..80, 0usize..9, 0usize..4),
+                (0usize..5, proptest::num::u64::ANY),
+            ),
+        ) {
+            let mut rng = seeded_rng(seed);
+            let (lc, rc) = (4 * quads + rem, [1, 16, 32, 97, 128][width]);
+            let l = oracle_matrix(rows, lc, &mut rng);
+            let r = oracle_matrix(rows, rc, &mut rng);
+            let lo = rng.gen_range(0..rows + 1);
+            let hi = rng.gen_range(lo..rows + 1);
+            let mut want = Matrix::from_vec(1, 2, vec![7.0, 7.0]);
+            t_matmul_kernel::baseline(&l, &r, lo, hi, &mut want);
+            let mut got = Matrix::from_vec(1, 2, vec![7.0, 7.0]);
+            if !avx2_ran(t_matmul_kernel::avx2(&l, &r, lo, hi, &mut got)) {
+                return;
+            }
+            prop_assert!(same_bits(&got, &want), "{rows}x{lc} by {rc}, rows {lo}..{hi}");
         }
     }
 

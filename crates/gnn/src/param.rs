@@ -13,6 +13,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::dgcnn::Dgcnn;
+use crate::isa::kernel;
 use crate::matrix::Matrix;
 
 /// One weight tensor of the model.
@@ -90,39 +91,43 @@ impl AdamState {
     }
 }
 
-/// The element-wise Adam update of one tensor `w` with moments `m` and
-/// `v` at 1-based step `t`.
-fn adam_update(
-    w: &mut Matrix,
-    m: &mut Matrix,
-    v: &mut Matrix,
-    grad: &Matrix,
-    opt: &AdamConfig,
-    t: usize,
-    scale: f32,
-) {
-    let shape = (w.rows(), w.cols());
-    assert!(
-        shape == (grad.rows(), grad.cols())
-            && shape == (m.rows(), m.cols())
-            && shape == (v.rows(), v.cols()),
-        "gradient shape mismatch"
-    );
-    let b1t = 1.0 - opt.beta1.powi(t as i32);
-    let b2t = 1.0 - opt.beta2.powi(t as i32);
-    for (((w, m), v), &g0) in w
-        .data_mut()
-        .iter_mut()
-        .zip(m.data_mut().iter_mut())
-        .zip(v.data_mut().iter_mut())
-        .zip(grad.data())
-    {
-        let g = g0 * scale;
-        *m = opt.beta1 * *m + (1.0 - opt.beta1) * g;
-        *v = opt.beta2 * *v + (1.0 - opt.beta2) * g * g;
-        let mhat = *m / b1t;
-        let vhat = *v / b2t;
-        *w -= opt.lr * mhat / (vhat.sqrt() + opt.eps);
+kernel! {
+    /// The element-wise Adam update of one tensor `w` with moments `m` and
+    /// `v` at 1-based step `t`, in AVX2 where the CPU has it (see
+    /// [`crate::isa`]). Square root and division are correctly rounded in
+    /// either instance, so the bits are the same.
+    fn adam_update(
+        w: &mut Matrix,
+        m: &mut Matrix,
+        v: &mut Matrix,
+        grad: &Matrix,
+        opt: &AdamConfig,
+        t: usize,
+        scale: f32,
+    ) {
+        let shape = (w.rows(), w.cols());
+        assert!(
+            shape == (grad.rows(), grad.cols())
+                && shape == (m.rows(), m.cols())
+                && shape == (v.rows(), v.cols()),
+            "gradient shape mismatch"
+        );
+        let b1t = 1.0 - opt.beta1.powi(t as i32);
+        let b2t = 1.0 - opt.beta2.powi(t as i32);
+        for (((w, m), v), &g0) in w
+            .data_mut()
+            .iter_mut()
+            .zip(m.data_mut().iter_mut())
+            .zip(v.data_mut().iter_mut())
+            .zip(grad.data())
+        {
+            let g = g0 * scale;
+            *m = opt.beta1 * *m + (1.0 - opt.beta1) * g;
+            *v = opt.beta2 * *v + (1.0 - opt.beta2) * g * g;
+            let mhat = *m / b1t;
+            let vhat = *v / b2t;
+            *w -= opt.lr * mhat / (vhat.sqrt() + opt.eps);
+        }
     }
 }
 
@@ -293,6 +298,54 @@ mod tests {
         let mut p = Tensor::new(Matrix::glorot(3, 3, &mut rng));
         let bad = Matrix::zeros(2, 3);
         p.step(&bad, &AdamConfig::default(), 1, 1.0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// ISA oracle: Adam's AVX2 instance against its baseline one over
+        /// a few steps: weights and gradients on the oracle inputs (zeros
+        /// of either sign, subnormals, NaN payloads, ±∞), moments starting
+        /// subnormal or zero, whole zero gradients, widths across every
+        /// vector tail, a `scale` that may round a gradient to a subnormal.
+        #[test]
+        fn adam_avx2_instance_matches_baseline_bitwise(
+            ((len, steps), (t0, seed)) in ((0usize..70, 1usize..4), (1usize..2000, proptest::num::u64::ANY)),
+        ) {
+            use rand::Rng;
+
+            use crate::isa::tests::{avx2_ran, oracle_matrix};
+            use crate::matrix::tests::same_bits;
+            let mut rng = seeded_rng(seed);
+            let moment = |rng: &mut rand::rngs::StdRng| {
+                let data = (0..len)
+                    .map(|_| match rng.gen_range(0..3) {
+                        0 => 0.0,
+                        1 => f32::from_bits(rng.gen_range(1..0x0080_0000)),
+                        _ => rng.gen_range(0.0f32..1.0),
+                    })
+                    .collect();
+                Matrix::from_vec(1, len, data)
+            };
+            let w0 = oracle_matrix(1, len, &mut rng);
+            let (m0, v0) = (moment(&mut rng), moment(&mut rng));
+            let grads: Vec<Matrix> = (0..steps)
+                .map(|_| if rng.gen_range(0..3) == 0 { Matrix::zeros(1, len) } else { oracle_matrix(1, len, &mut rng) })
+                .collect();
+            let opt = AdamConfig::default();
+            let scale = [1.0f32, 1.0 / 32.0, 1e-30][rng.gen_range(0..3usize)];
+            let (mut w_want, mut m_want, mut v_want) = (w0.clone(), m0.clone(), v0.clone());
+            let (mut w, mut m, mut v) = (w0, m0, v0);
+            for (t, g) in (t0..).zip(&grads) {
+                adam_update::baseline(&mut w_want, &mut m_want, &mut v_want, g, &opt, t, scale);
+                if !avx2_ran(adam_update::avx2(&mut w, &mut m, &mut v, g, &opt, t, scale)) {
+                    return;
+                }
+            }
+            proptest::prop_assert!(same_bits(&w, &w_want), "w, {len} wide, {steps} steps from {t0}");
+            proptest::prop_assert!(same_bits(&m, &m_want), "m, {len} wide, {steps} steps from {t0}");
+            proptest::prop_assert!(same_bits(&v, &v_want), "v, {len} wide, {steps} steps from {t0}");
+        }
     }
 
     #[test]

@@ -421,27 +421,36 @@ pub fn propagate_back<'a>(adj: impl Into<CsrView<'a>>, g: &Matrix) -> Matrix {
 }
 
 /// [`propagate_back`] into a reusable output buffer (resized in place).
+/// Runs in AVX2 where the CPU has it (the crate's `isa` module), with the
+/// same bits.
 ///
 /// # Panics
 ///
 /// Panics when `g` has a different row count than the graph.
 pub fn propagate_back_into<'a>(adj: impl Into<CsrView<'a>>, g: &Matrix, out: &mut Matrix) {
-    let adj = adj.into();
-    let n = adj.node_count();
-    let c = g.cols();
-    assert_eq!(g.rows(), n);
-    out.resize(n, c);
-    for i in 0..n {
-        let scale = adj.scale(i);
-        // Row i of G, scaled, lands on node i itself and its neighbours.
-        // Plain zip loops on purpose, like `propagate_into`.
-        let grow = g.row(i);
-        for (o, &v) in out.row_mut(i).iter_mut().zip(grow) {
-            *o += v * scale;
-        }
-        for &j in adj.neighbors(i) {
-            for (o, &v) in out.row_mut(j as usize).iter_mut().zip(grow) {
+    propagate_back_kernel(adj.into(), g, out);
+}
+
+kernel! {
+    /// The body of [`propagate_back_into`], in AVX2 where the CPU has it
+    /// (see [`crate::isa`]).
+    fn propagate_back_kernel(adj: CsrView<'_>, g: &Matrix, out: &mut Matrix) {
+        let n = adj.node_count();
+        let c = g.cols();
+        assert_eq!(g.rows(), n);
+        out.resize(n, c);
+        for i in 0..n {
+            let scale = adj.scale(i);
+            // Row i of G, scaled, lands on node i itself and its neighbours.
+            // Plain zip loops on purpose, like `propagate_into`.
+            let grow = g.row(i);
+            for (o, &v) in out.row_mut(i).iter_mut().zip(grow) {
                 *o += v * scale;
+            }
+            for &j in adj.neighbors(i) {
+                for (o, &v) in out.row_mut(j as usize).iter_mut().zip(grow) {
+                    *o += v * scale;
+                }
             }
         }
     }
@@ -812,6 +821,26 @@ mod tests {
             }
             prop_assert!(same_bits(&prop_got, &prop_want), "S·H, {n} nodes, {c} channels");
             prop_assert!(same_bits(&got, &want), "(S·H)·W, {n} nodes, {c} channels, {width} wide");
+        }
+
+        /// ISA oracle: `propagate_back_into`'s AVX2 instance against its
+        /// baseline one, into dirty wrongly-shaped buffers: random graphs,
+        /// gradients with zeros of either sign, subnormals, NaN payloads
+        /// and ±∞, widths across every vector tail and the GC layers' 32.
+        #[test]
+        fn propagate_back_avx2_instance_matches_baseline_bitwise(
+            ((n, c), seed) in ((0usize..12, 0usize..40), proptest::num::u64::ANY),
+        ) {
+            let mut rng = seeded_rng(seed);
+            let adj = random_adj(n, &mut rng);
+            let g = oracle_matrix(n, c, &mut rng);
+            let mut want = Matrix::from_vec(1, 2, vec![7.0, 7.0]);
+            propagate_back_kernel::baseline(adj.view(), &g, &mut want);
+            let mut got = Matrix::from_vec(1, 2, vec![7.0, 7.0]);
+            if !avx2_ran(propagate_back_kernel::avx2(adj.view(), &g, &mut got)) {
+                return;
+            }
+            prop_assert!(same_bits(&got, &want), "Sᵀ·G, {n} nodes, {c} channels");
         }
     }
 }
