@@ -201,7 +201,6 @@ fn target_probabilities(
         return Err(OmlaError::Relock("no training key gates placed".into()));
     }
     let max_label = arena.max_label().max(1);
-    arena.build_layer0_plans(max_label);
 
     // 2. Train the DGCNN on the known gates (10% validation split).
     let val_len = (train.len() / 10).max(1).min(train.len() - 1);

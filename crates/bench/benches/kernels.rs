@@ -334,9 +334,10 @@ fn bench_batched_layer(c: &mut Criterion) {
 }
 
 /// The layer-0 plan: building one sample's sparse `S·X` rows with the
-/// production builder (`plan_build`, what a minibatch pays for a sample
-/// its store caches no plan for) and the forward+backward over them
-/// (`cached_fwd_bwd`). CI runs this group with `--test`.
+/// production builder (`plan_build`, what a minibatch pays per sample
+/// every time it packs one) and the forward+backward over rows built
+/// outside the loop (`cached_fwd_bwd`, named before plans were built
+/// per minibatch). CI runs this group with `--test`.
 fn bench_layer0_plan(c: &mut Criterion) {
     const F: usize = 24; // feature width (gate types + label budget)
     const C0: usize = 32; // first-layer channels (paper config)

@@ -375,15 +375,11 @@ impl Prepared {
             cfg,
             key_input_names,
             design,
-            mut dataset,
+            dataset,
             k,
             mut timings,
         } = self;
         let max_label = dataset.max_label;
-        // Cached layer-0 plans are derived state: (re)build them for a
-        // hand-assembled `Prepared` — a no-op when the dataset build
-        // already cached them under this budget.
-        dataset.arena.build_layer0_plans(max_label);
         let input_dim = muxlink_graph::features::feature_cols(max_label);
         let mut model_cfg = DgcnnConfig::paper(input_dim, 10);
         model_cfg.k = k;

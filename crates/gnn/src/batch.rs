@@ -117,14 +117,10 @@ impl Minibatch {
     }
 
     /// Packs the given `(sample index, dropout seed)` jobs into this
-    /// training batch: adjacency blocks rebased into one CSR, the
-    /// samples' layer-0 plans stacked, labels and seeds recorded in job
-    /// order.
-    ///
-    /// A sample's plan rows are bit-copied from the store's cached plan
-    /// ([`SampleStore::plan`]) when it has one and built from the
-    /// sample's two-hot features otherwise — per sample, with the same
-    /// bits either way.
+    /// training batch: adjacency blocks rebased into one CSR, each
+    /// sample's layer-0 plan rows built from its adjacency and two-hot
+    /// features ([`Layer0Plans::push_sample`]) and stacked, labels and
+    /// seeds recorded in job order.
     ///
     /// # Panics
     ///
@@ -176,10 +172,7 @@ impl Minibatch {
             );
             self.feature_width = s.features.cols();
             self.block.push(s.adj);
-            match store.plan(i) {
-                Some(plan) => self.plan.push_plan(plan),
-                None => self.plan.push_sample(s.adj, s.features),
-            }
+            self.plan.push_sample(s.adj, s.features);
         }
     }
 
@@ -928,7 +921,7 @@ mod tests {
     use super::*;
     use crate::dgcnn::DgcnnConfig;
     use crate::matrix::seeded_rng;
-    use crate::sample::{GraphSample, SampleView};
+    use crate::sample::GraphSample;
     use muxlink_graph::{Csr, OneHotFeatures};
 
     fn tiny_cfg(input_dim: usize) -> DgcnnConfig {
@@ -965,92 +958,27 @@ mod tests {
         }
     }
 
-    /// A store serving owned two-hot samples plus cached layer-0 plans
-    /// for the samples `cached` selects — the test double of the arena's
-    /// plan cache.
-    struct PlannedSamples {
-        samples: Vec<GraphSample>,
-        plans: Vec<Layer0Plans>,
-        cached: fn(usize) -> bool,
-    }
-
-    impl PlannedSamples {
-        fn new(samples: Vec<GraphSample>, cached: fn(usize) -> bool) -> Self {
-            let plans = samples
-                .iter()
-                .map(|s| {
-                    let mut p = Layer0Plans::new();
-                    p.push_sample(s.adj.view(), s.features.view());
-                    p
-                })
-                .collect();
-            Self {
-                samples,
-                plans,
-                cached,
-            }
-        }
-    }
-
-    impl SampleStore for PlannedSamples {
-        fn len(&self) -> usize {
-            self.samples.len()
-        }
-
-        fn view(&self, i: usize) -> SampleView<'_> {
-            self.samples[i].view()
-        }
-
-        fn plan(&self, i: usize) -> Option<Layer0PlanView<'_>> {
-            (self.cached)(i).then(|| self.plans[i].view())
-        }
-    }
-
-    /// A batch assembled from cached plans must train bit-identically
-    /// to the same batch assembled from the plan-less owned samples
-    /// (plans built at assembly), through the same dirty workspace.
-    #[test]
-    fn batched_step_with_cached_plans_matches_rebuild_bitwise() {
-        let model = Dgcnn::new(tiny_cfg(11));
-        let store = PlannedSamples::new((0..6).map(onehot_sample).collect(), |_| true);
-        let jobs: Vec<(usize, u64)> = (0..6).map(|i| (i, 77 + 3 * i as u64)).collect();
-        let mut mb = Minibatch::new();
-        let mut ws = BatchWorkspace::new();
-
-        mb.assemble(&store.samples, &jobs);
-        let mut want = model.new_gradients();
-        model.batch_train_step(&mb, &mut ws, &mut want);
-        let want_losses = ws.losses.clone();
-
-        // Two cached passes through the now-dirty buffers.
-        for _ in 0..2 {
-            mb.assemble(&store, &jobs);
-            assert_eq!(mb.plan().node_count(), mb.block.node_count());
-            let mut got = model.new_gradients();
-            model.batch_train_step(&mb, &mut ws, &mut got);
-            assert_eq!(got, want, "cached-plan gradients diverged");
-            assert_eq!(ws.losses, want_losses, "cached-plan losses diverged");
-        }
-    }
-
-    /// Plans are stacked per sample: a batch mixing cached and
-    /// plan-less samples carries the bits of the all-built batch.
+    /// Plans are stacked per sample: a batch's plan carries, in job
+    /// order, the bits of each sample's own plan, even through a dirty
+    /// minibatch.
     #[test]
     fn plan_stacking_is_per_sample() {
-        let store = PlannedSamples::new((0..4).map(onehot_sample).collect(), |i| i % 2 == 1);
+        let samples: Vec<GraphSample> = (0..4).map(onehot_sample).collect();
         let jobs = [(3, 1), (0, 2), (1, 3), (3, 4), (2, 5)];
-        let plan_bits = |mb: &Minibatch| {
-            let plan = mb.plan();
+        let plan_bits = |plan: Layer0PlanView<'_>| {
             let (cols, vals) = plan.entries();
             let vals: Vec<u32> = vals.iter().map(|v| v.to_bits()).collect();
             (plan.offsets().to_vec(), cols.to_vec(), vals)
         };
+        let mut want = Layer0Plans::new();
+        for &(i, _) in &jobs {
+            want.push_sample(samples[i].adj.view(), samples[i].features.view());
+        }
         let mut mb = Minibatch::new();
-        mb.assemble(&store.samples, &jobs);
-        let built = plan_bits(&mb);
-        assert_eq!(built.0.len(), mb.block.node_count() + 1);
-        mb.assemble(&store, &jobs);
-        assert_eq!(plan_bits(&mb), built);
+        mb.assemble(&samples, &[(2, 9)]);
+        mb.assemble(&samples, &jobs);
+        assert_eq!(mb.plan().node_count(), mb.block.node_count());
+        assert_eq!(plan_bits(mb.plan()), plan_bits(want.view()));
     }
 
     /// The per-sample conv2 backward loop the two kernels replaced, kept

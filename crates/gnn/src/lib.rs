@@ -28,9 +28,9 @@
 //!   bit.
 //! * [`Minibatch`] + [`Dgcnn::batch_train_step`] — the block-diagonal
 //!   batched forward and backward: one kernel per layer per minibatch,
-//!   layer 0 over the sparse rows of `S·X` (a store's cached layer-0
-//!   plan per sample, or one built from the sample's two-hot features
-//!   when the store caches none). It is the model's only forward:
+//!   layer 0 over the sparse rows of `S·X`, built per sample from its
+//!   two-hot features each time a minibatch is packed. It is the
+//!   model's only forward:
 //!   [`Dgcnn::predict_batch`] and [`evaluate`] run it without dropout
 //!   over fixed-size chunks.
 //! * [`trainer::train`] — Adam minibatch loop with best-on-validation

@@ -107,16 +107,6 @@ pub trait SampleStore: Sync {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Cached layer-0 plan of sample `i` (the sparse rows of `S·X`
-    /// under the store's label budget), when the backing storage
-    /// carries one. `None` — the default — means the batched trainer
-    /// builds the sample's plan rows itself when it packs a minibatch;
-    /// both give the same bits.
-    fn plan(&self, i: usize) -> Option<Layer0PlanView<'_>> {
-        let _ = i;
-        None
-    }
 }
 
 impl SampleStore for [GraphSample] {
@@ -189,13 +179,6 @@ impl SampleStore for ArenaSamples<'_> {
             features: self.arena.one_hot(h, self.max_label),
             label: self.arena.label(h),
         }
-    }
-
-    fn plan(&self, i: usize) -> Option<Layer0PlanView<'_>> {
-        let h = self
-            .handles
-            .map_or_else(|| self.arena.nth_handle(i), |hs| hs[i]);
-        self.arena.layer0_plan(h, self.max_label)
     }
 }
 
@@ -571,18 +554,19 @@ mod tests {
         }
     }
 
-    /// A plan bit-copied into another slab (`push_plan`, the cached
-    /// path) must drive the kernels to the bits of the freshly built
-    /// histogram plan, over the whole sample and over row ranges.
+    /// A sample's plan built behind another sample's rows (absolute
+    /// entry offsets past zero, as in a minibatch) must drive the
+    /// kernels to the bits of its standalone plan, over the whole
+    /// sample and over row ranges.
     #[test]
     fn plan_kernels_match_histogram_kernels_bitwise() {
         let (x, adj) = (tiny_onehot(), tiny_adj());
         let built = built_plan(&adj, &x);
-        let mut copied = built_plan(&Csr::from_lists(&[vec![1], vec![0]]), &tiny_onehot_2());
-        copied.push_plan(built.view());
-        let all = copied.view();
+        let mut stacked = built_plan(&Csr::from_lists(&[vec![1], vec![0]]), &tiny_onehot_2());
+        stacked.push_sample(adj.view(), x.view());
+        let all = stacked.view();
         let (cols, vals) = all.entries();
-        let cached = Layer0PlanView::from_raw_parts(&all.offsets()[2..], cols, vals);
+        let behind = Layer0PlanView::from_raw_parts(&all.offsets()[2..], cols, vals);
         let mut rng = seeded_rng(23);
         let w = Matrix::glorot(11, 6, &mut rng);
         let dz = Matrix::glorot(4, 6, &mut rng);
@@ -591,8 +575,8 @@ mod tests {
         plan_matmul_into(built.view(), &w, &mut fwd_ref);
         let mut fwd = Matrix::from_vec(1, 1, vec![3.0]); // dirty buffer
         for _ in 0..2 {
-            plan_matmul_into(cached, &w, &mut fwd);
-            assert_eq!(fwd, fwd_ref, "cached forward diverged from built");
+            plan_matmul_into(behind, &w, &mut fwd);
+            assert_eq!(fwd, fwd_ref, "stacked forward diverged from standalone");
         }
 
         for range in [0..4usize, 1..3] {
@@ -600,8 +584,8 @@ mod tests {
             plan_t_matmul_rows_into(built.view(), &dz, range.clone(), 11, &mut bwd_ref);
             let mut bwd = Matrix::from_vec(1, 2, vec![4.0, 4.0]);
             for _ in 0..2 {
-                plan_t_matmul_rows_into(cached, &dz, range.clone(), 11, &mut bwd);
-                assert_eq!(bwd, bwd_ref, "cached backward diverged ({range:?})");
+                plan_t_matmul_rows_into(behind, &dz, range.clone(), 11, &mut bwd);
+                assert_eq!(bwd, bwd_ref, "stacked backward diverged ({range:?})");
             }
         }
     }

@@ -244,8 +244,8 @@ pub fn train_controlled<S: SampleStore + ?Sized, V: SampleStore + ?Sized>(
             }
             // Block-diagonal batched step: one fused kernel per layer
             // over the whole minibatch, gradients and per-sample losses
-            // reduced in job order. Layer 0 consumes the store's cached
-            // S·X plans when every sample carries one.
+            // reduced in job order. Assembly builds each sample's S·X
+            // plan rows for layer 0.
             let t_asm = Instant::now();
             mb.assemble(train, &jobs);
             phases.assembly += t_asm.elapsed();

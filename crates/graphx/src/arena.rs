@@ -36,18 +36,13 @@
 //! read ([`OneHotView::columns`]) into the last label bucket, so the same
 //! slab serves any budget.
 //!
-//! # Layer-0 plan slabs
+//! # Layer-0 plans
 //!
-//! The first GC layer consumes `S·X`, which depends only on a sample's
-//! fixed adjacency and two-hot features — constant across all epochs.
-//! [`SampleArena::build_layer0_plans`] precomputes each node's sparse
-//! `S·X` row **once** (per dataset label budget) into a [`Layer0Plans`]
-//! (read through [`Layer0PlanView`]). [`Layer0Plans::push_sample`] is
-//! the only place the plan histogram is computed: the batched trainer
-//! builds the rows of a sample whose store caches none with the same
-//! function, so a cached and a freshly built plan carry the same bits.
-//! The plans are *derived* state: any sample mutation invalidates
-//! them.
+//! The first GC layer consumes `S·X`, whose sparse rows depend only on a
+//! sample's adjacency and two-hot features. The arena stores no plans:
+//! [`Layer0Plans::push_sample`] is the one function that computes them,
+//! and the batched trainer calls it over each sample's views every time
+//! it packs a minibatch (read back through [`Layer0PlanView`]).
 //!
 //! # Determinism contract
 //!
@@ -93,9 +88,8 @@ impl SampleHandle {
     }
 }
 
-/// Borrowed sparse-CSR view of one sample's cached layer-0 plan: the
-/// rows of the propagated-feature matrix `S·X` under a fixed dataset
-/// label budget.
+/// Borrowed sparse-CSR view of layer-0 plan rows: the rows of the
+/// propagated-feature matrix `S·X` under a fixed dataset label budget.
 ///
 /// Row `i` holds at most `2·(1 + deg(i))` `(column, value)` entries with
 /// the columns strictly ascending, where every value is
@@ -122,9 +116,8 @@ impl<'a> Layer0PlanView<'a> {
     /// `node_count + 1` non-decreasing entry offsets, each in bounds
     /// for `cols`/`vals` (which must have equal lengths over the
     /// addressed span), and each row's columns are strictly ascending.
-    /// Production plans come from [`Layer0Plans::view`] and
-    /// [`SampleArena::layer0_plan`]; raw assembly is for kernel tests
-    /// over hand-made plans.
+    /// Production plans come from [`Layer0Plans::view`]; raw assembly
+    /// is for kernel tests over hand-made plans.
     #[must_use]
     pub fn from_raw_parts(offsets: &'a [u32], cols: &'a [u32], vals: &'a [f32]) -> Self {
         debug_assert!(!offsets.is_empty());
@@ -164,7 +157,7 @@ impl<'a> Layer0PlanView<'a> {
     }
 
     /// The whole contiguous `(columns, values)` span covered by this
-    /// view — the flat copy a block-diagonal stacker appends.
+    /// view.
     #[must_use]
     pub fn entries(&self) -> (&'a [u32], &'a [f32]) {
         let (s, e) = (
@@ -177,12 +170,9 @@ impl<'a> Layer0PlanView<'a> {
 
 /// Owned, growable layer-0 plan slabs: one CSR of `S·X` rows (see
 /// [`Layer0PlanView`]) over the nodes of a sequence of samples, appended
-/// sample by sample. It holds a dataset's cached plans inside a
-/// [`SampleArena`] and a minibatch's plan in the batched trainer.
-///
-/// [`Layer0Plans::push_sample`] is the one function that computes the
-/// plan histogram; [`Layer0Plans::push_plan`] appends an already-built
-/// plan by bit copy. Either way a sample's rows carry the same bits.
+/// sample by sample by [`Layer0Plans::push_sample`], the one function
+/// that computes the plan histogram. It holds a minibatch's plan in the
+/// batched trainer.
 #[derive(Debug, Clone)]
 pub struct Layer0Plans {
     /// `node_count + 1` entry offsets, absolute into `cols`/`vals`.
@@ -222,17 +212,6 @@ impl Layer0Plans {
         self.offsets.truncate(1);
         self.cols.clear();
         self.vals.clear();
-    }
-
-    /// Number of node rows.
-    fn node_count(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Bytes of plan data currently held (length-based).
-    #[cfg(test)]
-    fn resident_bytes(&self) -> usize {
-        (self.offsets.len() + self.cols.len() + self.vals.len()) * 4
     }
 
     /// Appends one sample's rows of `S·X`, computed from its adjacency
@@ -282,35 +261,10 @@ impl Layer0Plans {
         }
     }
 
-    /// Appends an already-built plan: entries bit-copied, offsets
-    /// rebased onto this slab.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the entry slab would exceed `u32` addressing.
-    pub fn push_plan(&mut self, plan: Layer0PlanView<'_>) {
-        let (cols, vals) = plan.entries();
-        let (base, off0) = (self.cols.len(), plan.offsets()[0] as usize);
-        self.cols.extend_from_slice(cols);
-        self.vals.extend_from_slice(vals);
-        for &w in &plan.offsets()[1..] {
-            self.offsets.push(to_u32(base + (w as usize - off0)));
-        }
-    }
-
     /// Borrowed view of every row.
     #[must_use]
     pub fn view(&self) -> Layer0PlanView<'_> {
-        self.rows(0..self.node_count())
-    }
-
-    /// Borrowed view of the rows `nodes` (one sample's run).
-    fn rows(&self, nodes: std::ops::Range<usize>) -> Layer0PlanView<'_> {
-        Layer0PlanView::from_raw_parts(
-            &self.offsets[nodes.start..=nodes.end],
-            &self.cols,
-            &self.vals,
-        )
+        Layer0PlanView::from_raw_parts(&self.offsets, &self.cols, &self.vals)
     }
 }
 
@@ -368,12 +322,6 @@ pub struct SampleArena {
     /// Bumped by [`SampleArena::clear`]; handles remember the generation
     /// they were issued under and are rejected afterwards.
     generation: u32,
-    /// Layer-0 plans of every node of every sample in push order.
-    /// Derived state — rebuilt by [`SampleArena::build_layer0_plans`],
-    /// dropped by any mutation.
-    plans: Layer0Plans,
-    /// The label budget the plans were built under; `None` = no plans.
-    plan_budget: Option<u32>,
 }
 
 impl SampleArena {
@@ -438,15 +386,6 @@ impl SampleArena {
         self.recs.clear();
         self.max_label = 0;
         self.generation = self.generation.wrapping_add(1);
-        self.invalidate_plans();
-    }
-
-    /// Drops the cached layer-0 plans (keeping slab capacity). Every
-    /// sample mutation funnels through this: plans are derived from the
-    /// sample slabs, so any slab write makes them stale.
-    fn invalidate_plans(&mut self) {
-        self.plans.clear();
-        self.plan_budget = None;
     }
 
     /// Bytes of sample data currently resident (length-based, excluding
@@ -456,7 +395,6 @@ impl SampleArena {
         (self.offsets.len() + self.neighbors.len() + self.gate.len() + self.labels.len()) * 4
             + self.scales.len() * 4
             + self.recs.len() * std::mem::size_of::<SampleRec>()
-            + self.plan_budget.map_or(0, |_| self.plans.resident_bytes())
     }
 
     /// Number of nodes of a stored sample.
@@ -590,7 +528,6 @@ impl SampleArena {
         labelling: Labelling,
         label: Option<bool>,
     ) -> SampleHandle {
-        self.invalidate_plans();
         let (f, g) = (dropped.a, dropped.b);
         let ExtractScratch {
             dist_f,
@@ -684,7 +621,6 @@ impl SampleArena {
     ///
     /// Panics when the merged slabs would exceed `u32` addressing.
     pub fn append(&mut self, other: &SampleArena) {
-        self.invalidate_plans();
         let off_base = self.offsets.len() as u32;
         let node_base = self.scales.len() as u32;
         let nbr_base = self.neighbors.len() as u32;
@@ -743,50 +679,6 @@ impl SampleArena {
         for local in locals {
             self.append(&local);
         }
-    }
-
-    /// Precomputes every sample's layer-0 plan — the sparse rows of
-    /// `S·X` under the given label budget (see [`Layer0PlanView`]) —
-    /// once, through [`Layer0Plans::push_sample`], so training epochs
-    /// read the plan instead of rebuilding it per minibatch.
-    ///
-    /// Idempotent for a given budget; a different budget rebuilds.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the plan slab would exceed `u32` addressing.
-    pub fn build_layer0_plans(&mut self, max_label: u32) {
-        if self.plan_budget == Some(max_label) {
-            return;
-        }
-        // Taken out of `self` so the sample views borrowed below don't
-        // conflict with the slab writes; restored before returning.
-        let mut plans = std::mem::take(&mut self.plans);
-        plans.clear();
-        for s in 0..self.len() {
-            let h = self.nth_handle(s);
-            plans.push_sample(self.adj(h), self.one_hot(h, max_label));
-        }
-        self.plans = plans;
-        self.plan_budget = Some(max_label);
-    }
-
-    /// Borrowed layer-0 plan of a stored sample, or `None` when no
-    /// plans are cached for this exact label budget (never a silently
-    /// mismatched plan — the batched trainer then builds the sample's
-    /// rows itself).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `h` is stale or out of range.
-    #[must_use]
-    pub fn layer0_plan(&self, h: SampleHandle, max_label: u32) -> Option<Layer0PlanView<'_>> {
-        if self.plan_budget != Some(max_label) {
-            return None;
-        }
-        let r = self.rec(h);
-        let (node, n) = (r.node_start as usize, r.node_count as usize);
-        Some(self.plans.rows(node..node + n))
     }
 }
 
@@ -945,10 +837,11 @@ mod tests {
             );
         }
         for budget in [arena.max_label(), 1] {
-            arena.build_layer0_plans(budget);
             for s in 0..arena.len() {
                 let h = arena.nth_handle(s);
-                let plan = arena.layer0_plan(h, budget).expect("plans built");
+                let mut plans = Layer0Plans::new();
+                plans.push_sample(arena.adj(h), arena.one_hot(h, budget));
+                let plan = plans.view();
                 assert_eq!(plan.node_count(), arena.node_count(h));
                 for i in 0..plan.node_count() {
                     let (cols, vals) = plan.row(i);
@@ -961,25 +854,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn layer0_plans_invalidate_on_mutation_and_budget_change() {
-        let g = ring(30);
-        let mut arena = SampleArena::new();
-        arena.extract_sample(&g, Link::new(0, 9), 2, None, Some(true));
-        let budget = arena.max_label();
-        arena.build_layer0_plans(budget);
-        let h0 = arena.nth_handle(0);
-        assert!(arena.layer0_plan(h0, budget).is_some());
-        // Wrong budget: no silently mismatched plan.
-        assert!(arena.layer0_plan(h0, budget + 1).is_none());
-        // Any sample mutation drops the plans.
-        arena.extract_sample(&g, Link::new(2, 11), 2, None, Some(false));
-        assert!(arena.layer0_plan(arena.nth_handle(0), budget).is_none());
-        arena.build_layer0_plans(budget);
-        assert!(arena.layer0_plan(arena.nth_handle(1), budget).is_some());
-        arena.clear();
-        assert_eq!(arena.resident_bytes(), 0, "plan slabs cleared too");
     }
 }

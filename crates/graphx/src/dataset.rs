@@ -129,10 +129,6 @@ pub fn build_dataset_arena(
     } else {
         arena.max_label()
     };
-    // The dataset-wide label budget is now fixed, so the epoch-invariant
-    // layer-0 plans (`S·X` per sample) can be cached once right here —
-    // training consumes them instead of rebuilding histograms per epoch.
-    arena.build_layer0_plans(max_label);
     let val_len = ((handles.len() as f64) * cfg.val_fraction).round() as usize;
     let val = handles.split_off(handles.len().saturating_sub(val_len));
     ArenaDataset {

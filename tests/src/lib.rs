@@ -3,9 +3,7 @@
 //! the per-sample DGCNN ([`mod@reference`]: forward, backward,
 //! [`reference_predict`], [`reference_evaluate`]), [`reference_train`]
 //! (the per-sample training loop), [`to_graph_sample`] (owned samples
-//! from enclosing subgraphs), and [`NoPlans`] / [`MixedPlans`] (stores
-//! without cached layer-0 plans, or with them for every other sample),
-//! [`extract_oracle`] (the hashed netlist-to-graph extractor),
+//! from enclosing subgraphs), [`extract_oracle`] (the hashed netlist-to-graph extractor),
 //! [`adam_oracle`] (Adam with per-tensor moments), [`dataset_oracle`]
 //! (the owned per-sample dataset build), [`subgraph_oracle`] (the
 //! `HashMap` link and node subgraph extractors every arena sample is
@@ -46,8 +44,7 @@ pub use reference::{reference_evaluate, reference_predict};
 use adam_oracle::OracleAdam;
 use muxlink_gnn::matrix::seeded_rng;
 use muxlink_gnn::{
-    Dgcnn, EpochStats, Gradients, GraphSample, Layer0PlanView, Matrix, SampleStore, SampleView,
-    TrainConfig, TrainReport,
+    Dgcnn, EpochStats, Gradients, GraphSample, Matrix, SampleStore, TrainConfig, TrainReport,
 };
 use muxlink_netlist::sim::{exhaustive_equiv, random_patterns, Simulator};
 use muxlink_netlist::{Netlist, NetlistError};
@@ -329,49 +326,6 @@ pub fn to_graph_sample(sg: &Subgraph, max_label: u32, label: Option<bool>) -> Gr
         adj: sg.adj.clone(),
         features: one_hot_features(sg, max_label),
         label,
-    }
-}
-
-/// A [`SampleStore`] that hides the wrapped store's cached layer-0
-/// plans, so the batched trainer builds every sample's `S·X` plan rows
-/// when it packs a minibatch — the check that a cached plan and a
-/// freshly built one give the same bits.
-pub struct NoPlans<'a, S: ?Sized>(pub &'a S);
-
-impl<S: SampleStore + ?Sized> SampleStore for NoPlans<'_, S> {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn view(&self, i: usize) -> SampleView<'_> {
-        self.0.view(i)
-    }
-
-    fn plan(&self, _: usize) -> Option<Layer0PlanView<'_>> {
-        None
-    }
-}
-
-/// A [`SampleStore`] that hides the wrapped store's cached layer-0
-/// plans of odd sample indices only, so a minibatch mixes bit-copied
-/// cached plans with plans built at assembly.
-pub struct MixedPlans<'a, S: ?Sized>(pub &'a S);
-
-impl<S: SampleStore + ?Sized> SampleStore for MixedPlans<'_, S> {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn view(&self, i: usize) -> SampleView<'_> {
-        self.0.view(i)
-    }
-
-    fn plan(&self, i: usize) -> Option<Layer0PlanView<'_>> {
-        if i.is_multiple_of(2) {
-            self.0.plan(i)
-        } else {
-            None
-        }
     }
 }
 

@@ -4,8 +4,7 @@
 //! ([`reference_predict`], [`reference_evaluate`]) **bit for bit** —
 //! for any sample count around the chunk size, any mix of labelled and
 //! unlabelled samples, graphs smaller than SortPool's `k`, NaN
-//! activations, owned and arena stores with, without and with some
-//! cached layer-0 plans, and any thread count.
+//! activations, owned and arena stores, and any thread count.
 
 use std::sync::OnceLock;
 
@@ -16,9 +15,7 @@ use muxlink_gnn::{
 use muxlink_graph::dataset::DatasetConfig;
 use muxlink_graph::{extract, CircuitGraph};
 use muxlink_integration_tests::dataset_oracle::{build_dataset, Dataset};
-use muxlink_integration_tests::{
-    reference_evaluate, reference_predict, to_graph_sample, MixedPlans, NoPlans,
-};
+use muxlink_integration_tests::{reference_evaluate, reference_predict, to_graph_sample};
 use muxlink_locking::{dmux, LockOptions};
 use proptest::prelude::*;
 use rand::Rng;
@@ -92,11 +89,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random draws of real subgraphs (with repeats), each labelled
-    /// `true`, `false` or unlabelled, scored and evaluated through four
-    /// stores holding the same samples: owned two-hot, arena with cached
-    /// layer-0 plans, the same arena with its plans hidden, and with
-    /// the plans of odd indices hidden (chunks then mix cached plans
-    /// with plans built at assembly). The
+    /// `true`, `false` or unlabelled, scored and evaluated through two
+    /// stores holding the same samples: owned two-hot and arena. The
     /// model's `k` is drawn up to 60, above most subgraph sizes, and one
     /// case in four poisons a first-layer weight with NaN so that
     /// SortPooling orders NaN activations.
@@ -140,15 +134,9 @@ proptest! {
         for &(s, label) in &drawn {
             arena.extract_sample(graph, s.link, HOPS, CAP, label);
         }
-        arena.build_layer0_plans(ds.max_label);
         let arena_store = ArenaSamples::all(&arena, ds.max_label);
-        if count > 0 {
-            prop_assert!(arena_store.plan(0).is_some(), "arena must carry plans");
-        }
 
         check_store(&model, &owned, "owned two-hot");
-        check_store(&model, &arena_store, "arena with plans");
-        check_store(&model, &NoPlans(&arena_store), "arena without plans");
-        check_store(&model, &MixedPlans(&arena_store), "arena with plans for even indices");
+        check_store(&model, &arena_store, "arena");
     }
 }

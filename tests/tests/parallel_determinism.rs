@@ -65,9 +65,8 @@ fn muxlink_attack_is_thread_count_invariant_on_symmetric() {
 /// Scoring contract: `predict_batch` (batched forward over fixed-size
 /// chunks, one reused minibatch and workspace per worker) must produce
 /// the per-sample reference scorer's bits, across repeated calls and
-/// across 1-vs-4 rayon workers. The owned samples carry no cached
-/// layer-0 plans, so this case exercises the plans built at minibatch
-/// assembly on real enclosing subgraphs end-to-end.
+/// across 1-vs-4 rayon workers, with the layer-0 plans built at
+/// minibatch assembly from real enclosing subgraphs end-to-end.
 #[test]
 fn workspace_scoring_is_bit_identical_across_reuse_and_threads() {
     use muxlink_gnn::{Dgcnn, DgcnnConfig, GraphSample};
