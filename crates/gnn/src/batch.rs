@@ -21,6 +21,28 @@
 //! `INFERENCE_CHUNK` samples, the chunks spread over the ambient rayon
 //! pool.
 //!
+//! # The layers
+//!
+//! Each DGCNN layer has a forward and a backward function over the
+//! [`Minibatch`] and the [`BatchWorkspace`], and the two entry points
+//! are lists of calls in layer order:
+//!
+//! * the forward (`batch_forward`): `gc0_forward` (GC 0 plan GEMM +
+//!   tanh), `gc_forward` for each later GC layer (propagate + GEMM +
+//!   tanh), [`sort_pool_into`], `conv1_forward`, `max_pool_forward`,
+//!   `conv2_forward`, `dense1_forward` (+ ReLU + dropout) and
+//!   `dense2_forward` (+ softmax);
+//! * [`Dgcnn::batch_train_step`]: the forward and
+//!   `cross_entropy_losses`, then `dense2_backward` (softmax/CE +
+//!   dense2), `dense1_backward`, `conv2_backward`, `max_pool_backward`
+//!   (routing), `conv1_backward`, `un_sort_pool`, and `gc_backward` for
+//!   each GC layer, last to first (tanh′, the segmented `dW` folds and
+//!   the input gradient).
+//!
+//! A backward function writes the gradient slots it is handed by name;
+//! they come from `Dgcnn::grad_slots`, so the parameter order is stated
+//! only in [`crate::dgcnn`].
+//!
 //! # Determinism contract — bit-identical to the per-sample model
 //!
 //! The batched step reproduces the per-sample model (forward + backward
@@ -71,7 +93,7 @@ use rayon::prelude::*;
 use muxlink_graph::{BlockDiagBatch, Layer0PlanView, Layer0Plans};
 
 use crate::activation::tanh_slice;
-use crate::dgcnn::{ConvKernels, Dgcnn};
+use crate::dgcnn::Dgcnn;
 use crate::isa::kernel;
 use crate::matrix::{
     axpy_rows_tiled, nonzero_terms, seeded_rng, strided_gemm_into, Matrix, TERM_BLOCK,
@@ -226,16 +248,16 @@ pub struct BatchWorkspace {
     dlogits: Matrix,
     dd1: Matrix,
     /// `dd1ᵀ` and `dflatᵀ`: dense1's input gradient is computed
-    /// transposed (see [`Dgcnn::batch_train_step`]).
+    /// transposed (see `Dgcnn::dense1_backward`).
     dd1_t: Matrix,
     dflat_t: Matrix,
     dconv2: Matrix,
     dpool: Matrix,
     dconv1: Matrix,
     dpooled: Matrix,
-    /// Transposed GC weights `W_lᵀ` (layers ≥ 1; `[0]` stays empty),
-    /// the operand layout of the input-gradient GEMM.
-    gc_wt: Vec<Matrix>,
+    /// The transposed weight `W_lᵀ` of the GC layer `l ≥ 1` being
+    /// backpropagated, the operand layout of its input-gradient GEMM.
+    gc_wt: Matrix,
     dzw: Matrix,
     dh_prev: Matrix,
     dh_layers: Vec<Matrix>,
@@ -270,7 +292,23 @@ impl BatchWorkspace {
     }
 }
 
+/// The two convolution weights transposed to `window × outputs`, the
+/// operand layout of [`strided_gemm_into()`]. Built once per training
+/// step, and once per inference call shared by every chunk of it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ConvKernels {
+    conv1_wt: Matrix,
+    conv2_wt: Matrix,
+}
+
 impl Dgcnn {
+    /// The transposed conv weights the forward reads, into reused
+    /// buffers.
+    pub(crate) fn conv_kernels_into(&self, ck: &mut ConvKernels) {
+        self.conv1_w.w.transpose_into(&mut ck.conv1_wt);
+        self.conv2_w.w.transpose_into(&mut ck.conv2_wt);
+    }
+
     /// The batched forward through the softmax: class probabilities
     /// `[no-link, link]` of sample `s` land in row `s` of `ws.probs`.
     /// `ck` holds this model's transposed conv weights
@@ -283,53 +321,122 @@ impl Dgcnn {
     /// Panics when the batch is empty or its feature width differs from
     /// the model's input width.
     pub(crate) fn batch_forward(&self, mb: &Minibatch, ck: &ConvKernels, ws: &mut BatchWorkspace) {
-        let nb = mb.sample_count();
-        assert!(nb > 0, "empty minibatch");
-        let adj = mb.block.adj();
-        let cfg = &self.cfg;
-        let (k, c1, c2, k2, k3) = (
-            cfg.k,
-            cfg.conv1_channels,
-            cfg.conv2_channels,
-            cfg.k2(),
-            cfg.k3(),
+        assert!(mb.sample_count() > 0, "empty minibatch");
+        assert_eq!(
+            mb.feature_width, self.cfg.input_dim,
+            "feature width mismatch"
         );
-        assert_eq!(mb.feature_width, cfg.input_dim, "feature width mismatch");
-
-        // Graph convolutions, one kernel per layer: layer 0 is one
-        // sparse·dense product over the plan rows of `S·X` (no `S·X`
-        // is kept — the backward reads the plan), every later layer the
-        // fused propagate+GEMM.
-        let nlayers = self.gc.len();
-        ws.gc_inputs.resize_with(nlayers, Matrix::default);
-        ws.gc_outputs.resize_with(nlayers, Matrix::default);
-        for (l, p) in self.gc.iter().enumerate() {
-            let (done, rest) = ws.gc_outputs.split_at_mut(l);
-            if l == 0 {
-                plan_matmul_into(mb.plan(), &p.w, &mut rest[0]);
-            } else {
-                propagate_matmul_into(adj, &done[l - 1], &p.w, &mut ws.gc_inputs[l], &mut rest[0]);
-            }
-            tanh_slice(rest[0].data_mut());
+        self.gc0_forward(mb, ws);
+        for l in 1..self.gc.len() {
+            self.gc_forward(l, mb, ws);
         }
-
-        // SortPooling per sample segment, straight from the layer outputs.
         sort_pool_into(
             &ws.gc_outputs,
             mb.block.node_starts(),
-            k,
+            self.cfg.k,
             &mut ws.perm,
             &mut ws.pooled,
             &mut ws.pool_src,
         );
+        self.conv1_forward(ck, ws);
+        self.max_pool_forward(mb, ws);
+        self.conv2_forward(mb, ck, ws);
+        self.dense1_forward(mb, ws);
+        self.dense2_forward(mb, ws);
+    }
 
-        // Conv1 (per-row linear): one GEMM over all B·k pooled rows.
-        self.conv1_forward(ck, &ws.pooled, &mut ws.conv1_out);
+    /// One training step over an assembled minibatch: batched forward,
+    /// batched backward, per-sample losses into `ws.losses` and the
+    /// summed (unscaled) minibatch gradients into `grads` — bit-
+    /// identical to running the per-sample model over the same jobs and
+    /// merging its slots in order (see the [module docs](self)). The
+    /// caller applies the optimiser step, scaled by `1/batch`, exactly
+    /// as with the merged slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the batch is empty, the feature width differs from
+    /// the model's input width, or `grads` has a different layout.
+    pub fn batch_train_step(&self, mb: &Minibatch, ws: &mut BatchWorkspace, grads: &mut Gradients) {
+        assert!(mb.sample_count() > 0, "empty minibatch");
+        assert_eq!(
+            mb.labels.len(),
+            mb.sample_count(),
+            "training needs a labelled minibatch"
+        );
+        let g = self.grad_slots(grads);
+        let t_start = Instant::now();
+        // The conv weights are transposed once per step; the buffer is
+        // lent out of the workspace for the forward's duration.
+        let mut ck = std::mem::take(&mut ws.conv_kernels);
+        self.conv_kernels_into(&mut ck);
+        self.batch_forward(mb, &ck, ws);
+        ws.conv_kernels = ck;
+        cross_entropy_losses(mb, ws);
+        let t_mid = Instant::now();
+        ws.forward_time = t_mid - t_start;
 
-        // MaxPool1d(2, 2) per sample segment: rows `2t`, `2t + 1` of the
-        // sample's `k` conv1 rows (an odd last row is dropped) into row
-        // `t`; the second row wins wherever `a >= b` fails (`b > a`, or
-        // a NaN).
+        self.dense2_backward(mb, ws, g.dense2_w, g.dense2_b);
+        self.dense1_backward(ws, g.dense1_w, g.dense1_b);
+        self.conv2_backward(mb, ws, g.conv2_w, g.conv2_b);
+        self.max_pool_backward(mb, ws);
+        self.conv1_backward(mb, ws, g.conv1_w, g.conv1_b);
+        self.un_sort_pool(mb, ws);
+        for (l, dw) in g.gc.iter_mut().enumerate().rev() {
+            self.gc_backward(l, mb, ws, dw);
+        }
+        ws.backward_time = t_mid.elapsed();
+    }
+
+    /// GC 0 forward: one sparse·dense product over the batch's layer-0
+    /// plan rows (the rows of `S·X`, which is never kept — the backward
+    /// reads the plan), then tanh. Sizes the GC chain's buffers.
+    fn gc0_forward(&self, mb: &Minibatch, ws: &mut BatchWorkspace) {
+        ws.gc_inputs.resize_with(self.gc.len(), Matrix::default);
+        ws.gc_outputs.resize_with(self.gc.len(), Matrix::default);
+        let out = &mut ws.gc_outputs[0];
+        plan_matmul_into(mb.plan(), &self.gc[0].w, out);
+        tanh_slice(out.data_mut());
+    }
+
+    /// GC layer `l ≥ 1` forward: the fused propagate + GEMM
+    /// `S·H_{l-1}·W_l` over the block-diagonal adjacency (`S·H_{l-1}`
+    /// stays in `gc_inputs[l]` for the weight gradient), then tanh.
+    fn gc_forward(&self, l: usize, mb: &Minibatch, ws: &mut BatchWorkspace) {
+        let (done, rest) = ws.gc_outputs.split_at_mut(l);
+        let (input, out) = (&mut ws.gc_inputs[l], &mut rest[0]);
+        propagate_matmul_into(mb.block.adj(), &done[l - 1], &self.gc[l].w, input, out);
+        tanh_slice(out.data_mut());
+    }
+
+    /// Conv1 + ReLU forward: one GEMM over all `B·k` pooled rows (kernel
+    /// = stride = the concatenated width, so each row is one output
+    /// step).
+    fn conv1_forward(&self, ck: &ConvKernels, ws: &mut BatchWorkspace) {
+        let c1 = self.cfg.conv1_channels;
+        let (pooled, out) = (&ws.pooled, &mut ws.conv1_out);
+        out.resize_for_overwrite(pooled.rows(), c1);
+        strided_gemm_into(
+            pooled.data(),
+            pooled.cols(),
+            &ck.conv1_wt,
+            None,
+            out.data_mut(),
+        );
+        for row in out.data_mut().chunks_exact_mut(c1.max(1)) {
+            for (v, &b) in row.iter_mut().zip(self.conv1_b.w.data()) {
+                *v = (*v + b).max(0.0);
+            }
+        }
+    }
+
+    /// MaxPool1d(2, 2) forward per sample segment: rows `2t`, `2t + 1` of
+    /// the sample's `k` conv1 rows (an odd last row is dropped) into row
+    /// `t`; the second row wins wherever `a >= b` fails (`b > a`, or a
+    /// NaN). The winner is kept in `pool_idx` for the backward's routing.
+    fn max_pool_forward(&self, mb: &Minibatch, ws: &mut BatchWorkspace) {
+        let (k, k2, c1) = (self.cfg.k, self.cfg.k2(), self.cfg.conv1_channels);
+        let nb = mb.sample_count();
         ws.pool_out.resize_for_overwrite(nb * k2, c1);
         ws.pool_idx.resize(nb * k2 * c1, 0);
         for ((conv1, out), idx) in ws
@@ -350,23 +457,44 @@ impl Dgcnn {
                 }
             }
         }
+    }
 
-        // Conv2 (kernel `conv2_kernel`, stride 1, ReLU) per sample segment.
-        ws.conv2_out.resize_for_overwrite(nb * k3, c2);
+    /// Conv2 + ReLU forward (kernel `conv2_kernel`, stride 1) per sample
+    /// segment: the sample's `k2 × c1` max-pooled rows into its `k3 × c2`
+    /// outputs.
+    fn conv2_forward(&self, mb: &Minibatch, ck: &ConvKernels, ws: &mut BatchWorkspace) {
+        let (c1, c2) = (self.cfg.conv1_channels, self.cfg.conv2_channels);
+        let (k2, k3) = (self.cfg.k2(), self.cfg.k3());
+        ws.conv2_out
+            .resize_for_overwrite(mb.sample_count() * k3, c2);
         for (pool_seg, out_seg) in ws
             .pool_out
             .data()
             .chunks_exact(k2 * c1)
             .zip(ws.conv2_out.data_mut().chunks_exact_mut(k3 * c2))
         {
-            self.conv2_forward(ck, pool_seg, out_seg);
+            strided_gemm_into(
+                pool_seg,
+                c1,
+                &ck.conv2_wt,
+                Some(self.conv2_b.w.data()),
+                out_seg,
+            );
+            for v in out_seg {
+                *v = v.max(0.0);
+            }
         }
+    }
 
-        // Flatten (pure reshape: row s = sample s's conv2 rows) →
-        // dense(128) → ReLU → dropout → dense(2) → softmax, all rows at
-        // once — every op is per-row, so each row carries the
-        // per-sample bits.
-        ws.flat.resize_for_overwrite(nb, k3 * c2);
+    /// Dense1 + ReLU + dropout forward: flatten (a pure reshape, row `s`
+    /// = sample `s`'s conv2 rows), one GEMM over all rows, bias and ReLU,
+    /// then the dropout mask — each training sample's drawn from its own
+    /// seed, all ones for inference, where the ×1.0 product stays, as in
+    /// the per-sample model, so even NaN payloads keep their bits.
+    fn dense1_forward(&self, mb: &Minibatch, ws: &mut BatchWorkspace) {
+        let nb = mb.sample_count();
+        ws.flat
+            .resize_for_overwrite(nb, self.cfg.k3() * self.cfg.conv2_channels);
         ws.flat.data_mut().copy_from_slice(ws.conv2_out.data());
         ws.flat.matmul_into(&self.dense1_w.w, &mut ws.d1_out);
         for s in 0..nb {
@@ -374,13 +502,11 @@ impl Dgcnn {
                 *o = (*o + b).max(0.0);
             }
         }
-        ws.drop_mask.resize_for_overwrite(nb, cfg.dense_dim);
+        ws.drop_mask.resize_for_overwrite(nb, self.cfg.dense_dim);
         if mb.seeds.is_empty() {
-            // Inference: no dropout. The ×1.0 product stays, as in the
-            // per-sample model, so even NaN payloads keep their bits.
             ws.drop_mask.data_mut().fill(1.0);
         } else {
-            let keep = 1.0 - cfg.dropout;
+            let keep = 1.0 - self.cfg.dropout;
             for (s, &seed) in mb.seeds.iter().enumerate() {
                 let mut rng = seeded_rng(seed);
                 for m in ws.drop_mask.row_mut(s) {
@@ -393,9 +519,14 @@ impl Dgcnn {
             }
         }
         ws.d1_out.hadamard_into(&ws.drop_mask, &mut ws.d1_dropped);
+    }
+
+    /// Dense2 + softmax forward: one GEMM over all rows, bias, then each
+    /// row's two-class softmax into `ws.probs`.
+    fn dense2_forward(&self, mb: &Minibatch, ws: &mut BatchWorkspace) {
         ws.d1_dropped.matmul_into(&self.dense2_w.w, &mut ws.logits);
-        ws.probs.resize_for_overwrite(nb, 2);
-        for s in 0..nb {
+        ws.probs.resize_for_overwrite(mb.sample_count(), 2);
+        for s in 0..mb.sample_count() {
             let row = ws.logits.row_mut(s);
             for (o, b) in row.iter_mut().zip(self.dense2_b.w.data()) {
                 *o += b;
@@ -409,80 +540,35 @@ impl Dgcnn {
         }
     }
 
-    /// One training step over an assembled minibatch: batched forward,
-    /// batched backward, per-sample losses into `ws.losses` and the
-    /// summed (unscaled) minibatch gradients into `grads` — bit-
-    /// identical to running the per-sample model over the same jobs and
-    /// merging its slots in order (see the [module docs](self)). The
-    /// caller applies the optimiser step, scaled by `1/batch`, exactly
-    /// as with the merged slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the batch is empty, the feature width differs from
-    /// the model's input width, or `grads` has a different layout.
-    #[allow(clippy::too_many_lines)]
-    pub fn batch_train_step(&self, mb: &Minibatch, ws: &mut BatchWorkspace, grads: &mut Gradients) {
-        let nb = mb.sample_count();
-        assert!(nb > 0, "empty minibatch");
-        assert_eq!(mb.labels.len(), nb, "training needs a labelled minibatch");
-        let adj = mb.block.adj();
-        let n = adj.node_count();
-        let cfg = &self.cfg;
-        let (k, c1, c2, kk, k2, k3, ccat) = (
-            cfg.k,
-            cfg.conv1_channels,
-            cfg.conv2_channels,
-            cfg.conv2_kernel,
-            cfg.k2(),
-            cfg.k3(),
-            cfg.concat_width(),
-        );
-        let t_start = Instant::now();
-        // The conv weights are transposed once per step; the buffer is
-        // lent out of the workspace for the forward's duration.
-        let mut ck = std::mem::take(&mut ws.conv_kernels);
-        self.conv_kernels_into(&mut ck);
-        self.batch_forward(mb, &ck, ws);
-        ws.conv_kernels = ck;
-        ws.losses.clear();
-        for (s, &label) in mb.labels.iter().enumerate() {
-            let p = ws.probs.get(s, usize::from(label)).max(1e-12);
-            ws.losses.push(f64::from(-p.ln()));
-        }
-        let t_mid = Instant::now();
-        ws.forward_time = t_mid - t_start;
-
-        // ---- Backward. The transposed weights of the input-gradient
-        // GEMMs are built once per step.
-        let nlayers = self.gc.len();
-        ws.gc_wt.resize_with(nlayers, Matrix::default);
-        for (p, wt) in self.gc.iter().zip(&mut ws.gc_wt).skip(1) {
-            p.w.transpose_into(wt);
-        }
-        self.dense2_w.w.transpose_into(&mut ws.dense2_wt);
-        let gt = grads.tensors_mut();
-        assert_eq!(gt.len(), nlayers + 8, "gradient layout mismatch");
-        let (conv1_w_g, conv1_b_g, conv2_w_g, conv2_b_g) =
-            (nlayers, nlayers + 1, nlayers + 2, nlayers + 3);
-        let (dense1_w_g, dense1_b_g, dense2_w_g, dense2_b_g) =
-            (nlayers + 4, nlayers + 5, nlayers + 6, nlayers + 7);
-
-        // Softmax + CE: row s of dlogits is sample s's dlogits.
-        ws.dlogits.resize_for_overwrite(nb, 2);
+    /// Softmax/CE + dense2 backward: row `s` of `dlogits` is sample `s`'s
+    /// `p − onehot(label)`. The stacked `t_matmul` of `dW₂` visits rows
+    /// (= samples) ascending from a zeroed accumulator: exactly the slot
+    /// merge. The input gradient `dd1 = dlogits·W₂ᵀ` runs on `W₂ᵀ`,
+    /// transposed here once per step.
+    fn dense2_backward(
+        &self,
+        mb: &Minibatch,
+        ws: &mut BatchWorkspace,
+        dw: &mut Matrix,
+        db: &mut Matrix,
+    ) {
+        ws.dlogits.resize_for_overwrite(mb.sample_count(), 2);
         ws.dlogits.data_mut().copy_from_slice(ws.probs.data());
         for (s, &label) in mb.labels.iter().enumerate() {
             ws.dlogits.row_mut(s)[usize::from(label)] -= 1.0;
         }
-
-        // Dense 2. The stacked t_matmul visits rows (= samples)
-        // ascending from a zeroed accumulator: exactly the slot merge.
-        ws.d1_dropped
-            .t_matmul_into(&ws.dlogits, &mut gt[dense2_w_g]);
-        reduce_rows_copy_first(&ws.dlogits, &mut gt[dense2_b_g]);
+        ws.d1_dropped.t_matmul_into(&ws.dlogits, dw);
+        reduce_rows_copy_first(&ws.dlogits, db);
+        self.dense2_w.w.transpose_into(&mut ws.dense2_wt);
         mul_transposed_into(&ws.dlogits, &ws.dense2_wt, &mut ws.dd1);
+    }
 
-        // Dropout + ReLU of dense 1 (elementwise; rows are samples).
+    /// Dense1 backward, through its dropout and ReLU (elementwise; rows
+    /// are samples): stacked `dW₁` and copy-first `db₁`, then
+    /// `dflat = dd1·W₁ᵀ`, computed as its transpose `W₁·dd1ᵀ`: the GEMM
+    /// reads `W₁` as it is, and only the activations are transposed (on
+    /// fig7 32 × 128 and 704 × 32, against the 704 × 128 weight).
+    fn dense1_backward(&self, ws: &mut BatchWorkspace, dw: &mut Matrix, db: &mut Matrix) {
         for (g, (&m, &o)) in ws
             .dd1
             .data_mut()
@@ -494,16 +580,28 @@ impl Dgcnn {
                 *g = 0.0;
             }
         }
-        ws.flat.t_matmul_into(&ws.dd1, &mut gt[dense1_w_g]);
-        reduce_rows_copy_first(&ws.dd1, &mut gt[dense1_b_g]);
-        // dflat = dd1·W₁ᵀ, computed as its transpose W₁·dd1ᵀ: the GEMM
-        // reads W₁ as it is, and only the activations are transposed
-        // (on fig7 32 × 128 and 704 × 32, against the 704 × 128 weight).
+        ws.flat.t_matmul_into(&ws.dd1, dw);
+        reduce_rows_copy_first(&ws.dd1, db);
         ws.dd1.transpose_into(&mut ws.dd1_t);
         mul_transposed_into(&self.dense1_w.w, &ws.dd1_t, &mut ws.dflat_t);
+    }
 
-        // Un-flatten (a reshape: dflat's rows are the samples' conv2
-        // rows) straight out of the transpose, then ReLU of conv2.
+    /// Conv2 backward: un-flatten (a reshape: `dflat`'s rows are the
+    /// samples' conv2 rows) straight out of the transpose, ReLU of conv2,
+    /// then per-sample weight and bias subtotals (the exact per-sample
+    /// sums over the sample's rows) folded in sample order. The input
+    /// gradient `dpool` scatters directly — its rows are
+    /// per-sample-disjoint.
+    fn conv2_backward(
+        &self,
+        mb: &Minibatch,
+        ws: &mut BatchWorkspace,
+        dw: &mut Matrix,
+        db: &mut Matrix,
+    ) {
+        let cfg = &self.cfg;
+        let (c1, c2, kk) = (cfg.conv1_channels, cfg.conv2_channels, cfg.conv2_kernel);
+        let (nb, k2, k3) = (mb.sample_count(), cfg.k2(), cfg.k3());
         ws.dflat_t.transpose_into(&mut ws.dconv2);
         ws.dconv2.resize_for_overwrite(nb * k3, c2);
         for (g, &o) in ws.dconv2.data_mut().iter_mut().zip(ws.conv2_out.data()) {
@@ -511,11 +609,6 @@ impl Dgcnn {
                 *g = 0.0;
             }
         }
-
-        // Conv2 parameter gradients: per-sample subtotals (the exact
-        // per-sample sums over the sample's rows), folded in sample
-        // order. The input gradient `dpool` scatters directly — its
-        // rows are per-sample-disjoint.
         ws.dpool.resize(nb * k2, c1);
         for s in 0..nb {
             ws.seg.resize(c2, kk * c1);
@@ -525,16 +618,20 @@ impl Dgcnn {
             conv2_weight_grads(dconv2, pool, c1, &mut ws.seg, ws.seg_b.data_mut());
             let dpool = &mut ws.dpool.data_mut()[s * k2 * c1..(s + 1) * k2 * c1];
             conv2_input_grads(dconv2, &self.conv2_w.w, c1, dpool);
-            fold_subtotal(s, &ws.seg, &mut gt[conv2_w_g]);
-            fold_subtotal(s, &ws.seg_b, &mut gt[conv2_b_g]);
+            fold_subtotal(s, &ws.seg, dw);
+            fold_subtotal(s, &ws.seg_b, db);
         }
+    }
 
-        // Max-pool routing + ReLU of conv1 (rows per-sample-disjoint):
-        // each pooled gradient goes to the conv1 row that won its pair,
-        // where that row's output is positive. The rows start at +0 and
-        // take at most one term each, so adding a masked-out +0 (or a
-        // ±0 gradient) leaves +0, exactly as skipping it does.
-        ws.dconv1.resize(nb * k, c1);
+    /// Max-pool routing backward, with the ReLU of conv1 (rows
+    /// per-sample-disjoint): each pooled gradient goes to the conv1 row
+    /// that won its pair, where that row's output is positive. The rows
+    /// start at +0 and take at most one term each, so adding a
+    /// masked-out +0 (or a ±0 gradient) leaves +0, exactly as skipping it
+    /// does.
+    fn max_pool_backward(&self, mb: &Minibatch, ws: &mut BatchWorkspace) {
+        let (k, k2, c1) = (self.cfg.k, self.cfg.k2(), self.cfg.conv1_channels);
+        ws.dconv1.resize(mb.sample_count() * k, c1);
         for (((dconv1, conv1), dpool), idx) in ws
             .dconv1
             .data_mut()
@@ -563,29 +660,44 @@ impl Dgcnn {
                 }
             }
         }
+    }
 
-        // Conv1 gradients: segmented subtotals in sample order.
-        for s in 0..nb {
+    /// Conv1 backward: weight and bias gradients as per-sample subtotals
+    /// folded in sample order, then the input gradient `dpooled` as one
+    /// GEMM over all rows.
+    fn conv1_backward(
+        &self,
+        mb: &Minibatch,
+        ws: &mut BatchWorkspace,
+        dw: &mut Matrix,
+        db: &mut Matrix,
+    ) {
+        let (k, c1) = (self.cfg.k, self.cfg.conv1_channels);
+        for s in 0..mb.sample_count() {
             ws.dconv1
                 .t_matmul_rows_into(&ws.pooled, s * k..(s + 1) * k, &mut ws.seg);
-            fold_subtotal(s, &ws.seg, &mut gt[conv1_w_g]);
+            fold_subtotal(s, &ws.seg, dw);
             ws.seg_b.resize(1, c1);
             for t in s * k..(s + 1) * k {
                 for (b, &g) in ws.seg_b.data_mut().iter_mut().zip(ws.dconv1.row(t)) {
                     *b += g;
                 }
             }
-            fold_subtotal(s, &ws.seg_b, &mut gt[conv1_b_g]);
+            fold_subtotal(s, &ws.seg_b, db);
         }
         ws.dconv1.matmul_into(&self.conv1_w.w, &mut ws.dpooled);
+    }
 
-        // Un-SortPool: each pooled row's gradient, split per GC layer,
-        // lands on its source node (padded rows vanish; a node is pooled
-        // at most once, so nothing accumulates).
-        ws.dh_layers.resize_with(nlayers, Matrix::default);
+    /// Un-SortPool: each pooled row's gradient, split per GC layer, lands
+    /// on its source node in `dh_layers` (padded rows vanish; a node is
+    /// pooled at most once, so nothing accumulates).
+    fn un_sort_pool(&self, mb: &Minibatch, ws: &mut BatchWorkspace) {
+        let n = mb.block.node_count();
+        ws.dh_layers.resize_with(self.gc.len(), Matrix::default);
         for (hl, d) in ws.gc_outputs.iter().zip(&mut ws.dh_layers) {
             d.resize(n, hl.cols());
         }
+        let ccat = self.cfg.concat_width();
         for (&src, drow) in ws.pool_src.iter().zip(ws.dpooled.data().chunks_exact(ccat)) {
             if src != u32::MAX {
                 let mut off = 0;
@@ -596,41 +708,44 @@ impl Dgcnn {
                 }
             }
         }
+    }
 
-        // Graph-convolution chain, last to first: tanh′ elementwise,
-        // dW as segmented subtotals, dH backprop as whole-batch kernels
-        // (block-diagonal → row-wise per-sample bits).
-        for l in (0..nlayers).rev() {
-            for (g, &o) in ws.dh_layers[l]
-                .data_mut()
-                .iter_mut()
-                .zip(ws.gc_outputs[l].data())
-            {
-                *g *= 1.0 - o * o;
-            }
-            for s in 0..nb {
-                let range = mb.block.node_range(s);
-                if l == 0 {
-                    let plan = mb.plan();
-                    plan_t_matmul_rows_into(
-                        plan,
-                        &ws.dh_layers[0],
-                        range,
-                        cfg.input_dim,
-                        &mut ws.seg,
-                    );
-                } else {
-                    ws.gc_inputs[l].t_matmul_rows_into(&ws.dh_layers[l], range, &mut ws.seg);
-                }
-                fold_subtotal(s, &ws.seg, &mut gt[l]);
-            }
-            if l > 0 {
-                mul_transposed_into(&ws.dh_layers[l], &ws.gc_wt[l], &mut ws.dzw);
-                propagate_back_into(adj, &ws.dzw, &mut ws.dh_prev);
-                ws.dh_layers[l - 1].add_assign(&ws.dh_prev);
-            }
+    /// GC layer `l` backward, run last to first: tanh′ elementwise, `dW_l`
+    /// as per-sample subtotals folded in sample order (layer 0 over the
+    /// plan rows), and for `l ≥ 1` the input gradient as whole-batch
+    /// kernels (block-diagonal → row-wise per-sample bits): `dZ·W_lᵀ` on
+    /// the weight transposed here, propagated back and added into layer
+    /// `l − 1`'s gradient.
+    fn gc_backward(&self, l: usize, mb: &Minibatch, ws: &mut BatchWorkspace, dw: &mut Matrix) {
+        for (g, &o) in ws.dh_layers[l]
+            .data_mut()
+            .iter_mut()
+            .zip(ws.gc_outputs[l].data())
+        {
+            *g *= 1.0 - o * o;
         }
-        ws.backward_time = t_mid.elapsed();
+        for s in 0..mb.sample_count() {
+            let range = mb.block.node_range(s);
+            if l == 0 {
+                let plan = mb.plan();
+                plan_t_matmul_rows_into(
+                    plan,
+                    &ws.dh_layers[0],
+                    range,
+                    self.cfg.input_dim,
+                    &mut ws.seg,
+                );
+            } else {
+                ws.gc_inputs[l].t_matmul_rows_into(&ws.dh_layers[l], range, &mut ws.seg);
+            }
+            fold_subtotal(s, &ws.seg, dw);
+        }
+        if l > 0 {
+            self.gc[l].w.transpose_into(&mut ws.gc_wt);
+            mul_transposed_into(&ws.dh_layers[l], &ws.gc_wt, &mut ws.dzw);
+            propagate_back_into(mb.block.adj(), &ws.dzw, &mut ws.dh_prev);
+            ws.dh_layers[l - 1].add_assign(&ws.dh_prev);
+        }
     }
 
     /// Batched inference over the samples at `indices`: the dropout-free
@@ -678,6 +793,17 @@ impl Dgcnn {
 /// a quarter and slowed scoring, while 8 kept both at the level of the
 /// per-sample scorer this forward replaced.
 const INFERENCE_CHUNK: usize = 8;
+
+/// Per-sample cross-entropy losses of the last forward into
+/// `ws.losses`, in job order: `−ln p` of the labelled class, `p` floored
+/// at `1e-12`.
+fn cross_entropy_losses(mb: &Minibatch, ws: &mut BatchWorkspace) {
+    ws.losses.clear();
+    for (s, &label) in mb.labels.iter().enumerate() {
+        let p = ws.probs.get(s, usize::from(label)).max(1e-12);
+        ws.losses.push(f64::from(-p.ln()));
+    }
+}
 
 /// `out = a·bᵀ`, given `bt` = `bᵀ`: one [`strided_gemm_into()`] window
 /// per row of `a`. Each output is summed from `0.0` over ascending `k` —
@@ -1126,5 +1252,20 @@ mod tests {
         let mut ws = BatchWorkspace::new();
         let mut grads = model.new_gradients();
         model.batch_train_step(&mb_empty, &mut ws, &mut grads);
+    }
+
+    /// Gradients laid out for a model with another number of GC layers
+    /// are refused before any tensor is written.
+    #[test]
+    #[should_panic(expected = "gradient layout mismatch")]
+    fn train_step_rejects_a_foreign_gradient_layout() {
+        let samples: Vec<GraphSample> = vec![onehot_sample(0)];
+        let model = Dgcnn::new(tiny_cfg(11));
+        let mut other_cfg = tiny_cfg(11);
+        other_cfg.gc_channels = vec![3, 1];
+        let mut grads = Dgcnn::new(other_cfg).new_gradients();
+        let mut mb = Minibatch::new();
+        mb.assemble(&samples[..], &[(0, 1)]);
+        model.batch_train_step(&mb, &mut BatchWorkspace::new(), &mut grads);
     }
 }

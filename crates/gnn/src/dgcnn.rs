@@ -10,14 +10,18 @@
 //! * a 128-unit fully-connected layer, dropout 0.5, and a softmax over the
 //!   two link/no-link classes.
 //!
-//! This module holds the parameters and the layer pieces the batched
-//! forward and backward share; the passes themselves are hand-written
-//! in [`crate::batch`], and their gradients are verified against finite
+//! This module holds the parameters and is the one owner of their
+//! order: `DgcnnConfig::weight_shapes` names and shapes every tensor,
+//! [`Dgcnn::new`] builds them from that table, and `params`,
+//! `params_mut` and `grad_slots` (the backward's named gradient slots)
+//! list them in the same canonical order. The layers themselves, one
+//! forward and one backward function each, are hand-written in
+//! [`crate::batch`], and their gradients are verified against finite
 //! differences in the test suite.
 
 use serde::{map_get, DeError, Deserialize, Serialize, Value};
 
-use crate::matrix::{seeded_rng, strided_gemm_into, Matrix};
+use crate::matrix::{seeded_rng, Matrix};
 use crate::param::{Gradients, Param};
 use crate::sample::SampleStore;
 
@@ -81,11 +85,10 @@ impl DgcnnConfig {
         self.k / 2
     }
 
-    /// The name and `(rows, cols)` of every weight tensor [`Dgcnn::new`]
-    /// builds for this config, in the canonical order of
-    /// [`Dgcnn::snapshot`] — or, for a config `Dgcnn::new` refuses or
-    /// whose shapes overflow, why none exists.
-    fn weight_shapes(&self) -> Result<Vec<(String, usize, usize)>, String> {
+    /// Every weight tensor [`Dgcnn::new`] builds for this config, in the
+    /// canonical order of [`Dgcnn::snapshot`] — or, for a config
+    /// `Dgcnn::new` refuses or whose shapes overflow, why none exists.
+    fn weight_shapes(&self) -> Result<Vec<TensorShape>, String> {
         let min_k = self.conv2_kernel.checked_mul(2);
         if min_k.is_none_or(|m| self.k < m) {
             return Err(format!(
@@ -97,10 +100,22 @@ impl DgcnnConfig {
             return Err("model `cfg` has no input width or no graph-convolution layer".into());
         }
         let overflow = || format!("model `cfg` tensor sizes overflow: {self:?}");
+        let weight = |name: &str, rows, cols| TensorShape {
+            name: name.to_owned(),
+            rows,
+            cols,
+            bias: false,
+        };
+        let bias = |name: &str, cols| TensorShape {
+            name: name.to_owned(),
+            rows: 1,
+            cols,
+            bias: true,
+        };
         let mut shapes = Vec::new();
         let mut prev = self.input_dim;
         for (i, &c) in self.gc_channels.iter().enumerate() {
-            shapes.push((format!("gc[{i}]"), prev, c));
+            shapes.push(weight(&format!("gc[{i}]"), prev, c));
             prev = c;
         }
         let ccat = self
@@ -117,14 +132,14 @@ impl DgcnnConfig {
             .checked_mul(self.conv2_channels)
             .ok_or_else(overflow)?;
         shapes.extend([
-            ("conv1_w".to_owned(), self.conv1_channels, ccat),
-            ("conv1_b".to_owned(), 1, self.conv1_channels),
-            ("conv2_w".to_owned(), self.conv2_channels, conv2_in),
-            ("conv2_b".to_owned(), 1, self.conv2_channels),
-            ("dense1_w".to_owned(), dense_in, self.dense_dim),
-            ("dense1_b".to_owned(), 1, self.dense_dim),
-            ("dense2_w".to_owned(), self.dense_dim, 2),
-            ("dense2_b".to_owned(), 1, 2),
+            weight("conv1_w", self.conv1_channels, ccat),
+            bias("conv1_b", self.conv1_channels),
+            weight("conv2_w", self.conv2_channels, conv2_in),
+            bias("conv2_b", self.conv2_channels),
+            weight("dense1_w", dense_in, self.dense_dim),
+            bias("dense1_b", self.dense_dim),
+            weight("dense2_w", self.dense_dim, 2),
+            bias("dense2_b", 2),
         ]);
         Ok(shapes)
     }
@@ -132,6 +147,18 @@ impl DgcnnConfig {
     pub(crate) fn k3(&self) -> usize {
         self.k2() + 1 - self.conv2_kernel
     }
+}
+
+/// One row of [`DgcnnConfig::weight_shapes`]: a tensor's name and shape,
+/// and whether it is a bias. [`Dgcnn::new`] fills a bias with zeros,
+/// which draws nothing, and every other tensor Glorot-uniform, drawn in
+/// table order. The flag is explicit because neither name nor shape
+/// tells: a drawn GC weight is one row high when its input is.
+struct TensorShape {
+    name: String,
+    rows: usize,
+    cols: usize,
+    bias: bool,
 }
 
 /// The model: all trainable parameters plus the architecture description.
@@ -181,12 +208,12 @@ impl Deserialize for Dgcnn {
                 model.cfg.gc_channels.len()
             )));
         }
-        for (p, (name, rows, cols)) in model.params().into_iter().zip(shapes) {
+        for (p, t) in model.params().into_iter().zip(shapes) {
             let got = (p.w.rows(), p.w.cols());
-            if got != (rows, cols) {
+            if got != (t.rows, t.cols) {
                 return Err(DeError(format!(
-                    "model tensor `{name}` has shape {}×{}, but `cfg` gives {rows}×{cols}",
-                    got.0, got.1
+                    "model tensor `{}` has shape {}×{}, but `cfg` gives {}×{}",
+                    t.name, got.0, got.1, t.rows, t.cols
                 )));
             }
         }
@@ -194,101 +221,47 @@ impl Deserialize for Dgcnn {
     }
 }
 
-/// The two convolution weights transposed to `window × outputs`, the
-/// operand layout of [`strided_gemm_into()`]. Built once per training
-/// step, and once per inference call shared by every chunk of it.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ConvKernels {
-    conv1_wt: Matrix,
-    conv2_wt: Matrix,
-}
-
 impl Dgcnn {
-    /// Initialises the model with Glorot-uniform weights (deterministic in
-    /// `cfg.seed`).
+    /// Initialises the model with Glorot-uniform weights and zero biases
+    /// (deterministic in `cfg.seed`), the tensors of
+    /// `DgcnnConfig::weight_shapes` in table order.
     ///
     /// # Panics
     ///
-    /// Panics when `cfg.k < cfg.min_k()` or any dimension is zero.
+    /// Panics when `cfg.k < cfg.min_k()`, `cfg` has no input width or
+    /// no GC layer, or a tensor size overflows.
     #[must_use]
     pub fn new(cfg: DgcnnConfig) -> Self {
         assert!(cfg.k >= cfg.min_k(), "k must be at least {}", cfg.min_k());
-        assert!(cfg.input_dim > 0 && !cfg.gc_channels.is_empty());
+        let shapes = cfg.weight_shapes().unwrap_or_else(|e| panic!("{e}"));
         let mut rng = seeded_rng(cfg.seed);
-        let mut gc = Vec::new();
-        let mut prev = cfg.input_dim;
-        for &c in &cfg.gc_channels {
-            gc.push(Param::new(Matrix::glorot(prev, c, &mut rng)));
-            prev = c;
-        }
-        let ccat = cfg.concat_width();
-        let conv1_w = Param::new(Matrix::glorot(cfg.conv1_channels, ccat, &mut rng));
-        let conv1_b = Param::new(Matrix::zeros(1, cfg.conv1_channels));
-        let conv2_w = Param::new(Matrix::glorot(
-            cfg.conv2_channels,
-            cfg.conv2_kernel * cfg.conv1_channels,
-            &mut rng,
-        ));
-        let conv2_b = Param::new(Matrix::zeros(1, cfg.conv2_channels));
-        let dense_in = cfg.k3() * cfg.conv2_channels;
-        let dense1_w = Param::new(Matrix::glorot(dense_in, cfg.dense_dim, &mut rng));
-        let dense1_b = Param::new(Matrix::zeros(1, cfg.dense_dim));
-        let dense2_w = Param::new(Matrix::glorot(cfg.dense_dim, 2, &mut rng));
-        let dense2_b = Param::new(Matrix::zeros(1, 2));
-        Self {
+        let empty = || Param::new(Matrix::default());
+        let mut model = Self {
+            gc: vec![empty(); cfg.gc_channels.len()],
             cfg,
-            gc,
-            conv1_w,
-            conv1_b,
-            conv2_w,
-            conv2_b,
-            dense1_w,
-            dense1_b,
-            dense2_w,
-            dense2_b,
+            conv1_w: empty(),
+            conv1_b: empty(),
+            conv2_w: empty(),
+            conv2_b: empty(),
+            dense1_w: empty(),
+            dense1_b: empty(),
+            dense2_w: empty(),
+            dense2_b: empty(),
+        };
+        for (p, t) in model.params_mut().into_iter().zip(shapes) {
+            p.w = if t.bias {
+                Matrix::zeros(t.rows, t.cols)
+            } else {
+                Matrix::glorot(t.rows, t.cols, &mut rng)
+            };
         }
+        model
     }
 
     /// The architecture description.
     #[must_use]
     pub fn config(&self) -> &DgcnnConfig {
         &self.cfg
-    }
-
-    /// The transposed conv weights the forward reads, into reused
-    /// buffers.
-    pub(crate) fn conv_kernels_into(&self, ck: &mut ConvKernels) {
-        self.conv1_w.w.transpose_into(&mut ck.conv1_wt);
-        self.conv2_w.w.transpose_into(&mut ck.conv2_wt);
-    }
-
-    /// Conv1 + ReLU over every row of `pooled` (kernel = stride = the
-    /// concatenated width, so each row is one output step).
-    pub(crate) fn conv1_forward(&self, ck: &ConvKernels, pooled: &Matrix, out: &mut Matrix) {
-        let c1 = self.cfg.conv1_channels;
-        out.resize_for_overwrite(pooled.rows(), c1);
-        strided_gemm_into(
-            pooled.data(),
-            pooled.cols(),
-            &ck.conv1_wt,
-            None,
-            out.data_mut(),
-        );
-        for row in out.data_mut().chunks_exact_mut(c1.max(1)) {
-            for (v, &b) in row.iter_mut().zip(self.conv1_b.w.data()) {
-                *v = (*v + b).max(0.0);
-            }
-        }
-    }
-
-    /// Conv2 + ReLU of one sample: `pool_out` holds its `k2 × c1`
-    /// max-pooled rows, `out` receives its `k3 × c2` outputs.
-    pub(crate) fn conv2_forward(&self, ck: &ConvKernels, pool_out: &[f32], out: &mut [f32]) {
-        let c1 = self.cfg.conv1_channels;
-        strided_gemm_into(pool_out, c1, &ck.conv2_wt, Some(self.conv2_b.w.data()), out);
-        for v in out {
-            *v = v.max(0.0);
-        }
     }
 
     /// A gradient object with this model's parameter layout, ready for
@@ -384,12 +357,56 @@ impl Dgcnn {
         ]);
         v
     }
+
+    /// The tensors of `grads` under the names of this model's
+    /// parameters, in the canonical order of [`Dgcnn::params`]: the
+    /// write targets of the batched backward.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "gradient layout mismatch" when `grads` does not hold
+    /// one tensor per parameter of this model.
+    pub(crate) fn grad_slots<'g>(&self, grads: &'g mut Gradients) -> GradSlots<'g> {
+        let (layers, tensors) = (self.gc.len(), grads.tensors().len());
+        let Some((
+            gc,
+            [conv1_w, conv1_b, conv2_w, conv2_b, dense1_w, dense1_b, dense2_w, dense2_b],
+        )) = grads.tensors_mut().split_at_mut_checked(layers)
+        else {
+            panic!("gradient layout mismatch: {tensors} tensors for {layers} GC layers + 8");
+        };
+        GradSlots {
+            gc,
+            conv1_w,
+            conv1_b,
+            conv2_w,
+            conv2_b,
+            dense1_w,
+            dense1_b,
+            dense2_w,
+            dense2_b,
+        }
+    }
+}
+
+/// One gradient tensor per parameter, named as the [`Dgcnn`] fields
+/// (see [`Dgcnn::grad_slots`]).
+pub(crate) struct GradSlots<'g> {
+    pub(crate) gc: &'g mut [Matrix],
+    pub(crate) conv1_w: &'g mut Matrix,
+    pub(crate) conv1_b: &'g mut Matrix,
+    pub(crate) conv2_w: &'g mut Matrix,
+    pub(crate) conv2_b: &'g mut Matrix,
+    pub(crate) dense1_w: &'g mut Matrix,
+    pub(crate) dense1_b: &'g mut Matrix,
+    pub(crate) dense2_w: &'g mut Matrix,
+    pub(crate) dense2_b: &'g mut Matrix,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{BatchWorkspace, Minibatch};
+    use crate::batch::{BatchWorkspace, ConvKernels, Minibatch};
     use crate::param::{AdamConfig, AdamState};
     use crate::sample::{propagate, GraphSample};
     use muxlink_graph::{Csr, OneHotFeatures};
@@ -652,7 +669,7 @@ mod tests {
                 .weight_shapes()
                 .unwrap()
                 .into_iter()
-                .map(|(_, rows, cols)| (rows, cols))
+                .map(|t| (t.rows, t.cols))
                 .collect();
             assert_eq!(built, shapes);
         }

@@ -29,8 +29,12 @@
 //! * [`Minibatch`] + [`Dgcnn::batch_train_step`] — the block-diagonal
 //!   batched forward and backward: one kernel per layer per minibatch,
 //!   layer 0 over the sparse rows of `S·X`, built per sample from its
-//!   two-hot features each time a minibatch is packed. It is the
-//!   model's only forward:
+//!   two-hot features each time a minibatch is packed. Each layer is a
+//!   forward and a backward function in [`batch`], and the step is the
+//!   list of their calls in layer order: GC 0 plan GEMM, GC 1–3
+//!   propagate + GEMM, SortPool, conv1, max-pool, conv2, dense1 +
+//!   dropout, dense2 + softmax, then back from softmax/CE + dense2 to
+//!   the GC chain. It is the model's only forward:
 //!   [`Dgcnn::predict_batch`] and [`evaluate`] run it without dropout
 //!   over fixed-size chunks.
 //! * [`trainer::train`] — Adam minibatch loop with best-on-validation
